@@ -87,7 +87,7 @@ def sim_seconds_per_second(duration: float = DURATION) -> float:
 
     The perf-smoke gate metric: unlike events/sec it is invariant to
     event *granularity*, so changes that legitimately collapse many
-    small events into one (the delivery fast path's batched serves and
+    small events into one (the cellular link's batched serves and
     grouped deliveries) do not skew it.
     """
     costs, _, wall = run_workload(duration)

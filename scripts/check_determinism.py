@@ -1,26 +1,16 @@
 #!/usr/bin/env python
-"""CI determinism gates for the batch scheduler and the delivery paths.
+"""CI determinism gates for the batch scheduler, the grid and the env.
 
 Default mode — the batch layer's core promise: ``run_batch(...,
 n_jobs=1)`` and ``n_jobs=4`` produce bit-identical ``FlowResult``
 summaries, whatever order the work-stealing queue completes specs in.
 This script runs a small Figure-10 frontier grid both ways (plus the
 streaming ``iter_frontier`` face) and fails loudly on the first
-diverging field.  CI runs it twice more with ``REPRO_FAST_PATH=0`` so
-the scalar delivery path keeps the same guarantee.
+diverging field.
 
-``--fastpath`` mode — the delivery fast path's core promise: the SoA
-batched pipeline (``REPRO_FAST_PATH=1``, the default) and the scalar
-reference produce bit-identical ``FlowResult`` summaries across a
-scenario grid spanning AQMs, delayed ACKs, both flow directions, and
-outage-heavy mobile traces (DESIGN.md §9).  Links bind their serve
-callback at construction, so each leg pins ``REPRO_FAST_PATH`` before
-building its worlds (and restores the caller's value afterwards).
-
-``--contention`` mode — both promises at N flows: multi-flow contention
-cells (including 16-flow mixes where some flows starve outright) keep
-fast == scalar, and the reduced contention grid's JSON artifact is
-byte-identical between ``run_grid(n_jobs=1)`` and ``n_jobs=4``.
+``--contention`` mode — the same promise at N flows: the reduced
+contention grid's JSON artifact, audited, is byte-identical between
+``run_grid(n_jobs=1)`` and ``n_jobs=4``.
 
 ``--env`` mode — the control-plane environment's core promise
 (docs/env.md): a :class:`repro.env.CcEnv` rollout that replays a native
@@ -30,7 +20,10 @@ window-based CUBIC on the outage-heavy mobile trace), and the
 adaptive-target algorithm ``PR(A)`` — the env's flagship policy — is
 bit-identical between ``run_batch(n_jobs=1)`` and ``n_jobs=4``.
 
-All modes compare *canonical* summaries
+(That the batched delivery engine agrees with the one-opportunity-per-
+event reference link is a tier-1 test, ``tests/test_fastpath.py``.)
+
+The summary comparisons are *canonical*
 (:func:`repro.experiments.runner.canonical_summary`): a starved flow's
 delay statistics are NaN, and ``nan != nan`` would make bit-identical
 runs falsely diverge under plain tuple equality.
@@ -38,40 +31,17 @@ runs falsely diverge under plain tuple equality.
 Usage::
 
     PYTHONPATH=src python scripts/check_determinism.py
-    PYTHONPATH=src python scripts/check_determinism.py --fastpath
     PYTHONPATH=src python scripts/check_determinism.py --contention
     PYTHONPATH=src python scripts/check_determinism.py --env
 """
 
 from __future__ import annotations
 
-import os
 import sys
 
 TARGETS = [0.020, 0.040, 0.060, 0.080]
 DURATION = 6.0
 WARMUP = 1.0
-
-#: --fastpath grid: (label, isp, mode, aqm, direction, delayed_ack).
-FASTPATH_GRID = [
-    ("A-mobile-droptail-down", "A", "mobile", "droptail", "down", False),
-    ("A-mobile-codel-down", "A", "mobile", "codel", "down", False),
-    ("B-stationary-droptail-down-delack", "B", "stationary", "droptail",
-     "down", True),
-    ("C-mobile-droptail-up", "C", "mobile", "droptail", "up", False),
-    ("B-mobile-codel-up-delack", "B", "mobile", "codel", "up", True),
-]
-
-FASTPATH_ALGOS = ["PR(M)", "CUBIC", "BBR", "Sprout", "Verus"]
-
-#: --contention grid: (mix, flow count).  16-flow cells on a 1 Mbps
-#: bottleneck guarantee starved flows, exercising the NaN-canonical
-#: comparison that plain tuple equality gets wrong.
-CONTENTION_CELLS = [
-    ("pr-vs-cubic", 4),
-    ("cubic-self", 16),
-    ("pr-heavy", 16),
-]
 
 
 def check_scheduler() -> int:
@@ -116,126 +86,12 @@ def check_scheduler() -> int:
     return 0
 
 
-def check_fastpath() -> int:
-    from repro.experiments.algorithms import paper_algorithms
-    from repro.experiments.runner import (
-        FlowSpec,
-        canonical_summary,
-        cellular_path_config,
-        run_experiment,
-    )
-    from repro.traces.presets import isp_trace
-
-    algos = paper_algorithms()
-
-    def leg(fast: bool):
-        os.environ["REPRO_FAST_PATH"] = "1" if fast else "0"
-        out = {}
-        for label, isp, mode, aqm, direction, delack in FASTPATH_GRID:
-            down = isp_trace(isp, mode, duration=20.0)
-            up = isp_trace(isp, mode, duration=20.0, direction="uplink")
-            for name in FASTPATH_ALGOS:
-                config = cellular_path_config(down, up, aqm=aqm)
-                results = run_experiment(
-                    config,
-                    [FlowSpec(cc_factory=algos[name], direction=direction,
-                              delayed_ack=delack)],
-                    duration=DURATION, measure_start=WARMUP,
-                )
-                out[(label, name)] = canonical_summary(results[0].summary())
-        return out
-
-    saved = os.environ.get("REPRO_FAST_PATH")
-    try:
-        scalar = leg(False)
-        fast = leg(True)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_FAST_PATH", None)
-        else:
-            os.environ["REPRO_FAST_PATH"] = saved
-
-    failures = 0
-    for key, ref in scalar.items():
-        if fast[key] != ref:
-            failures += 1
-            print(
-                f"DIVERGENCE {key}:\n"
-                f"  scalar: {ref}\n"
-                f"  fast:   {fast[key]}",
-                file=sys.stderr,
-            )
-    if failures:
-        print(f"fast-path gate FAILED: {failures} diverging scenarios "
-              f"of {len(scalar)}", file=sys.stderr)
-        return 1
-    print(
-        f"fast-path gate OK: {len(scalar)} scenario/algorithm results "
-        f"bit-identical between REPRO_FAST_PATH=0 and =1"
-    )
-    return 0
-
-
 def check_contention() -> int:
     import json
 
-    from repro.experiments.contention_grid import (
-        MIXES,
-        REDUCED_GRID,
-        build_contention_flows,
-        run_grid,
-    )
-    from repro.experiments.runner import (
-        canonical_summary,
-        cellular_path_config,
-        run_experiment,
-    )
-    from repro.traces.generator import constant_rate_trace
+    from repro.experiments.contention_grid import REDUCED_GRID, run_grid
 
-    failures = 0
-
-    # Leg 1: fast == scalar on multi-flow contention cells.
-    def leg(fast: bool):
-        os.environ["REPRO_FAST_PATH"] = "1" if fast else "0"
-        out = {}
-        for mix, n_flows in CONTENTION_CELLS:
-            flows, duration = build_contention_flows(
-                MIXES[mix], n_flows, "staggered",
-                stagger=0.1, settle=1.0, overlap=4.0,
-            )
-            down = constant_rate_trace(1.0e6 / 8.0, duration + 1.0,
-                                       name="wired:1mbps")
-            results = run_experiment(
-                cellular_path_config(down), flows, duration=duration
-            )
-            out[(mix, n_flows)] = [
-                canonical_summary(r.summary()) for r in results
-            ]
-        return out
-
-    saved = os.environ.get("REPRO_FAST_PATH")
-    try:
-        scalar = leg(False)
-        fast = leg(True)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_FAST_PATH", None)
-        else:
-            os.environ["REPRO_FAST_PATH"] = saved
-
-    for key, ref in scalar.items():
-        for ref_flow, fast_flow in zip(ref, fast[key]):
-            if ref_flow != fast_flow:
-                failures += 1
-                print(
-                    f"DIVERGENCE [fastpath] cell {key}:\n"
-                    f"  scalar: {ref_flow}\n"
-                    f"  fast:   {fast_flow}",
-                    file=sys.stderr,
-                )
-
-    # Leg 2: the reduced grid artifact is byte-identical serial vs
-    # parallel (to_dict carries no wall-clock, so this is exact).
+    # to_dict carries no wall-clock, so this comparison is exact.
     serial = json.dumps(
         run_grid(REDUCED_GRID, n_jobs=1, audit=True).to_dict(),
         sort_keys=True,
@@ -245,19 +101,12 @@ def check_contention() -> int:
         sort_keys=True,
     )
     if serial != parallel:
-        failures += 1
         print("DIVERGENCE [grid] reduced-grid JSON differs between "
               "n_jobs=1 and n_jobs=4", file=sys.stderr)
-
-    if failures:
-        print(f"contention gate FAILED: {failures} divergences",
-              file=sys.stderr)
+        print("contention gate FAILED", file=sys.stderr)
         return 1
-    print(
-        f"contention gate OK: {len(CONTENTION_CELLS)} multi-flow cells "
-        f"bit-identical fast-vs-scalar; reduced grid byte-identical "
-        f"serial-vs-parallel"
-    )
+    print("contention gate OK: reduced grid byte-identical "
+          "serial-vs-parallel")
     return 0
 
 
@@ -337,8 +186,6 @@ def check_env() -> int:
 
 
 def main() -> int:
-    if "--fastpath" in sys.argv[1:]:
-        return check_fastpath()
     if "--contention" in sys.argv[1:]:
         return check_contention()
     if "--env" in sys.argv[1:]:

@@ -4,9 +4,9 @@
 Runs ``benchmarks/bench_table4_cpu.py``'s workload in reduced mode
 (``REPRO_BENCH_REDUCED=1``) and compares the simulated-seconds-per-
 wall-second rate against the checked-in baseline, failing on a >30%
-regression.  (Earlier revisions gated events/sec; the delivery fast
-path legitimately collapses many small events into batched ones, so
-the gate now uses a metric invariant to event granularity.)  The
+regression.  (Earlier revisions gated events/sec; batched delivery
+legitimately collapses many small events into fewer large ones, so the
+gate now uses a metric invariant to event granularity.)  The
 baseline is deliberately taken on a slow reference host so that noisy
 CI runners fail only on real regressions in the simulation hot path.
 
@@ -30,24 +30,12 @@ baseline catches regressions in the interval-run scoreboard that the
 
 Usage::
 
-The ``--delivery-check`` mode gates the delivery fast path instead:
-``benchmarks/bench_delivery_fastpath.py`` measures the SoA batched
-pipeline against the scalar reference on the bursty app-limited
-workload where batching engages, and the gate holds both the fast/
-scalar CPU ratio (host independent, tight floor) and the absolute
-packets-per-CPU-second (baseline with the usual noisy-runner
-tolerance).
-
-Usage::
-
     PYTHONPATH=src python scripts/perf_smoke.py --check     # CI gate
     PYTHONPATH=src python scripts/perf_smoke.py --update    # re-baseline
     PYTHONPATH=src python scripts/perf_smoke.py --telemetry-overhead
     PYTHONPATH=src python scripts/perf_smoke.py --telemetry-overhead --sampled
     PYTHONPATH=src python scripts/perf_smoke.py --loss-check
     PYTHONPATH=src python scripts/perf_smoke.py --loss-update
-    PYTHONPATH=src python scripts/perf_smoke.py --delivery-check
-    PYTHONPATH=src python scripts/perf_smoke.py --delivery-update
     PYTHONPATH=src python scripts/perf_smoke.py --env-overhead
     PYTHONPATH=src python scripts/perf_smoke.py --env-update
 
@@ -75,16 +63,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 BASELINE = REPO / "benchmarks" / "baselines" / "perf_smoke.json"
 LOSS_BASELINE = REPO / "benchmarks" / "baselines" / "sack_scoreboard.json"
-DELIVERY_BASELINE = REPO / "benchmarks" / "baselines" / "delivery_fastpath.json"
 PROFILE_OUT = REPO / "perf_profile"
 
 #: Allowed slowdown relative to baseline before the gate fails.
 TOLERANCE = 0.30
-
-#: Floor on the fast/scalar CPU ratio of the delivery microbench.  The
-#: measured speedup is ~1.9x; the floor leaves headroom for runner
-#: noise while still catching a fast path that has stopped batching.
-DELIVERY_SPEEDUP_FLOOR = 1.30
 
 #: Allowed telemetry-on wall-time overhead vs telemetry-off.
 TELEMETRY_TOLERANCE = 0.10
@@ -124,14 +106,6 @@ def measure() -> float:
     return bench_table4_cpu.sim_seconds_per_second()
 
 
-def _delivery_bench_module():
-    os.environ.setdefault("REPRO_BENCH_REDUCED", "1")
-    sys.path.insert(0, str(REPO / "benchmarks"))
-    import bench_delivery_fastpath
-
-    return bench_delivery_fastpath
-
-
 def dump_profile(workload, label: str) -> None:
     """Write a cProfile of ``workload`` for the failing gate.
 
@@ -153,12 +127,6 @@ def dump_profile(workload, label: str) -> None:
         stats.sort_stats("cumulative").print_stats(40)
         stats.sort_stats("tottime").print_stats(40)
     print(f"profile written to {PROFILE_OUT}.pstats / .txt")
-
-
-def measure_delivery() -> dict:
-    """Delivery fast-path microbench stats (see the bench docstring)."""
-    bench = _delivery_bench_module()
-    return bench.measure(rounds=3)
 
 
 def _loss_bench_module():
@@ -290,13 +258,6 @@ def main() -> int:
                        ">30%% vs baseline")
     group.add_argument("--loss-update", action="store_true",
                        help="rewrite the heavy-loss baseline from this host")
-    group.add_argument("--delivery-check", action="store_true",
-                       help="fail if the delivery fast path lost its "
-                       "speedup over the scalar path or regressed vs "
-                       "baseline")
-    group.add_argument("--delivery-update", action="store_true",
-                       help="rewrite the delivery fast-path baseline from "
-                       "this host")
     group.add_argument(
         "--env-overhead", action="store_true",
         help="fail if driving the Table-4 line-up through the CcEnv "
@@ -317,42 +278,6 @@ def main() -> int:
     args = parser.parse_args()
     if args.sampled and not args.telemetry_overhead:
         parser.error("--sampled only composes with --telemetry-overhead")
-
-    if args.delivery_check or args.delivery_update:
-        stats = measure_delivery()
-        line = (
-            f"{stats['speedup']:.2f}x vs scalar, "
-            f"{stats['packets_per_cpu_sec']:,.0f} packets/cpu-sec"
-        )
-        if args.delivery_update:
-            DELIVERY_BASELINE.parent.mkdir(parents=True, exist_ok=True)
-            DELIVERY_BASELINE.write_text(json.dumps({
-                "packets_per_cpu_sec": round(stats["packets_per_cpu_sec"]),
-                "speedup": round(stats["speedup"], 2),
-                "speedup_floor": DELIVERY_SPEEDUP_FLOOR,
-                "workload": "bench_delivery_fastpath reduced "
-                            "(REPRO_BENCH_REDUCED=1)",
-                "tolerance": TOLERANCE,
-                "host": platform.platform(),
-                "cpu_count": os.cpu_count(),
-            }, indent=2) + "\n")
-            print(f"delivery baseline updated: {line} -> {DELIVERY_BASELINE}")
-            return 0
-        baseline = json.loads(DELIVERY_BASELINE.read_text())
-        floor = baseline["packets_per_cpu_sec"] * (1.0 - TOLERANCE)
-        ok = (stats["speedup"] >= DELIVERY_SPEEDUP_FLOOR
-              and stats["packets_per_cpu_sec"] >= floor)
-        verdict = "OK" if ok else "FAILED"
-        print(
-            f"delivery smoke {verdict}: {line} "
-            f"(speedup floor {DELIVERY_SPEEDUP_FLOOR}, "
-            f"throughput floor {floor:,.0f})"
-        )
-        if not ok:
-            bench = _delivery_bench_module()
-            dump_profile(bench.run_workload, "delivery-fastpath")
-            return 1
-        return 0
 
     if args.env_overhead or args.env_update:
         overhead, native, env = measure_env_overhead()

@@ -236,21 +236,8 @@ class _LinkAudit:
 
         queue.pop = _tap_pop
 
-        # Fast-path taps: batched deliveries and sliced queue drains
-        # must hit the same accumulators, or conservation would "lose"
-        # every packet the batch path moved.
-        original_deliver_batch = getattr(link, "on_deliver_batch", None)
-        if original_deliver_batch is not None:
-            def _tap_deliver_batch(
-                batch: Any,
-                _orig: Any = original_deliver_batch,
-                _cell: List[int] = self._arrived_cell,
-            ) -> None:
-                _cell[0] += len(batch.packets)
-                _orig(batch)
-
-            link.on_deliver_batch = _tap_deliver_batch
-
+        # Sliced queue drains must hit the same sojourn accumulator as
+        # ``pop``, or the batched link's dequeues would go unmeasured.
         original_drain = getattr(queue, "drain_opportunity", None)
         if original_drain is not None:
             def _tap_drain(

@@ -159,7 +159,7 @@ FULL_GRID = GridConfig(
 
 #: The CI-sized subset (2 mixes × {2, 4} flows × 1 pattern × 1 trace):
 #: small enough for a smoke job, still multi-flow enough to exercise
-#: the scheduler, the auditor's flow-scaled bands, and the fast path.
+#: the scheduler, the auditor's flow-scaled bands, and batched delivery.
 REDUCED_GRID = GridConfig(
     mixes=("pr-self", "pr-vs-cubic", "pr-adaptive"),
     flow_counts=(2, 4),

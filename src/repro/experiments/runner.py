@@ -383,20 +383,10 @@ class ExperimentHarness:
             )
             if spec.direction == "down":
                 self.path.attach_flow(
-                    flow_id,
-                    receiver.receive,
-                    sender.on_ack_packet,
-                    forward_batch_sink=receiver.receive_batch,
-                    reverse_batch_sink=sender.on_ack_batch,
-                )
+                    flow_id, receiver.receive, sender.on_ack_packet)
             else:
                 self.path.attach_flow(
-                    flow_id,
-                    sender.on_ack_packet,
-                    receiver.receive,
-                    forward_batch_sink=sender.on_ack_batch,
-                    reverse_batch_sink=receiver.receive_batch,
-                )
+                    flow_id, sender.on_ack_packet, receiver.receive)
             self.sim.schedule_at(spec.start, sender.start)
             if self.auditor is not None:
                 self.auditor.attach_flow(

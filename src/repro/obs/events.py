@@ -43,7 +43,7 @@ LINK_OUTAGE = "link.outage"
 LINK_RECOVER = "link.recover"
 #: Propagation delay changed mid-run (handover model).
 LINK_HANDOVER = "link.handover"
-#: Fast path served several opportunities in one quiescent batch
+#: The link served several opportunities in one quiescent batch
 #: (opportunities, packets, bytes, span).
 LINK_BATCH = "link.batch"
 

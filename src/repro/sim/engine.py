@@ -200,12 +200,12 @@ class Simulator:
     def claim_seq(self) -> int:
         """Allocate an insertion-order seq *now* for a later push.
 
-        The delivery fast path batches several logical schedule points
-        into one callback; claiming the seq at the logical point and
-        pushing the heap entry later keeps tie-breaking identical to the
-        scalar path, where each delivery event is created at its serve
-        instant.  Claimed seqs come from the same counter, so uniqueness
-        and monotonicity are preserved.
+        A batch-serving link folds several logical schedule points into
+        one callback; claiming the seq at the logical point and pushing
+        the heap entry later keeps tie-breaking identical to a link
+        that creates each delivery event at its serve instant.  Claimed
+        seqs come from the same counter, so uniqueness and monotonicity
+        are preserved.
         """
         return next(self._counter)
 

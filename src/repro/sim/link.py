@@ -10,23 +10,21 @@ used in the paper.
 :class:`WiredLink` is a conventional store-and-forward link with a fixed
 service rate, used for the Figure-13 inter-continental experiments.
 
-Delivery fast path
-------------------
+Batched delivery
+----------------
 Serving one opportunity per heap event costs a pop, a serve callback, an
-arm, and one delivery event *per packet*.  The fast path (on by default;
-``REPRO_FAST_PATH=0`` or ``fast=False`` selects the scalar reference
-implementation) batches that work under a *quiescence* condition: while
-no event foreign to this link can run, consecutive opportunities are
-served in one callback, draining the queue in slices
+arm, and one delivery event *per packet*.  :class:`CellularLink` batches
+that work under a *quiescence* condition: while no other event can run —
+this link's own pending deliveries included — consecutive opportunities
+are served in one callback, draining the queue in slices
 (:meth:`~repro.sim.queues.DropTailQueue.drain_opportunity`) and handing
 groups of packets to a single self-re-arming delivery *pump* event.  The
-soundness condition and the bit-identical bar are documented in
-DESIGN.md §9.
+soundness argument, and the one-opportunity-per-event reference link the
+tests hold this engine to, are in DESIGN.md §9.
 """
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from typing import Callable, List, Optional
 
@@ -39,12 +37,11 @@ from repro.obs import (
     current_tracer,
 )
 from repro.sim.engine import Event, Simulator
-from repro.sim.packet import Packet, PacketBatch
+from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue
 from repro.traces.trace import OPPORTUNITY_BYTES, Trace
 
 DeliverCallback = Callable[[Packet], None]
-DeliverBatchCallback = Callable[[PacketBatch], None]
 
 #: A service gap at least this long with packets queued is reported as a
 #: ``link.outage`` telemetry event (normal inter-opportunity gaps on the
@@ -59,16 +56,6 @@ OUTAGE_GAP = 0.100
 LINK_BATCH_EVENT_MIN = 8
 
 _INF = float("inf")
-
-
-def fast_path_default() -> bool:
-    """The process-wide default for the delivery fast path.
-
-    ``REPRO_FAST_PATH=0`` selects the scalar reference implementation;
-    anything else (including unset) keeps the batched path on.  Read per
-    link construction so tests can flip the environment between runs.
-    """
-    return os.environ.get("REPRO_FAST_PATH", "1") != "0"
 
 
 class Link:
@@ -94,9 +81,6 @@ class CellularLink(Link):
         Fixed one-way propagation delay applied after service.
     on_deliver:
         Called with each packet when it exits the link.
-    fast:
-        Force the batched fast path on/off; None uses
-        :func:`fast_path_default` (the ``REPRO_FAST_PATH`` env toggle).
     """
 
     def __init__(
@@ -108,7 +92,6 @@ class CellularLink(Link):
         on_deliver: Optional[DeliverCallback] = None,
         loop: bool = True,
         name: str = "cell",
-        fast: Optional[bool] = None,
     ) -> None:
         if len(trace) == 0:
             raise ValueError("trace has no delivery opportunities")
@@ -117,13 +100,8 @@ class CellularLink(Link):
         self.queue = queue
         self._prop_delay = prop_delay
         self.on_deliver = on_deliver
-        #: Optional batch delivery sink.  When set, the fast path hands
-        #: multi-packet delivery groups over as one :class:`PacketBatch`
-        #: instead of N ``on_deliver`` calls.
-        self.on_deliver_batch: Optional[DeliverBatchCallback] = None
         self.loop = loop
         self.name = name
-        self.fast_path = fast_path_default() if fast is None else bool(fast)
         self._tracer = current_tracer()
         #: Multi-opportunity batches drained and the packets they
         #: carried; folded into ``run.link.<name>.batches`` /
@@ -143,7 +121,7 @@ class CellularLink(Link):
         self._cycle = 0  # how many whole trace periods have elapsed
         self._index = 0  # next opportunity index within the current cycle
         self._service_event: Optional[Event] = None
-        self._serve_cb = self._serve_fast if self.fast_path else self._serve
+        self._serve_cb = self._serve
         # Profiling: time the service loop and the delivery pump by
         # shadowing the callables the event loop invokes (both are
         # always referenced through ``self``, so instance-attribute
@@ -153,13 +131,6 @@ class CellularLink(Link):
             self._serve_cb = prof.wrap("link.serve", self._serve_cb)
             self._pump_fire = prof.wrap(  # type: ignore[method-assign]
                 "delivery.pump", self._pump_fire)
-        #: Bound on how soon an effect of one of this link's *own*
-        #: deliveries can loop back into its queue (see DESIGN.md §9).
-        #: 0.0 is fully conservative; :class:`~repro.sim.network
-        #: .DuplexPath` points ``cascade_partner`` at the reverse link so
-        #: the bound tracks that link's propagation delay.
-        self.cascade_guard = 0.0
-        self.cascade_partner: Optional[Link] = None
         # Delivery pump: pending [time, packets] groups (time-ascending
         # from _phead) drained by one self-re-arming event.
         self._pending: List[Optional[list]] = []
@@ -246,60 +217,12 @@ class CellularLink(Link):
             self._service_event = self.sim.schedule_at(t, self._serve_cb)
 
     # ------------------------------------------------------------------
-    # Scalar reference path
-    # ------------------------------------------------------------------
     def _serve(self) -> None:
-        """Consume one delivery opportunity: up to 1500 bytes of packets."""
-        fired = self._service_event
-        self._service_event = None
-        if self._outage_open:
-            self._outage_open = False
-            tr = self._tracer
-            if tr is not None:
-                tr.emit(LINK_RECOVER, self.sim.now, link=self.name,
-                        queued=len(self.queue))
-        self._index += 1
-        budget = OPPORTUNITY_BYTES
-        served_any = False
-        while True:
-            head = self.queue.peek()
-            if head is None or head.size > budget:
-                break
-            packet = self.queue.pop(self.sim.now)
-            if packet is None:
-                break
-            budget -= packet.size
-            served_any = True
-            self.delivered_packets += 1
-            self.delivered_bytes += packet.size
-            self._deliver_later(packet)
-        if not served_any:
-            # CoDel may drop everything it dequeues; a truly empty queue
-            # simply wastes the opportunity.
-            self.wasted_opportunities += 1
-        if len(self.queue) > 0:
-            self._arm_service(reuse=fired)
-
-    def _deliver_later(self, packet: Packet) -> None:
-        callback = self.on_deliver
-        if callback is None:
-            return
-        self.sim.schedule(self._prop_delay, partial(callback, packet))
-
-    # ------------------------------------------------------------------
-    # Batched fast path
-    # ------------------------------------------------------------------
-    def _effective_guard(self) -> float:
-        partner = self.cascade_partner
-        if partner is not None:
-            return partner.prop_delay  # type: ignore[attr-defined]
-        return self.cascade_guard
-
-    def _serve_fast(self) -> None:
         """Serve the opportunity at ``now`` plus every later one that is
         provably unobservable: strictly before the quiescence horizon
-        (no foreign event, no loop-back from our own pending or newly
-        scheduled deliveries) and within the ``run(until)`` bound."""
+        (the next event of any owner, this link's own pending and newly
+        scheduled deliveries included) and within the ``run(until)``
+        bound."""
         sim = self.sim
         fired = self._service_event
         self._service_event = None
@@ -311,13 +234,8 @@ class CellularLink(Link):
                 tr.emit(LINK_RECOVER, sim.now, link=self.name,
                         queued=len(queue))
 
-        # Snapshot the pump head *before* serving: the horizon must be
-        # bounded by deliveries already in flight, not the groups this
-        # batch is about to schedule (those are covered by the t + prop
-        # cap).  Computed lazily — a batch that ends at its first
-        # opportunity (queue drained) never pays for the heap scan.
-        pump = self._pump_event
-        pump_head = pump[0] if pump is not None else _INF
+        # Computed lazily — a batch that ends at its first opportunity
+        # (queue drained) never pays for the heap probe.
         horizon = -_INF
         t = sim.now
         # The run(until) boundary is inclusive (events AT `until` fire),
@@ -339,6 +257,7 @@ class CellularLink(Link):
         wasted = 0
         opportunities = 0
         first_t = t
+        group: Optional[list] = None
         while True:
             opportunities += 1
             index += 1
@@ -350,19 +269,27 @@ class CellularLink(Link):
                 delivered_p += len(pkts)
                 delivered_b += nbytes
                 if deliver:
-                    self._push_group(t + prop, pkts)
+                    due = t + prop
+                    if group is not None and group[0] == due:
+                        # Duplicate opportunity instant: nothing ran, so
+                        # nothing claimed a seq, since this batch opened
+                        # the group; one event delivers both slices.
+                        group[1] += pkts
+                    else:
+                        group = self._push_group(due, pkts)
             else:
                 wasted += 1
             if not q_deque:
-                # Idle: leave the service disarmed, exactly like the
-                # scalar path; the next enqueue re-arms and the lazy
-                # fast-forward accounts wasted opportunities.
+                # Idle: leave the service disarmed; the next enqueue
+                # re-arms and the lazy fast-forward accounts wasted
+                # opportunities.
                 break
-            # Replicate the scalar re-arm's float round-trip: its
-            # `local = now - base` carries the error of `base + times[i]`
-            # upward once cycle > 0, so any remaining *same-instant*
-            # duplicate opportunities compare below `local` and are
-            # wasted, not served.  Bit-identity means wasting them too.
+            # Replicate the per-event re-arm's float round-trip
+            # (_next_opportunity_time): its `local = now - base` carries
+            # the error of `base + times[i]` upward once cycle > 0, so any
+            # remaining *same-instant* duplicate opportunities compare
+            # below `local` and are wasted, not served.  A batch boundary
+            # must not change that, and ms-quantized traces depend on it.
             local = t - cycle * period
             while index < size and times[index] < local:
                 index += 1
@@ -376,11 +303,14 @@ class CellularLink(Link):
             else:
                 nt = _INF
             if horizon == -_INF:
-                horizon = sim.horizon_excluding(pump)
-                bound = pump_head + self._effective_guard()
-                if bound < horizon:
-                    horizon = bound
-                bound = first_t + self._prop_delay
+                # The pump is not excluded: one of our own deliveries
+                # firing inside the window would let its consequences
+                # (an ACK served by the reverse link) claim heap seqs
+                # *after* groups this batch claimed up front, flipping
+                # exact-time ties (DESIGN.md §9).  The first_t + prop cap
+                # covers the groups this batch itself schedules.
+                horizon = sim.horizon_excluding(None)
+                bound = first_t + prop
                 if bound < horizon:
                     horizon = bound
             if nt < horizon and (limit is None or nt <= limit):
@@ -391,7 +321,7 @@ class CellularLink(Link):
             self._cycle = cycle
             if tr is not None and not self._outage_open:
                 # Gap measured from the last opportunity actually served,
-                # which is where the scalar path would have emitted it.
+                # where a one-opportunity-per-event link would emit it.
                 gap = nt - t
                 if gap >= OUTAGE_GAP:
                     self._outage_open = True
@@ -422,51 +352,44 @@ class CellularLink(Link):
                         opportunities=opportunities, packets=delivered_p,
                         bytes=delivered_b, span=span)
 
-    def _push_group(self, time: float, pkts: List[Packet]) -> None:
-        """Append a delivery group, keeping ``_pending`` time-sorted and
-        the pump armed at the head group's time.
+    def _push_group(self, time: float, pkts: List[Packet]) -> list:
+        """Add a delivery group, keeping ``_pending`` time-sorted and the
+        pump armed at the head group's time; returns the group.
 
-        Each group claims its heap seq *at creation* — the instant the
-        scalar path would have created the per-packet delivery events —
-        so exact-time ties against foreign events break in the same
-        order on both paths (see DESIGN.md §9).
+        Each group claims its heap seq *at creation* — the point where
+        a per-packet delivery event would have been scheduled — so
+        exact-time ties against other events break the same way wherever
+        the batch boundaries fall (see DESIGN.md §9).  Groups from
+        different serve events are never merged, even at one delivery
+        instant: another event due at that instant may have claimed a
+        seq between them.
         """
         sim = self.sim
         pending = self._pending
         phead = self._phead
+        group = [time, pkts, sim.claim_seq()]
         if len(pending) > phead:
-            last = pending[-1]
-            lt = last[0]
-            if lt == time:
-                # Same delivery instant: extend the group; its existing
-                # (earlier) seq matches the scalar path, whose first
-                # delivery event for this instant carries the older seq.
-                last[1] += pkts
-                return
-            if time >= lt:
-                pending.append([time, pkts, sim.claim_seq()])
-                return
+            if time >= pending[-1][0]:
+                pending.append(group)
+                return group
             # Rare: a handover shrank prop_delay while deliveries were
-            # in flight; insert in time order (merging an equal slot).
+            # in flight; insert in time order, after any equal slot.
             i = len(pending) - 1
             while i > phead and pending[i - 1][0] > time:
                 i -= 1
-            if i > phead and pending[i - 1][0] == time:
-                pending[i - 1][1] += pkts
-                return
-            seq = sim.claim_seq()
-            pending.insert(i, [time, pkts, seq])
+            pending.insert(i, group)
             if i == phead:
                 self._pump_event.cancel()
                 self._pump_event = sim.schedule_claimed(
-                    time, seq, self._pump_fire)
-            return
+                    time, group[2], self._pump_fire)
+            return group
         if pending:
             pending.clear()
         self._phead = 0
-        seq = sim.claim_seq()
-        pending.append([time, pkts, seq])
-        self._pump_event = sim.schedule_claimed(time, seq, self._pump_fire)
+        pending.append(group)
+        self._pump_event = sim.schedule_claimed(
+            time, group[2], self._pump_fire)
+        return group
 
     def _pump_fire(self) -> None:
         """Deliver the head group; re-arm for the next one."""
@@ -487,15 +410,9 @@ class CellularLink(Link):
             nxt = pending[phead]
             self._pump_event = self.sim.requeue_claimed(
                 self._pump_event, nxt[0], nxt[2])
-        pkts = group[1]
-        if len(pkts) > 1:
-            batch_cb = self.on_deliver_batch
-            if batch_cb is not None:
-                batch_cb(PacketBatch(pkts))
-                return
         callback = self.on_deliver
         if callback is not None:
-            for p in pkts:
+            for p in group[1]:
                 callback(p)
 
     # ------------------------------------------------------------------

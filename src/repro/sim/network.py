@@ -20,12 +20,11 @@ from typing import Callable, Dict, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.link import CellularLink, Link, WiredLink
-from repro.sim.packet import Packet, PacketBatch
+from repro.sim.packet import Packet
 from repro.sim.queues import CoDelQueue, DropTailQueue, DEFAULT_BUFFER_PACKETS
 from repro.traces.trace import Trace
 
 Sink = Callable[[Packet], None]
-BatchSink = Callable[[PacketBatch], None]
 
 
 @dataclass
@@ -75,8 +74,6 @@ class DuplexPath:
         config.uplink.validate()
         self._forward_sinks: Dict[int, Sink] = {}
         self._reverse_sinks: Dict[int, Sink] = {}
-        self._forward_batch_sinks: Dict[int, BatchSink] = {}
-        self._reverse_batch_sinks: Dict[int, BatchSink] = {}
         self.forward_drops: Dict[int, int] = {}
         self.reverse_drops: Dict[int, int] = {}
         self.forward_link = self._build_link(
@@ -85,15 +82,6 @@ class DuplexPath:
         self.reverse_link = self._build_link(
             config.uplink, self._deliver_reverse, "uplink"
         )
-        if isinstance(self.forward_link, CellularLink):
-            self.forward_link.on_deliver_batch = self._deliver_forward_batch
-            # Any loop-back from a forward delivery into the forward
-            # queue crosses the reverse direction first (DESIGN.md §9),
-            # so the reverse link's propagation delay bounds the cascade.
-            self.forward_link.cascade_partner = self.reverse_link
-        if isinstance(self.reverse_link, CellularLink):
-            self.reverse_link.on_deliver_batch = self._deliver_reverse_batch
-            self.reverse_link.cascade_partner = self.forward_link
 
     # ------------------------------------------------------------------
     def _build_link(self, cfg: LinkConfig, deliver: Sink, name: str) -> Link:
@@ -138,26 +126,17 @@ class DuplexPath:
         flow_id: int,
         forward_sink: Sink,
         reverse_sink: Sink,
-        forward_batch_sink: Optional[BatchSink] = None,
-        reverse_batch_sink: Optional[BatchSink] = None,
     ) -> None:
         """Register the endpoints of one flow.
 
         ``forward_sink`` receives packets that traversed the downlink
         (the receiver); ``reverse_sink`` receives packets that traversed
-        the uplink (the sender, consuming ACKs).  The optional batch
-        sinks receive a whole same-instant :class:`PacketBatch` at once
-        on the delivery fast path; endpoints without one get per-packet
-        calls either way.
+        the uplink (the sender, consuming ACKs).
         """
         if flow_id in self._forward_sinks:
             raise ValueError(f"flow {flow_id} already attached")
         self._forward_sinks[flow_id] = forward_sink
         self._reverse_sinks[flow_id] = reverse_sink
-        if forward_batch_sink is not None:
-            self._forward_batch_sinks[flow_id] = forward_batch_sink
-        if reverse_batch_sink is not None:
-            self._reverse_batch_sinks[flow_id] = reverse_batch_sink
         self.forward_drops.setdefault(flow_id, 0)
         self.reverse_drops.setdefault(flow_id, 0)
 
@@ -178,42 +157,6 @@ class DuplexPath:
         sink = self._reverse_sinks.get(packet.flow_id)
         if sink is not None:
             sink(packet)
-
-    def _deliver_forward_batch(self, batch: PacketBatch) -> None:
-        self._demux_batch(batch, self._forward_sinks, self._forward_batch_sinks)
-
-    def _deliver_reverse_batch(self, batch: PacketBatch) -> None:
-        self._demux_batch(batch, self._reverse_sinks, self._reverse_batch_sinks)
-
-    def _demux_batch(
-        self,
-        batch: PacketBatch,
-        sinks: Dict[int, Sink],
-        batch_sinks: Dict[int, BatchSink],
-    ) -> None:
-        """Split a delivery batch into per-flow contiguous runs.
-
-        Delivery order within the batch is the queue order, so one pass
-        over the packets preserves per-flow ordering exactly as the
-        scalar per-packet demux would.
-        """
-        pkts = batch.packets
-        n = len(pkts)
-        i = 0
-        while i < n:
-            fid = pkts[i].flow_id
-            j = i + 1
-            while j < n and pkts[j].flow_id == fid:
-                j += 1
-            bsink = batch_sinks.get(fid)
-            if bsink is not None and j - i > 1:
-                bsink(batch if i == 0 and j == n else batch.slice(i, j))
-            else:
-                sink = sinks.get(fid)
-                if sink is not None:
-                    for k in range(i, j):
-                        sink(pkts[k])
-            i = j
 
     # ------------------------------------------------------------------
     @property

@@ -97,88 +97,6 @@ class Packet:
         return f"<{kind} flow={self.flow_id} seq={self.seq}>"
 
 
-class PacketBatch:
-    """A struct-of-arrays view over packets delivered in one batch.
-
-    The delivery fast path moves groups of packets through the link →
-    queue → receiver pipeline as one unit; this wrapper carries the
-    Python objects (``packets``) plus lazily-built flat arrays of the
-    fields batch consumers actually inspect (``seqs``, ``sizes``,
-    ``sent_times``).  Columns are materialised at most once, and only
-    when a consumer asks — a batch that ends up on a scalar fallback
-    never pays for them.
-    """
-
-    __slots__ = ("packets", "_seqs", "_sizes", "_sent_times")
-
-    def __init__(self, packets: List["Packet"]) -> None:
-        self.packets = packets
-        self._seqs: Optional[List[int]] = None
-        self._sizes: Optional[List[int]] = None
-        self._sent_times: Optional[List[float]] = None
-
-    def __len__(self) -> int:
-        return len(self.packets)
-
-    def __iter__(self):
-        return iter(self.packets)
-
-    @property
-    def seqs(self) -> List[int]:
-        """Segment indices, one per packet (column view)."""
-        col = self._seqs
-        if col is None:
-            col = self._seqs = [p.seq for p in self.packets]
-        return col
-
-    @property
-    def sizes(self) -> List[int]:
-        """Wire sizes in bytes, one per packet (column view)."""
-        col = self._sizes
-        if col is None:
-            col = self._sizes = [p.size for p in self.packets]
-        return col
-
-    @property
-    def sent_times(self) -> List[float]:
-        """Origin-host send times, one per packet (column view)."""
-        col = self._sent_times
-        if col is None:
-            col = self._sent_times = [p.sent_time for p in self.packets]
-        return col
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.sizes)
-
-    def slice(self, start: int, end: int) -> "PacketBatch":
-        """A sub-batch over ``packets[start:end]`` (per-flow demux)."""
-        sub = PacketBatch(self.packets[start:end])
-        if self._seqs is not None:
-            sub._seqs = self._seqs[start:end]
-        if self._sizes is not None:
-            sub._sizes = self._sizes[start:end]
-        if self._sent_times is not None:
-            sub._sent_times = self._sent_times[start:end]
-        return sub
-
-    def contiguous_from(self, start_seq: int) -> bool:
-        """True when the batch is exactly ``start_seq, start_seq+1, ...``.
-
-        The in-order coalescing test for batched receive: one column
-        scan instead of a per-packet scoreboard probe.
-        """
-        expected = start_seq
-        for seq in self.seqs:
-            if seq != expected:
-                return False
-            expected += 1
-        return True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<PacketBatch n={len(self.packets)}>"
-
-
 def make_data_packet(
     flow_id: int,
     seq: int,

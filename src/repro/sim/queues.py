@@ -70,10 +70,9 @@ class DropTailQueue:
     def drain_opportunity(self, now: float, budget: int) -> List[Packet]:
         """Dequeue the head packets fitting one delivery opportunity.
 
-        Exactly the scalar serve loop — pop while the head fits the
-        remaining byte ``budget`` — collapsed into one call so the link's
-        fast path pays a single method dispatch per opportunity.  For a
-        plain drop-tail queue this bypasses :meth:`peek`/:meth:`pop`
+        Pop while the head fits the remaining byte ``budget``, in one
+        call so the link pays a single method dispatch per opportunity.
+        For a plain drop-tail queue this bypasses :meth:`peek`/:meth:`pop`
         entirely (the auditor taps this method too, so accounting still
         sees every dequeue).
         """
@@ -181,9 +180,9 @@ class CoDelQueue(DropTailQueue):
         return packet
 
     def drain_opportunity(self, now: float, budget: int) -> List[Packet]:
-        """CoDel must keep its dequeue-side control law: mirror the
-        scalar serve loop shape exactly (peek for the budget check, then
-        a stateful :meth:`pop` that may drop and substitute packets)."""
+        """CoDel must keep its dequeue-side control law: peek for the
+        budget check, then a stateful :meth:`pop` that may drop and
+        substitute packets."""
         out: List[Packet] = []
         while True:
             head = self.peek()

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.sim.engine import Simulator
-from repro.sim.packet import Packet, PacketBatch, SackBlock, make_ack_packet
+from repro.sim.packet import Packet, SackBlock, make_ack_packet
 from repro.tcp.scoreboard import ReceiverScoreboard
 
 #: Default receiver timestamp granularity (10 ms, paper §4.2).
@@ -142,57 +142,6 @@ class TcpReceiver:
                 self._arm_delack(echo)
                 return
         self._emit_ack(echo)
-
-    def receive_batch(self, batch: PacketBatch) -> None:
-        """Process a same-instant delivery batch from the fast path.
-
-        The common bulk-transfer case — no reordering in progress, no
-        delayed ACKs, and the batch is a contiguous in-order run starting
-        at ``rcv_nxt`` — coalesces into one cumulative advance: a single
-        column scan replaces N per-packet scoreboard probes, and the N
-        ACKs (one per segment, exactly as the scalar path emits with
-        ``delayed_ack`` off) are built in one loop with the bookkeeping
-        (timestamp quantisation, SACK check) hoisted out.  Anything else
-        falls back to per-packet :meth:`receive`, which is bit-identical
-        by construction.
-        """
-        packets = batch.packets
-        if (
-            len(packets) > 1
-            and not self.delayed_ack
-            and not self._ooo
-            and not packets[0].is_ack
-            and batch.contiguous_from(self.rcv_nxt)
-        ):
-            now = self.sim.now
-            n = len(packets)
-            on_data = self.on_data
-            if on_data is not None:
-                for p in packets:
-                    on_data(p, now)
-            self.data_packets_received += n
-            self.unique_segments += n
-            base = self.rcv_nxt
-            self.rcv_nxt = base + n
-            self._ts_recent = packets[-1].tsval
-            receiver_ts = self.receiver_timestamp()
-            flow_id = self.flow_id
-            send_ack = self.send_ack
-            ack_no = base
-            for p in packets:
-                ack_no += 1
-                ack = make_ack_packet(
-                    flow_id=flow_id,
-                    ack=ack_no,
-                    receiver_ts=receiver_ts,
-                    echoed_tsval=p.tsval,
-                    sacks=None,
-                )
-                ack.sent_time = now
-                send_ack(ack)
-            return
-        for p in packets:
-            self.receive(p)
 
     def _arm_delack(self, echo: float) -> None:
         if self._delack_event is not None:

@@ -41,7 +41,6 @@ from repro.sim.packet import (
     DATA_PACKET_BYTES,
     MSS,
     Packet,
-    PacketBatch,
     make_data_packet,
 )
 from repro.tcp.application import Application, BulkApplication
@@ -169,17 +168,15 @@ class TcpSender:
                 f"flow{flow_id}.timing.ack_cost_us")
             if self._tracer is not None else None
         )
-        # Profiling: shadow the ACK entry points with timed wrappers so
+        # Profiling: shadow the ACK entry point with a timed wrapper so
         # the whole ACK/scoreboard path is attributed to one phase.
-        # The runner passes these *bound attributes* to attach_flow
-        # after construction, so shadowing here covers every call; with
-        # profiling off the plain methods stay untouched.
+        # The runner passes this *bound attribute* to attach_flow after
+        # construction, so shadowing here covers every call; with
+        # profiling off the plain method stays untouched.
         prof = current_profiler()
         if prof is not None:
             self.on_ack_packet = prof.wrap(  # type: ignore[method-assign]
                 "ack.scoreboard", self.on_ack_packet)
-            self.on_ack_batch = prof.wrap(  # type: ignore[method-assign]
-                "ack.scoreboard", self.on_ack_batch)
 
     # ------------------------------------------------------------------
     # HostView protocol (what the CC module may observe)
@@ -444,18 +441,6 @@ class TcpSender:
     # ------------------------------------------------------------------
     # ACK processing
     # ------------------------------------------------------------------
-    def on_ack_batch(self, batch: PacketBatch) -> None:
-        """Consume a same-instant ACK batch from the delivery fast path.
-
-        ACK processing is inherently sequential (each ACK advances
-        recovery state the next one depends on), so this is a plain
-        loop over :meth:`on_ack_packet` — the win is upstream, where
-        the batch replaced per-packet delivery events.
-        """
-        on_ack = self.on_ack_packet
-        for packet in batch.packets:
-            on_ack(packet)
-
     def on_ack_packet(self, packet: Packet) -> None:
         """Handle an ACK arriving from the reverse path."""
         if self.complete or not self.started:

@@ -1,18 +1,137 @@
-"""Shared test utilities: fake hosts and ACK-sample synthesis.
+"""Shared test utilities: fake hosts, ACK-sample synthesis, the
+reference cellular link, and a bursty raw-packet workload.
 
 Congestion-control unit tests drive algorithms directly through their
 event API against a :class:`FakeHost`, without spinning up the full
 simulator.  :class:`AckFeeder` fabricates internally consistent
 :class:`~repro.tcp.congestion.base.AckSample` streams (monotone ACK
 numbers, cumulative delivered counts, quantised receiver timestamps).
+
+:class:`ScalarCellularLink` is the one-opportunity-per-event,
+one-event-per-delivered-packet link the batched
+:class:`~repro.sim.link.CellularLink` must be bit-identical to
+(DESIGN.md §9); differential tests install it with :func:`scalar_links`.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
+from unittest import mock
 
-from repro.sim.packet import DATA_PACKET_BYTES, MSS
+import numpy as np
+
+import repro.sim.network
+from repro.obs import LINK_RECOVER
+from repro.sim.engine import Simulator
+from repro.sim.link import CellularLink
+from repro.sim.network import DuplexPath, LinkConfig, PathConfig
+from repro.sim.packet import (
+    DATA_PACKET_BYTES,
+    MSS,
+    make_ack_packet,
+    make_data_packet,
+)
 from repro.tcp.congestion.base import AckSample, CongestionControl
+from repro.traces.trace import OPPORTUNITY_BYTES, Trace
+
+
+class ScalarCellularLink(CellularLink):
+    """Reference link: each heap event consumes exactly one delivery
+    opportunity and every served packet gets its own delivery event, so
+    there are no batch boundaries to observe."""
+
+    def _serve(self) -> None:
+        fired = self._service_event
+        self._service_event = None
+        if self._outage_open:
+            self._outage_open = False
+            tr = self._tracer
+            if tr is not None:
+                tr.emit(LINK_RECOVER, self.sim.now, link=self.name,
+                        queued=len(self.queue))
+        self._index += 1
+        budget = OPPORTUNITY_BYTES
+        served_any = False
+        while True:
+            head = self.queue.peek()
+            if head is None or head.size > budget:
+                break
+            packet = self.queue.pop(self.sim.now)
+            if packet is None:
+                break
+            budget -= packet.size
+            served_any = True
+            self.delivered_packets += 1
+            self.delivered_bytes += packet.size
+            if self.on_deliver is not None:
+                self.sim.schedule(
+                    self._prop_delay, partial(self.on_deliver, packet))
+        if not served_any:
+            # CoDel may drop everything it dequeues; a truly empty queue
+            # simply wastes the opportunity.
+            self.wasted_opportunities += 1
+        if len(self.queue) > 0:
+            self._arm_service(reuse=fired)
+
+
+def scalar_links():
+    """Context manager: every :class:`~repro.sim.network.DuplexPath`
+    built inside the block gets :class:`ScalarCellularLink` for its
+    trace-driven links."""
+    return mock.patch.object(
+        repro.sim.network, "CellularLink", ScalarCellularLink)
+
+
+def quantized_outage_trace() -> Trace:
+    """Dense ms-quantised schedule with a 200 ms outage: same-instant
+    opportunity runs (multi-packet groups) plus an idle fast-forward."""
+    times = np.arange(0.0, 1.0, 0.0004)
+    times = np.floor(times * 1000.0) / 1000.0
+    times = times[(times < 0.4) | (times >= 0.6)]
+    return Trace(times, duration=1.0, name="quantized")
+
+
+def drive_bursts(observe=None):
+    """Seven 40-packet bursts, 300 ms apart, over the quantized-outage
+    trace both ways, every data arrival answered with an ACK: the queues
+    drain between bursts, so the links serve multi-opportunity batches.
+
+    ``observe(sim, path)`` runs once the path is built (to attach an
+    auditor).  Returns ``(sim, path, arrivals)`` with ``arrivals`` the
+    ``(time, end, seq-or-ack)`` log of both endpoints.
+    """
+    sim = Simulator()
+    trace = quantized_outage_trace()
+    path = DuplexPath(sim, PathConfig(
+        downlink=LinkConfig(trace=trace, prop_delay=0.02, buffer_packets=512),
+        uplink=LinkConfig(trace=trace, prop_delay=0.02, buffer_packets=512),
+    ))
+    if observe is not None:
+        observe(sim, path)
+    arrivals = []
+
+    def on_data(packet):
+        arrivals.append((sim.now, "data", packet.seq))
+        path.send_reverse(
+            make_ack_packet(0, packet.seq + 1, sim.now, packet.tsval))
+
+    path.attach_flow(
+        0, on_data, lambda p: arrivals.append((sim.now, "ack", p.ack)))
+    state = {"seq": 0}
+
+    def refill():
+        now = sim.now
+        seq = state["seq"]
+        for i in range(40):
+            path.send_forward(make_data_packet(0, seq + i, now))
+        state["seq"] = seq + 40
+        if now + 0.3 < 2.0:
+            sim.schedule(0.3, refill)
+
+    sim.schedule_at(0.05, refill)
+    sim.run(until=3.0)
+    return sim, path, arrivals
 
 
 class FakeHost:

@@ -34,6 +34,7 @@ from repro.tcp.congestion.cubic import Cubic
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.sender import TcpSender
 from repro.traces.generator import constant_rate_trace
+from tests.helpers import drive_bursts
 
 DURATION = 6.0
 WARMUP = 1.0
@@ -139,6 +140,24 @@ class TestCleanRun:
         assert audited.delivered_bytes == plain.delivered_bytes
         assert audited.delay.mean == plain.delay.mean
         assert audited.retransmissions == plain.retransmissions
+
+    def test_every_batched_delivery_reaches_the_per_packet_tap(self):
+        """Bursty refill over the quantized-outage trace: the data link
+        moves every packet in a multi-opportunity batch and the pumps
+        deliver multi-packet groups, yet the single ``on_deliver`` tap
+        sees every packet the links count as delivered."""
+        audits = []
+
+        def observe(sim, path):
+            audits.extend(
+                InvariantAuditor(sim, strict=True).attach_path(path))
+
+        sim, path, arrivals = drive_bursts(observe)
+        assert path.forward_link.batched_packets == 7 * 40
+        # Fewer events than deliveries: groups held more than one packet.
+        assert sim.events_processed < len(arrivals) == 2 * 7 * 40
+        for audit in audits:
+            assert audit.arrived == audit.link.delivered_packets == 7 * 40
 
     def test_env_switch_attaches_auditor(self, monkeypatch):
         attached = []

@@ -1,27 +1,43 @@
-"""The delivery fast path: unit tests plus scalar-vs-batched differentials.
+"""The batched delivery engine: unit tests plus differentials against
+the reference link.
 
-The SoA batched pipeline (``REPRO_FAST_PATH=1``, the default) must be
-*bit-identical* to the scalar reference path — same ``FlowResult``
-summaries, same delivery instants, same ACK stream — because it only
-reorders bookkeeping, never observable events (DESIGN.md §9).  The
-differential tests here run both paths over randomized seeded traces
-(millisecond-quantised like real Saturator captures, with outage gaps
-carved out) across drop-tail and CoDel queues, delayed-ACK on and off,
-and both flow directions.
+:class:`~repro.sim.link.CellularLink` serves runs of opportunities in
+one event and delivers groups through one pump; that must be
+*bit-identical* to :class:`tests.helpers.ScalarCellularLink` (one
+opportunity per event, one event per delivered packet) — same
+``FlowResult`` summaries, same delivery instants, same arrival order —
+because batching only reorders bookkeeping, never observable events
+(DESIGN.md §9).  The differential tests here run both links over
+randomized seeded traces (millisecond-quantised like real Saturator
+captures, with outage gaps carved out) across drop-tail and CoDel
+queues, delayed-ACK on and off, and both flow directions, over the
+scenario × algorithm grid, and over the inputs on which the engine once
+broke exact-time ties differently from the reference.
 """
 
+import dataclasses
 import math
 import random
 
-import numpy as np
 import pytest
 
+from repro.experiments.algorithms import paper_algorithms
+from repro.experiments.contention_grid import MIXES, build_contention_flows
+from repro.experiments.runner import (
+    ExperimentHarness,
+    FlowSpec,
+    canonical_summary,
+    cellular_path_config,
+    run_experiment,
+    run_single_flow,
+)
 from repro.sim.engine import Simulator
-from repro.sim.network import DuplexPath, LinkConfig, PathConfig
-from repro.sim.packet import PacketBatch, make_data_packet
+from repro.sim.packet import make_data_packet
 from repro.sim.queues import CoDelQueue, DropTailQueue
-from repro.tcp.receiver import TcpReceiver
+from repro.traces.generator import constant_rate_trace, generate_cellular_trace
+from repro.traces.presets import PRESET_SPECS, UPLINK_RATIO, isp_trace
 from repro.traces.trace import OPPORTUNITY_BYTES, Trace
+from tests.helpers import drive_bursts, scalar_links
 
 DATA = 0  # flow id used throughout
 
@@ -141,82 +157,6 @@ class TestDrainOpportunity:
 
 
 # ----------------------------------------------------------------------
-# PacketBatch
-# ----------------------------------------------------------------------
-class TestPacketBatch:
-    def test_columns_and_slice(self):
-        pkts = [make_data_packet(DATA, s, 0.5) for s in (3, 4, 5, 6)]
-        batch = PacketBatch(pkts)
-        assert len(batch) == 4
-        assert batch.seqs == [3, 4, 5, 6]
-        assert batch.sizes == [p.size for p in pkts]
-        assert batch.total_bytes == sum(p.size for p in pkts)
-        part = batch.slice(1, 3)
-        assert part.seqs == [4, 5]
-        assert list(part) == pkts[1:3]
-
-    def test_contiguous_from(self):
-        batch = PacketBatch([make_data_packet(DATA, s, 0.0) for s in (7, 8, 9)])
-        assert batch.contiguous_from(7)
-        assert not batch.contiguous_from(6)
-        gappy = PacketBatch([make_data_packet(DATA, s, 0.0) for s in (7, 9)])
-        assert not gappy.contiguous_from(7)
-
-
-# ----------------------------------------------------------------------
-# Receiver: batched in-order receive vs per-packet
-# ----------------------------------------------------------------------
-def _receiver_pair(delayed_ack=False):
-    sims = Simulator(), Simulator()
-    acks = [], []
-    receivers = tuple(
-        TcpReceiver(sim, DATA, send_ack=sink.append, delayed_ack=delayed_ack)
-        for sim, sink in zip(sims, acks)
-    )
-    return sims, receivers, acks
-
-
-def _ack_key(packet):
-    return (packet.ack, packet.tsval, packet.tsecr,
-            tuple((s.start, s.end) for s in packet.sacks))
-
-
-class TestReceiveBatch:
-    def test_contiguous_batch_matches_per_packet(self):
-        (sim_a, sim_b), (batched, scalar), (acks_a, acks_b) = _receiver_pair()
-        pkts = [make_data_packet(DATA, s, 0.01 * s) for s in range(6)]
-        sim_a.schedule_at(1.0, lambda: batched.receive_batch(PacketBatch(pkts)))
-        sim_b.schedule_at(1.0, lambda: [scalar.receive(p) for p in pkts])
-        sim_a.run()
-        sim_b.run()
-        assert batched.rcv_nxt == scalar.rcv_nxt == 6
-        assert [_ack_key(p) for p in acks_a] == [_ack_key(p) for p in acks_b]
-        assert batched.data_packets_received == scalar.data_packets_received
-        assert batched.unique_segments == scalar.unique_segments
-
-    def test_gap_falls_back_to_per_packet(self):
-        (sim_a, sim_b), (batched, scalar), (acks_a, acks_b) = _receiver_pair()
-        pkts = [make_data_packet(DATA, s, 0.0) for s in (0, 1, 3, 4)]
-        sim_a.schedule_at(1.0, lambda: batched.receive_batch(PacketBatch(pkts)))
-        sim_b.schedule_at(1.0, lambda: [scalar.receive(p) for p in pkts])
-        sim_a.run()
-        sim_b.run()
-        assert batched.rcv_nxt == scalar.rcv_nxt == 2
-        assert [_ack_key(p) for p in acks_a] == [_ack_key(p) for p in acks_b]
-
-    def test_delayed_ack_falls_back_to_per_packet(self):
-        (sim_a, sim_b), (batched, scalar), (acks_a, acks_b) = _receiver_pair(
-            delayed_ack=True
-        )
-        pkts = [make_data_packet(DATA, s, 0.0) for s in range(4)]
-        sim_a.schedule_at(1.0, lambda: batched.receive_batch(PacketBatch(pkts)))
-        sim_b.schedule_at(1.0, lambda: [scalar.receive(p) for p in pkts])
-        sim_a.run()
-        sim_b.run()
-        assert [_ack_key(p) for p in acks_a] == [_ack_key(p) for p in acks_b]
-
-
-# ----------------------------------------------------------------------
 # Compiled schedule
 # ----------------------------------------------------------------------
 class TestCompiledSchedule:
@@ -244,75 +184,19 @@ class TestCompiledSchedule:
 
 
 # ----------------------------------------------------------------------
-# Link pump: batched delivery instants identical to scalar, fewer events
+# Link pump: batched delivery instants identical to the reference, fewer
+# events
 # ----------------------------------------------------------------------
-def _quantized_trace():
-    """Dense ms-quantised schedule with a 200 ms outage: same-instant
-    opportunity runs (multi-packet groups) plus an idle fast-forward."""
-    times = np.arange(0.0, 1.0, 0.0004)
-    times = np.floor(times * 1000.0) / 1000.0
-    times = times[(times < 0.4) | (times >= 0.6)]
-    return Trace(times, duration=1.0, name="quantized")
-
-
-def _drive_bursts(fast, monkeypatch):
-    monkeypatch.setenv("REPRO_FAST_PATH", "1" if fast else "0")
-    sim = Simulator()
-    trace = _quantized_trace()
-    path = DuplexPath(sim, PathConfig(
-        downlink=LinkConfig(trace=trace, prop_delay=0.02, buffer_packets=512),
-        uplink=LinkConfig(trace=trace, prop_delay=0.02, buffer_packets=512),
-    ))
-    deliveries = []
-
-    def sink(packet):
-        deliveries.append((sim.now, packet.seq))
-
-    def batch_sink(batch):
-        now = sim.now
-        deliveries.extend((now, p.seq) for p in batch.packets)
-
-    path.attach_flow(DATA, sink, lambda p: None,
-                     forward_batch_sink=batch_sink)
-    state = {"seq": 0}
-
-    def refill():
-        now = sim.now
-        seq = state["seq"]
-        for i in range(40):
-            path.send_forward(make_data_packet(DATA, seq + i, now))
-        state["seq"] = seq + 40
-        if now + 0.3 < 2.0:
-            sim.schedule(0.3, refill)
-
-    sim.schedule_at(0.05, refill)
-    sim.run(until=3.0)
-    return deliveries, sim.events_processed
-
-
 class TestLinkPump:
-    def test_delivery_instants_bit_identical(self, monkeypatch):
-        scalar, scalar_events = _drive_bursts(False, monkeypatch)
-        fast, fast_events = _drive_bursts(True, monkeypatch)
+    def test_delivery_instants_bit_identical(self):
+        with scalar_links():
+            scalar_sim, _, scalar = drive_bursts()
+        fast_sim, path, fast = drive_bursts()
         assert fast == scalar
-        assert len(fast) == 7 * 40
+        assert len(fast) == 2 * 7 * 40  # every data packet and its ACK
+        assert path.forward_link.batches_drained > 0
         # The whole point: batching collapsed serve + delivery events.
-        assert fast_events < scalar_events
-
-    def test_scalar_toggle_reaches_link(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST_PATH", "0")
-        sim = Simulator()
-        path = DuplexPath(sim, PathConfig(
-            downlink=LinkConfig(trace=_quantized_trace()),
-            uplink=LinkConfig(rate=1_000_000.0),
-        ))
-        assert path.forward_link.fast_path is False
-        monkeypatch.setenv("REPRO_FAST_PATH", "1")
-        path2 = DuplexPath(Simulator(), PathConfig(
-            downlink=LinkConfig(trace=_quantized_trace()),
-            uplink=LinkConfig(rate=1_000_000.0),
-        ))
-        assert path2.forward_link.fast_path is True
+        assert fast_sim.events_processed < scalar_sim.events_processed
 
 
 # ----------------------------------------------------------------------
@@ -329,15 +213,7 @@ def _random_trace(rng, duration=6.0):
     return Trace(times, duration=duration, name=f"rand{n}")
 
 
-def _run_leg(fast, monkeypatch, seed, algo, aqm, direction, delack):
-    from repro.experiments.algorithms import paper_algorithms
-    from repro.experiments.runner import (
-        FlowSpec,
-        cellular_path_config,
-        run_experiment,
-    )
-
-    monkeypatch.setenv("REPRO_FAST_PATH", "1" if fast else "0")
+def _run_leg(seed, algo, aqm, direction, delack):
     rng = random.Random(seed)
     down = _random_trace(rng)
     up = _random_trace(rng)
@@ -362,29 +238,146 @@ def _run_leg(fast, monkeypatch, seed, algo, aqm, direction, delack):
         (6, "Sprout", "codel", "down", True),
     ],
 )
-def test_random_trace_differential(monkeypatch, seed, algo, aqm,
-                                   direction, delack):
-    scalar = _run_leg(False, monkeypatch, seed, algo, aqm, direction, delack)
-    fast = _run_leg(True, monkeypatch, seed, algo, aqm, direction, delack)
-    assert fast == scalar
+def test_random_trace_differential(seed, algo, aqm, direction, delack):
+    with scalar_links():
+        scalar = _run_leg(seed, algo, aqm, direction, delack)
+    assert _run_leg(seed, algo, aqm, direction, delack) == scalar
+
+
+# ----------------------------------------------------------------------
+# Scenario x algorithm grid: AQMs, delayed ACKs, both flow directions,
+# outage-heavy mobile traces
+# ----------------------------------------------------------------------
+#: (label, isp, mode, aqm, direction, delayed_ack)
+GRID = [
+    ("A-mobile-droptail-down", "A", "mobile", "droptail", "down", False),
+    ("A-mobile-codel-down", "A", "mobile", "codel", "down", False),
+    ("B-stationary-droptail-down-delack", "B", "stationary", "droptail",
+     "down", True),
+    ("C-mobile-droptail-up", "C", "mobile", "droptail", "up", False),
+    ("B-mobile-codel-up-delack", "B", "mobile", "codel", "up", True),
+]
+
+GRID_ALGOS = ["PR(M)", "CUBIC", "BBR", "Sprout", "Verus"]
+
+
+def _grid_leg(isp, mode, aqm, direction, delack, algo):
+    down = isp_trace(isp, mode, duration=20.0)
+    up = isp_trace(isp, mode, duration=20.0, direction="uplink")
+    results = run_experiment(
+        cellular_path_config(down, up, aqm=aqm),
+        [FlowSpec(cc_factory=paper_algorithms()[algo], direction=direction,
+                  delayed_ack=delack)],
+        duration=6.0, measure_start=1.0,
+    )
+    return canonical_summary(results[0].summary())
+
+
+@pytest.mark.parametrize("algo", GRID_ALGOS)
+@pytest.mark.parametrize(
+    "isp,mode,aqm,direction,delack",
+    [cell[1:] for cell in GRID], ids=[cell[0] for cell in GRID],
+)
+def test_grid_differential(isp, mode, aqm, direction, delack, algo):
+    with scalar_links():
+        scalar = _grid_leg(isp, mode, aqm, direction, delack, algo)
+    assert _grid_leg(isp, mode, aqm, direction, delack, algo) == scalar
+
+
+# ----------------------------------------------------------------------
+# Exact-time ties: the engine must break them like the reference, and
+# must not care whether an observer adds heap events
+# ----------------------------------------------------------------------
+def _tie_seed_traces(offset):
+    """Equal 20 ms delays and coinciding opportunity instants: an ACK the
+    reverse link serves inside a forward batch window can land on the
+    sender at the very instant a batched data packet lands on the
+    receiver (DESIGN.md §9)."""
+    down = dataclasses.replace(
+        PRESET_SPECS["ISPA-stationary"], seed=101 + offset, duration=5.0)
+    up = dataclasses.replace(
+        down,
+        mean_throughput=down.mean_throughput * UPLINK_RATIO,
+        std_throughput=down.std_throughput * UPLINK_RATIO,
+        seed=down.seed + 5000,
+    )
+    return generate_cellular_trace(down), generate_cellular_trace(up)
+
+
+def _tie_seed_leg(down, up, **observers):
+    result = run_single_flow(
+        paper_algorithms()["CUBIC"], down, up,
+        duration=5.0, measure_start=1.25, buffer_packets=2000, **observers,
+    )
+    # Element 11, present only on traced runs, is the metrics snapshot.
+    return canonical_summary(result.summary()[:11])
+
+
+@pytest.mark.parametrize("offset", [1633, 6466])
+class TestTieOrder:
+    def test_engine_matches_reference(self, offset):
+        down, up = _tie_seed_traces(offset)
+        with scalar_links():
+            scalar = _tie_seed_leg(down, up)
+        assert _tie_seed_leg(down, up) == scalar
+
+    def test_observers_do_not_change_the_result(self, offset, tmp_path):
+        down, up = _tie_seed_traces(offset)
+        plain = _tie_seed_leg(down, up)
+        traced = _tie_seed_leg(
+            down, up, telemetry=str(tmp_path / "trace.jsonl"))
+        audited = _tie_seed_leg(down, up, audit=True)
+        assert traced == plain
+        assert audited == plain
+
+
+def _arrival_order(down_times, up_times):
+    """Every endpoint arrival of one CUBIC flow, in the order it ran."""
+    log = []
+    harness = ExperimentHarness(
+        cellular_path_config(
+            Trace(down_times, duration=1.0, name="grid-down"),
+            Trace(up_times, duration=1.0, name="grid-up"),
+        ),
+        [FlowSpec(cc_factory=paper_algorithms()["CUBIC"])],
+        duration=3.0, measure_start=0.5,
+    )
+    sim, path = harness.sim, harness.path
+    for where, sinks in (("receiver", path._forward_sinks),
+                         ("sender", path._reverse_sinks)):
+        for flow_id, sink in list(sinks.items()):
+            def tap(packet, _where=where, _sink=sink):
+                log.append((sim.now, _where, packet.seq, packet.ack))
+                _sink(packet)
+            sinks[flow_id] = tap
+    harness.finalize()
+    return log
+
+
+@pytest.mark.parametrize(
+    "per_instant", [1, 2], ids=["distinct-instants", "duplicate-instants"])
+def test_shared_grid_arrival_order(per_instant):
+    """Synthetic tie case, no generator: both directions 20 ms, downlink
+    opportunities on a 1 ms grid (once or twice per instant), uplink on
+    every fourth instant of it — so data arrivals at the receiver and
+    ACK arrivals at the sender keep falling on the same instant, and the
+    order they run in is exactly what batch boundaries must not change.
+    """
+    grid = [k / 1000.0 for k in range(1000)]
+    down = sorted(grid * per_instant)
+    up = grid[::4]
+    with scalar_links():
+        scalar = _arrival_order(down, up)
+    assert _arrival_order(down, up) == scalar
+    instants = {t for t, where, _, _ in scalar if where == "receiver"}
+    assert any(t in instants for t, where, _, _ in scalar
+               if where == "sender")  # the tie the test is about occurred
 
 
 # ----------------------------------------------------------------------
 # Multi-flow contention differential: the N-flow cells of the grid
 # ----------------------------------------------------------------------
-def _contention_leg(fast, monkeypatch, mix, n_flows):
-    from repro.experiments.contention_grid import (
-        MIXES,
-        build_contention_flows,
-    )
-    from repro.experiments.runner import (
-        canonical_summary,
-        cellular_path_config,
-        run_experiment,
-    )
-    from repro.traces.generator import constant_rate_trace
-
-    monkeypatch.setenv("REPRO_FAST_PATH", "1" if fast else "0")
+def _contention_leg(mix, n_flows):
     flows, duration = build_contention_flows(
         MIXES[mix], n_flows, "staggered",
         stagger=0.1, settle=0.5, overlap=3.0,
@@ -397,23 +390,22 @@ def _contention_leg(fast, monkeypatch, mix, n_flows):
 
 
 class TestMultiFlowContention:
-    """Fast == scalar must survive contention, where flows interleave on
-    one bottleneck and — at 16 flows on 1 Mbps — some starve outright.
-    Starved flows carry NaN delay stats, so the comparison goes through
-    ``canonical_summary`` (plain tuple equality is never true for NaN)."""
+    """Engine == reference must survive contention, where flows
+    interleave on one bottleneck and — at 16 flows on 1 Mbps — some
+    starve outright.  Starved flows carry NaN delay stats, so the
+    comparison goes through ``canonical_summary`` (plain tuple equality
+    is never true for NaN)."""
 
     @pytest.mark.parametrize(
         "mix,n_flows",
         [("pr-vs-cubic", 4), ("cubic-self", 16), ("pr-heavy", 16)],
     )
-    def test_contention_differential(self, monkeypatch, mix, n_flows):
-        scalar = _contention_leg(False, monkeypatch, mix, n_flows)
-        fast = _contention_leg(True, monkeypatch, mix, n_flows)
-        assert fast == scalar
+    def test_contention_differential(self, mix, n_flows):
+        with scalar_links():
+            scalar = _contention_leg(mix, n_flows)
+        assert _contention_leg(mix, n_flows) == scalar
 
     def test_canonical_summary_is_nan_blind_but_value_strict(self):
-        from repro.experiments.runner import canonical_summary
-
         a = ("flow", float("nan"), [float("nan"), 1.0], (2.0,))
         b = ("flow", float("nan"), [float("nan"), 1.0], (2.0,))
         assert a != b    # plain equality falsely diverges on NaN
@@ -423,13 +415,9 @@ class TestMultiFlowContention:
         )
 
 
-def test_audited_run_under_fast_path(monkeypatch):
+def test_audited_run_over_batched_link():
     """The auditor's conservation invariants hold with batched
-    deliveries (it wraps both the per-packet and batch delivery taps)."""
-    from repro.experiments.algorithms import paper_algorithms
-    from repro.experiments.runner import run_single_flow
-
-    monkeypatch.setenv("REPRO_FAST_PATH", "1")
+    deliveries (it counts arrivals through the per-packet tap alone)."""
     rng = random.Random(11)
     result = run_single_flow(
         paper_algorithms()["PR(M)"],
