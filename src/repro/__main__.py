@@ -202,13 +202,18 @@ def _cmd_fluid(args: argparse.Namespace) -> None:
         tower_labels=tuple(args.tower_trace or ()),
         seed=args.seed,
     )
-    report = run_fluid(
-        flows, towers, args.duration, dt=args.dt,
-        measure_start=args.warmup, handovers=handovers,
-        telemetry=args.telemetry,
-        sampling=args.sample,
-        profile=True if args.profile else None,
-    )
+    try:
+        report = run_fluid(
+            flows, towers, args.duration, dt=args.dt,
+            measure_start=args.warmup, handovers=handovers,
+            telemetry=args.telemetry,
+            sampling=args.sample,
+            profile=True if args.profile else None,
+        )
+    except ValueError as err:
+        # run_fluid's input validation (--warmup against --duration,
+        # --dt): a usage error, not a traceback.
+        raise SystemExit(f"repro fluid: {err}")
     print(render_fluid_towers(report))
     if args.out is not None:
         path = fluid_to_json(report.to_dict(), args.out)

@@ -141,19 +141,15 @@ class PropRateBank(ControllerBank):
                  targets: Sequence[float]) -> None:
         super().__init__(index, rtts, starts, dt)
         self.target = np.asarray(targets, dtype=np.float64)
-        threshold = np.empty(self.n)
-        kf = np.empty(self.n)
-        kd = np.empty(self.n)
-        for i in range(self.n):
-            params = derive_parameters(float(self.target[i]),
-                                       float(self.rtt[i]))
-            threshold[i] = params.threshold
-            kf[i] = params.kf
-            kd[i] = params.kd
-        self.threshold = threshold
-        self.kf = kf
-        self.kd = kd
-        self.mode = np.full(self.n, STARTUP, dtype=np.int8)
+        self.threshold = np.empty(self.n)
+        self.kf = np.empty(self.n)
+        self.kd = np.empty(self.n)
+        self._derive(np.arange(self.n))
+        #: Fill/drain oscillator state: every flow is in exactly one of
+        #: Startup, Fill, Drain (see :attr:`mode`).
+        self._startup = np.ones(self.n, dtype=bool)
+        self._any_startup = True
+        self._drain = np.zeros(self.n, dtype=bool)
         #: ρ̂ bootstrap: the IW=10 probe burst's implied rate.
         self.rho = INITIAL_WINDOW * MSS / self.rtt
         self._rho_floor = RHO_FLOOR_SEGMENTS * MSS / self.rtt
@@ -161,36 +157,64 @@ class PropRateBank(ControllerBank):
         #: while deliberately under-sending in Drain.
         self._alpha_fast = 1.0 - np.exp(-dt / self.rtt)
         self._alpha_hold = 1.0 - float(np.exp(-dt / RHO_HOLD_TAU))
+        #: When each flow's first feedback returns (one RTT after start).
+        self._feedback_from = self.start + self.rtt
+
+    @property
+    def mode(self) -> np.ndarray:
+        """Per-flow state as ``STARTUP`` / ``FILL`` / ``DRAIN`` (int8)."""
+        return np.where(
+            self._startup, STARTUP, np.where(self._drain, DRAIN, FILL)
+        ).astype(np.int8)
+
+    def _derive(self, which: np.ndarray) -> None:
+        """(Re-)derive threshold/k_f/k_d for the flows at ``which``:
+        one :func:`derive_parameters` call per distinct (target, rtt)."""
+        pairs, inverse = np.unique(
+            np.stack([self.target[which], self.rtt[which]], axis=1),
+            axis=0, return_inverse=True,
+        )
+        derived = np.array([
+            (params.threshold, params.kf, params.kd)
+            for params in (derive_parameters(float(target), float(rtt))
+                           for target, rtt in pairs)
+        ])
+        self.threshold[which], self.kf[which], self.kd[which] = (
+            derived[inverse.reshape(-1)].T
+        )
 
     def rates(self, t: float, observed: np.ndarray, tbuff_now: np.ndarray,
               delivered: np.ndarray, active: np.ndarray) -> np.ndarray:
         # ρ̂ update — only once the first feedback has returned, so the
         # bootstrap survives the initial silent RTT.
-        feedback = active & (t >= self.start + self.rtt)
-        holding = (self.mode == DRAIN) & (delivered < self.rho)
+        rho = self.rho
+        drain = self._drain
+        feedback = active & (t >= self._feedback_from)
+        holding = drain & (delivered < rho)
         alpha = np.where(holding, self._alpha_hold, self._alpha_fast)
-        self.rho = np.where(
+        rho = self.rho = np.where(
             feedback,
-            np.maximum(self.rho + alpha * (delivered - self.rho),
-                       self._rho_floor),
-            self.rho,
+            np.maximum(rho + alpha * (delivered - rho), self._rho_floor),
+            rho,
         )
 
         # State transitions on the *observed* (lagged) delay: the
         # overshoot past T on both sides is the paper's sawtooth.
-        above = observed > self.threshold
-        below = observed < self.threshold
-        startup = self.mode == STARTUP
-        fill = self.mode == FILL
-        drain = self.mode == DRAIN
-        self.mode = np.where((startup | fill) & above, DRAIN, self.mode)
-        self.mode = np.where(drain & below, FILL, self.mode)
+        # Startup/Fill leave for Drain above T, Drain leaves for Fill
+        # below it; a flow exactly at T stays where it is.
+        threshold = self.threshold
+        drain = self._drain = np.where(
+            drain, observed >= threshold, observed > threshold
+        )
 
         # Startup paces at 2·ρ̂ (the packet tier's paced slow start);
         # Fill/Drain are the proportional-rate states.
-        gain = np.where(self.mode == STARTUP, 2.0,
-                        np.where(self.mode == FILL, self.kf, self.kd))
-        return np.where(active, gain * self.rho, 0.0)
+        gain = np.where(drain, self.kd, self.kf)
+        if self._any_startup:
+            startup = self._startup = self._startup & ~drain
+            self._any_startup = bool(startup.any())
+            gain = np.where(startup, 2.0, gain)
+        return np.where(active, gain * rho, 0.0)
 
 
 class AdaptivePropRateBank(PropRateBank):
@@ -240,12 +264,7 @@ class AdaptivePropRateBank(PropRateBank):
         if not bool(changed.any()):
             return
         self.target = np.where(changed, clamped, self.target)
-        for i in np.nonzero(changed)[0]:
-            params = derive_parameters(float(self.target[i]),
-                                       float(self.rtt[i]))
-            self.threshold[i] = params.threshold
-            self.kf[i] = params.kf
-            self.kd[i] = params.kd
+        self._derive(np.nonzero(changed)[0])
         self.target_adjustments += changed
 
     def rates(self, t: float, observed: np.ndarray, tbuff_now: np.ndarray,
@@ -304,22 +323,26 @@ class CubicBank(ControllerBank):
         self.k = np.zeros(self.n)
         self.epoch = self.start.copy()
         self.slow_start = np.ones(self.n, dtype=bool)
+        self._any_slow_start = True
         self.last_loss = np.full(self.n, -np.inf)
         #: Continuous doubling per RTT.
         self._ss_growth = 2.0 ** (dt / self.rtt)
 
     def rates(self, t: float, observed: np.ndarray, tbuff_now: np.ndarray,
               delivered: np.ndarray, active: np.ndarray) -> np.ndarray:
-        grow = active & self.slow_start
-        self.w = np.where(grow, self.w * self._ss_growth, self.w)
-        tau = t - self.epoch
-        w_cubic = self.C * (tau - self.k) ** 3 + self.w_max
-        self.w = np.where(active & ~self.slow_start, w_cubic, self.w)
-        self.w = np.maximum(self.w, self.MIN_CWND)
+        w = self.w
+        if self._any_slow_start:
+            w = np.where(active & self.slow_start, w * self._ss_growth, w)
+        # Cubed by multiplication, not ``** 3``: numpy's vector pow is
+        # ~60x slower on mixed-sign input and not bit-reproducible
+        # across builds (docs/fluid.md, "Cost of a step").
+        d = (t - self.epoch) - self.k
+        w_cubic = self.C * (d * d * d) + self.w_max
+        w = np.where(active & ~self.slow_start, w_cubic, w)
+        w = self.w = np.maximum(w, self.MIN_CWND)
         # Window → rate through the *current* delay: self-clocking slows
         # the send rate as the standing queue grows.
-        rate = self.w * MSS / (self.rtt + tbuff_now)
-        return np.where(active, rate, 0.0)
+        return np.where(active, w * MSS / (self.rtt + tbuff_now), 0.0)
 
     def on_overflow(self, t: float, hit: np.ndarray) -> int:
         # One loss epoch per RTT per flow: a multi-step overflow burst is
@@ -337,6 +360,7 @@ class CubicBank(ControllerBank):
                                             self.MIN_CWND), self.w)
         self.epoch = np.where(react, t, self.epoch)
         self.slow_start = self.slow_start & ~react
+        self._any_slow_start = bool(self.slow_start.any())
         self.last_loss = np.where(react, t, self.last_loss)
         self.loss_epochs += react
         return int(react.sum())

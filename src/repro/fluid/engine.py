@@ -307,7 +307,10 @@ def run_fluid(
 
     ``measure_start``/``measure_end`` bound the statistics window
     exactly as in :func:`repro.experiments.runner.run_experiment`
-    (per-flow start times push a flow's own window later).
+    (per-flow start times push a flow's own window later); the window
+    must be finite, non-empty and inside the run — ``0 <= measure_start
+    < measure_end <= duration`` (``measure_end`` defaults to
+    ``duration``) — or :class:`ValueError` is raised.
     ``telemetry`` follows the same resolution rules as the packet
     drivers (path, live tracer, or None → ``REPRO_TELEMETRY``);
     ``sampling`` budgets the per-tower sample volume exactly as in the
@@ -323,8 +326,6 @@ def run_fluid(
         raise ValueError("need at least one tower")
     if duration <= 0 or dt <= 0:
         raise ValueError("duration and dt must be positive")
-    if measure_end is None:
-        measure_end = duration
     for spec in flows:
         if not 0 <= spec.tower < len(towers):
             raise ValueError(f"flow {spec.name!r} references tower "
@@ -336,6 +337,16 @@ def run_fluid(
         if not 0 <= ho.to_tower < len(towers):
             raise ValueError(f"handover at {ho.time} references tower "
                              f"{ho.to_tower} of {len(towers)}")
+    if measure_end is None:
+        measure_end = duration
+    if not (math.isfinite(measure_start) and math.isfinite(measure_end)
+            and 0 <= measure_start < measure_end <= duration):
+        raise ValueError(
+            f"measure window [{measure_start}, {measure_end}) must be "
+            f"finite, non-empty and inside the {duration} s run: need "
+            "0 <= measure_start < measure_end <= duration (on the command "
+            "line, --warmup must be shorter than --duration)"
+        )
 
     tracer, owns_tracer = obs.resolve_tracer(telemetry, sampling=sampling)
     if tracer is not None and obs.current_tracer() is not tracer:
@@ -379,8 +390,8 @@ def _integrate(
     measure_end: float,
     handovers: Sequence[HandoverSpec],
     capacity_window: float,
-    tracer,
-    profiler=None,
+    tracer: Optional[obs.Tracer],
+    profiler: Optional[obs.PhaseProfiler],
 ) -> FluidReport:
     n_flows = len(flows)
     n_towers = len(towers)
@@ -428,12 +439,18 @@ def _integrate(
     # report — solving s + t_buff(s) = t exactly instead of
     # approximating it, which matters when the queue grows quickly
     # (the approximation's lookup index stalls and never sees the
-    # growth).
+    # growth).  Both histories are read through their flat views:
+    # ``row_of_tower[j] + s`` addresses tower j's column s.
     arr_hist = np.zeros((n_towers, n_steps + 1))
+    arr_flat = arr_hist.reshape(-1)
     srv_cum = np.zeros(n_towers)
     exit_ptr = np.zeros(n_towers, dtype=np.intp)
     delay_hist = np.zeros((n_towers, n_steps + 1))
-    tower_range = np.arange(n_towers)
+    delay_flat = delay_hist.reshape(-1)
+    row_of_tower = np.arange(n_towers) * (n_steps + 1)
+    # Flat index of the delay each flow observes at step 0 — its
+    # tower's row, ``rtt_steps`` columns back; a handover re-bases it.
+    lag_index = row_of_tower[tower_id] - rtt_steps
 
     # -- measurement accumulators --------------------------------------
     delivered_bytes = np.zeros(n_flows)
@@ -444,6 +461,26 @@ def _integrate(
     served_sum = np.zeros(n_towers)
     tower_cap_sum = np.zeros(n_towers)
     tower_peak = np.zeros(n_towers)
+
+    # The started and measuring masks change at no more than
+    # 2·n_flows + 1 of the steps: they are rebuilt, with the same float
+    # comparisons against ``t``, only at the first step on or after each
+    # start, each window opening, and the window's close — found on the
+    # grid of step instants itself, so the masks are the per-step ones.
+    grid = np.arange(n_steps) * dt
+    mask_steps = np.unique(np.searchsorted(
+        grid, np.concatenate([[0.0, measure_end], start, mstart])
+    )).tolist()
+    mask_steps.append(n_steps)                  # sentinel: never reached
+    next_mask = 0
+
+    # Until every flow is past its first RTT, flows inside it observe
+    # nothing, and until ``step`` passes the longest lag the lookup
+    # clamps at column 0; both fall away for the rest of the run.
+    last_start = float(start.max())
+    longest_rtt = float(rtt.max())
+    longest_lag = int(rtt_steps.max())
+    first_rtt = True
 
     plan = sorted(handovers, key=lambda h: (h.time, h.flow))
     plan_i = 0
@@ -465,29 +502,48 @@ def _integrate(
                         obs.FLUID_HANDOVER, t, flow=ho.flow,
                         src=int(tower_id[ho.flow]), dst=ho.to_tower,
                     )
+                lag_index[ho.flow] += (
+                    row_of_tower[ho.to_tower] - row_of_tower[tower_id[ho.flow]]
+                )
                 tower_id[ho.flow] = ho.to_tower
                 handover_count[ho.flow] += 1
                 handovers_applied += 1
 
-        active = start <= t
+        if step == mask_steps[next_mask]:
+            next_mask += 1
+            active = start <= t
+            active_of_bank = [active[bank.index] for bank in banks]
+            measuring = active & (t >= mstart) & (t < measure_end)
+            any_measuring = bool(measuring.any())
+            all_measuring = bool(measuring.all())
+            measuring_dt = measuring * dt
 
         # Feedback-lagged observation: fluid exiting the queue at time
         # s carried the delay it experienced; the ACK reaches its
         # sender one propagation RTT later, so the controller at t sees
         # the exit delay from t − rtt.
-        obs_idx = np.maximum(step - rtt_steps, 0)
-        observed = delay_hist[tower_id, obs_idx]
-        observed = np.where(t - start < rtt, 0.0, observed)
+        lagged = lag_index + step
+        if step < longest_lag:
+            np.maximum(lagged, lag_index + rtt_steps, out=lagged)
+        observed = delay_flat.take(lagged)
+        if first_rtt:
+            # Float subtraction is monotone, so once the last starter
+            # is past the longest RTT no flow can still be inside its
+            # own.
+            if t - last_start < longest_rtt:
+                observed = np.where(t - start < rtt, 0.0, observed)
+            else:
+                first_rtt = False
 
         # Current standing-queue delay (what fluid entering *now* will
         # wait) — the self-clocking term for window controllers.
-        tb_now = (queue / cap_ref)[tower_id]
+        tb_now = (queue / cap_ref).take(tower_id)
 
         # Controller banks → send rates.
-        for bank in banks:
+        for bank, bank_active in zip(banks, active_of_bank):
             idx = bank.index
             x[idx] = bank.rates(
-                t, observed[idx], tb_now[idx], delivered[idx], active[idx]
+                t, observed[idx], tb_now[idx], delivered[idx], bank_active
             )
 
         # Tower aggregation and fluid FIFO service split.
@@ -497,16 +553,20 @@ def _integrate(
         serve = np.where(backlogged, c_now, arrival)
         share = np.where(arrival > 0.0, serve / np.maximum(arrival, 1e-12),
                          0.0)
-        delivered = x * share[tower_id]
+        delivered = x * share.take(tower_id)
 
         # Queue integration with drop-tail overflow.
         queue = queue + (arrival - serve) * dt
         np.maximum(queue, 0.0, out=queue)
         over = queue > buffer_bytes
-        excess = np.zeros(n_towers)
-        if bool(over.any()):
+        # Cumulative accepted arrivals (the FIFO bookkeeping below).
+        accepted = arr_hist[:, step] + arrival * dt
+        # (count_nonzero, not .any(): no Python-level wrapper, a third
+        # of the cost on tower-sized arrays.)
+        if np.count_nonzero(over):
             excess = np.where(over, queue - buffer_bytes, 0.0)
             dropped += excess
+            accepted -= excess
             np.minimum(queue, buffer_bytes, out=queue)
             # Tower loss *epochs* count overflow onsets (rising edges);
             # the loss signal to the flows is level-triggered — while
@@ -529,7 +589,7 @@ def _integrate(
 
         # FIFO exit-delay update: accepted bytes extend the arrival
         # cumulative; the exit pointer chases the served cumulative.
-        arr_hist[:, step + 1] = arr_hist[:, step] + arrival * dt - excess
+        arr_hist[:, step + 1] = accepted
         srv_cum += serve * dt
         while True:
             # Clamp the lookup: on an idle tower exit_ptr reaches
@@ -537,33 +597,36 @@ def _integrate(
             # not exist yet.
             nxt = np.minimum(exit_ptr + 1, step + 1)
             can_advance = (exit_ptr < step + 1) & (
-                arr_hist[tower_range, nxt] <= srv_cum
+                arr_flat.take(row_of_tower + nxt) <= srv_cum
             )
-            if not bool(can_advance.any()):
+            if not np.count_nonzero(can_advance):
                 break
             exit_ptr += can_advance
-        delay_hist[:, step + 1] = np.where(
-            queue > 0.0, (step + 1 - exit_ptr) * dt, 0.0
-        )
+        tbuff = np.where(queue > 0.0, (step + 1 - exit_ptr) * dt, 0.0)
+        delay_hist[:, step + 1] = tbuff
 
         # Reference capacity EWMA: converts queue bytes into the
         # *entry* delay estimate even mid-outage (instantaneous rate
         # may be zero).
         cap_ref += alpha_ref * (c_now - cap_ref)
         np.maximum(cap_ref, CAPACITY_REF_FLOOR, out=cap_ref)
-        tbuff = delay_hist[:, step + 1]
 
-        # Measurement window accumulation.
-        measuring = active & (t >= mstart) & (t < measure_end)
-        if bool(measuring.any()):
-            d_m = np.where(measuring, delivered, 0.0)
-            delivered_bytes += d_m * dt
-            tb_flow = tbuff[tower_id]
-            tb_sum += np.where(measuring, tb_flow, 0.0) * dt
-            tb_time += measuring * dt
-            np.maximum(tb_max, np.where(measuring, tb_flow, 0.0),
+        # Measurement window accumulation.  Products with ``dt`` are
+        # formed on the tower arrays and gathered; outside the window a
+        # flow's terms are multiplied by zero.
+        if all_measuring:
+            delivered_bytes += delivered * dt
+            tb_sum += (tbuff * dt).take(tower_id)
+            tb_time += dt
+            np.maximum(tb_max, tbuff.take(tower_id), out=tb_max)
+            cap_sum += (c_now * dt).take(tower_id)
+        elif any_measuring:
+            delivered_bytes += delivered * measuring_dt
+            tb_sum += tbuff.take(tower_id) * measuring_dt
+            tb_time += measuring_dt
+            np.maximum(tb_max, tbuff.take(tower_id) * measuring,
                        out=tb_max)
-            cap_sum += np.where(measuring, c_now[tower_id], 0.0) * dt
+            cap_sum += c_now.take(tower_id) * measuring_dt
         if measure_start <= t < measure_end:
             served_sum += serve * dt
             tower_cap_sum += c_now * dt

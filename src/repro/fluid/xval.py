@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.fluid.engine import FluidFlowSpec, TowerSpec, run_fluid
 from repro.fluid.scenarios import tower_for_label
 from repro.metrics.stats import jain_fairness
+from repro.traces.trace import Trace
 
 __all__ = [
     "XvalScenario",
@@ -165,7 +166,7 @@ def load_bands(path: str) -> Dict[str, Bands]:
     return bands
 
 
-def _trace_for_label(label: str, duration: float):
+def _trace_for_label(label: str, duration: float) -> Trace:
     """Materialize a trace label for the packet side (the grid's
     vocabulary: ``wired:<N>mbps`` / ``cellular:<ISP>-<mode>``)."""
     kind, _, arg = label.partition(":")
@@ -311,7 +312,7 @@ def run_scenario(scn: XvalScenario, bands: Bands) -> XvalRow:
 def run_xval(
     bands_path: str,
     names: Optional[Sequence[str]] = None,
-    on_row=None,
+    on_row: Optional[Callable[[XvalRow], None]] = None,
 ) -> List[XvalRow]:
     """Run the scenario set (all, or the named subset) against the
     bands file; ``on_row`` is called with each finished

@@ -174,6 +174,64 @@ class TestDeterminismAndExport:
         assert "tower0" in panel and "jfi" in panel
 
 
+class TestObserverOnly:
+    """Telemetry, sampling and the profiler watch the run; they must not
+    change a bit of what it reports."""
+
+    def _scenario(self):
+        flows, towers, handovers = fan_in_scenario(
+            24, 3, 4.0, mix="pr-adaptive", handover_count=6, seed=2)
+        towers = [TowerSpec(name=t.name, rate=t.rate / 20, buffer_packets=60)
+                  for t in towers]
+        return flows, towers, dict(dt=0.005, measure_start=1.0,
+                                   handovers=handovers)
+
+    def test_observed_run_reduces_to_the_bare_summary(self, tmp_path):
+        from repro.obs.analyze import read_trace
+
+        flows, towers, kw = self._scenario()
+        bare = run_fluid(flows, towers, 4.0, **kw)
+        full_path = str(tmp_path / "full.jsonl")
+        thin_path = str(tmp_path / "thin.jsonl")
+        full = run_fluid(flows, towers, 4.0, telemetry=full_path,
+                         profile=True, **kw)
+        thin = run_fluid(flows, towers, 4.0, telemetry=thin_path,
+                         sampling="fluid.tower:every=5", profile=True, **kw)
+        assert repr(full.summary()) == repr(bare.summary())
+        assert repr(thin.summary()) == repr(bare.summary())
+        assert full.to_dict() == bare.to_dict() == thin.to_dict()
+        assert bare.handovers_applied > 0
+        assert sum(f.loss_epochs for f in bare.flows) > 0
+
+        # fluid.tower cadence: one sample per tower every 100 ms of
+        # simulated time (every 20th 5 ms step), thinned 5:1 per tower
+        # when sampled.
+        events = read_trace(full_path)
+        tower_events = [e for e in events if e["kind"] == "fluid.tower"]
+        n_samples = len(range(0, bare.steps, 20))
+        assert len(tower_events) == n_samples * len(towers)
+        assert [e["t"] for e in tower_events if e["tower"] == 0] == [
+            pytest.approx(step * 0.005)
+            for step in range(0, bare.steps, 20)
+        ]
+        thin_events = read_trace(thin_path)
+        thin_towers = [e for e in thin_events if e["kind"] == "fluid.tower"]
+        assert 0 < len(thin_towers) < len(tower_events) / 3
+        for trace in (events, thin_events):
+            kinds = {e["kind"] for e in trace}
+            assert {"fluid.run", "fluid.handover", "fluid.loss",
+                    "fluid.end", "metrics"} <= kinds
+            assert sum(e["kind"] == "fluid.handover" for e in trace) \
+                == bare.handovers_applied
+            (metrics_rec,) = [e for e in trace if e["kind"] == "metrics"]
+            metrics = metrics_rec["metrics"]
+            assert metrics["run.fluid.steps"] == bare.steps
+            assert metrics["run.fluid.handovers"] == bare.handovers_applied
+            assert metrics["run.fluid.loss_epochs"] == sum(
+                f.loss_epochs for f in bare.flows)
+            assert metrics["run.timing.prof.fluid.integrate.calls"] == 1
+
+
 class TestValidation:
     def test_tower_needs_exactly_one_capacity(self):
         with pytest.raises(ValueError):
@@ -186,7 +244,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown fluid controller"):
             run_fluid(
                 [FluidFlowSpec(name="x", controller="vegas")],
-                [TowerSpec(rate=RATE)], 5.0,
+                [TowerSpec(rate=RATE)], 5.0, measure_start=1.0,
             )
 
     def test_out_of_range_indices_rejected(self):
@@ -195,6 +253,46 @@ class TestValidation:
         with pytest.raises(ValueError, match="references flow"):
             run_fluid([_pr()], [TowerSpec(rate=RATE)], 5.0,
                       handovers=[HandoverSpec(1.0, 5, 0)])
+
+    @pytest.mark.parametrize("duration, window", [
+        (3.0, {}),                                  # default 5 s warm-up
+        (3.0, {"measure_start": 3.0}),              # empty window
+        (3.0, {"measure_start": 1.0, "measure_end": 9.0}),
+        (3.0, {"measure_start": 2.0, "measure_end": 1.0}),
+        (3.0, {"measure_start": -1.0}),
+        (9.0, {"measure_start": float("nan")}),
+        (9.0, {"measure_start": 1.0, "measure_end": float("inf")}),
+    ])
+    def test_degenerate_measure_window_rejected(self, duration, window):
+        # These used to produce all-zero goodput rows (or goodput over a
+        # window longer than the run) and exit clean.
+        with pytest.raises(ValueError, match=r"measure window.*--warmup"):
+            run_fluid([_pr()], [TowerSpec(rate=RATE)], duration, **window)
+
+    def test_measure_window_error_names_the_values(self):
+        with pytest.raises(ValueError, match=r"\[1\.0, 9\.0\).*3\.0 s run"):
+            run_fluid([_pr()], [TowerSpec(rate=RATE)], 3.0,
+                      measure_start=1.0, measure_end=9.0)
+
+    def test_measure_window_bounds_inclusive_of_run(self):
+        report = run_fluid([_pr()], [TowerSpec(rate=RATE)], 3.0,
+                           measure_start=0.0, measure_end=3.0)
+        assert report.flows[0].goodput > 0
+
+    def test_spec_errors_reported_before_window_errors(self):
+        with pytest.raises(ValueError, match="references tower"):
+            run_fluid([_pr(tower=3)], [TowerSpec(rate=RATE)], 3.0)
+
+    def test_cli_rejects_warmup_not_shorter_than_duration(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fluid", "--duration", "4", "--flows", "4",
+                  "--towers", "1"])
+        assert exit_info.value.code not in (0, None)
+        assert "repro fluid: measure window" in str(exit_info.value.code)
+        assert "--warmup" in str(exit_info.value.code)
+        assert "tower" not in capsys.readouterr().out  # no table printed
 
     def test_tower_label_vocabulary(self):
         wired = tower_for_label("wired:8mbps", 10.0)
@@ -371,7 +469,7 @@ class TestPolicyBank:
                              policy=firehose)
         report = run_fluid([spec],
                            [TowerSpec(rate=RATE, buffer_packets=40)],
-                           5.0, dt=0.002)
+                           5.0, dt=0.002, measure_start=1.0)
         assert report.flows[0].loss_epochs >= 1
 
     def test_bad_policy_shape_rejected(self):
@@ -380,13 +478,14 @@ class TestPolicyBank:
 
         spec = FluidFlowSpec(name="bad", controller="policy", policy=wrong)
         with pytest.raises(ValueError, match="policy returned shape"):
-            run_fluid([spec], [TowerSpec(rate=RATE)], 1.0)
+            run_fluid([spec], [TowerSpec(rate=RATE)], 1.0,
+                      measure_start=0.0)
 
     def test_policy_controller_requires_callable(self):
         with pytest.raises(ValueError, match="needs a policy"):
             run_fluid(
                 [FluidFlowSpec(name="p", controller="policy")],
-                [TowerSpec(rate=RATE)], 2.0,
+                [TowerSpec(rate=RATE)], 2.0, measure_start=0.0,
             )
 
 
