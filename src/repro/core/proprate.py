@@ -163,6 +163,11 @@ class PropRate(RateCongestionControl):
         )
         self._nfl_started_at: Optional[float] = None
         self.params: Optional[PropRateParams] = None
+        # Memos (DESIGN.md §10): the inputs ``params`` was derived from
+        # and the inputs of the in-flight cap, compared as exact floats.
+        self._params_key: Optional[tuple] = None
+        self._cap_key: Optional[tuple] = None
+        self._cap_packets = 0
 
         self._burst_size = PROBE_BURST
         self._burst_target: Optional[int] = None
@@ -227,14 +232,21 @@ class PropRate(RateCongestionControl):
         rtt = self._base_rtt()
         if rtt is None or rtt <= 0:
             return None
-        lmax = self._effective_lmax(rtt)
-        if lmax <= rtt:
-            lmax = rtt + DEFAULT_LMAX_HEADROOM
-        threshold = min(self.feedback.threshold, lmax - rtt)
-        threshold = max(threshold, 1e-4)
-        self.params = params_for_threshold(
-            threshold, rtt, min(self.target_buffer_delay, lmax - rtt), lmax
-        )
+        # The operating point moves about once per NFL epoch, not once
+        # per ACK: re-derive only when one of its four inputs differs.
+        key = (self.feedback.threshold, rtt, self.target_buffer_delay,
+               self.lmax)
+        if key != self._params_key:
+            lmax = self._effective_lmax(rtt)
+            if lmax <= rtt:
+                lmax = rtt + DEFAULT_LMAX_HEADROOM
+            threshold = min(self.feedback.threshold, lmax - rtt)
+            threshold = max(threshold, 1e-4)
+            self.params = params_for_threshold(
+                threshold, rtt, min(self.target_buffer_delay, lmax - rtt),
+                lmax
+            )
+            self._params_key = key
         return self.params
 
     # ------------------------------------------------------------------
@@ -605,10 +617,17 @@ class PropRate(RateCongestionControl):
         # seconds, so un-ACKed data legitimately exceeds min-RTT BDPs
         # while the one-way data path stays healthy.
         srtt = host.srtt
-        rtt_for_cap = max(rtt, srtt) if srtt is not None else rtt
-        cap_seconds = rtt_for_cap + 4.0 * max(
-            self.params.threshold, self.target_buffer_delay
-        )
-        cap_packets = max(4 * PROBE_BURST, int(cap_seconds * rho / host.packet_bytes))
-        if host.inflight >= cap_packets:
+        # Every input below moves only on an ACK or an RTO; between them
+        # the cap of the previous tick stands.
+        key = (rho, rtt, srtt, self.params, self.target_buffer_delay)
+        if key != self._cap_key:
+            rtt_for_cap = max(rtt, srtt) if srtt is not None else rtt
+            cap_seconds = rtt_for_cap + 4.0 * max(
+                self.params.threshold, self.target_buffer_delay
+            )
+            self._cap_packets = max(
+                4 * PROBE_BURST, int(cap_seconds * rho / host.packet_bytes)
+            )
+            self._cap_key = key
+        if host.inflight >= self._cap_packets:
             self.pacing_rate = 0.0

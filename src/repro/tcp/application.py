@@ -20,7 +20,7 @@ once ``produced(t) > i``.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import bisect
 from typing import Optional
 
 
@@ -32,11 +32,22 @@ def _floor_segments(seconds: float, rate: float, segment_bytes: int) -> int:
     below an integer boundary and the truncation loses (or gains) a
     segment, so a long-running CBR source's cumulative count diverges
     from the closed form — and can even step backwards between two
-    nearby ``now`` values.  Rational arithmetic over the exact binary
-    values of the inputs keeps the count closed-form and monotone for
-    arbitrarily large ``now``.
+    nearby ``now`` values.  Integer arithmetic over the exact binary
+    values of the inputs (``as_integer_ratio``) keeps the count
+    closed-form and monotone for arbitrarily large ``now``.
+
+    ``seconds`` and ``rate`` may be ``int`` or ``float``; a non-finite
+    one raises (``OverflowError`` for an infinity, ``ValueError`` for
+    NaN).  A negative quotient truncates toward zero.
     """
-    return int(Fraction(seconds) * Fraction(rate) / segment_bytes)
+    sn, sd = seconds.as_integer_ratio()
+    rn, rd = rate.as_integer_ratio()
+    num = sn * rn
+    den = sd * rd * segment_bytes
+    q = num // den
+    if q < 0 and q * den != num:
+        q += 1
+    return q
 
 
 class Application:
@@ -162,8 +173,6 @@ class TraceApplication(Application):
         self._times = times
 
     def produced(self, now: float) -> Optional[int]:
-        import bisect
-
         return bisect.bisect_right(self._times, now)
 
     def total(self) -> Optional[int]:

@@ -88,10 +88,16 @@ class SenderScoreboard:
     bit-identical to the per-segment implementation.
     """
 
-    __slots__ = ("_map",)
+    __slots__ = ("_map", "_floor")
 
     def __init__(self) -> None:
         self._map = RunMap()
+        #: No pending (LOST) segment lies below this sequence.  Lowered
+        #: by the two transitions that create pending segments
+        #: (``mark_lost``, ``rto_requeue``), raised by each claim, so a
+        #: paced sender's one-segment claims resume where the last one
+        #: ended instead of re-walking the recovered prefix.
+        self._floor = 0
 
     # ------------------------------------------------------------------
     # Queries
@@ -190,6 +196,8 @@ class SenderScoreboard:
         changed = self._map.map_range(start, end, _MARK_TABLE)
         if not changed:
             return 0, changed
+        if changed[0][0] < self._floor:
+            self._floor = changed[0][0]
         return sum(e - s for s, e, _ in changed), changed
 
     def ack_to(self, una: int, ack: int) -> int:
@@ -217,8 +225,16 @@ class SenderScoreboard:
         ``next_pending`` + ``mark_rtx_sent`` loop, but one run-boundary
         adjustment claims the whole batch — the transmit path stays
         O(1) per run rather than O(1) per segment.
+
+        The search resumes at the pending floor, so ``una`` must not
+        decrease between calls (a cumulative-ACK edge never does).
         """
-        return self._map.claim_first(LOST, RTX, una, limit)
+        floor = self._floor
+        run = self._map.claim_first(
+            LOST, RTX, una if una > floor else floor, limit)
+        if run is not None:
+            self._floor = run[1]
+        return run
 
     def rto_requeue(self, una: int, next_seq: int) -> int:
         """Retransmission timeout: requeue the whole outstanding window.
@@ -229,6 +245,8 @@ class SenderScoreboard:
         segments are newly counted lost.
         """
         changed = self._map.map_range(una, next_seq, _RTO_TABLE)
+        if changed and changed[0][0] < self._floor:
+            self._floor = changed[0][0]
         return sum(e - s for s, e, _ in changed)
 
 

@@ -245,12 +245,6 @@ class TcpSender:
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
-    def _has_new_data(self) -> bool:
-        produced = self.application.produced(self.sim.now)
-        if produced is not None and self.next_seq >= produced:
-            return False
-        return self.total_segments is None or self.next_seq < self.total_segments
-
     def _send_one(self) -> bool:
         """Transmit one segment: retransmissions first, then new data."""
         return self._send_many(1) > 0
@@ -273,10 +267,11 @@ class TcpSender:
             for seq in range(run[0], run[1]):
                 self._transmit(seq, retransmit=True)
             sent += run[1] - run[0]
-        if sent < budget and self._has_new_data():
+        if sent < budget:
             # Batch the new-data budget: the application/backlog limits
-            # are constant within this call, so computing the count once
-            # transmits exactly the segments the per-packet loop would.
+            # are constant within this call, so asking the application
+            # once transmits exactly the segments the per-packet loop
+            # would.  A source at or behind ``next_seq`` leaves n <= 0.
             n = budget - sent
             produced = self.application.produced(self.sim.now)
             if produced is not None and produced - self.next_seq < n:
@@ -284,11 +279,12 @@ class TcpSender:
             if self.total_segments is not None \
                     and self.total_segments - self.next_seq < n:
                 n = self.total_segments - self.next_seq
-            for _ in range(n):
-                seq = self.next_seq
-                self.next_seq = seq + 1
-                self._transmit(seq, retransmit=False)
-            sent += n
+            if n > 0:
+                for _ in range(n):
+                    seq = self.next_seq
+                    self.next_seq = seq + 1
+                    self._transmit(seq, retransmit=False)
+                sent += n
         return sent
 
     def _transmit(self, seq: int, retransmit: bool) -> None:
@@ -326,14 +322,14 @@ class TcpSender:
             self._pipe == 0
             and not self.complete
             and not self.scoreboard.has_pending
-            and not self._has_new_data()
-            and self.application.produced(self.sim.now) is not None
+            and self._app_poll_event is None
             and (
                 self.total_segments is None
                 or self.next_seq < self.total_segments
             )
         ):
-            if self._app_poll_event is None:
+            produced = self.application.produced(self.sim.now)
+            if produced is not None and self.next_seq >= produced:
                 self._app_poll_event = self.sim.schedule(0.01, self._app_poll)
 
     def _app_poll(self) -> None:
@@ -417,12 +413,13 @@ class TcpSender:
         cc.on_tick(self.sim.now)
 
         burst = cc.take_burst()
-        sent_burst = self._send_many(burst)
-        if sent_burst < burst:
-            # Application-limited: keep the remaining probe credits for
-            # later ticks instead of silently discarding them (a CBR
-            # source may not have produced the data yet).
-            cc.request_burst(burst - sent_burst)
+        if burst:
+            sent_burst = self._send_many(burst)
+            if sent_burst < burst:
+                # Application-limited: keep the remaining probe credits
+                # for later ticks instead of silently discarding them (a
+                # CBR source may not have produced the data yet).
+                cc.request_burst(burst - sent_burst)
 
         rate = max(0.0, cc.pacing_rate)
         self._budget += rate * self.tick
@@ -430,12 +427,13 @@ class TcpSender:
         remainder = self._budget - count * self._packet_bytes
         if cc.round_mode == "up" and remainder > 1e-9:
             count += 1
-        count = min(count, MAX_TICK_PACKETS)
-        sent = self._send_many(count)
-        self._budget -= sent * self._packet_bytes
-        if sent < count:
-            # Application-limited: do not accumulate credit.
-            self._budget = min(self._budget, float(self._packet_bytes))
+        if count > 0:
+            count = min(count, MAX_TICK_PACKETS)
+            sent = self._send_many(count)
+            self._budget -= sent * self._packet_bytes
+            if sent < count:
+                # Application-limited: do not accumulate credit.
+                self._budget = min(self._budget, float(self._packet_bytes))
         self._suspend_tick_if_idle(cc)
 
     # ------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Shared test utilities: fake hosts, ACK-sample synthesis, the
-reference cellular link, the reference fluid step loop, and a bursty
+"""Shared test utilities: fake hosts, ACK-sample synthesis, and a bursty
 raw-packet workload.
 
 Congestion-control unit tests drive algorithms directly through their
@@ -8,42 +7,17 @@ simulator.  :class:`AckFeeder` fabricates internally consistent
 :class:`~repro.tcp.congestion.base.AckSample` streams (monotone ACK
 numbers, cumulative delivered counts, quantised receiver timestamps).
 
-:class:`ScalarCellularLink` is the one-opportunity-per-event,
-one-event-per-delivered-packet link the batched
-:class:`~repro.sim.link.CellularLink` must be bit-identical to
-(DESIGN.md §9); differential tests install it with :func:`scalar_links`.
-
-:func:`reference_integrate` is the fluid tier's step loop as it stood
-before its per-step cost was halved (every mask and product rebuilt
-every step, CUBIC cubed with ``** 3``); tests/test_fluid_diff.py holds
-:func:`repro.fluid.run_fluid` to it.
+The reference implementations differential tests hold the shipped code
+to live in :mod:`tests.reference`.
 """
 
 from __future__ import annotations
 
-import math
-from functools import partial
 from typing import Optional
-from unittest import mock
 
 import numpy as np
 
-import repro.fluid.controllers as fluid_controllers
-import repro.sim.network
-from repro.core.model import derive_parameters
-from repro.fluid.engine import (
-    CAPACITY_REF_FLOOR,
-    CAPACITY_REF_TAU,
-    DEFAULT_CAPACITY_WINDOW,
-    DEFAULT_DT,
-    FluidFlowResult,
-    FluidReport,
-    TowerSummary,
-)
-from repro.metrics.stats import jain_fairness
-from repro.obs import LINK_RECOVER
 from repro.sim.engine import Simulator
-from repro.sim.link import CellularLink
 from repro.sim.network import DuplexPath, LinkConfig, PathConfig
 from repro.sim.packet import (
     DATA_PACKET_BYTES,
@@ -52,54 +26,14 @@ from repro.sim.packet import (
     make_data_packet,
 )
 from repro.tcp.congestion.base import AckSample, CongestionControl
-from repro.traces.trace import OPPORTUNITY_BYTES, Trace
+from repro.traces.presets import isp_trace
+from repro.traces.trace import Trace
 
 
-class ScalarCellularLink(CellularLink):
-    """Reference link: each heap event consumes exactly one delivery
-    opportunity and every served packet gets its own delivery event, so
-    there are no batch boundaries to observe."""
-
-    def _serve(self) -> None:
-        fired = self._service_event
-        self._service_event = None
-        if self._outage_open:
-            self._outage_open = False
-            tr = self._tracer
-            if tr is not None:
-                tr.emit(LINK_RECOVER, self.sim.now, link=self.name,
-                        queued=len(self.queue))
-        self._index += 1
-        budget = OPPORTUNITY_BYTES
-        served_any = False
-        while True:
-            head = self.queue.peek()
-            if head is None or head.size > budget:
-                break
-            packet = self.queue.pop(self.sim.now)
-            if packet is None:
-                break
-            budget -= packet.size
-            served_any = True
-            self.delivered_packets += 1
-            self.delivered_bytes += packet.size
-            if self.on_deliver is not None:
-                self.sim.schedule(
-                    self._prop_delay, partial(self.on_deliver, packet))
-        if not served_any:
-            # CoDel may drop everything it dequeues; a truly empty queue
-            # simply wastes the opportunity.
-            self.wasted_opportunities += 1
-        if len(self.queue) > 0:
-            self._arm_service(reuse=fired)
-
-
-def scalar_links():
-    """Context manager: every :class:`~repro.sim.network.DuplexPath`
-    built inside the block gets :class:`ScalarCellularLink` for its
-    trace-driven links."""
-    return mock.patch.object(
-        repro.sim.network, "CellularLink", ScalarCellularLink)
+def isp_traces(isp: str, mode: str, duration: float):
+    """The (downlink, uplink) pair of a Table-2 preset."""
+    return (isp_trace(isp, mode, duration=duration),
+            isp_trace(isp, mode, duration=duration, direction="uplink"))
 
 
 def quantized_outage_trace() -> Trace:
@@ -151,284 +85,6 @@ def drive_bursts(observe=None):
     sim.schedule_at(0.05, refill)
     sim.run(until=3.0)
     return sim, path, arrivals
-
-
-class ReferencePropRateBank(fluid_controllers.PropRateBank):
-    """PropRate bank with the int8 mode array and the per-call mode
-    comparisons :func:`reference_integrate` was written against."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.ref_mode = np.full(self.n, fluid_controllers.STARTUP,
-                                dtype=np.int8)
-
-    def _derive(self, which) -> None:
-        for i in which:
-            params = derive_parameters(float(self.target[i]),
-                                       float(self.rtt[i]))
-            self.threshold[i] = params.threshold
-            self.kf[i] = params.kf
-            self.kd[i] = params.kd
-
-    def rates(self, t, observed, tbuff_now, delivered, active):
-        STARTUP, FILL, DRAIN = (fluid_controllers.STARTUP,
-                                fluid_controllers.FILL,
-                                fluid_controllers.DRAIN)
-        feedback = active & (t >= self.start + self.rtt)
-        holding = (self.ref_mode == DRAIN) & (delivered < self.rho)
-        alpha = np.where(holding, self._alpha_hold, self._alpha_fast)
-        self.rho = np.where(
-            feedback,
-            np.maximum(self.rho + alpha * (delivered - self.rho),
-                       self._rho_floor),
-            self.rho,
-        )
-        above = observed > self.threshold
-        below = observed < self.threshold
-        startup = self.ref_mode == STARTUP
-        fill = self.ref_mode == FILL
-        drain = self.ref_mode == DRAIN
-        self.ref_mode = np.where((startup | fill) & above, DRAIN,
-                                 self.ref_mode)
-        self.ref_mode = np.where(drain & below, FILL, self.ref_mode)
-        gain = np.where(self.ref_mode == STARTUP, 2.0,
-                        np.where(self.ref_mode == FILL, self.kf, self.kd))
-        return np.where(active, gain * self.rho, 0.0)
-
-
-class ReferenceAdaptivePropRateBank(fluid_controllers.AdaptivePropRateBank,
-                                    ReferencePropRateBank):
-    """The §6 rule over :class:`ReferencePropRateBank` (the adaptive
-    bank's ``super().rates`` resolves to the reference one)."""
-
-
-class ReferenceCubicBank(fluid_controllers.CubicBank):
-    """CUBIC bank cubing with numpy's ``** 3``."""
-
-    def rates(self, t, observed, tbuff_now, delivered, active):
-        grow = active & self.slow_start
-        self.w = np.where(grow, self.w * self._ss_growth, self.w)
-        tau = t - self.epoch
-        w_cubic = self.C * (tau - self.k) ** 3 + self.w_max
-        self.w = np.where(active & ~self.slow_start, w_cubic, self.w)
-        self.w = np.maximum(self.w, self.MIN_CWND)
-        rate = self.w * fluid_controllers.MSS / (self.rtt + tbuff_now)
-        return np.where(active, rate, 0.0)
-
-
-def reference_integrate(flows, towers, duration, dt=DEFAULT_DT,
-                        measure_start=5.0, measure_end=None, handovers=(),
-                        capacity_window=DEFAULT_CAPACITY_WINDOW,
-                        cube_by_pow=True) -> FluidReport:
-    """The fluid step loop before PR 14, observers stripped: every
-    mask, gather and ``dt`` product rebuilt at every step, the reference
-    banks above.  ``cube_by_pow=False`` keeps the shipped CUBIC bank, so
-    the loop rewrite can be held to byte-identity on its own."""
-    MSS = fluid_controllers.MSS
-    if measure_end is None:
-        measure_end = duration
-    n_flows = len(flows)
-    n_towers = len(towers)
-    n_steps = int(round(duration / dt))
-
-    profiles = np.stack([
-        tower.capacity_profile(duration, capacity_window)
-        for tower in towers
-    ])
-    window_of_step = np.minimum(
-        (np.arange(n_steps) * dt / capacity_window).astype(np.intp),
-        profiles.shape[1] - 1,
-    )
-    cap = profiles[:, window_of_step]
-
-    tower_id = np.array([f.tower for f in flows], dtype=np.intp)
-    start = np.array([f.start for f in flows])
-    rtt = np.array([f.rtt for f in flows])
-    rtt_steps = np.maximum(1, np.rint(rtt / dt).astype(np.intp))
-    mstart = np.maximum(measure_start, start)
-    reference_banks = dict(
-        PropRateBank=ReferencePropRateBank,
-        AdaptivePropRateBank=ReferenceAdaptivePropRateBank,
-    )
-    if cube_by_pow:
-        reference_banks["CubicBank"] = ReferenceCubicBank
-    with mock.patch.multiple(fluid_controllers, **reference_banks):
-        banks = fluid_controllers.build_banks(flows, dt)
-
-    x = np.zeros(n_flows)
-    delivered = np.zeros(n_flows)
-    handover_count = np.zeros(n_flows, dtype=np.int64)
-
-    queue = np.zeros(n_towers)
-    buffer_bytes = np.array([t.buffer_packets * MSS for t in towers])
-    cap_ref = np.maximum(cap[:, 0], CAPACITY_REF_FLOOR)
-    alpha_ref = 1.0 - math.exp(-dt / CAPACITY_REF_TAU)
-    overflowing = np.zeros(n_towers, dtype=bool)
-    dropped = np.zeros(n_towers)
-    tower_loss_epochs = np.zeros(n_towers, dtype=np.int64)
-
-    arr_hist = np.zeros((n_towers, n_steps + 1))
-    srv_cum = np.zeros(n_towers)
-    exit_ptr = np.zeros(n_towers, dtype=np.intp)
-    delay_hist = np.zeros((n_towers, n_steps + 1))
-    tower_range = np.arange(n_towers)
-
-    delivered_bytes = np.zeros(n_flows)
-    tb_sum = np.zeros(n_flows)
-    tb_time = np.zeros(n_flows)
-    tb_max = np.zeros(n_flows)
-    cap_sum = np.zeros(n_flows)
-    served_sum = np.zeros(n_towers)
-    tower_cap_sum = np.zeros(n_towers)
-    tower_peak = np.zeros(n_towers)
-
-    plan = sorted(handovers, key=lambda h: (h.time, h.flow))
-    plan_i = 0
-    handovers_applied = 0
-
-    for step in range(n_steps):
-        t = step * dt
-
-        while plan_i < len(plan) and plan[plan_i].time <= t:
-            ho = plan[plan_i]
-            plan_i += 1
-            if tower_id[ho.flow] != ho.to_tower:
-                tower_id[ho.flow] = ho.to_tower
-                handover_count[ho.flow] += 1
-                handovers_applied += 1
-
-        active = start <= t
-
-        obs_idx = np.maximum(step - rtt_steps, 0)
-        observed = delay_hist[tower_id, obs_idx]
-        observed = np.where(t - start < rtt, 0.0, observed)
-
-        tb_now = (queue / cap_ref)[tower_id]
-
-        for bank in banks:
-            idx = bank.index
-            x[idx] = bank.rates(
-                t, observed[idx], tb_now[idx], delivered[idx], active[idx]
-            )
-
-        arrival = np.bincount(tower_id, weights=x, minlength=n_towers)
-        c_now = cap[:, step]
-        backlogged = (queue > 0.0) | (arrival > c_now)
-        serve = np.where(backlogged, c_now, arrival)
-        share = np.where(arrival > 0.0, serve / np.maximum(arrival, 1e-12),
-                         0.0)
-        delivered = x * share[tower_id]
-
-        queue = queue + (arrival - serve) * dt
-        np.maximum(queue, 0.0, out=queue)
-        over = queue > buffer_bytes
-        excess = np.zeros(n_towers)
-        if bool(over.any()):
-            excess = np.where(over, queue - buffer_bytes, 0.0)
-            dropped += excess
-            np.minimum(queue, buffer_bytes, out=queue)
-            tower_loss_epochs += over & ~overflowing
-            for bank in banks:
-                if not bank.loss_based:
-                    continue
-                idx = bank.index
-                hit = over[tower_id[idx]] & (x[idx] > 0.0)
-                bank.on_overflow(t, hit)
-        overflowing = over
-
-        arr_hist[:, step + 1] = arr_hist[:, step] + arrival * dt - excess
-        srv_cum += serve * dt
-        while True:
-            nxt = np.minimum(exit_ptr + 1, step + 1)
-            can_advance = (exit_ptr < step + 1) & (
-                arr_hist[tower_range, nxt] <= srv_cum
-            )
-            if not bool(can_advance.any()):
-                break
-            exit_ptr += can_advance
-        delay_hist[:, step + 1] = np.where(
-            queue > 0.0, (step + 1 - exit_ptr) * dt, 0.0
-        )
-
-        cap_ref += alpha_ref * (c_now - cap_ref)
-        np.maximum(cap_ref, CAPACITY_REF_FLOOR, out=cap_ref)
-        tbuff = delay_hist[:, step + 1]
-
-        measuring = active & (t >= mstart) & (t < measure_end)
-        if bool(measuring.any()):
-            d_m = np.where(measuring, delivered, 0.0)
-            delivered_bytes += d_m * dt
-            tb_flow = tbuff[tower_id]
-            tb_sum += np.where(measuring, tb_flow, 0.0) * dt
-            tb_time += measuring * dt
-            np.maximum(tb_max, np.where(measuring, tb_flow, 0.0),
-                       out=tb_max)
-            cap_sum += np.where(measuring, c_now[tower_id], 0.0) * dt
-        if measure_start <= t < measure_end:
-            served_sum += serve * dt
-            tower_cap_sum += c_now * dt
-            np.maximum(tower_peak, tbuff, out=tower_peak)
-
-    loss_by_flow = np.zeros(n_flows, dtype=np.int64)
-    kind_by_flow = [""] * n_flows
-    for bank in banks:
-        loss_by_flow[bank.index] = bank.loss_epochs
-        for i in bank.index:
-            kind_by_flow[i] = bank.kind
-
-    flow_results = []
-    for i, spec in enumerate(flows):
-        window = max(measure_end - float(mstart[i]), 0.0)
-        goodput = delivered_bytes[i] / window if window > 0 else 0.0
-        capacity = cap_sum[i] / window if window > 0 else 0.0
-        measured = tb_time[i] > 0.0
-        flow_results.append(
-            FluidFlowResult(
-                name=spec.name or f"flow{i}",
-                controller=kind_by_flow[i],
-                goodput=float(goodput),
-                delivered_bytes=float(delivered_bytes[i]),
-                avg_tbuff=float(tb_sum[i] / tb_time[i]) if measured
-                else float("nan"),
-                max_tbuff=float(tb_max[i]) if measured else float("nan"),
-                utilization=(
-                    float(goodput / capacity) if capacity > 0 else None
-                ),
-                loss_epochs=int(loss_by_flow[i]),
-                handovers=int(handover_count[i]),
-                final_tower=int(tower_id[i]),
-                measure_start=float(mstart[i]),
-                measure_end=float(measure_end),
-            )
-        )
-
-    tower_summaries = []
-    window = max(measure_end - measure_start, 1e-9)
-    for j, tower in enumerate(towers):
-        tower_summaries.append(
-            TowerSummary(
-                name=tower.name or f"tower{j}",
-                flows_final=int(np.count_nonzero(tower_id == j)),
-                mean_capacity=float(tower_cap_sum[j] / window),
-                utilization=(
-                    float(served_sum[j] / tower_cap_sum[j])
-                    if tower_cap_sum[j] > 0 else 0.0
-                ),
-                peak_tbuff=float(tower_peak[j]),
-                dropped_bytes=float(dropped[j]),
-                loss_epochs=int(tower_loss_epochs[j]),
-            )
-        )
-
-    return FluidReport(
-        flows=flow_results,
-        towers=tower_summaries,
-        jfi=jain_fairness([f.goodput for f in flow_results]),
-        duration=duration,
-        dt=dt,
-        steps=n_steps,
-        handovers_applied=handovers_applied,
-    )
 
 
 class FakeHost:

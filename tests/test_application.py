@@ -5,15 +5,83 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
 from repro.tcp.application import (
+    Application,
     BulkApplication,
     ConstantBitrateApplication,
     OnOffApplication,
     TraceApplication,
+    _floor_segments,
 )
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.sender import TcpSender
 
+from tests.reference.application import fraction_floor_segments
 from tests.test_sender import FixedRate, FixedWindow, Wire
+
+#: Seconds: up to 1e15, subnormals included (the default for an
+#: interval that reaches zero), plus whole numbers passed as ``int``.
+SECONDS = st.one_of(
+    st.floats(min_value=0.0, max_value=1e15),
+    st.floats(min_value=0.0, max_value=1e-300),
+    st.integers(min_value=0, max_value=10**15),
+)
+#: Rates: dyadic, non-dyadic (a third of a megabyte has no finite binary
+#: expansion), tiny, huge, and ``int``.
+RATES = st.one_of(
+    st.sampled_from([1e6 / 3, 2e6, 1_500_000.0, 0.1, 1e-310, 123_456.789]),
+    st.floats(min_value=1e-3, max_value=1e12),
+    st.integers(min_value=1, max_value=10**12),
+)
+SEGMENTS = st.one_of(st.just(1500), st.integers(min_value=1, max_value=9000))
+
+
+class TestFloorSegments:
+    """``_floor_segments`` against the frozen ``Fraction`` form."""
+
+    @given(SECONDS, RATES, SEGMENTS)
+    @settings(max_examples=500, deadline=None)
+    def test_equals_fraction_form(self, seconds, rate, segment):
+        assert _floor_segments(seconds, rate, segment) \
+            == fraction_floor_segments(seconds, rate, segment)
+
+    @given(st.floats(min_value=-1e9, max_value=0.0), RATES, SEGMENTS)
+    @settings(max_examples=100, deadline=None)
+    def test_negative_quotient_truncates_like_fraction_form(
+            self, seconds, rate, segment):
+        assert _floor_segments(seconds, rate, segment) \
+            == fraction_floor_segments(seconds, rate, segment)
+
+    @given(SECONDS, st.floats(min_value=0.0, max_value=1e6), RATES, SEGMENTS)
+    @settings(max_examples=200, deadline=None)
+    def test_monotone_in_seconds(self, seconds, step, rate, segment):
+        assert _floor_segments(seconds, rate, segment) \
+            <= _floor_segments(seconds + step, rate, segment)
+
+    def test_non_dyadic_rate_at_large_seconds(self):
+        # Here the float product is off by whole segments (1e15 s gives
+        # ...208 where the exact quotient of the binary values is ...209).
+        for seconds in (1.5e12, 1e15, 999_999_999_999_999.9):
+            exact = fraction_floor_segments(seconds, 1e6 / 3, 1500)
+            assert _floor_segments(seconds, 1e6 / 3, 1500) == exact
+        assert int(1e15 * (1e6 / 3) / 1500) != exact
+
+    @pytest.mark.parametrize("bad,error", [
+        (float("inf"), OverflowError),
+        (float("-inf"), OverflowError),
+        (float("nan"), ValueError),
+    ])
+    def test_non_finite_raises_like_fraction_form(self, bad, error):
+        for args in ((bad, 1e6, 1500), (1.0, bad, 1500)):
+            with pytest.raises(error):
+                fraction_floor_segments(*args)
+            with pytest.raises(error):
+                _floor_segments(*args)
+
+    def test_zero_segment_raises_like_fraction_form(self):
+        with pytest.raises(ZeroDivisionError):
+            fraction_floor_segments(1.0, 1e6, 0)
+        with pytest.raises(ZeroDivisionError):
+            _floor_segments(1.0, 1e6, 0)
 
 
 class TestBulk:
@@ -168,6 +236,28 @@ class TestAppLimitedSending:
         sim.run(until=4.0)
         # Pacing allows 1000 seg/s but the app only produces 50/s.
         assert sender.segments_sent == pytest.approx(200, abs=5)
+
+    def test_source_behind_next_seq_sends_nothing(self):
+        """``_send_many`` asks the application once and clamps at zero:
+        a source reporting fewer segments than were already sent (a
+        negative new-data count) transmits nothing and leaves the
+        sequence state alone."""
+        class Receding(Application):
+            level = 6
+
+            def produced(self, now):
+                return self.level
+
+        app = Receding()
+        sim, sender, _ = self._harness(FixedWindow(cwnd=4), app)
+        sender.start()
+        assert (sender.segments_sent, sender.next_seq) == (4, 4)
+        app.level = 2
+        assert sender._send_many(3) == 0
+        assert (sender.segments_sent, sender.next_seq) == (4, 4)
+        app.level = 5
+        assert sender._send_many(3) == 1
+        assert sender.next_seq == 5
 
     def test_finite_cbr_transfer_completes(self):
         done = []

@@ -1,0 +1,100 @@
+"""Deterministic cost guards: counts, not timings.
+
+Each test runs one fixed simulation and counts how often a piece of
+work that should happen on change — not on every call — actually
+happened.  The counts depend on the inputs alone, so the bounds hold on
+any host; they are set a few times above what the runs do today and far
+below what they did when the work was per call.
+"""
+
+import bisect
+import fractions
+from unittest import mock
+
+import repro.core.proprate as proprate_module
+from repro.experiments.algorithms import paper_algorithms
+from repro.experiments.runner import (
+    FlowSpec,
+    cellular_path_config,
+    run_experiment,
+    run_single_flow,
+)
+from repro.tcp.application import OnOffApplication
+from repro.util.intervals import RunMap
+from tests.helpers import isp_traces
+
+
+def test_operating_point_is_derived_on_change_not_per_ack():
+    """Eqs. 7-8 are evaluated when the threshold, the base RTT, L_max or
+    the target moved — about once per NFL epoch — not once per ACK."""
+    calls = [0]
+    real = proprate_module.params_for_threshold
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    down, up = isp_traces("A", "stationary", 5.0)
+    with mock.patch.object(proprate_module, "params_for_threshold", counted):
+        result = run_single_flow(paper_algorithms()["PR(M)"], down, up,
+                                 duration=5.0, measure_start=1.0)
+    acks = result.sender.acks_received
+    assert acks > 3000
+    assert 0 < calls[0] < 0.02 * acks, (calls[0], acks)
+
+
+def test_paced_retransmission_does_not_rewalk_the_recovered_prefix():
+    """Per claim, the scoreboard steps over the runs between where the
+    last claim ended and the next pending run — not over everything
+    retransmitted or SACKed since ``snd_una``."""
+    visited = [0]
+    real = RunMap.claim_first
+
+    def counted(self, tag, new_tag, start, limit):
+        if limit > 0 and self.count(tag) > 0:
+            # The runs the search will look at: from the first one that
+            # ends past ``start`` up to the first carrying ``tag``.
+            first = j = bisect.bisect_right(self._ends, start)
+            tags = self._tags
+            while j < len(tags) and tags[j] != tag:
+                j += 1
+            visited[0] += j - first + (j < len(tags))
+        return real(self, tag, new_tag, start, limit)
+
+    down, up = isp_traces("A", "mobile", 6.0)
+    with mock.patch.object(RunMap, "claim_first", counted):
+        result = run_single_flow(paper_algorithms()["PR(M)"], down, up,
+                                 duration=6.0, measure_start=1.0,
+                                 buffer_packets=40)
+    assert result.retransmissions > 300
+    assert visited[0] < 2 * result.retransmissions, (
+        visited[0], result.retransmissions)
+
+
+def test_onoff_source_constructs_no_fraction():
+    """The application's segment count is integer arithmetic; rational
+    arithmetic was a third of an app-limited run.  ``hypothesis`` imports
+    ``fractions``, so the witness is construction, not ``sys.modules``."""
+    built = [0]
+    real = fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return real(cls, *args, **kwargs)
+
+    down, up = isp_traces("A", "stationary", 3.0)
+    flows = [FlowSpec(
+        cc_factory=paper_algorithms()["CUBIC"], name="onoff",
+        application=OnOffApplication(rate=2e6, on_seconds=0.05,
+                                     off_seconds=0.15),
+    )]
+    with mock.patch.object(fractions.Fraction, "__new__",
+                           staticmethod(counted)):
+        fractions.Fraction(1, 2)
+        assert built[0] == 1, "the counter is not armed"
+        built[0] = 0
+        results = run_experiment(cellular_path_config(down, up), flows,
+                                 duration=3.0, measure_start=0.5)
+    assert results[0].delivered_bytes > 0
+    assert built[0] == 0
+    assert fractions.Fraction.__new__ is real

@@ -3,7 +3,7 @@ the reference link.
 
 :class:`~repro.sim.link.CellularLink` serves runs of opportunities in
 one event and delivers groups through one pump; that must be
-*bit-identical* to :class:`tests.helpers.ScalarCellularLink` (one
+*bit-identical* to :class:`tests.reference.link.ScalarCellularLink` (one
 opportunity per event, one event per delivered packet) — same
 ``FlowResult`` summaries, same delivery instants, same arrival order —
 because batching only reorders bookkeeping, never observable events
@@ -34,10 +34,15 @@ from repro.experiments.runner import (
 from repro.sim.engine import Simulator
 from repro.sim.packet import make_data_packet
 from repro.sim.queues import CoDelQueue, DropTailQueue
+from repro.tcp.application import (
+    ConstantBitrateApplication,
+    OnOffApplication,
+)
 from repro.traces.generator import constant_rate_trace, generate_cellular_trace
 from repro.traces.presets import PRESET_SPECS, UPLINK_RATIO, isp_trace
 from repro.traces.trace import OPPORTUNITY_BYTES, Trace
-from tests.helpers import drive_bursts, scalar_links
+from tests.helpers import drive_bursts, isp_traces
+from tests.reference.link import scalar_links
 
 DATA = 0  # flow id used throughout
 
@@ -413,6 +418,50 @@ class TestMultiFlowContention:
         assert canonical_summary(("flow", 1.0)) != canonical_summary(
             ("flow", 2.0)
         )
+
+
+# ----------------------------------------------------------------------
+# App-limited sources: the queue drains between bursts, so most packets
+# ride a batch — the delivery path the backlogged cells barely touch
+# ----------------------------------------------------------------------
+def _applimited_leg(flows_factory):
+    results = run_experiment(
+        cellular_path_config(*isp_traces("C", "stationary", 6.0)),
+        flows_factory(),
+        duration=6.0, measure_start=1.5,
+    )
+    return [canonical_summary(r.summary()) for r in results]
+
+
+def _onoff_cubic_flows():
+    # Applications are built per leg, like the factories' algorithms.
+    return [
+        FlowSpec(
+            cc_factory=paper_algorithms()["CUBIC"], name=f"onoff-{i}",
+            application=OnOffApplication(
+                rate=2e6, on_seconds=0.05, off_seconds=0.15,
+                start=0.01 * i),
+        )
+        for i in range(4)
+    ]
+
+
+def _cbr_proprate_flow():
+    return [FlowSpec(
+        cc_factory=paper_algorithms()["PR(M)"], name="cbr",
+        application=ConstantBitrateApplication(rate=250_000.0),
+    )]
+
+
+@pytest.mark.parametrize(
+    "flows_factory", [_onoff_cubic_flows, _cbr_proprate_flow],
+    ids=["onoff-cubic-4", "cbr-pr-m"])
+def test_applimited_differential(flows_factory):
+    with scalar_links():
+        scalar = _applimited_leg(flows_factory)
+    engine = _applimited_leg(flows_factory)
+    assert engine == scalar
+    assert all(summary[4] > 0 for summary in engine)  # delivered bytes
 
 
 def test_audited_run_over_batched_link():

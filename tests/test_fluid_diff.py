@@ -1,6 +1,6 @@
 """Differential harness: the fluid step loop against its predecessor.
 
-:func:`tests.helpers.reference_integrate` is the loop as it stood before
+:func:`tests.reference.fluid.reference_integrate` is the loop as it stood before
 its per-step cost was halved — every mask, gather and ``dt`` product
 rebuilt at every step, int8 mode comparisons in the PropRate bank,
 ``** 3`` in the CUBIC bank.  The shipped loop hoists and caches all of
@@ -31,7 +31,7 @@ from repro.fluid import (
 )
 from repro.traces.trace import Trace
 
-from tests.helpers import reference_integrate
+from tests.reference.fluid import reference_integrate
 
 RATE = 1e6  # bytes/s
 

@@ -13,6 +13,11 @@ scoreboard operation that
 * the run structure verifies (``check()``);
 * the sender's incremental pipe equals the scoreboard reconstruction
   at every ACK.
+
+The scoreboard resumes its search for pending segments at a floor (no
+pending segment lies below it); the scripted and randomized board-level
+schedules at the end of this file put the floor in every position a
+transition can leave it in.
 """
 
 import random
@@ -25,120 +30,9 @@ from repro.tcp.congestion.base import (
     WindowCongestionControl,
 )
 from repro.tcp.receiver import TcpReceiver
-from repro.tcp.scoreboard import (
-    CANCELLED,
-    LOST,
-    RTX,
-    SACKED,
-    SenderScoreboard,
-)
+from repro.tcp.scoreboard import SenderScoreboard
 from repro.tcp.sender import TcpSender
-
-
-class ReferenceBoard:
-    """The old per-segment state machine, one dict entry per sequence.
-
-    Deliberately naive — O(segments) everywhere — so it cannot share a
-    bug with the interval implementation.
-    """
-
-    def __init__(self):
-        self.state = {}  # seq -> SACKED | LOST | RTX | CANCELLED
-
-    # -- queries -------------------------------------------------------
-    @property
-    def clean(self):
-        return not self.state
-
-    @property
-    def in_loss_recovery(self):
-        return any(t != SACKED for t in self.state.values())
-
-    @property
-    def has_pending(self):
-        return any(t == LOST for t in self.state.values())
-
-    def next_pending(self, una):
-        pend = [s for s, t in self.state.items() if t == LOST and s >= una]
-        return min(pend) if pend else None
-
-    def expected_pipe(self, una, next_seq):
-        covered = sum(1 for s in self.state if una <= s < next_seq)
-        rtx = sum(
-            1 for s, t in self.state.items()
-            if t == RTX and una <= s < next_seq
-        )
-        return (next_seq - una) - covered + rtx
-
-    def to_dict(self, una, next_seq):
-        return {s: t for s, t in self.state.items() if una <= s < next_seq}
-
-    # -- transitions ---------------------------------------------------
-    def sack_range(self, start, end):
-        newly = drop = cancelled = 0
-        for seq in range(start, end):
-            t = self.state.get(seq)
-            if t is None or t == RTX:
-                self.state[seq] = SACKED
-                newly += 1
-                drop += 1
-            elif t == LOST:
-                self.state[seq] = CANCELLED
-                newly += 1
-                cancelled += 1
-        return newly, drop, cancelled
-
-    def mark_lost(self, start, end):
-        marked = []
-        for seq in range(start, end):
-            if self.state.get(seq) is None:
-                self.state[seq] = LOST
-                marked.append(seq)
-        return len(marked), _as_runs(marked)
-
-    def ack_to(self, una, ack):
-        covered = rtx = 0
-        for seq in [s for s in self.state if s < ack]:
-            t = self.state.pop(seq)
-            covered += 1
-            if t == RTX:
-                rtx += 1
-        return (ack - una) - covered + rtx
-
-    def mark_rtx_sent(self, seq):
-        if self.state.get(seq) == LOST:
-            self.state[seq] = RTX
-
-    def take_pending(self, una, limit):
-        first = self.next_pending(una)
-        if first is None:
-            return None
-        # Claim the contiguous pending run from its head, up to limit.
-        seq = first
-        while seq < first + limit and self.state.get(seq) == LOST:
-            self.state[seq] = RTX
-            seq += 1
-        return (first, seq)
-
-    def rto_requeue(self, una, next_seq):
-        newly = 0
-        for seq in range(una, next_seq):
-            t = self.state.get(seq)
-            if t is None or t == RTX:
-                self.state[seq] = LOST
-                newly += 1
-        return newly
-
-
-def _as_runs(seqs):
-    """Merge a sorted seq list into (start, end, None) change runs."""
-    runs = []
-    for s in seqs:
-        if runs and runs[-1][1] == s:
-            runs[-1] = (runs[-1][0], s + 1, None)
-        else:
-            runs.append((s, s + 1, None))
-    return [tuple(r) for r in runs]
+from tests.reference.scoreboard import ReferenceBoard
 
 
 class MirrorBoard:
@@ -149,6 +43,7 @@ class MirrorBoard:
         self.ref = ReferenceBoard()
         self.hi = 0  # one past the highest sequence ever touched
         self.ops = 0
+        self.claims = []  # every non-empty take_pending result, in order
 
     def _sync(self):
         self.ops += 1
@@ -227,6 +122,8 @@ class MirrorBoard:
         b = self.ref.take_pending(una, limit)
         assert a == b, f"take_pending({una},{limit}): {a} != {b}"
         self._sync()
+        if a is not None:
+            self.claims.append(a)
         return a
 
     def rto_requeue(self, una, next_seq):
@@ -357,3 +254,128 @@ def test_spurious_cancellation_differential():
         "path went untested"
     )
     assert mirror.ops > 100
+
+
+# ----------------------------------------------------------------------
+# The pending floor: schedules that leave it above, inside and below
+# the next pending run
+# ----------------------------------------------------------------------
+def _striped_board(stripes, width=3):
+    """``stripes`` loss runs: per stripe one LOST, one SACKED and
+    ``width - 2`` in-flight segments, so a claim has a SACKed run to
+    step over between any two pending ones."""
+    board = MirrorBoard()
+    for i in range(stripes):
+        base = i * width
+        assert board.mark_lost(base, base + 1)[0] == 1
+        assert board.sack_range(base + 1, base + 2) == (1, 1, 0)
+    return board
+
+
+def test_floor_one_segment_per_claim_over_many_loss_runs():
+    """A paced sender's pattern: >= 300 loss runs, one segment claimed
+    per call, every call starting from the same ``una``."""
+    board = _striped_board(350)
+    while board.take_pending(0, 1) is not None:
+        pass
+    assert board.claims == [(3 * i, 3 * i + 1) for i in range(350)]
+    assert not board.has_pending
+
+
+def test_floor_lowered_by_mark_and_requeue_below_it():
+    board = _striped_board(40)
+    for _ in range(30):
+        board.take_pending(0, 1)
+    assert board.claims[-1] == (87, 88)
+    # A loss mark on in-flight data far below the last claim...
+    assert board.mark_lost(5, 6)[0] == 1
+    assert board.take_pending(0, 4) == (5, 6)
+    # ...and then the search carries on where the older claims ended.
+    assert board.take_pending(0, 4) == (90, 91)
+    # An RTO requeues every retransmission below the floor (and the
+    # in-flight third of each stripe).
+    assert board.rto_requeue(0, 120) > 0
+    assert board.take_pending(0, 1) == (0, 1)
+    assert board.take_pending(0, 500) == (2, 4)  # 1 is SACKed
+    # una moves past everything claimed so far.
+    board.ack_to(0, 4)
+    assert board.take_pending(4, 2) == (5, 7)
+
+
+def test_floor_inside_a_run_that_a_sack_cancels():
+    board = MirrorBoard()
+    assert board.mark_lost(10, 20)[0] == 10
+    assert board.mark_lost(30, 32)[0] == 2
+    assert board.take_pending(0, 3) == (10, 13)  # floor now inside [10, 20)
+    assert board.sack_range(13, 20) == (7, 0, 7)
+    assert board.take_pending(0, 5) == (30, 32)
+    assert board.take_pending(0, 5) is None
+    # The same with the SACK covering only the segment at the floor.
+    assert board.mark_lost(40, 50)[0] == 10
+    assert board.take_pending(0, 2) == (40, 42)
+    assert board.sack_range(42, 43) == (1, 0, 1)
+    assert board.take_pending(0, 2) == (43, 45)
+
+
+def test_floor_jumped_by_a_cumulative_ack():
+    board = _striped_board(20)
+    for _ in range(5):
+        board.take_pending(0, 1)
+    # The ACK lands beyond the floor, inside a stripe and on a LOST run
+    # boundary in turn.
+    board.ack_to(0, 31)
+    assert board.take_pending(31, 1) == (33, 34)
+    board.ack_to(31, 36)
+    assert board.take_pending(36, 1) == (36, 37)
+    # A floor left above an ACK edge that then catches up with it.
+    assert board.mark_lost(38, 39)[0] == 1
+    board.ack_to(36, 38)
+    assert board.take_pending(38, 8) == (38, 40)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_floor_randomized_board_schedule(seed):
+    """Random transitions with a monotone ``una`` — the sender's
+    contract — and mostly one- or two-segment claims."""
+    rng = random.Random(seed)
+    board = MirrorBoard()
+    una, next_seq = 0, 60
+    for _ in range(500):
+        op = rng.random()
+        lo = rng.randrange(una, next_seq)
+        hi = min(next_seq, lo + rng.randrange(1, 12))
+        if op < 0.45:
+            board.take_pending(una, rng.choice((1, 1, 1, 2, 5)))
+        elif op < 0.65:
+            board.mark_lost(lo, hi)
+        elif op < 0.80:
+            board.sack_range(lo, hi)
+        elif op < 0.92:
+            ack = rng.randrange(una, min(next_seq, una + 25) + 1)
+            if ack > una:
+                board.ack_to(una, ack)
+                una = ack
+            next_seq = max(next_seq, una + 1) + rng.randrange(0, 30)
+        else:
+            board.rto_requeue(una, next_seq)
+        assert board.next_pending(una) == board.ref.next_pending(una)
+    assert len(board.claims) > 40, "schedule claimed too little to matter"
+
+
+def test_paced_recovery_claims_one_segment_at_a_time():
+    """End to end: a paced sender under heavy loss and blackouts claims
+    hundreds of single segments, in lockstep with the reference."""
+    sim = Simulator()
+    wire = _ChaosWire(sim, 9, 0.3, 0.0, 2.0, 0.3)
+    wire.receiver = TcpReceiver(
+        sim, 0, send_ack=wire.send_ack, ts_granularity=0.0
+    )
+    sender = TcpSender(sim, 0, _Rate(1_500_000.0), send_packet=wire.send_data)
+    wire.sender = sender
+    mirror = MirrorBoard()
+    sender.scoreboard = mirror
+    sender.start()
+    sim.run(until=5.0)
+    singles = sum(1 for s, e in mirror.claims if e - s == 1)
+    assert singles >= 300, f"only {singles} one-segment claims"
+    assert sender.rto_count >= 1, "blackout produced no RTO"
