@@ -11,13 +11,15 @@ artifact run via ``repro grid --out grid.json``, not a CI benchmark.
 """
 
 from repro.experiments.contention_grid import REDUCED_GRID, run_grid
+from repro.experiments.options import RunOptions
 from repro.report.heatmap import render_grid_heatmaps
 
 from _report import JOBS, emit
 
 
 def _run():
-    return run_grid(REDUCED_GRID, n_jobs=JOBS, audit=True)
+    return run_grid(
+        REDUCED_GRID, n_jobs=JOBS, run_options=RunOptions(audit=True))
 
 
 def test_fairness_grid(benchmark):

@@ -46,6 +46,7 @@ WARMUP = 1.0
 
 def check_scheduler() -> int:
     from repro.experiments.frontier import iter_frontier, sweep_frontier
+    from repro.experiments.options import RunOptions
     from repro.experiments.runner import canonical_summary
     from repro.traces.presets import isp_trace
 
@@ -56,9 +57,10 @@ def check_scheduler() -> int:
     )
 
     serial = sweep_frontier(down, up, n_jobs=1, **kwargs)
-    parallel = sweep_frontier(down, up, n_jobs=4, retries=1, **kwargs)
+    retry = RunOptions(retries=1)
+    parallel = sweep_frontier(down, up, n_jobs=4, run_options=retry, **kwargs)
     streamed = sorted(
-        iter_frontier(down, up, n_jobs=4, retries=1, **kwargs),
+        iter_frontier(down, up, n_jobs=4, run_options=retry, **kwargs),
         key=lambda p: p.target_tbuff,
     )
 
@@ -90,14 +92,20 @@ def check_contention() -> int:
     import json
 
     from repro.experiments.contention_grid import REDUCED_GRID, run_grid
+    from repro.experiments.options import RunOptions
 
     # to_dict carries no wall-clock, so this comparison is exact.
     serial = json.dumps(
-        run_grid(REDUCED_GRID, n_jobs=1, audit=True).to_dict(),
+        run_grid(
+            REDUCED_GRID, n_jobs=1, run_options=RunOptions(audit=True),
+        ).to_dict(),
         sort_keys=True,
     )
     parallel = json.dumps(
-        run_grid(REDUCED_GRID, n_jobs=4, audit=True, retries=1).to_dict(),
+        run_grid(
+            REDUCED_GRID, n_jobs=4,
+            run_options=RunOptions(audit=True, retries=1),
+        ).to_dict(),
         sort_keys=True,
     )
     if serial != parallel:
@@ -118,6 +126,7 @@ ENV_REPLAY_ALGOS = ["PR(M)", "CUBIC"]
 def check_env() -> int:
     from repro.env import CcEnv, rollout
     from repro.experiments.algorithms import ADAPTIVE_NAME, paper_algorithms
+    from repro.experiments.options import RunOptions
     from repro.experiments.parallel import CcSpec, RunSpec, run_batch
     from repro.experiments.runner import canonical_summary, run_single_flow
     from repro.traces.cache import as_ref
@@ -162,7 +171,8 @@ def check_env() -> int:
         for t in TARGETS
     ]
     serial = [o.result for o in run_batch(specs, n_jobs=1)]
-    parallel = [o.result for o in run_batch(specs, n_jobs=4, retries=1)]
+    parallel = [o.result for o in run_batch(
+        specs, n_jobs=4, run_options=RunOptions(retries=1))]
     for spec, ref, got in zip(specs, serial, parallel):
         if (canonical_summary(ref.summary())
                 != canonical_summary(got.summary())):

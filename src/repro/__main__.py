@@ -25,10 +25,12 @@ import sys
 import time
 from typing import Callable, Optional
 
+import repro.obs as obs
 from repro.core.adaptive import AdaptivePropRate
 from repro.core.proprate import PropRate
 from repro.experiments.algorithms import paper_algorithms, run_shootout
 from repro.experiments.frontier import sweep_frontier
+from repro.experiments.options import RunOptions
 from repro.experiments.registry import describe_all
 from repro.experiments.runner import run_single_flow
 from repro.traces.presets import (
@@ -102,29 +104,45 @@ def _progress_printer(total: int, stream=None) -> Callable:
     return on_outcome
 
 
-def _batch_kwargs(args: argparse.Namespace, total: int) -> dict:
-    """The scheduler knobs shared by every batch command."""
-    return dict(
-        n_jobs=args.jobs,
-        timeout=args.timeout,
-        retries=args.retries,
-        on_outcome=_progress_printer(total) if args.progress else None,
+def _run_options(args: argparse.Namespace, total: int = 0) -> RunOptions:
+    """The :class:`RunOptions` a parsed command line asks for.
+
+    A flag the subcommand lacks stays at its ``RunOptions`` default, and
+    an on/off flag left off is ``None`` — "defer to ``REPRO_*``".
+    ``--sample``/``--profile`` with no tracer to serve them is a usage
+    error here, before any trace is loaded; ``total`` sizes the
+    progress line of a batch command.
+    """
+    options = RunOptions(
+        audit=getattr(args, "audit", False) or None,
         telemetry=args.telemetry,
         sampling=args.sample,
-        profile=True if args.profile else None,
+        profile=args.profile or None,
+        timeout=getattr(args, "timeout", None),
+        retries=getattr(args, "retries", 0),
+        on_outcome=(
+            _progress_printer(total) if getattr(args, "progress", False)
+            else None
+        ),
     )
+    try:
+        obs.require_tracer(options.telemetry, options.sampling, options.profile)
+    except ValueError as err:
+        args.usage_error(str(err))
+    return options
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
+    options = _run_options(args)
     downlink, uplink = _load_traces(args.trace)
     factory = _algorithm_factory(args.algorithm, args.target)
     result = run_single_flow(
         factory, downlink, uplink,
         duration=args.duration, measure_start=args.warmup,
-        audit=True if args.audit else None,
-        telemetry=args.telemetry,
-        sampling=args.sample,
-        profile=True if args.profile else None,
+        audit=options.audit,
+        telemetry=options.telemetry,
+        sampling=options.sampling,
+        profile=options.profile,
     )
     print(
         f"{args.algorithm} on {args.trace}: "
@@ -136,13 +154,12 @@ def _cmd_run(args: argparse.Namespace) -> None:
 
 
 def _cmd_shootout(args: argparse.Namespace) -> None:
+    options = _run_options(args, len(paper_algorithms()))
     downlink, uplink = _load_traces(args.trace)
-    lineup = list(paper_algorithms())
     results = run_shootout(
         downlink, uplink,
         duration=args.duration, measure_start=args.warmup,
-        audit=True if args.audit else None,
-        **_batch_kwargs(args, len(lineup)),
+        n_jobs=args.jobs, run_options=options,
     )
     print(f"{'Algorithm':10s} {'tput KB/s':>10s} {'mean ms':>8s} {'p95 ms':>8s}")
     for name, result in results.items():
@@ -153,13 +170,13 @@ def _cmd_shootout(args: argparse.Namespace) -> None:
 
 
 def _cmd_frontier(args: argparse.Namespace) -> None:
-    downlink, uplink = _load_traces(args.trace)
     targets = [t / 1000.0 for t in range(args.low, args.high + 1, args.step)]
+    options = _run_options(args, len(targets))
+    downlink, uplink = _load_traces(args.trace)
     points = sweep_frontier(
         downlink, uplink, targets=targets,
         duration=args.duration, measure_start=args.warmup,
-        audit=True if args.audit else None,
-        **_batch_kwargs(args, len(targets)),
+        n_jobs=args.jobs, run_options=options,
     )
     print(f"{'target ms':>9s} {'tput KB/s':>10s} {'mean ms':>8s} {'p95 ms':>8s}")
     for p in points:
@@ -181,9 +198,8 @@ def _cmd_grid(args: argparse.Namespace) -> None:
 
     config = REDUCED_GRID if args.reduced else FULL_GRID
     report = run_grid(
-        config,
-        audit=True if args.audit else None,
-        **_batch_kwargs(args, grid_size(config)),
+        config, n_jobs=args.jobs,
+        run_options=_run_options(args, grid_size(config)),
     )
     print(render_grid_heatmaps(report))
     if args.out is not None:
@@ -196,6 +212,7 @@ def _cmd_fluid(args: argparse.Namespace) -> None:
     from repro.fluid import fan_in_scenario, run_fluid
     from repro.report import fluid_to_json, render_fluid_towers
 
+    options = _run_options(args)
     flows, towers, handovers = fan_in_scenario(
         args.flows, args.towers, args.duration, mix=args.mix,
         handover_count=args.handovers,
@@ -206,9 +223,9 @@ def _cmd_fluid(args: argparse.Namespace) -> None:
         report = run_fluid(
             flows, towers, args.duration, dt=args.dt,
             measure_start=args.warmup, handovers=handovers,
-            telemetry=args.telemetry,
-            sampling=args.sample,
-            profile=True if args.profile else None,
+            telemetry=options.telemetry,
+            sampling=options.sampling,
+            profile=options.profile,
         )
     except ValueError as err:
         # run_fluid's input validation (--warmup against --duration,
@@ -237,9 +254,9 @@ def _build_env_policy(spec: str):
 
 
 def _cmd_env_rollout(args: argparse.Namespace) -> None:
-    import repro.obs as obs
     from repro.env import CcEnv, rollout
 
+    options = _run_options(args)
     downlink, uplink = _load_traces(args.trace)
     inner = (
         None if args.algorithm.lower() == "none"
@@ -252,21 +269,13 @@ def _cmd_env_rollout(args: argparse.Namespace) -> None:
         duration=args.duration,
         measure_start=args.warmup,
         step_interval=args.step_interval,
-        audit=True if args.audit else None,
-        telemetry=args.telemetry,
-        sampling=args.sample,
+        audit=options.audit,
+        telemetry=options.telemetry,
+        sampling=options.sampling,
+        profile=options.profile,
         name=args.algorithm,
     )
-    profiler = obs.resolve_profiler(
-        True if args.profile else None, args.telemetry is not None
-    )
-    if profiler is not None:
-        obs.activate_profiler(profiler)
-    try:
-        out = rollout(env, policy)
-    finally:
-        if profiler is not None:
-            obs.deactivate_profiler()
+    out = rollout(env, policy)
     result = out.result
     print(
         f"{args.algorithm}/{args.policy} on {args.trace}: "
@@ -350,89 +359,98 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _common(p):
-        p.add_argument("--trace", choices=TRACE_CHOICES, default="A-stationary")
-        p.add_argument("--duration", type=float, default=30.0)
-        p.add_argument("--warmup", type=float, default=4.0)
-        p.add_argument(
-            "--audit", action="store_true",
-            help="run the repro.debug invariant auditor alongside the "
-            "simulation (results are unchanged; violations abort with a "
-            "JSON flight-recorder trace)",
-        )
-        p.add_argument(
-            "--telemetry", metavar="PATH", default=None,
-            help="write a repro.obs JSONL telemetry trace to PATH "
-            "(CC state/NFL/estimator events, queue samples, metrics; "
-            "batch commands merge worker traces into one file); "
-            "inspect it with 'repro trace PATH' or follow it live "
-            "with 'repro watch PATH'",
-        )
-        _obs_knobs(p)
+    # Shared flag groups, declared once and attached with ``parents=``.
+    # The help strings point at the one place the settings are
+    # documented: RunOptions (docs/api.md, "Run options").
+    path_flags = argparse.ArgumentParser(add_help=False)
+    path_flags.add_argument(
+        "--trace", choices=TRACE_CHOICES, default="A-stationary")
+    path_flags.add_argument("--duration", type=float, default=30.0)
+    path_flags.add_argument("--warmup", type=float, default=4.0)
 
-    def _obs_knobs(p):
-        p.add_argument(
-            "--sample", metavar="SPEC", default=None,
-            help="per-event-kind sampling budgets for the telemetry "
-            "trace, e.g. 'queue.sample:every=10;cc.nfl:interval=0.5;"
-            "*:max=100000' (';'-separated kind:rule items, '*' is the "
-            "default; drops are counted in run.telemetry.dropped.*)",
-        )
-        p.add_argument(
-            "--profile", action="store_true",
-            help="attribute run time to subsystem phases (ACK path, "
-            "link serve, delivery pump, scheduler dispatch, fluid "
-            "integration); requires --telemetry; read the table with "
-            "'repro trace PATH --profile'",
-        )
+    observer_flags = argparse.ArgumentParser(add_help=False)
+    observer_flags.add_argument(
+        "--telemetry", metavar="PATH", default=None,
+        help="write a repro.obs JSONL telemetry trace to PATH (CC "
+        "state/NFL/estimator events, queue samples, fluid.* and "
+        "grid.cell records, metrics; batch commands merge worker "
+        "traces into one file); inspect it with 'repro trace PATH' or "
+        "follow it live with 'repro watch PATH'",
+    )
+    observer_flags.add_argument(
+        "--sample", metavar="SPEC", default=None,
+        help="per-event-kind sampling budgets for the telemetry "
+        "trace, e.g. 'queue.sample:every=10;cc.nfl:interval=0.5;"
+        "*:max=100000' (';'-separated kind:rule items, '*' is the "
+        "default; drops are counted in run.telemetry.dropped.*); "
+        "requires --telemetry",
+    )
+    observer_flags.add_argument(
+        "--profile", action="store_true",
+        help="attribute run time to subsystem phases (ACK path, "
+        "link serve, delivery pump, scheduler dispatch, fluid "
+        "integration); requires --telemetry; read the table with "
+        "'repro trace PATH --profile'",
+    )
+    # The fluid tier has no auditor, so --audit rides one level up.
+    audited_flags = argparse.ArgumentParser(
+        add_help=False, parents=[observer_flags])
+    audited_flags.add_argument(
+        "--audit", action="store_true",
+        help="run the repro.debug invariant auditor alongside every "
+        "simulation (results are unchanged; violations abort with a "
+        "JSON flight-recorder trace)",
+    )
 
-    p_run = sub.add_parser("run", help="run one flow")
-    _common(p_run)
+    scheduler_flags = argparse.ArgumentParser(add_help=False)
+    scheduler_flags.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes (1 = serial, 0 = all cores); results "
+        "are identical at any job count",
+    )
+    scheduler_flags.add_argument(
+        "--timeout", type=float, default=None, metavar="SECONDS",
+        help="per-run wall-clock budget; a run that exceeds it has "
+        "its worker killed (--jobs >= 2) or is cut short by the "
+        "engine's run deadline (serial) and reports a timeout",
+    )
+    scheduler_flags.add_argument(
+        "--retries", type=int, default=0, metavar="N",
+        help="re-dispatch a run lost to a timeout or worker crash "
+        "up to N times before reporting the failure",
+    )
+    scheduler_flags.add_argument(
+        "--no-progress", dest="progress", action="store_false",
+        default=True,
+        help="suppress the live done/total + ETA line on stderr",
+    )
+
+    p_run = sub.add_parser(
+        "run", help="run one flow", parents=[path_flags, audited_flags])
     p_run.add_argument("algorithm", help="PropRate, CUBIC, BBR, Sprout, ...")
     p_run.add_argument("--target", type=float, default=None,
                        help="PropRate target buffer delay (ms)")
     p_run.set_defaults(func=_cmd_run)
 
-    def _jobs(p):
-        p.add_argument(
-            "--jobs", type=int, default=1,
-            help="worker processes (1 = serial, 0 = all cores); results "
-            "are identical at any job count",
-        )
-        p.add_argument(
-            "--timeout", type=float, default=None, metavar="SECONDS",
-            help="per-run wall-clock budget; a run that exceeds it has "
-            "its worker killed (--jobs >= 2) or is cut short by the "
-            "engine's run deadline (serial) and reports a timeout",
-        )
-        p.add_argument(
-            "--retries", type=int, default=0, metavar="N",
-            help="re-dispatch a run lost to a timeout or worker crash "
-            "up to N times before reporting the failure",
-        )
-        p.add_argument(
-            "--no-progress", dest="progress", action="store_false",
-            default=True,
-            help="suppress the live done/total + ETA line on stderr",
-        )
-
-    p_shoot = sub.add_parser("shootout", help="Figure-7 line-up")
-    _common(p_shoot)
-    _jobs(p_shoot)
+    p_shoot = sub.add_parser(
+        "shootout", help="Figure-7 line-up",
+        parents=[path_flags, audited_flags, scheduler_flags],
+    )
     p_shoot.set_defaults(func=_cmd_shootout)
 
-    p_front = sub.add_parser("frontier", help="Figure-10 sweep")
-    _common(p_front)
-    _jobs(p_front)
+    p_front = sub.add_parser(
+        "frontier", help="Figure-10 sweep",
+        parents=[path_flags, audited_flags, scheduler_flags],
+    )
     p_front.add_argument("--low", type=int, default=12, help="lowest target (ms)")
     p_front.add_argument("--high", type=int, default=120, help="highest target (ms)")
     p_front.add_argument("--step", type=int, default=12, help="grid step (ms)")
     p_front.set_defaults(func=_cmd_frontier)
 
     p_grid = sub.add_parser(
-        "grid", help="N×M contention/fairness grid (Figure 12 generalized)"
+        "grid", help="N×M contention/fairness grid (Figure 12 generalized)",
+        parents=[audited_flags, scheduler_flags],
     )
-    _jobs(p_grid)
     p_grid.add_argument(
         "--reduced", action="store_true",
         help="run the CI-sized subset (2 mixes × {2,4} flows × 1 wired "
@@ -443,23 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the deterministic JSON artifact to PATH "
         "(cell schema: docs/contention_grid.md)",
     )
-    p_grid.add_argument(
-        "--audit", action="store_true",
-        help="run the repro.debug invariant auditor in every cell "
-        "(flow-scaled t_buff bands; results are unchanged)",
-    )
-    p_grid.add_argument(
-        "--telemetry", metavar="PATH", default=None,
-        help="write a merged repro.obs JSONL trace to PATH; each cell's "
-        "records are tagged with a grid.cell header",
-    )
-    _obs_knobs(p_grid)
     p_grid.set_defaults(func=_cmd_grid)
 
     p_fluid = sub.add_parser(
         "fluid",
         help="flow-level fluid tier: cell-tower fan-in at thousands of "
         "flows (docs/fluid.md)",
+        parents=[observer_flags],
     )
     p_fluid.add_argument(
         "--flows", type=int, default=1000,
@@ -502,12 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="PATH", default=None,
         help="write the deterministic JSON artifact to PATH",
     )
-    p_fluid.add_argument(
-        "--telemetry", metavar="PATH", default=None,
-        help="write a repro.obs JSONL trace to PATH (fluid.run/"
-        "fluid.tower/fluid.handover/fluid.loss events)",
-    )
-    _obs_knobs(p_fluid)
     p_fluid.set_defaults(func=_cmd_fluid)
 
     p_env = sub.add_parser(
@@ -517,9 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     env_sub = p_env.add_subparsers(dest="env_command", required=True)
     p_roll = env_sub.add_parser(
-        "rollout", help="drive one episode of CcEnv with a policy"
+        "rollout", help="drive one episode of CcEnv with a policy",
+        parents=[path_flags, audited_flags],
     )
-    _common(p_roll)
     p_roll.add_argument(
         "--algorithm", default="proprate",
         help="inner algorithm the policy adapter wraps (PropRate, "
@@ -611,7 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> None:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(
+        argv, namespace=argparse.Namespace(usage_error=parser.error))
     try:
         args.func(args)
     except BrokenPipeError:

@@ -7,11 +7,11 @@ or from the CLI with ``--audit``.  See DESIGN.md, "The audit layer".
 
 from __future__ import annotations
 
-import os
 from typing import Any, Optional, Union
 
 from repro.debug.auditor import AuditConfig, InvariantAuditor, InvariantViolation
 from repro.debug.recorder import FlightRecorder
+from repro.util.env import AUDIT_ENV, env_flag
 
 __all__ = [
     "AUDIT_ENV",
@@ -23,10 +23,6 @@ __all__ = [
     "audit_enabled",
     "make_auditor",
 ]
-
-#: Environment switch: any value but ""/"0"/"false" enables auditing in
-#: every run whose ``audit`` argument is left at None.
-AUDIT_ENV = "REPRO_AUDIT"
 
 #: What the ``audit=`` knob accepts everywhere: None (defer to the
 #: environment), a bool, or an :class:`AuditConfig` with per-scenario
@@ -40,11 +36,7 @@ def audit_enabled(audit: AuditArg = None) -> bool:
         return audit.enabled
     if audit is not None:
         return bool(audit)
-    return os.environ.get(AUDIT_ENV, "").strip().lower() not in (
-        "",
-        "0",
-        "false",
-    )
+    return env_flag(AUDIT_ENV) is not None
 
 
 def make_auditor(sim: Any, audit: AuditArg = None) -> Optional[InvariantAuditor]:

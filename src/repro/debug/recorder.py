@@ -26,11 +26,10 @@ import os
 import pathlib
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.util.env import AUDIT_DIR_ENV as TRACE_DIR_ENV, env_flag
+
 #: Default number of entries retained per ring.
 DEFAULT_CAPACITY = 512
-
-#: Environment variable overriding where traces are dumped.
-TRACE_DIR_ENV = "REPRO_AUDIT_DIR"
 
 #: Default dump directory (relative to the working directory).
 DEFAULT_TRACE_DIR = "audit-traces"
@@ -141,7 +140,7 @@ class FlightRecorder:
         """
         if path is None:
             directory = pathlib.Path(
-                os.environ.get(TRACE_DIR_ENV) or DEFAULT_TRACE_DIR
+                env_flag(TRACE_DIR_ENV) or DEFAULT_TRACE_DIR
             )
             directory.mkdir(parents=True, exist_ok=True)
             name = f"audit-{os.getpid()}-{next(_DUMP_COUNTER)}.json"

@@ -20,6 +20,7 @@ integrates ``step_interval`` seconds of simulated time.
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -138,7 +139,7 @@ class CcEnv:
         advisory and not part of the determinism contract.
 
     Call :meth:`close` (or use :func:`repro.env.rollout`) when done so
-    an owned telemetry tracer is released.
+    the tracer and profiler this env set up are released.
     """
 
     def __init__(
@@ -162,6 +163,7 @@ class CcEnv:
         audit: Any = None,
         telemetry: Optional[Any] = None,
         sampling: Optional[Any] = None,
+        profile: Optional[Any] = None,
         name: str = "",
     ) -> None:
         if duration <= 0:
@@ -188,17 +190,12 @@ class CcEnv:
         self.audit = audit
         self.name = name
 
-        self._tracer, self._owns_tracer = obs_mod.resolve_tracer(
-            telemetry, sampling=sampling
+        # The observers stay ambient from construction to close(), so
+        # every episode's components bind them.
+        self._observers = ExitStack()
+        self._tracer, self._profiler = self._observers.enter_context(
+            obs_mod.observing(telemetry, sampling, profile)
         )
-        if (
-            self._tracer is not None
-            and obs_mod.current_tracer() is not self._tracer
-        ):
-            obs_mod.activate(self._tracer)
-            self._activated = True
-        else:
-            self._activated = False
         self._closed = False
 
         self._harness: Optional[ExperimentHarness] = None
@@ -238,7 +235,7 @@ class CcEnv:
             ts_granularity=self.ts_granularity,
             audit=self.audit,
             tracer=self._tracer,
-            profiler=obs_mod.current_profiler(),
+            profiler=self._profiler,
         )
         self._done = False
         self._episode += 1
@@ -250,14 +247,11 @@ class CcEnv:
         return self._observe()
 
     def close(self) -> None:
-        """Release the telemetry tracer (if this env owns it)."""
+        """Release the tracer and profiler (those this env set up)."""
         if self._closed:
             return
         self._closed = True
-        if self._activated:
-            obs_mod.deactivate()
-        if self._owns_tracer and self._tracer is not None:
-            self._tracer.close()
+        self._observers.close()
 
     # -- the step loop --------------------------------------------------
     def step(self, action: Optional[Dict[str, Any]] = None):

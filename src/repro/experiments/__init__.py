@@ -7,6 +7,8 @@
   (Figure 13), shallow buffers / AQM (§6).
 * :mod:`repro.experiments.frontier` — t̄_buff sweeps (Figures 9 and 10).
 * :mod:`repro.experiments.algorithms` — the Table-3 algorithm line-up.
+* :mod:`repro.experiments.options` — :class:`RunOptions`, the one value
+  every batch driver takes for auditing, telemetry and scheduling.
 * :mod:`repro.experiments.cpu` — control-cost probes (Table 4).
 * :mod:`repro.experiments.registry` — experiment id → runner index
   (the per-figure map of DESIGN.md §5).
@@ -18,6 +20,7 @@ from repro.experiments.algorithms import (
     proprate_factory,
     run_shootout,
 )
+from repro.experiments.options import RunOptions
 from repro.experiments.parallel import (
     CcSpec,
     RunOutcome,
@@ -65,6 +68,7 @@ __all__ = [
     "FlowSpec",
     "FrontierPoint",
     "PR_TARGETS",
+    "RunOptions",
     "RunOutcome",
     "RunSpec",
     "baseline_shift",

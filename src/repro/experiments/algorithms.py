@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.debug import AuditArg
+from repro.experiments.options import RunOptions
 from repro.traces.trace import Trace
 
 from repro.core.adaptive import AdaptivePropRate
@@ -83,27 +83,14 @@ def run_shootout(
     duration: float = 40.0,
     measure_start: float = 5.0,
     n_jobs: int = 1,
-    audit: AuditArg = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    on_outcome=None,
-    telemetry: Optional[str] = None,
-    sampling: Optional[str] = None,
-    profile: Optional[bool] = None,
+    run_options: Optional[RunOptions] = None,
 ):
     """Run the Figure-7 line-up over one trace; name → :class:`FlowResult`.
 
     Each algorithm is an independent simulation, so ``n_jobs`` fans the
     line-up out over worker processes; results are identical to the
-    serial run and returned in line-up order.  ``audit`` enables the
-    :mod:`repro.debug` invariant auditor per run (None defers to the
-    REPRO_AUDIT environment switch, inherited by workers).  ``timeout``
-    (per-run wall clock), ``retries`` (bounded re-dispatch of runs lost
-    to a timeout or worker death), and ``on_outcome`` (streaming
-    progress callback) forward to
-    :func:`repro.experiments.parallel.run_batch`, as do ``telemetry``
-    (a merged batch trace, :mod:`repro.obs`), ``sampling`` (per-kind
-    event budgets), and ``profile`` (phase timers).
+    serial run and returned in line-up order.  ``run_options`` goes to
+    :func:`repro.experiments.parallel.run_batch` as is.
     """
     # Imported here: the parallel layer resolves CcSpecs through
     # paper_algorithms(), so the import must not be circular.
@@ -118,20 +105,8 @@ def run_shootout(
             duration=duration,
             measure_start=measure_start,
             name=name,
-            audit=audit,
         )
         for name in lineup
     ]
-    results = collect(
-        run_batch(
-            specs,
-            n_jobs=n_jobs,
-            timeout=timeout,
-            retries=retries,
-            on_outcome=on_outcome,
-            telemetry=telemetry,
-            sampling=sampling,
-            profile=profile,
-        )
-    )
+    results = collect(run_batch(specs, n_jobs=n_jobs, run_options=run_options))
     return dict(zip(lineup, results))

@@ -18,10 +18,10 @@ and reduces to three numbers:
   how much standing queue the contention itself adds.
 
 Cells are picklable :class:`GridCellSpec`\\ s and run through the
-work-stealing scheduler (:func:`repro.experiments.parallel.iter_batch`)
-with the full timeout/retries/progress plumbing; the reduction is
-deterministic (no wall-clock anywhere), so a repeated ``run_grid`` is
-byte-identical at any job count.  Render the result with
+work-stealing scheduler (:func:`repro.experiments.parallel.run_batch`)
+under one ``RunOptions`` (timeouts, retries, progress, observers); the
+reduction is deterministic (no wall-clock anywhere), so a repeated
+``run_grid`` is byte-identical at any job count.  Render the result with
 :func:`repro.report.heatmap.render_grid_heatmap` and persist it with
 :func:`repro.report.export.grid_to_json`.
 
@@ -38,15 +38,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.debug import AuditArg
+import repro.obs as obs
+from repro.experiments.options import RunOptions
 from repro.experiments.parallel import (
     CcSpec,
-    OutcomeCallback,
     RefOrKey,
     collect,
-    iter_batch,
     proprate_spec,
     resolve_trace,
+    run_batch,
 )
 from repro.experiments.runner import (
     DEFAULT_PROP_DELAY,
@@ -267,19 +267,8 @@ class GridCellSpec:
     overlap: float
     aqm: str = "droptail"
     buffer_packets: int = DEFAULT_BUFFER_PACKETS
-    #: Invariant auditing (:mod:`repro.debug`): None defers to the
-    #: REPRO_AUDIT environment switch, which worker processes inherit.
-    audit: AuditArg = None
-    #: Telemetry trace path; assigned by the batch layer when a
-    #: batch-level target is given.
-    telemetry: Optional[str] = None
-    #: Per-kind sampling budget spec (``repro.obs.SamplingPolicy``
-    #: grammar); only meaningful with ``telemetry``.  The grid.cell
-    #: tag record is a protected kind and never sampled away.
-    sampling: Optional[str] = None
-    #: Enable phase profiling for the cell; only meaningful with
-    #: ``telemetry``.
-    profile: Optional[bool] = None
+    #: Stamped by the batch layer (see ``RunSpec.run_options``).
+    run_options: Optional[RunOptions] = None
 
     @property
     def is_baseline(self) -> bool:
@@ -296,8 +285,6 @@ class GridCellSpec:
         }
 
     def execute(self) -> List[FlowResult]:
-        import repro.obs as obs
-
         flows, duration = build_contention_flows(
             self.entries, self.n_flows, self.pattern,
             self.stagger, self.settle, self.overlap,
@@ -307,30 +294,19 @@ class GridCellSpec:
             buffer_packets=self.buffer_packets,
             aqm=self.aqm,
         )
-
-        def _run() -> List[FlowResult]:
-            results = run_experiment(
-                config, flows, duration=duration, audit=self.audit,
-            )
-            return [r.detached() for r in results]
-
-        if self.telemetry is None:
-            return _run()
-        # Tag the cell's trace: one grid.cell record up front, then the
-        # run's own events — run_experiment binds the ambient tracer
-        # (and profiler) and flushes metrics/timings at the end.
-        with obs.tracing(self.telemetry, sampling=self.sampling):
-            tracer = obs.current_tracer()
+        run = self.run_options or RunOptions()
+        # Tag the cell's trace: one grid.cell record (a protected kind,
+        # never sampled away) up front, then the run's own events —
+        # run_experiment binds the ambient tracer and profiler and
+        # flushes metrics/timings at the end.
+        observers = obs.observing(run.telemetry, run.sampling, run.profile)
+        with observers as (tracer, _):
             if tracer is not None:
                 tracer.emit(obs.GRID_CELL, 0.0, **self.cell_tags())
-            profiler = obs.resolve_profiler(self.profile, True)
-            if profiler is not None:
-                obs.activate_profiler(profiler)
-            try:
-                return _run()
-            finally:
-                if profiler is not None:
-                    obs.deactivate_profiler()
+            results = run_experiment(
+                config, flows, duration=duration, audit=run.audit,
+            )
+        return [r.detached() for r in results]
 
 
 # ----------------------------------------------------------------------
@@ -469,7 +445,6 @@ class GridReport:
 # ----------------------------------------------------------------------
 def expand_grid(
     config: GridConfig = FULL_GRID,
-    audit: AuditArg = None,
 ) -> Tuple[List[GridCellSpec], List[GridCellSpec]]:
     """Expand a config into (baseline specs, cell specs).
 
@@ -498,7 +473,6 @@ def expand_grid(
         overlap=config.overlap,
         aqm=config.aqm,
         buffer_packets=config.buffer_packets,
-        audit=audit,
     )
     baseline_specs = []
     seen = set()
@@ -555,40 +529,19 @@ def grid_size(config: GridConfig = FULL_GRID) -> int:
 def run_grid(
     config: GridConfig = FULL_GRID,
     n_jobs: int = 1,
-    audit: AuditArg = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    on_outcome: Optional[OutcomeCallback] = None,
-    telemetry: Optional[str] = None,
-    sampling: Optional[str] = None,
-    profile: Optional[bool] = None,
+    run_options: Optional[RunOptions] = None,
 ) -> GridReport:
     """Run every cell (plus baselines) and reduce to a :class:`GridReport`.
 
-    All specs go through one :func:`iter_batch` call, so baselines and
-    cells share the work-stealing queue; ``timeout``/``retries``/
-    ``on_outcome``/``telemetry``/``sampling``/``profile`` forward to
-    the scheduler.  The report is deterministic: serial and parallel
-    runs, at any job count, produce byte-identical
-    :meth:`GridReport.to_dict` renderings (sampling only thins the
-    event trace, never the results).
+    All specs go through one :func:`run_batch` call, so baselines and
+    cells share the work-stealing queue, under ``run_options`` as is.
+    The report is deterministic: serial and parallel runs, at any job
+    count, produce byte-identical :meth:`GridReport.to_dict` renderings
+    (sampling only thins the event trace, never the results).
     """
-    baseline_specs, cell_specs = expand_grid(config, audit=audit)
+    baseline_specs, cell_specs = expand_grid(config)
     specs = baseline_specs + cell_specs
-    outcomes = list(
-        iter_batch(
-            specs,
-            n_jobs=n_jobs,
-            timeout=timeout,
-            retries=retries,
-            on_outcome=on_outcome,
-            telemetry=telemetry,
-            sampling=sampling,
-            profile=profile,
-        )
-    )
-    outcomes.sort(key=lambda o: o.index)
-    results = collect(outcomes)
+    results = collect(run_batch(specs, n_jobs=n_jobs, run_options=run_options))
 
     baselines: Dict[Tuple[str, str], Optional[float]] = {}
     for spec, flow_results in zip(baseline_specs, results):

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
-from repro.debug import AuditArg
+from repro.experiments.options import RunOptions
 from repro.experiments.parallel import (
-    OutcomeCallback,
     RunSpec,
     collect,
     iter_batch,
@@ -60,7 +59,6 @@ def _frontier_specs(
     duration: float,
     measure_start: float,
     enable_feedback: bool,
-    audit: AuditArg,
 ) -> List[RunSpec]:
     return [
         RunSpec(
@@ -70,7 +68,6 @@ def _frontier_specs(
             duration=duration,
             measure_start=measure_start,
             name=f"PR({target * 1000:.0f}ms)",
-            audit=audit,
         )
         for target in grid
     ]
@@ -84,42 +81,24 @@ def sweep_frontier(
     measure_start: float = 4.0,
     enable_feedback: bool = True,
     n_jobs: int = 1,
-    audit: AuditArg = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    on_outcome: Optional[OutcomeCallback] = None,
-    telemetry: Optional[str] = None,
-    sampling: Optional[str] = None,
-    profile: Optional[bool] = None,
+    run_options: Optional[RunOptions] = None,
 ) -> List[FrontierPoint]:
     """Run PropRate across a grid of t̄_buff targets (Figure 10).
 
     ``n_jobs`` fans the grid out over worker processes (the points are
     independent simulations); results are identical to the serial run
-    and returned in target order.  ``audit`` enables the invariant
-    auditor per point (None defers to REPRO_AUDIT).  ``timeout``,
-    ``retries``, and ``on_outcome`` forward to
-    :func:`repro.experiments.parallel.run_batch`, as do ``sampling``
-    (per-kind event budgets) and ``profile`` (phase timers) when
-    ``telemetry`` is set; use :func:`iter_frontier` to consume points
-    as they complete instead of waiting for the whole grid.
+    and returned in target order.  ``run_options`` goes to
+    :func:`repro.experiments.parallel.run_batch` as is; use
+    :func:`iter_frontier` to consume points as they complete instead of
+    waiting for the whole grid.
     """
     grid = list(targets) if targets is not None else paper_frontier_targets()
     specs = _frontier_specs(
         downlink_trace, uplink_trace, grid, duration, measure_start,
-        enable_feedback, audit,
+        enable_feedback,
     )
     results = collect(
-        run_batch(
-            specs,
-            n_jobs=n_jobs,
-            timeout=timeout,
-            retries=retries,
-            on_outcome=on_outcome,
-            telemetry=telemetry,
-            sampling=sampling,
-            profile=profile,
-        )
+        run_batch(specs, n_jobs=n_jobs, run_options=run_options)
     )
     return [
         FrontierPoint(target_tbuff=target, result=result)
@@ -135,13 +114,7 @@ def iter_frontier(
     measure_start: float = 4.0,
     enable_feedback: bool = True,
     n_jobs: int = 1,
-    audit: AuditArg = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    on_outcome: Optional[OutcomeCallback] = None,
-    telemetry: Optional[str] = None,
-    sampling: Optional[str] = None,
-    profile: Optional[bool] = None,
+    run_options: Optional[RunOptions] = None,
 ) -> Iterator[FrontierPoint]:
     """Stream Figure-10 points **in completion order**.
 
@@ -149,25 +122,16 @@ def iter_frontier(
     :class:`FrontierPoint` is yielded the moment its simulation lands,
     so a consumer can plot/persist the frontier incrementally while the
     long deep-buffer targets are still running.  A failed point (after
-    ``retries`` re-dispatches) raises ``RuntimeError`` with the worker
-    traceback.  Point values are bit-identical to the serial sweep —
+    any retries ``run_options`` allows) raises ``RuntimeError`` with the
+    worker traceback.  Point values are bit-identical to the serial sweep —
     only the arrival order differs.
     """
     grid = list(targets) if targets is not None else paper_frontier_targets()
     specs = _frontier_specs(
         downlink_trace, uplink_trace, grid, duration, measure_start,
-        enable_feedback, audit,
+        enable_feedback,
     )
-    for outcome in iter_batch(
-        specs,
-        n_jobs=n_jobs,
-        timeout=timeout,
-        retries=retries,
-        on_outcome=on_outcome,
-        telemetry=telemetry,
-        sampling=sampling,
-        profile=profile,
-    ):
+    for outcome in iter_batch(specs, n_jobs=n_jobs, run_options=run_options):
         if not outcome.ok:
             raise RuntimeError(
                 f"frontier target {grid[outcome.index] * 1000:.0f}ms "
@@ -199,21 +163,15 @@ def nfl_convergence(
     measure_start: float = 4.0,
     propagation_delay: float = 0.020,
     n_jobs: int = 1,
-    audit: AuditArg = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    on_outcome: Optional[OutcomeCallback] = None,
-    telemetry: Optional[str] = None,
-    sampling: Optional[str] = None,
-    profile: Optional[bool] = None,
+    run_options: Optional[RunOptions] = None,
 ) -> List[ConvergencePoint]:
     """Figure 9: achieved vs target buffer delay, with and without NFL.
 
     The achieved buffer delay is the externally measured mean one-way
     delay minus the propagation delay — ground truth, not the sender's
     own estimate.  ``n_jobs`` parallelizes the (feedback × target) grid;
-    ``timeout``/``retries``/``on_outcome`` forward to
-    :func:`repro.experiments.parallel.run_batch`.
+    ``run_options`` goes to :func:`repro.experiments.parallel.run_batch`
+    as is.
     """
     if targets is None:
         targets = [t / 1000.0 for t in range(20, 121, 20)]
@@ -229,21 +187,11 @@ def nfl_convergence(
             uplink=uplink_trace,
             duration=duration,
             measure_start=measure_start,
-            audit=audit,
         )
         for with_nfl, target in grid
     ]
     results = collect(
-        run_batch(
-            specs,
-            n_jobs=n_jobs,
-            timeout=timeout,
-            retries=retries,
-            on_outcome=on_outcome,
-            telemetry=telemetry,
-            sampling=sampling,
-            profile=profile,
-        )
+        run_batch(specs, n_jobs=n_jobs, run_options=run_options)
     )
     points = []
     for (with_nfl, target), result in zip(grid, results):

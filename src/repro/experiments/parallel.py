@@ -38,6 +38,13 @@ only the offending spec.  If a worker process dies outright (breaking
 the pool) or a spec exceeds its wall-clock ``timeout``, the pool is
 torn down and respawned, and the lost specs are retried up to
 ``retries`` times before their outcomes report the loss.
+
+Settings: how a batch is observed and scheduled arrives as one
+:class:`~repro.experiments.options.RunOptions`.  This module is the
+only one that takes it apart — the scheduler reads ``timeout`` /
+``retries`` / ``on_outcome``, and every spec with a ``run_options``
+field is stamped with the per-run part (``audit``, its part-file trace
+path, ``sampling``, ``profile``) before dispatch.
 """
 
 from __future__ import annotations
@@ -54,7 +61,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterator,
     List,
@@ -65,7 +71,7 @@ from typing import (
 )
 
 import repro.obs as obs
-from repro.debug import AuditArg
+from repro.experiments.options import RunOptions
 from repro.experiments.runner import (
     DEFAULT_PROP_DELAY,
     FlowResult,
@@ -93,9 +99,6 @@ __all__ = [
 #: A trace field: a reference, a not-yet-referenced Trace, or a content
 #: key into the batch's deduplicated trace table.
 RefOrKey = Union[TraceRef, Trace, str]
-
-#: Progress hook: called with each outcome as it completes.
-OutcomeCallback = Callable[["RunOutcome"], None]
 
 
 # ----------------------------------------------------------------------
@@ -154,24 +157,15 @@ class RunSpec:
     buffer_packets: int = DEFAULT_BUFFER_PACKETS
     prop_delay: float = DEFAULT_PROP_DELAY
     aqm: str = "droptail"
-    #: Invariant auditing (:mod:`repro.debug`): None defers to the
-    #: REPRO_AUDIT environment switch, which worker processes inherit.
-    audit: AuditArg = None
-    #: Telemetry trace path for this run (:mod:`repro.obs`).  Normally
-    #: left ``None``; a batch-level ``telemetry=`` target assigns each
-    #: spec a worker part file and merges them at the coordinator.
-    telemetry: Optional[str] = None
-    #: Sampling-budget spec string for this run's tracer (see
-    #: ``SamplingPolicy.parse``); stamped by the batch layer so workers
-    #: apply the same budget as the coordinator.
-    sampling: Optional[str] = None
-    #: Enable phase-scoped profiling timers for this run (requires
-    #: telemetry); stamped by the batch layer alongside ``telemetry``.
-    profile: Optional[bool] = None
+    #: Normally left ``None`` and stamped by the batch layer with the
+    #: per-run part of the batch's options; a spec that brings its own
+    #: keeps it whole and stays out of the merged batch trace.
+    run_options: Optional[RunOptions] = None
 
     def execute(self) -> FlowResult:
         down = resolve_trace(self.downlink)
         up = resolve_trace(self.uplink) if self.uplink is not None else None
+        options = self.run_options or RunOptions()
         result = run_single_flow(
             self.cc.build,
             down,
@@ -182,10 +176,10 @@ class RunSpec:
             buffer_packets=self.buffer_packets,
             prop_delay=self.prop_delay,
             aqm=self.aqm,
-            audit=self.audit,
-            telemetry=self.telemetry,
-            sampling=self.sampling,
-            profile=self.profile,
+            audit=options.audit,
+            telemetry=options.telemetry,
+            sampling=options.sampling,
+            profile=options.profile,
         )
         return result.detached()
 
@@ -339,14 +333,12 @@ class _BatchTelemetry:
     """
 
     def __init__(self, base: Union[str, os.PathLike],
-                 sampling: Optional[str] = None,
+                 sampling: Any = None,
                  profile: Optional[bool] = None) -> None:
         self.base = str(base)
-        self.sampling = obs.sampling_spec(sampling)
-        self.profile = profile
         self.tracer = obs.Tracer(
             obs.JsonlSink(self.base),
-            sampling=obs.resolve_sampling(self.sampling),
+            sampling=obs.resolve_sampling(sampling),
         )
         self.prof = obs.PhaseProfiler() if profile else None
         self.workers = 1
@@ -367,24 +359,11 @@ class _BatchTelemetry:
             obs.SCHED_WORKER_DEATH: "worker_deaths",
         }
 
-    def assign(self, index: int, spec: Any) -> Any:
-        """Give ``spec`` a part-file trace path unless it brought its own.
-
-        Only specs that expose a ``telemetry`` field participate; a spec
-        with an explicit path keeps it (and is excluded from the merge).
-        """
-        if getattr(spec, "telemetry", False) is not None:
-            return spec
-        part = f"{self.base}.part{index:04d}.jsonl"
-        self._parts[index] = part
-        updates: Dict[str, Any] = {"telemetry": part}
-        if self.sampling is not None and \
-                getattr(spec, "sampling", False) is None:
-            updates["sampling"] = self.sampling
-        if self.profile is not None and \
-                getattr(spec, "profile", False) is None:
-            updates["profile"] = self.profile
-        return replace(spec, **updates)
+    def part(self, index: int) -> str:
+        """The part-file path spec ``index`` writes (merged at the end)."""
+        path = f"{self.base}.part{index:04d}.jsonl"
+        self._parts[index] = path
+        return path
 
     def event(self, kind: str, **fields: Any) -> None:
         counted = self._counted.get(kind)
@@ -461,12 +440,7 @@ def iter_batch(
     specs: Sequence[Any],
     n_jobs: Optional[int] = 1,
     start_method: Optional[str] = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    on_outcome: Optional[OutcomeCallback] = None,
-    telemetry: Optional[str] = None,
-    sampling: Optional[str] = None,
-    profile: Optional[bool] = None,
+    run_options: Optional[RunOptions] = None,
 ) -> Iterator[RunOutcome]:
     """Execute ``specs``, yielding outcomes **in completion order**.
 
@@ -474,7 +448,8 @@ def iter_batch(
     one at a time from a shared queue with at most ``n_jobs`` in flight,
     so workers that finish short runs immediately steal the next undone
     spec while long-tailed runs are still going, and each outcome is
-    yielded (and reported to ``on_outcome``) the moment it lands.
+    yielded (and reported to ``run_options.on_outcome``) the moment it
+    lands.
 
     Parameters
     ----------
@@ -490,47 +465,30 @@ def iter_batch(
         ``multiprocessing`` start method; defaults to ``fork`` where
         available (cheap, inherits imports) and the platform default
         elsewhere.
-    timeout:
-        Per-spec wall-clock budget in seconds, measured from dispatch to
-        a worker.  A spec that exceeds it has its pool torn down (the
-        only way to reclaim a stuck worker) and counts one charged loss;
-        other in-flight specs are re-queued without charge.  On the
-        serial path (``n_jobs=1``) the budget is enforced in-process:
-        the simulation event loop checks a monotonic wall-clock deadline
-        between event batches (:func:`repro.sim.engine.set_run_deadline`)
-        and the overrunning spec is charged exactly like a pool-path
-        timeout.
-    retries:
-        How many charged losses (timeout or worker death) a spec may
-        absorb before its outcome reports the failure.  A loss is only
-        charged to the spec that caused it: when a worker death takes
-        down several in-flight specs and the culprit cannot be
-        identified, none are charged — they re-queue as quarantined
-        suspects (dispatched one at a time) so the next death is
-        attributable and a poison spec cannot burn the retry budget of
-        innocent queue-mates.  Ordinary Python exceptions inside
-        ``execute()`` are deterministic and are *not* retried.
-    on_outcome:
-        Called with each :class:`RunOutcome` as it completes — progress
-        bars, incremental persistence, early aborts by raising.
-    telemetry:
-        Batch trace path (:mod:`repro.obs`).  Each spec exposing a
-        ``telemetry`` field is assigned a worker part file; the
-        coordinator records ``sched.*`` dispatch/retry/timeout events
-        and, when the batch finishes, merges the parts into one trace
-        (records tagged ``"run": <index>``) with an aggregated
-        ``scope="batch"`` metrics record.
-    sampling:
-        Per-event-kind sampling budget (a ``SamplingPolicy`` spec
-        string) applied to the batch trace and stamped onto every spec
-        that doesn't carry its own, so worker part files honour the
-        same budget.  Requires ``telemetry``.
-    profile:
-        Enable phase-scoped profiling: the coordinator times its own
-        dispatch loop (``batch.timing.prof.sched.dispatch``) and every
-        stamped spec runs with the per-run phase timers on
-        (``run.timing.prof.*`` in the merged metrics).  Requires
-        ``telemetry``.
+    run_options:
+        The batch's :class:`~repro.experiments.options.RunOptions`
+        (documented there, once).  What the scheduler adds to that
+        description:
+
+        * a ``timeout`` is measured from dispatch to a worker; other
+          specs in flight when the pool is torn down re-queue without
+          charge.  On the serial path (``n_jobs=1``) there is no worker
+          to kill, so the simulation event loop checks a monotonic
+          deadline between event batches
+          (:func:`repro.sim.engine.set_run_deadline`) and the overrun
+          is charged exactly like a pool-path timeout;
+        * a loss is only charged to the spec that caused it: when a
+          worker death takes down several in-flight specs and the
+          culprit cannot be identified, none are charged — they
+          re-queue as quarantined suspects (dispatched one at a time)
+          so the next death is attributable and a poison spec cannot
+          burn the ``retries`` budget of innocent queue-mates;
+        * every spec with a ``run_options`` field left at ``None`` is
+          stamped with :meth:`RunOptions.per_run` — the scheduler
+          fields never reach a worker, so specs stay picklable whatever
+          ``on_outcome`` is;
+        * with ``profile`` the coordinator also times its own dispatch
+          loop (``batch.timing.prof.sched.dispatch``).
     """
     entries = list(enumerate(specs))
     if not entries:
@@ -540,15 +498,26 @@ def iter_batch(
     jobs = resolve_n_jobs(n_jobs)
     _install_table(table)  # serial path + fork parent share the table
 
-    if telemetry is None and (sampling is not None or profile):
-        raise ValueError("sampling=/profile= require a batch telemetry target")
+    options = run_options or RunOptions()
+    timeout, retries = options.timeout, options.retries
+    on_outcome = options.on_outcome
+    obs.require_tracer(options.telemetry, options.sampling, options.profile)
     bt = (
-        _BatchTelemetry(telemetry, sampling=sampling, profile=profile)
-        if telemetry is not None
+        _BatchTelemetry(options.telemetry, options.sampling, options.profile)
+        if options.telemetry is not None
         else None
     )
-    if bt is not None:
-        entries = [(i, bt.assign(i, s)) for i, s in entries]
+
+    def stamp(index: int, spec: Any) -> Any:
+        # A spec without the field, or one that brought its own options,
+        # passes through untouched.
+        if getattr(spec, "run_options", False) is not None:
+            return spec
+        part = bt.part(index) if bt is not None else None
+        return replace(spec, run_options=options.per_run(part))
+
+    if run_options is not None:
+        entries = [(i, stamp(i, s)) for i, s in entries]
     prof = bt.prof if bt is not None else None
 
     def dispatch_span():
@@ -834,39 +803,21 @@ def iter_batch(
 def run_batch(
     specs: Sequence[Any],
     n_jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
     start_method: Optional[str] = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    on_outcome: Optional[OutcomeCallback] = None,
-    telemetry: Optional[str] = None,
-    sampling: Optional[str] = None,
-    profile: Optional[bool] = None,
+    run_options: Optional[RunOptions] = None,
 ) -> List[RunOutcome]:
     """Execute ``specs`` and return outcomes in submission order.
 
     The in-order façade over :func:`iter_batch` — identical execution
-    and robustness semantics (work-stealing dispatch, ``timeout``,
-    ``retries``, ``on_outcome``, ``telemetry``, ``sampling``,
-    ``profile``), with the completed outcomes sorted back into
-    submission order before returning.
-
-    ``chunksize`` is accepted for backwards compatibility and ignored:
-    the scheduler dispatches one spec per task from a shared queue, so
-    there is no longer a static chunk size to tune.
+    and robustness semantics, with the completed outcomes sorted back
+    into submission order before returning.
     """
-    del chunksize  # pre-work-stealing knob; dispatch is per-spec now
     outcomes = list(
         iter_batch(
             specs,
             n_jobs=n_jobs,
             start_method=start_method,
-            timeout=timeout,
-            retries=retries,
-            on_outcome=on_outcome,
-            telemetry=telemetry,
-            sampling=sampling,
-            profile=profile,
+            run_options=run_options,
         )
     )
     outcomes.sort(key=lambda o: o.index)

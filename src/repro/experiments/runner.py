@@ -247,63 +247,32 @@ def run_experiment(
     ``measure_start``/``measure_end`` bound the statistics window
     (defaults: 5 s warm-up, end of run); per-flow overrides win.
 
-    ``audit`` attaches the :mod:`repro.debug` invariant auditor (None
-    defers to the ``REPRO_AUDIT`` environment switch).  Auditing is
-    observation-only — results are bit-identical either way — and a
-    violation raises :class:`~repro.debug.InvariantViolation` after
-    dumping a flight-recorder trace.
-
-    ``telemetry`` enables the :mod:`repro.obs` telemetry spine: a
-    trace-file path (or a live :class:`~repro.obs.Tracer`; None defers
-    to the ``REPRO_TELEMETRY`` environment switch, then to any ambient
-    tracer).  Telemetry is observer-only — with it off, results are
-    bit-identical to pre-telemetry builds; with it on, each
-    :class:`FlowResult` additionally carries a ``metrics`` snapshot and
-    every CC/link/queue event is appended to the trace.
-
-    ``sampling`` budgets the trace volume: a
-    :class:`~repro.obs.SamplingPolicy` or spec string (see
-    ``docs/observability.md``), applied when this call constructs the
-    tracer; dropped records are counted per kind into
-    ``run.telemetry.dropped.*``.  ``profile`` (bool or
-    :class:`~repro.obs.PhaseProfiler`) turns on the phase timers,
-    reported as ``run.timing.prof.*`` metrics; it requires telemetry.
+    ``audit``, ``telemetry``, ``sampling`` and ``profile`` are the
+    per-run observers, documented once on
+    :class:`repro.experiments.options.RunOptions` (``telemetry`` here
+    also accepts a live :class:`~repro.obs.Tracer`, ``sampling`` a
+    :class:`~repro.obs.SamplingPolicy` and ``profile`` a
+    :class:`~repro.obs.PhaseProfiler`).  All are observation-only: with
+    them off, results are bit-identical to builds without them; with
+    telemetry on, each :class:`FlowResult` additionally carries a
+    ``metrics`` snapshot.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
 
-    tracer, owns_tracer = obs.resolve_tracer(telemetry, sampling=sampling)
-    if tracer is not None and obs.current_tracer() is not tracer:
-        obs.activate(tracer)
-        activated = True
-    else:
-        activated = False
-    profiler = obs.current_profiler()
-    owns_profiler = False
-    if profiler is None:
-        profiler = obs.resolve_profiler(profile, tracer is not None)
-        if profiler is not None:
-            obs.activate_profiler(profiler)
-            owns_profiler = True
-    try:
-        return _run_experiment_traced(
+    with obs.observing(telemetry, sampling, profile) as (tracer, profiler):
+        harness = ExperimentHarness(
             path_config,
             flows,
             duration,
-            measure_start,
-            measure_end,
-            ts_granularity,
-            audit,
-            tracer,
-            profiler,
+            measure_start=measure_start,
+            measure_end=measure_end,
+            ts_granularity=ts_granularity,
+            audit=audit,
+            tracer=tracer,
+            profiler=profiler,
         )
-    finally:
-        if owns_profiler:
-            obs.deactivate_profiler()
-        if activated:
-            obs.deactivate()
-        if owns_tracer:
-            tracer.close()
+        return harness.finalize()
 
 
 class ExperimentHarness:
@@ -590,31 +559,6 @@ class ExperimentHarness:
             )
         self._results = results
         return results
-
-
-def _run_experiment_traced(
-    path_config: PathConfig,
-    flows: List[FlowSpec],
-    duration: float,
-    measure_start: float,
-    measure_end: Optional[float],
-    ts_granularity: float,
-    audit: AuditArg,
-    tracer,
-    profiler=None,
-) -> List[FlowResult]:
-    harness = ExperimentHarness(
-        path_config,
-        flows,
-        duration,
-        measure_start=measure_start,
-        measure_end=measure_end,
-        ts_granularity=ts_granularity,
-        audit=audit,
-        tracer=tracer,
-        profiler=profiler,
-    )
-    return harness.finalize()
 
 
 def run_single_flow(

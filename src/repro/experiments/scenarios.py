@@ -15,13 +15,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.experiments.parallel import CcSpec, RefOrKey
 
+import repro.obs as obs
 from repro.debug import AuditArg
+from repro.experiments.options import RunOptions
 from repro.experiments.runner import (
     CcFactory,
     FlowResult,
@@ -311,7 +313,9 @@ class ScenarioSpec:
     ``scenario`` names an entry of :data:`SCENARIOS`; ``cc`` rebuilds
     the algorithm in the worker; traces travel as references.
     ``wired_path`` takes no traces — leave ``downlink`` as ``None`` and
-    pass ``region`` through ``options``.
+    pass ``region`` through ``options``.  ``options`` holds the
+    *scenario driver's* keywords (``duration``, ``region``, …); how the
+    cell is observed is ``run_options``, stamped by the batch layer.
     """
 
     scenario: str
@@ -319,18 +323,21 @@ class ScenarioSpec:
     downlink: Optional["RefOrKey"] = None
     uplink: Optional["RefOrKey"] = None
     options: Tuple[Tuple[str, object], ...] = ()
-    #: Invariant auditing (:mod:`repro.debug`): None defers to the
-    #: REPRO_AUDIT environment switch, which worker processes inherit.
-    audit: AuditArg = None
-    #: Telemetry trace path (:mod:`repro.obs`); assigned by the batch
-    #: layer when a batch-level target is given.
-    telemetry: Optional[str] = None
-    #: Per-kind sampling budget spec (``repro.obs.SamplingPolicy``
-    #: grammar); only meaningful with ``telemetry``.
-    sampling: Optional[str] = None
-    #: Enable phase profiling (``repro.obs.PhaseProfiler``) for the
-    #: scenario's simulations; only meaningful with ``telemetry``.
-    profile: Optional[bool] = None
+    run_options: Optional[RunOptions] = None
+
+    def __post_init__(self) -> None:
+        # The pre-RunOptions spelling — a bare ``retries`` keyword to
+        # run_scenario_grid — lands here; swallowed it would run
+        # un-retried.
+        stale = sorted(
+            {key for key, _ in self.options}
+            & {f.name for f in fields(RunOptions)}
+        )
+        if stale:
+            raise TypeError(
+                f"run setting(s) {', '.join(stale)} among the scenario "
+                "keywords; pass run_options=RunOptions(...) instead"
+            )
 
     def execute(self):
         from repro.experiments.parallel import detach_results, resolve_trace
@@ -341,28 +348,14 @@ class ScenarioSpec:
             args.append(resolve_trace(self.downlink))
             if self.uplink is not None:
                 args.append(resolve_trace(self.uplink))
-        kwargs = dict(self.options)
-        if self.audit is not None:
-            kwargs["audit"] = self.audit
-        if self.telemetry is not None:
-            import repro.obs as obs
-
-            # Scenario drivers build their simulations internally, and
-            # instrumented components bind the ambient tracer (and
-            # profiler) at construction — activate both around the
-            # whole driver call.  The inner run_experiment finds them
-            # ambient and flushes metrics/timings per run.
-            with obs.tracing(self.telemetry, sampling=self.sampling):
-                profiler = obs.resolve_profiler(self.profile, True)
-                if profiler is not None:
-                    obs.activate_profiler(profiler)
-                try:
-                    outcome = driver(*args, **kwargs)
-                finally:
-                    if profiler is not None:
-                        obs.deactivate_profiler()
-        else:
-            outcome = driver(*args, **kwargs)
+        run = self.run_options or RunOptions()
+        # Scenario drivers build their simulations internally, and
+        # instrumented components bind the ambient tracer (and profiler)
+        # at construction — so both are made ambient around the whole
+        # driver call.  The inner run_experiment finds them ambient and
+        # flushes metrics/timings per run.
+        with obs.observing(run.telemetry, run.sampling, run.profile):
+            outcome = driver(*args, audit=run.audit, **dict(self.options))
         return detach_results(outcome)
 
 
@@ -372,27 +365,17 @@ def run_scenario_grid(
     downlink_trace: Optional[Trace] = None,
     uplink_trace: Optional[Trace] = None,
     n_jobs: int = 1,
-    audit: AuditArg = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    on_outcome=None,
-    telemetry: Optional[str] = None,
-    sampling: Optional[str] = None,
-    profile: Optional[bool] = None,
+    run_options: Optional[RunOptions] = None,
     **options: object,
 ) -> Dict[str, object]:
     """Run one scenario for several algorithms, optionally in parallel.
 
     ``algorithms`` maps a label to the :class:`~repro.experiments.
     parallel.CcSpec` to run; the return maps each label to whatever the
-    scenario driver returns (detached of simulation handles).  ``audit``
-    enables invariant auditing per cell (None defers to REPRO_AUDIT,
-    which worker processes inherit).  ``timeout`` (per-cell wall
-    clock), ``retries`` (bounded re-dispatch after a timeout or worker
-    death), ``on_outcome`` (streaming progress callback), ``telemetry``
-    (merged batch trace, :mod:`repro.obs`), ``sampling`` (per-kind
-    event budgets), and ``profile`` (phase timers) forward to
-    :func:`repro.experiments.parallel.run_batch`.
+    scenario driver returns (detached of simulation handles).
+    ``**options`` are the scenario driver's own keywords; ``run_options``
+    goes to :func:`repro.experiments.parallel.run_batch` as is, and a
+    run setting found among ``options`` is a ``TypeError``.
     """
     from repro.experiments.parallel import collect, run_batch
 
@@ -408,20 +391,8 @@ def run_scenario_grid(
             downlink=downlink_trace,
             uplink=uplink_trace,
             options=tuple(sorted(options.items())),
-            audit=audit,
         )
         for label in labels
     ]
-    results = collect(
-        run_batch(
-            specs,
-            n_jobs=n_jobs,
-            timeout=timeout,
-            retries=retries,
-            on_outcome=on_outcome,
-            telemetry=telemetry,
-            sampling=sampling,
-            profile=profile,
-        )
-    )
+    results = collect(run_batch(specs, n_jobs=n_jobs, run_options=run_options))
     return dict(zip(labels, results))

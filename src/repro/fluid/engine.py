@@ -311,10 +311,11 @@ def run_fluid(
     must be finite, non-empty and inside the run — ``0 <= measure_start
     < measure_end <= duration`` (``measure_end`` defaults to
     ``duration``) — or :class:`ValueError` is raised.
-    ``telemetry`` follows the same resolution rules as the packet
-    drivers (path, live tracer, or None → ``REPRO_TELEMETRY``);
-    ``sampling`` budgets the per-tower sample volume exactly as in the
-    packet runner, and ``profile`` times the integration loop
+    ``telemetry`` / ``sampling`` / ``profile`` are the per-run
+    observers of :class:`repro.experiments.options.RunOptions`, resolved
+    exactly as in the packet runner (there is no fluid auditor, hence
+    no ``audit``); ``sampling`` budgets the per-tower sample volume and
+    ``profile`` times the integration loop
     (``run.timing.prof.fluid.integrate``).
 
     The integration is pure numpy on a fixed grid — no wall-clock, no
@@ -348,20 +349,7 @@ def run_fluid(
             "line, --warmup must be shorter than --duration)"
         )
 
-    tracer, owns_tracer = obs.resolve_tracer(telemetry, sampling=sampling)
-    if tracer is not None and obs.current_tracer() is not tracer:
-        obs.activate(tracer)
-        activated = True
-    else:
-        activated = False
-    profiler = obs.current_profiler()
-    owns_profiler = False
-    if profiler is None:
-        profiler = obs.resolve_profiler(profile, tracer is not None)
-        if profiler is not None:
-            obs.activate_profiler(profiler)
-            owns_profiler = True
-    try:
+    with obs.observing(telemetry, sampling, profile) as (tracer, profiler):
         if tracer is not None:
             tracer.emit(
                 obs.FLUID_RUN, 0.0, duration=duration, dt=dt,
@@ -372,13 +360,6 @@ def run_fluid(
             flows, towers, duration, dt, measure_start, measure_end,
             handovers, capacity_window, tracer, profiler,
         )
-    finally:
-        if owns_profiler:
-            obs.deactivate_profiler()
-        if activated:
-            obs.deactivate()
-        if owns_tracer:
-            tracer.close()
 
 
 def _integrate(

@@ -49,7 +49,6 @@ from repro.obs.prof import (
     current_profiler,
     deactivate_profiler,
     env_profile,
-    resolve_profiler,
 )
 from repro.obs.registry import (
     MetricsRegistry,
@@ -87,6 +86,8 @@ from repro.obs.tracer import (
     current_tracer,
     deactivate,
     env_trace_path,
+    observing,
+    require_tracer,
     resolve_tracer,
     tracing,
 )
@@ -107,10 +108,10 @@ __all__ = [
     "TcpLineServer", "parse_tcp_target",
     "encode", "iter_trace_files", "QUEUE_SAMPLE_INTERVAL",
     "SAMPLE_ENV", "TELEMETRY_ENV", "Tracer", "activate", "current_tracer",
-    "deactivate", "env_trace_path", "resolve_tracer", "tracing",
+    "deactivate", "env_trace_path", "observing", "require_tracer",
+    "resolve_tracer", "tracing",
     "PROTECTED_KINDS", "KindBudget", "SamplingPolicy",
     "resolve_sampling", "sampling_spec",
     "PROFILE_ENV", "PhaseProfiler", "activate_profiler",
     "current_profiler", "deactivate_profiler", "env_profile",
-    "resolve_profiler",
 ]

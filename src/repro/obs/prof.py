@@ -20,7 +20,9 @@ Profiling follows the tracer's ambient-activation pattern
 active tracer — the measurements have nowhere to go otherwise.  Enable
 with ``profile=True`` on the entry points, ``--profile`` on the CLI, or
 ``REPRO_PROFILE=1`` in the environment (the env form is silently
-ignored when telemetry is off; the explicit form raises).  Wrapped
+ignored when telemetry is off so it can sit in CI without forcing
+telemetry on; the explicit form raises — both decided in
+:func:`repro.obs.tracer.observing`).  Wrapped
 phases nest naturally — a pumped delivery that triggers ACK processing
 charges both phases — so phase times are inclusive and do not sum to
 wall time.
@@ -28,17 +30,12 @@ wall time.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.obs.registry import MetricsRegistry
-
-#: Environment switch, analogous to ``REPRO_TELEMETRY``.
-PROFILE_ENV = "REPRO_PROFILE"
-
-_OFF = ("", "0", "false")
+from repro.util.env import PROFILE_ENV, env_flag
 
 #: Metrics key prefix for run-scope phase timings.
 PROF_PREFIX = "run.timing.prof."
@@ -147,26 +144,4 @@ def deactivate_profiler() -> None:
 
 def env_profile() -> bool:
     """Whether ``REPRO_PROFILE`` asks for profiling."""
-    return os.environ.get(PROFILE_ENV, "").strip().lower() not in _OFF
-
-
-def resolve_profiler(profile: Union[bool, PhaseProfiler, None],
-                     have_tracer: bool) -> Optional[PhaseProfiler]:
-    """Resolve a run's ``profile=`` argument to a profiler or ``None``.
-
-    Explicitly requested profiling without a tracer is an error (the
-    timings would be dropped on the floor); the env-var form degrades
-    to off so ``REPRO_PROFILE=1`` can sit in CI without forcing
-    telemetry on.
-    """
-    if isinstance(profile, PhaseProfiler):
-        if not have_tracer:
-            raise ValueError("profile= requires telemetry to be enabled")
-        return profile
-    if profile:
-        if not have_tracer:
-            raise ValueError("profile=True requires telemetry to be enabled")
-        return PhaseProfiler()
-    if profile is None and have_tracer and env_profile():
-        return PhaseProfiler()
-    return None
+    return env_flag(PROFILE_ENV) is not None

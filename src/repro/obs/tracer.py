@@ -4,9 +4,11 @@ The contract mirrors the audit switch (``repro.debug.audit_enabled``):
 telemetry is **off by default** and instrumented components pay only a
 ``None`` check when it is off.  Components capture the ambient tracer
 at construction time (``current_tracer()``), so a tracer must be
-activated *before* the simulator/flows are built — ``run_experiment``
-does this when given a ``telemetry=`` target, and ``tracing()`` is the
-context manager for hand-built simulations.
+activated *before* the simulator/flows are built — every entry point
+does this by entering :func:`observing`, which is the only place the
+resolve → activate → tear-down sequence for a run's tracer and phase
+profiler is written; ``tracing()`` is the tracer-only context manager
+for hand-built simulations.
 
 Resolution order for a run (``resolve_tracer``):
 
@@ -33,19 +35,17 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Optional, Tuple, Union
 
+from repro.obs.prof import (
+    PhaseProfiler,
+    activate_profiler,
+    current_profiler,
+    deactivate_profiler,
+    env_profile,
+)
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampling import SamplingPolicy, resolve_sampling
 from repro.obs.sink import JsonlSink, Sink
-
-#: Environment switch, analogous to ``REPRO_AUDIT``.
-TELEMETRY_ENV = "REPRO_TELEMETRY"
-
-#: Default sampling spec applied to env-enabled tracers (and any entry
-#: point that doesn't pass ``sampling=`` explicitly).
-SAMPLE_ENV = "REPRO_TELEMETRY_SAMPLE"
-
-#: Values of the env var that mean "disabled" (same parsing as audit).
-_OFF = ("", "0", "false")
+from repro.util.env import SAMPLE_ENV, TELEMETRY_ENV, env_flag
 
 #: Interval for the bottleneck-queue samplers attached by the runner.
 QUEUE_SAMPLE_INTERVAL = 0.010
@@ -121,10 +121,8 @@ def deactivate() -> None:
 
 def env_sampling() -> Optional[SamplingPolicy]:
     """Policy mandated by ``REPRO_TELEMETRY_SAMPLE``, or ``None``."""
-    value = os.environ.get(SAMPLE_ENV, "").strip()
-    if not value or value.lower() in _OFF:
-        return None
-    return SamplingPolicy.parse(value)
+    value = env_flag(SAMPLE_ENV)
+    return None if value is None else SamplingPolicy.parse(value)
 
 
 def _effective_sampling(
@@ -164,8 +162,8 @@ def tracing(target: Union[str, Path, Tracer],
 
 def env_trace_path() -> Optional[str]:
     """Trace path mandated by ``REPRO_TELEMETRY``, or ``None`` if off."""
-    value = os.environ.get(TELEMETRY_ENV, "").strip()
-    if value.lower() in _OFF:
+    value = env_flag(TELEMETRY_ENV)
+    if value is None:
         return None
     n = next(_env_seq)
     if value.lower() in ("1", "true", "yes", "on"):
@@ -197,3 +195,68 @@ def resolve_tracer(telemetry: Union[str, Path, Tracer, None],
         return Tracer(JsonlSink(path),
                       sampling=_effective_sampling(sampling)), True
     return None, False
+
+
+def require_tracer(telemetry: Any, sampling: Any, profile: Any) -> None:
+    """Reject an explicit ``sampling``/``profile`` that no tracer serves.
+
+    A tracer resolves from the ``telemetry`` argument, the ambient
+    tracer, or ``REPRO_TELEMETRY``; without one the sampled trace and
+    the phase timings would be dropped on the floor.  Every door — leaf
+    keyword, batch ``RunOptions``, CLI flag — reports it through this
+    one check.  (``REPRO_TELEMETRY_SAMPLE`` / ``REPRO_PROFILE`` from
+    the environment are defaults, not requests, and degrade silently.)
+    """
+    if sampling in (None, "") and not profile:
+        return
+    if (telemetry is None and current_tracer() is None
+            and env_flag(TELEMETRY_ENV) is None):
+        raise ValueError(
+            "sampling/profile (--sample/--profile) need a telemetry "
+            "target: pass telemetry= (--telemetry PATH) or set "
+            f"{TELEMETRY_ENV}"
+        )
+
+
+@contextmanager
+def observing(
+    telemetry: Union[str, Path, Tracer, None] = None,
+    sampling: Union[str, SamplingPolicy, None] = None,
+    profile: Union[bool, PhaseProfiler, None] = None,
+) -> Iterator[Tuple[Optional[Tracer], Optional[PhaseProfiler]]]:
+    """A run's observers, ambient for the duration of the block.
+
+    Yields ``(tracer, profiler)``, either possibly ``None``.  The
+    tracer resolves as in :func:`resolve_tracer`; the profiler is the
+    ambient one if any, else a new one when ``profile`` (``None`` →
+    ``REPRO_PROFILE``) asks for it and a tracer exists to receive its
+    timings.  Whatever this call activated it deactivates on exit, and a
+    tracer it constructed it closes; ambient and caller-provided
+    observers are left as found, so nested entries share the outer
+    pair.
+    """
+    require_tracer(telemetry, sampling, profile)
+    tracer, owns_tracer = resolve_tracer(telemetry, sampling=sampling)
+    activated = tracer is not None and current_tracer() is not tracer
+    if activated:
+        activate(tracer)
+    profiler = current_profiler()
+    owns_profiler = False
+    if profiler is None and tracer is not None:
+        if profile is None:
+            profile = env_profile()
+        if profile:
+            profiler = activate_profiler(
+                profile if isinstance(profile, PhaseProfiler)
+                else PhaseProfiler()
+            )
+            owns_profiler = True
+    try:
+        yield tracer, profiler
+    finally:
+        if owns_profiler:
+            deactivate_profiler()
+        if activated:
+            deactivate()
+        if owns_tracer:
+            tracer.close()

@@ -22,6 +22,7 @@ from repro.debug import (
 )
 from repro.debug.auditor import DEFAULT_TBUFF_TOLERANCE
 from repro.debug.recorder import TRACE_DIR_ENV
+from repro.experiments.options import RunOptions
 from repro.experiments.runner import (
     FlowSpec,
     cellular_path_config,
@@ -111,6 +112,7 @@ class TestAuditEnabled:
     @pytest.mark.parametrize("value,expected", [
         ("1", True), ("true", True), ("TRUE", True), ("yes", True),
         ("0", False), ("", False), ("false", False), ("False", False),
+        ("no", False), ("off", False), (" OFF ", False),
     ])
     def test_env_values(self, monkeypatch, value, expected):
         monkeypatch.setenv(AUDIT_ENV, value)
@@ -309,9 +311,10 @@ class TestBatchPlumbing:
 
         kwargs = dict(
             names=["PR(M)", "CUBIC"], duration=3.0, measure_start=0.5,
+            run_options=RunOptions(audit=True),
         )
-        serial = run_shootout(_trace(), n_jobs=1, audit=True, **kwargs)
-        parallel = run_shootout(_trace(), n_jobs=2, audit=True, **kwargs)
+        serial = run_shootout(_trace(), n_jobs=1, **kwargs)
+        parallel = run_shootout(_trace(), n_jobs=2, **kwargs)
         for name in kwargs["names"]:
             assert serial[name].throughput == parallel[name].throughput
 
@@ -323,7 +326,7 @@ class TestBatchPlumbing:
             "wired_path",
             {"cubic": CcSpec("CUBIC")},
             n_jobs=1,
-            audit=True,
+            run_options=RunOptions(audit=True),
             duration=3.0,
             measure_start=0.5,
         )
@@ -334,7 +337,7 @@ class TestBatchPlumbing:
 
         points = sweep_frontier(
             _trace(), targets=[0.040], duration=3.0, measure_start=0.5,
-            audit=True,
+            run_options=RunOptions(audit=True),
         )
         assert points[0].throughput_kbps > 0
 

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -40,6 +42,141 @@ class TestParser:
         assert args.timeout == 30.0
         assert args.retries == 2
         assert args.progress is False
+
+
+#: The flag surface of every subcommand — (option strings, type or
+#: action, default) — as the parser stood before the shared flag groups
+#: became ``parents=`` parsers.  Sharing the declarations must not move
+#: a name, a type or a default.
+_PATH = {
+    (("--trace",), "_StoreAction", "A-stationary"),
+    (("--duration",), "float", 30.0),
+    (("--warmup",), "float", 4.0),
+}
+_OBSERVERS = {
+    (("--telemetry",), "_StoreAction", None),
+    (("--sample",), "_StoreAction", None),
+    (("--profile",), "_StoreTrueAction", False),
+}
+_AUDIT = {(("--audit",), "_StoreTrueAction", False)}
+_SCHEDULER = {
+    (("--jobs",), "int", 1),
+    (("--timeout",), "float", None),
+    (("--retries",), "int", 0),
+    (("--no-progress",), "_StoreFalseAction", True),
+}
+CLI_SURFACE = {
+    "": set(),
+    "env": set(),
+    "experiments": set(),
+    "traces": set(),
+    "run": _PATH | _OBSERVERS | _AUDIT | {
+        (("algorithm",), "_StoreAction", None),
+        (("--target",), "float", None),
+    },
+    "shootout": _PATH | _OBSERVERS | _AUDIT | _SCHEDULER,
+    "frontier": _PATH | _OBSERVERS | _AUDIT | _SCHEDULER | {
+        (("--low",), "int", 12),
+        (("--high",), "int", 120),
+        (("--step",), "int", 12),
+    },
+    "grid": _OBSERVERS | _AUDIT | _SCHEDULER | {
+        (("--reduced",), "_StoreTrueAction", False),
+        (("--out",), "_StoreAction", None),
+    },
+    "fluid": _OBSERVERS | {
+        (("--flows",), "int", 1000),
+        (("--towers",), "int", 8),
+        (("--duration",), "float", 30.0),
+        (("--warmup",), "float", 5.0),
+        (("--mix",), "_StoreAction", "pr-vs-cubic"),
+        (("--handovers",), "int", 0),
+        (("--tower-trace",), "_AppendAction", None),
+        (("--dt",), "float", 0.005),
+        (("--seed",), "int", 0),
+        (("--out",), "_StoreAction", None),
+    },
+    "env rollout": _PATH | _OBSERVERS | _AUDIT | {
+        (("--algorithm",), "_StoreAction", "proprate"),
+        (("--target",), "float", None),
+        (("--policy",), "_StoreAction", "native"),
+        (("--step-interval",), "float", 0.25),
+    },
+    "trace": {
+        (("path",), "_StoreAction", None),
+        (("--diff",), "_StoreAction", None),
+        (("--plot",), "_StoreTrueAction", False),
+        (("--plot-width",), "int", 100),
+        (("--profile",), "_StoreTrueAction", False),
+    },
+    "watch": {
+        (("path",), "_StoreAction", None),
+        (("--connect",), "_StoreAction", None),
+        (("--interval",), "float", 1.0),
+        (("--once",), "_StoreTrueAction", False),
+        (("--frames",), "int", None),
+        (("--width",), "int", 100),
+        (("--height",), "int", 6),
+        (("--no-clear",), "_StoreFalseAction", True),
+    },
+}
+
+
+def _surface(parser, prefix=()):
+    found, rows = {}, set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found.update(_surface(sub, prefix + (name,)))
+        elif not isinstance(action, argparse._HelpAction):
+            kind = (type(action).__name__ if action.type is None
+                    else action.type.__name__)
+            rows.add((tuple(action.option_strings) or (action.dest,),
+                      kind, action.default))
+    found[" ".join(prefix)] = rows
+    return found
+
+
+class TestSurfacePinned:
+    def test_every_flag_keeps_name_type_and_default(self):
+        assert _surface(build_parser()) == CLI_SURFACE
+
+
+#: One quick invocation per command that takes the observer flags.
+OBSERVED_COMMANDS = [
+    ["run", "CUBIC"],
+    ["shootout"],
+    ["frontier"],
+    ["grid", "--reduced"],
+    ["fluid", "--flows", "4", "--towers", "1"],
+    ["env", "rollout"],
+]
+
+
+class TestObserverValidation:
+    """--sample/--profile with no tracer: one usage error, every door."""
+
+    @pytest.mark.parametrize("flag", [["--sample", "queue.sample:every=10"],
+                                      ["--profile"]], ids=["sample", "profile"])
+    @pytest.mark.parametrize("command", OBSERVED_COMMANDS,
+                             ids=lambda c: " ".join(c[:2]))
+    def test_exits_2_with_usage_and_no_traceback(
+            self, command, flag, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        with pytest.raises(SystemExit) as exc_info:
+            main(command + flag)
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        (message,) = [ln for ln in err.splitlines() if "error:" in ln]
+        assert "--telemetry" in message and "REPRO_TELEMETRY" in message
+
+    def test_env_telemetry_satisfies_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_TELEMETRY", str(tmp_path / "env"))
+        main(["run", "CUBIC", "--duration", "2", "--warmup", "0.5",
+              "--sample", "queue.sample:every=10"])
+        assert "KB/s" in capsys.readouterr().out
+        assert [p for p in tmp_path.iterdir() if p.name.startswith("env.")]
 
 
 class TestCommands:

@@ -20,6 +20,7 @@ from repro.experiments.contention_grid import (
     reduce_cell,
     run_grid,
 )
+from repro.experiments.options import RunOptions
 from repro.experiments.runner import DEFAULT_PROP_DELAY
 from repro.metrics.stats import DelaySummary, jain_fairness
 from repro.report.export import grid_to_json
@@ -291,7 +292,7 @@ class TestReducer:
 class TestEndToEnd:
     @pytest.fixture(scope="class")
     def report(self):
-        return run_grid(TINY_GRID, n_jobs=1, audit=True)
+        return run_grid(TINY_GRID, n_jobs=1, run_options=RunOptions(audit=True))
 
     def test_cells_reduced(self, report):
         assert len(report.cells) == 1
@@ -316,7 +317,8 @@ class TestEndToEnd:
         assert "pr@wired:4mbps" in data["baselines"]
 
     def test_serial_parallel_byte_identical(self, report):
-        parallel = run_grid(TINY_GRID, n_jobs=2, audit=True)
+        parallel = run_grid(
+            TINY_GRID, n_jobs=2, run_options=RunOptions(audit=True))
         a = json.dumps(report.to_dict(), sort_keys=True)
         b = json.dumps(parallel.to_dict(), sort_keys=True)
         assert a == b
@@ -352,7 +354,7 @@ class TestTelemetry:
         spec = cells[0]
         path = str(tmp_path / "cell.jsonl")
         tagged = GridCellSpec(
-            **{**spec.__dict__, "telemetry": path}
+            **{**spec.__dict__, "run_options": RunOptions(telemetry=path)}
         )
         tagged.execute()
         records = read_trace(path)
@@ -366,3 +368,31 @@ class TestTelemetry:
         assert head["baseline"] is False
         # The run's own events follow the header in the same trace.
         assert len(records) > 1
+
+    def test_grid_batch_all_observers_serial_equals_parallel(self, tmp_path):
+        from repro.experiments.parallel import collect, run_batch
+        from repro.experiments.runner import canonical_summary
+        from repro.obs.analyze import read_trace
+
+        baselines, cells = expand_grid(TINY_GRID)
+        specs = baselines + cells
+        summaries = {}
+        for n_jobs in (1, 2):
+            base = str(tmp_path / f"grid-{n_jobs}.jsonl")
+            results = collect(run_batch(specs, n_jobs=n_jobs,
+                                        run_options=RunOptions(
+                audit=True, telemetry=base, profile=True,
+                sampling="queue.sample:every=4")))
+            summaries[n_jobs] = [
+                [canonical_summary(r.summary()) for r in cell]
+                for cell in results
+            ]
+            records = read_trace(base)
+            headers = [r for r in records if r["kind"] == "grid.cell"]
+            assert sorted(r["run"] for r in headers) == [0, 1, 2]
+            (batch,) = [r for r in records if r["kind"] == "metrics"
+                        and r.get("scope") == "batch"]
+            metrics = batch["metrics"]
+            assert metrics["run.timing.prof.ack.scoreboard.calls"] > 0
+            assert metrics["run.telemetry.dropped.queue.sample"] > 0
+        assert summaries[1] == summaries[2]

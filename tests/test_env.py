@@ -284,6 +284,20 @@ class TestTelemetryEvents:
         assert episode["obs_version"] == OBS_VERSION
         assert episode["steps"] == 4
 
+    def test_env_profile_keyword_times_the_episode(self, tmp_path):
+        # CcEnv takes profile= like the other leaf entry points, so the
+        # CLI no longer activates a profiler around the rollout itself.
+        import repro.obs as obs
+
+        path = str(tmp_path / "env.jsonl")
+        env = CcEnv(_down(), inner_cc=lambda: PropRate(0.040),
+                    duration=2.0, measure_start=0.5, step_interval=0.5,
+                    telemetry=path, profile=True)
+        assert obs.current_profiler() is not None
+        out = rollout(env)
+        assert obs.current_profiler() is None and obs.current_tracer() is None
+        assert out.result.metrics["run.timing.prof.ack.scoreboard.calls"] > 0
+
 
 class TestAdapterUnits:
     def test_policy_adapter_picks_the_matching_face(self):

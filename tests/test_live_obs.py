@@ -21,6 +21,7 @@ import time
 import pytest
 
 import repro.obs as obs
+from repro.experiments.options import RunOptions
 from repro.experiments.parallel import RunSpec, proprate_spec, run_batch
 from repro.experiments.runner import run_single_flow
 from repro.core.proprate import PropRate
@@ -130,7 +131,7 @@ class TestSamplingPolicy:
         with pytest.raises(ValueError):
             run_batch([RunSpec(cc=proprate_spec(0.040),
                                downlink=as_ref(_down()), duration=2.0)],
-                      sampling="*:every=2")
+                      run_options=RunOptions(sampling="*:every=2"))
 
     def test_env_sampling_applies_to_env_tracer(self, tmp_path, monkeypatch):
         monkeypatch.setenv(obs.SAMPLE_ENV, "queue.sample:every=5")
@@ -240,7 +241,8 @@ class TestProfiling:
         specs = [RunSpec(cc=proprate_spec(0.040), downlink=as_ref(_down()),
                          duration=3.0, measure_start=1.0, name=f"r{i}")
                  for i in range(2)]
-        run_batch(specs, n_jobs=2, telemetry=base, profile=True)
+        run_batch(specs, n_jobs=2,
+                  run_options=RunOptions(telemetry=base, profile=True))
         (batch,) = [r for r in _read_jsonl(base)
                     if r["kind"] == "metrics" and r.get("scope") == "batch"]
         snap = batch["metrics"]
@@ -293,9 +295,7 @@ class TestTraceFollower:
         base = str(tmp_path / "batch.jsonl")
         follower = TraceFollower(base)
         bt = _BatchTelemetry(base)
-        spec = bt.assign(0, RunSpec(cc=proprate_spec(0.040),
-                                    downlink=as_ref(_down()), duration=2.0))
-        part = obs.JsonlSink(spec.telemetry, header=False)
+        part = obs.JsonlSink(bt.part(0), header=False)
         for i in range(5):
             part.write({"t": float(i), "kind": "x", "i": i})
         part.flush()
@@ -318,8 +318,8 @@ class TestDashboard:
         specs = [RunSpec(cc=proprate_spec(t), downlink=down, duration=5.0,
                          measure_start=1.0, name=f"PR{i}")
                  for i, t in enumerate((0.020, 0.060))]
-        run_batch(specs, n_jobs=2, telemetry=base,
-                  sampling="queue.sample:every=2")
+        run_batch(specs, n_jobs=2, run_options=RunOptions(
+            telemetry=base, sampling="queue.sample:every=2"))
         return base
 
     def test_dashboard_renders_batch_panels(self, batch_trace):

@@ -12,6 +12,8 @@ import os
 import pytest
 
 import repro.obs as obs
+from repro.debug import audit_enabled
+from repro.experiments.options import RunOptions
 from repro.experiments.parallel import (
     RunSpec,
     collect,
@@ -22,6 +24,7 @@ from repro.experiments.runner import run_single_flow
 from repro.core.proprate import PropRate
 from repro.traces.cache import as_ref
 from repro.traces.presets import isp_trace
+from repro.util.env import env_flag
 
 
 def _down(duration=30.0):
@@ -242,6 +245,117 @@ class TestTracerLifecycle:
         assert obs.env_trace_path().startswith("telemetry" + os.sep)
 
 
+class TestEnvFlags:
+    """One parser, one off-vocabulary, for every ``REPRO_*`` switch."""
+
+    BOOLEAN = {
+        "REPRO_AUDIT": lambda: audit_enabled(),
+        "REPRO_TELEMETRY": lambda: obs.env_trace_path() is not None,
+        "REPRO_PROFILE": obs.env_profile,
+    }
+
+    @pytest.mark.parametrize("value", ["", "0", "false", "no", "off",
+                                       " Off ", "NO"])
+    @pytest.mark.parametrize("name", sorted(BOOLEAN))
+    def test_off_spellings(self, name, value, monkeypatch):
+        monkeypatch.setenv(name, value)
+        assert env_flag(name) is None
+        assert self.BOOLEAN[name]() is False
+
+    @pytest.mark.parametrize("value", ["1", "true", "some/prefix"])
+    @pytest.mark.parametrize("name", sorted(BOOLEAN))
+    def test_on_spellings(self, name, value, monkeypatch):
+        monkeypatch.setenv(name, value)
+        assert env_flag(name) == value
+        assert self.BOOLEAN[name]() is True
+
+    def test_telemetry_no_writes_no_file(self, tmp_path, monkeypatch):
+        # Regression: "no"/"off" used to be taken for a path prefix and
+        # wrote ``no.<pid>-0.jsonl`` into the working directory.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(obs.TELEMETRY_ENV, "no")
+        result = run_single_flow(PropRate, _down(), duration=2.0,
+                                 measure_start=0.5)
+        assert result.metrics is None
+        assert os.listdir(tmp_path) == []
+
+    def test_telemetry_on_and_prefix_as_before(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(obs.TELEMETRY_ENV, "1")
+        run_single_flow(PropRate, _down(), duration=2.0, measure_start=0.5)
+        (trace,) = os.listdir(tmp_path / "telemetry")
+        assert trace.startswith("trace-") and trace.endswith(".jsonl")
+        monkeypatch.setenv(obs.TELEMETRY_ENV, os.path.join("some", "prefix"))
+        run_single_flow(PropRate, _down(), duration=2.0, measure_start=0.5)
+        (trace,) = os.listdir(tmp_path / "some")
+        assert trace.startswith("prefix.") and trace.endswith(".jsonl")
+
+    def test_audit_dir_off_spelling_falls_back_to_default(
+            self, tmp_path, monkeypatch):
+        from repro.debug import FlightRecorder
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_AUDIT_DIR", "off")
+        path = FlightRecorder().dump()
+        assert os.path.dirname(path) == "audit-traces"
+
+
+class TestObserverValidation:
+    """Explicit sampling/profile with no tracer: one ValueError, whichever
+    door it came through; the environment forms degrade silently."""
+
+    DOORS = {
+        "run_single_flow": lambda **kw: run_single_flow(
+            PropRate, _down(), duration=2.0, measure_start=0.5, **kw),
+        "run_fluid": lambda **kw: _run_fluid(**kw),
+        "CcEnv": lambda **kw: _make_env(**kw),
+        "run_batch": lambda **kw: run_batch(
+            [RunSpec(cc=proprate_spec(0.040), downlink=as_ref(_down()),
+                     duration=2.0)], run_options=RunOptions(**kw)),
+    }
+
+    @pytest.mark.parametrize("setting", [{"sampling": "*:every=2"},
+                                         {"profile": True}],
+                             ids=["sampling", "profile"])
+    @pytest.mark.parametrize("door", sorted(DOORS))
+    def test_same_error_every_door(self, door, setting, monkeypatch):
+        monkeypatch.delenv(obs.TELEMETRY_ENV, raising=False)
+        with pytest.raises(ValueError) as exc_info:
+            self.DOORS[door](**setting)
+        with pytest.raises(ValueError) as shared:
+            obs.require_tracer(None, "*:every=2", None)
+        assert str(exc_info.value) == str(shared.value)
+        assert obs.current_tracer() is None
+
+    @pytest.mark.parametrize("door", sorted(DOORS))
+    def test_environment_defaults_degrade_silently(self, door, monkeypatch):
+        monkeypatch.delenv(obs.TELEMETRY_ENV, raising=False)
+        monkeypatch.setenv(obs.SAMPLE_ENV, "*:every=2")
+        monkeypatch.setenv(obs.PROFILE_ENV, "1")
+        self.DOORS[door]()
+
+    def test_ambient_or_env_tracer_satisfies_it(self, tmp_path, monkeypatch):
+        with obs.tracing(tmp_path / "ambient.jsonl"):
+            obs.require_tracer(None, "*:every=2", True)
+        monkeypatch.setenv(obs.TELEMETRY_ENV, str(tmp_path / "env"))
+        obs.require_tracer(None, None, True)
+
+
+def _run_fluid(**kwargs):
+    from repro.fluid import fan_in_scenario, run_fluid
+
+    flows, towers, handovers = fan_in_scenario(4, 1, 2.0)
+    return run_fluid(flows, towers, 2.0, measure_start=0.5,
+                     handovers=handovers, **kwargs)
+
+
+def _make_env(**kwargs):
+    from repro.env import CcEnv
+
+    CcEnv(_down(), inner_cc=PropRate, duration=2.0, measure_start=0.5,
+          **kwargs).close()
+
+
 # ----------------------------------------------------------------------
 # Run-level plumbing
 # ----------------------------------------------------------------------
@@ -306,7 +420,8 @@ class TestBatchTelemetry:
 
     def test_parallel_merge_tags_runs(self, tmp_path):
         base = str(tmp_path / "batch.jsonl")
-        outcomes = run_batch(self._specs(3), n_jobs=2, telemetry=base)
+        outcomes = run_batch(
+            self._specs(3), n_jobs=2, run_options=RunOptions(telemetry=base))
         assert all(o.ok for o in outcomes)
         records = _read_jsonl(base)
         assert {r.get("run") for r in records if "run" in r} == {0, 1, 2}
@@ -315,7 +430,8 @@ class TestBatchTelemetry:
 
     def test_batch_metrics_record(self, tmp_path):
         base = str(tmp_path / "batch.jsonl")
-        run_batch(self._specs(2), n_jobs=2, telemetry=base)
+        run_batch(
+            self._specs(2), n_jobs=2, run_options=RunOptions(telemetry=base))
         (batch,) = [
             r for r in _read_jsonl(base)
             if r["kind"] == "metrics" and r.get("scope") == "batch"
@@ -328,12 +444,48 @@ class TestBatchTelemetry:
     def test_serial_and_parallel_summaries_match(self, tmp_path):
         specs = self._specs(2)
         serial = collect(
-            run_batch(specs, n_jobs=1, telemetry=str(tmp_path / "s.jsonl"))
+            run_batch(specs, n_jobs=1, run_options=RunOptions(
+                telemetry=str(tmp_path / "s.jsonl")))
         )
         parallel = collect(
-            run_batch(specs, n_jobs=2, telemetry=str(tmp_path / "p.jsonl"))
+            run_batch(specs, n_jobs=2, run_options=RunOptions(
+                telemetry=str(tmp_path / "p.jsonl")))
         )
         assert [r.summary() for r in serial] == [r.summary() for r in parallel]
+
+    def test_scenario_batch_all_observers_serial_equals_parallel(
+            self, tmp_path):
+        # Scenario drivers build their simulations internally, so the
+        # cell's observers are ambient around the driver call.
+        from repro.experiments.parallel import CcSpec
+        from repro.experiments.runner import canonical_summary
+        from repro.experiments.scenarios import run_scenario_grid
+
+        algos = {"PR(M)": CcSpec("PR(M)"), "CUBIC": CcSpec("CUBIC")}
+        summaries = {}
+        for n_jobs in (1, 2):
+            base = str(tmp_path / f"scenario-{n_jobs}.jsonl")
+            results = run_scenario_grid(
+                "wired_path", algos, n_jobs=n_jobs,
+                run_options=RunOptions(
+                    audit=True, telemetry=base, profile=True,
+                    sampling="queue.sample:every=4"),
+                duration=3.0, measure_start=0.5,
+            )
+            summaries[n_jobs] = {
+                label: canonical_summary(r.summary())
+                for label, r in results.items()
+            }
+            (batch,) = [
+                r for r in _read_jsonl(base)
+                if r["kind"] == "metrics" and r.get("scope") == "batch"
+            ]
+            metrics = batch["metrics"]
+            assert metrics["run.timing.prof.ack.scoreboard.calls"] > 0
+            assert metrics["run.telemetry.dropped.queue.sample"] > 0
+            assert metrics["batch.sched.outcomes"] == 2
+        assert summaries[1] == summaries[2]
+        assert all(s[-1] for s in summaries[1].values())  # metrics rode along
 
     def test_rotated_part_files_merge_in_order(self, tmp_path):
         # A worker whose part trace rotated still merges completely and
@@ -342,8 +494,7 @@ class TestBatchTelemetry:
 
         base = str(tmp_path / "batch.jsonl")
         bt = _BatchTelemetry(base)
-        spec = bt.assign(0, self._specs(1)[0])
-        part = obs.JsonlSink(spec.telemetry, rotate_bytes=120)
+        part = obs.JsonlSink(bt.part(0), rotate_bytes=120)
         for i in range(40):
             part.write({"t": float(i), "kind": "x", "i": i})
         part.close()
@@ -359,9 +510,11 @@ class TestBatchTelemetry:
         spec = self._specs(1)[0]
         spec = RunSpec(
             cc=spec.cc, downlink=spec.downlink, duration=spec.duration,
-            measure_start=spec.measure_start, name=spec.name, telemetry=own,
+            measure_start=spec.measure_start, name=spec.name,
+            run_options=RunOptions(telemetry=own),
         )
-        run_batch([spec], n_jobs=1, telemetry=str(tmp_path / "batch.jsonl"))
+        run_batch([spec], n_jobs=1, run_options=RunOptions(
+            telemetry=str(tmp_path / "batch.jsonl")))
         assert os.path.exists(own)  # kept, not merged or deleted
 
 
@@ -378,7 +531,7 @@ class TestTraceAnalysis:
                     measure_start=1.0, name=f"PR{i}")
             for i, t in enumerate((0.020, 0.060))
         ]
-        run_batch(specs, n_jobs=2, telemetry=base)
+        run_batch(specs, n_jobs=2, run_options=RunOptions(telemetry=base))
         return base
 
     def test_read_trace_missing_raises(self, tmp_path):

@@ -27,6 +27,7 @@ import pytest
 
 from repro.experiments.algorithms import run_shootout
 from repro.experiments.frontier import iter_frontier, sweep_frontier
+from repro.experiments.options import RunOptions
 from repro.experiments.parallel import (
     CcSpec,
     RunSpec,
@@ -193,15 +194,14 @@ class TestRunBatch:
         ]
 
     def test_outcomes_in_submission_order(self):
-        # chunksize is a retired knob: still accepted, now a no-op.
-        outcomes = run_batch(self._specs(), n_jobs=2, chunksize=1)
+        outcomes = run_batch(self._specs(), n_jobs=2)
         assert [o.index for o in outcomes] == [0, 1, 2, 3, 4]
         assert [o.result.name for o in outcomes] == [f"run-{i}" for i in range(5)]
 
     def test_spec_failure_does_not_lose_the_batch(self):
         specs = self._specs(3)
         specs.insert(1, _BoomSpec())
-        outcomes = run_batch(specs, n_jobs=2, chunksize=1)
+        outcomes = run_batch(specs, n_jobs=2)
         assert [o.ok for o in outcomes] == [True, False, True, True]
         assert "kaboom" in outcomes[1].error
         assert outcomes[1].result is None
@@ -213,7 +213,7 @@ class TestRunBatch:
             collect(outcomes)
 
     def test_results_cross_the_boundary_detached(self):
-        outcomes = run_batch(self._specs(2), n_jobs=2, chunksize=1)
+        outcomes = run_batch(self._specs(2), n_jobs=2)
         for outcome in outcomes:
             assert outcome.result.collector is None
             assert outcome.result.sender is None
@@ -368,7 +368,7 @@ class TestStreaming:
         outcomes = run_batch(
             [_SleepSpec(0.05, i) for i in range(4)],
             n_jobs=2,
-            on_outcome=lambda o: seen.append(o.index),
+            run_options=RunOptions(on_outcome=lambda o: seen.append(o.index)),
         )
         assert sorted(seen) == [0, 1, 2, 3]
         assert all(o.ok for o in outcomes)
@@ -378,7 +378,7 @@ class TestStreaming:
         run_batch(
             [_SleepSpec(0.0, i) for i in range(3)],
             n_jobs=1,
-            on_outcome=lambda o: seen.append(o.index),
+            run_options=RunOptions(on_outcome=lambda o: seen.append(o.index)),
         )
         assert seen == [0, 1, 2]
 
@@ -405,7 +405,7 @@ class TestRobustness:
     def test_killed_worker_retried_to_success(self, tmp_path):
         flag = str(tmp_path / "killed")
         specs = [_KillOnceSpec(flag, 7), _SleepSpec(0.05, 1)]
-        outcomes = run_batch(specs, n_jobs=2, retries=1)
+        outcomes = run_batch(specs, n_jobs=2, run_options=RunOptions(retries=1))
         assert [o.ok for o in outcomes] == [True, True]
         assert outcomes[0].result == 7
         assert outcomes[0].attempts == 2  # dispatched, lost, re-dispatched
@@ -429,7 +429,7 @@ class TestRobustness:
 
     def test_timeout_reports_and_other_specs_survive(self):
         specs = [_SleepSpec(300.0, 0), _SleepSpec(0.05, 1)]
-        outcomes = run_batch(specs, n_jobs=2, timeout=0.75)
+        outcomes = run_batch(specs, n_jobs=2, run_options=RunOptions(timeout=0.75))
         assert not outcomes[0].ok
         assert "timed out after" in outcomes[0].error
         assert outcomes[1].ok and outcomes[1].result == 1
@@ -437,7 +437,8 @@ class TestRobustness:
     def test_timeout_retry_recovers(self, tmp_path):
         flag = str(tmp_path / "stalled")
         specs = [_StallOnceSpec(flag, 9), _SleepSpec(0.05, 1)]
-        outcomes = run_batch(specs, n_jobs=2, timeout=0.75, retries=1)
+        outcomes = run_batch(
+            specs, n_jobs=2, run_options=RunOptions(timeout=0.75, retries=1))
         assert [o.ok for o in outcomes] == [True, True]
         assert outcomes[0].result == 9
         assert outcomes[0].attempts == 2
@@ -449,7 +450,8 @@ class TestRobustness:
         # retry is charged like a pool-path timeout, and later specs
         # still run with a fresh deadline.
         specs = [_SlowSimSpec(0), _SleepSpec(0.05, 1)]
-        outcomes = run_batch(specs, n_jobs=1, timeout=0.5, retries=1)
+        outcomes = run_batch(
+            specs, n_jobs=1, run_options=RunOptions(timeout=0.5, retries=1))
         assert not outcomes[0].ok
         assert "timed out after" in outcomes[0].error
         assert outcomes[0].attempts == 2  # initial dispatch + one retry
@@ -471,7 +473,8 @@ class TestRobustness:
 
     def test_deterministic_exceptions_are_not_retried(self):
         outcomes = run_batch(
-            [_BoomSpec(), _SleepSpec(0.05, 1)], n_jobs=2, retries=3
+            [_BoomSpec(), _SleepSpec(0.05, 1)], n_jobs=2,
+            run_options=RunOptions(retries=3),
         )
         assert not outcomes[0].ok
         assert "kaboom" in outcomes[0].error

@@ -1,0 +1,129 @@
+"""``RunOptions``: one declaration of the run/batch settings.
+
+A function that *consumes* a setting names it; a function that only
+*forwards* settings takes the value.  The structural guard pins that
+rule, the spawn test pins "only the per-run part reaches a worker", and
+the stale-spelling test pins the loud failure for the old keywords.
+"""
+
+import ast
+import dataclasses
+import inspect
+import json
+import multiprocessing
+import pathlib
+from unittest import mock
+
+import pytest
+
+import repro
+import repro.experiments.parallel as parallel
+from repro.experiments.algorithms import run_shootout
+from repro.experiments.contention_grid import GridCellSpec, run_grid
+from repro.experiments.frontier import (
+    iter_frontier,
+    nfl_convergence,
+    sweep_frontier,
+)
+from repro.experiments.options import RunOptions
+from repro.experiments.parallel import CcSpec, RunSpec, iter_batch, run_batch
+from repro.experiments.scenarios import ScenarioSpec, run_scenario_grid
+from repro.obs.analyze import read_trace
+from tests.helpers import isp_traces
+
+SETTINGS = {f.name for f in dataclasses.fields(RunOptions)}
+FORWARDERS = (run_shootout, sweep_frontier, iter_frontier, nfl_convergence,
+              run_scenario_grid, run_grid, run_batch, iter_batch)
+SPECS = (RunSpec, ScenarioSpec, GridCellSpec)
+
+
+class TestOneDeclaration:
+    def test_the_seven_settings(self):
+        assert SETTINGS == {"audit", "telemetry", "sampling", "profile",
+                            "timeout", "retries", "on_outcome"}
+
+    @pytest.mark.parametrize("fn", FORWARDERS, ids=lambda f: f.__name__)
+    def test_forwarders_take_the_value_not_the_settings(self, fn):
+        params = inspect.signature(fn).parameters
+        assert not SETTINGS & set(params)
+        assert params["run_options"].default is None
+
+    @pytest.mark.parametrize("cls", SPECS, ids=lambda c: c.__name__)
+    def test_specs_carry_one_field(self, cls):
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert not SETTINGS & names
+        assert "run_options" in names
+
+    def test_observer_setup_is_written_only_under_obs(self):
+        root = pathlib.Path(repro.__file__).parent
+        guarded = {"activate_profiler", "deactivate_profiler",
+                   "resolve_tracer"}
+        offenders = []
+        for path in root.rglob("*.py"):
+            if path.parent == root / "obs":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in guarded:
+                    offenders.append(f"{path.relative_to(root)}:{name}")
+        assert offenders == []
+
+
+class TestStaleSpelling:
+    def test_run_setting_in_scenario_keywords_fails_before_any_worker(self):
+        with mock.patch.object(parallel, "iter_batch") as batch:
+            with pytest.raises(TypeError, match=r"run_options=RunOptions"):
+                run_scenario_grid(
+                    "wired_path", {"cubic": CcSpec("CUBIC")}, retries=1)
+        batch.assert_not_called()
+
+    def test_scenario_spec_rejects_it_too(self):
+        with pytest.raises(TypeError, match="audit"):
+            ScenarioSpec("wired_path", CcSpec("CUBIC"),
+                         options=(("audit", True),))
+
+
+@pytest.mark.skipif(
+    "spawn" not in multiprocessing.get_all_start_methods(),
+    reason="platform has no spawn start method",
+)
+def test_only_the_per_run_part_reaches_a_spawned_worker(tmp_path):
+    # The callback is a lambda: were it (or timeout/retries) stamped onto
+    # the specs, pickling them for a spawned worker would fail.
+    seen = []
+    base = str(tmp_path / "batch.jsonl")
+    options = RunOptions(
+        on_outcome=lambda o: seen.append(o.index), timeout=30, retries=1,
+        audit=True, telemetry=base,
+    )
+    real = parallel.iter_batch
+
+    def spawning(specs, **kwargs):
+        return real(specs, **{**kwargs, "start_method": "spawn"})
+
+    down, up = isp_traces("A", "stationary", 10.0)
+    names = ["PR(M)", "CUBIC", "BBR"]
+    with mock.patch.object(parallel, "iter_batch", spawning):
+        results = run_shootout(down, up, names=names, duration=3.0,
+                               measure_start=1.0, n_jobs=2,
+                               run_options=options)
+    assert list(results) == names
+    assert sorted(seen) == [0, 1, 2]
+    records = read_trace(base)
+    assert {r["run"] for r in records if "run" in r} == {0, 1, 2}
+    assert sum(r["kind"] == "run.end" for r in records) == 3
+
+
+def test_per_run_part_is_picklable_and_complete():
+    import pickle
+
+    options = RunOptions(audit=True, telemetry="batch.jsonl",
+                         sampling="queue.sample:every=2", profile=True,
+                         timeout=5.0, retries=2, on_outcome=lambda o: None)
+    part = pickle.loads(pickle.dumps(options.per_run("part.jsonl")))
+    assert part == RunOptions(audit=True, telemetry="part.jsonl",
+                              sampling="queue.sample:every=2", profile=True)
+    assert json.dumps(dataclasses.asdict(part))  # plain data only
