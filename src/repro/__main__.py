@@ -316,7 +316,13 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     # the other commands should not pay for at import time.
     from repro.obs import analyze
 
-    events = analyze.read_trace(args.path)
+    try:
+        events = analyze.read_trace(args.path)
+        other = None if args.diff is None else analyze.read_trace(args.diff)
+    except ValueError as err:
+        # A malformed or truncated record (a killed writer leaves one):
+        # name the file and line, not a traceback.
+        raise SystemExit(f"repro trace: {err}")
     if args.profile:
         table = analyze.profile_table(events)
         print(table if table
@@ -324,8 +330,7 @@ def _cmd_trace(args: argparse.Namespace) -> None:
                    "or REPRO_PROFILE=1)")
     elif args.plot:
         print(analyze.render_plot(events, width=args.plot_width))
-    elif args.diff is not None:
-        other = analyze.read_trace(args.diff)
+    elif other is not None:
         print(analyze.diff_traces(events, other,
                                   label_a=args.path, label_b=args.diff))
     else:
@@ -333,7 +338,7 @@ def _cmd_trace(args: argparse.Namespace) -> None:
 
 
 def _cmd_watch(args: argparse.Namespace) -> None:
-    # Lazy: the dashboard reuses the analyzer's render helpers (numpy).
+    # Lazy, like ``repro trace``: only the reading commands load the reader.
     from repro.obs.live import watch
 
     if (args.path is None) == (args.connect is None):
@@ -555,11 +560,13 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="summarize or diff --telemetry JSONL traces"
     )
     p_trace.add_argument("path", help="trace file written with --telemetry")
-    p_trace.add_argument(
+    # One view per invocation: the summary, or exactly one of these.
+    trace_view = p_trace.add_mutually_exclusive_group()
+    trace_view.add_argument(
         "--diff", metavar="OTHER", default=None,
         help="compare against a second trace instead of summarizing",
     )
-    p_trace.add_argument(
+    trace_view.add_argument(
         "--plot", action="store_true",
         help="ASCII waveform view: buffer-delay sawtooth + state dwell",
     )
@@ -567,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--plot-width", type=int, default=100, metavar="COLS",
         help="plot width in columns (default 100)",
     )
-    p_trace.add_argument(
+    trace_view.add_argument(
         "--profile", action="store_true",
         help="print the per-phase timing table recorded by --profile/"
         "REPRO_PROFILE runs instead of the summary",

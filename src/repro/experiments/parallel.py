@@ -554,6 +554,7 @@ def iter_batch(
                             obs.SCHED_DISPATCH,
                             spec=task.index,
                             attempt=task.dispatches,
+                            of=len(entries),
                         )
                 timed_out = False
                 try:
@@ -683,6 +684,7 @@ def iter_batch(
                             obs.SCHED_DISPATCH,
                             spec=task.index,
                             attempt=task.dispatches,
+                            of=len(entries),
                         )
                     future = pool.submit(_run_entry, (task.index, task.spec))
                     deadline = (

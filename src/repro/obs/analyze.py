@@ -1,11 +1,13 @@
 """Trace analysis behind the ``repro trace`` CLI subcommand.
 
 Reads a JSONL trace (single run, or a coordinator-merged parallel
-batch where every record carries a ``run`` index), and reconstructs
-the quantities the paper reasons with: the state-dwell breakdown of
-the Fill/Drain machine, the bottleneck-queue sawtooth (via the
-existing :func:`repro.metrics.telemetry.sawtooth_summary`), and the
-NFL threshold's convergence toward the latency target.
+batch where every record carries a ``run`` index), folds it into one
+:class:`repro.obs.live.TraceState` — the reducer ``repro watch`` draws
+from too — and prints one view of it: the summary (the state-dwell
+breakdown of the Fill/Drain machine, the bottleneck-queue sawtooth via
+:func:`repro.metrics.telemetry.sawtooth_summary`, the NFL threshold's
+convergence toward the latency target), a diff of two traces, the
+phase-profile table, or the ASCII plot.
 
 Kept out of ``repro.obs.__init__`` so the hot-path tracer never drags
 in numpy/metrics; the CLI imports this module lazily.
@@ -13,159 +15,27 @@ in numpy/metrics; the CLI imports this module lazily.
 
 from __future__ import annotations
 
-import json
-from collections import Counter as TallyCounter
 from collections import defaultdict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from repro.metrics.telemetry import sawtooth_summary
-from repro.obs.events import (
-    CC_LOSS,
-    CC_LOSS_RUNS,
-    CC_NFL,
-    CC_STATE,
-    META,
-    METRICS,
-    QUEUE_SAMPLE,
-    RUN_END,
-    RUN_START,
-)
-from repro.obs.registry import merge_snapshots
-from repro.obs.sink import iter_trace_files
-
-#: MSS assumed when converting queue occupancy to buffering delay.
-PACKET_BYTES = 1500
+from repro.obs.live import PACKET_BYTES, TraceFollower, TraceState, run_label
 
 
 def read_trace(path: str) -> List[Dict[str, Any]]:
-    """All records of a possibly-rotated trace, oldest first."""
-    records: List[Dict[str, Any]] = []
-    files = iter_trace_files(path)
-    if not files:
-        raise FileNotFoundError(f"no trace found at {path}")
-    for fpath in files:
-        with open(fpath, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-    return records
+    """All records of a possibly-rotated trace, oldest first.
 
-
-def _run_of(event: Dict[str, Any]) -> Optional[int]:
-    return event.get("run")
-
-
-def kind_counts(events: List[Dict[str, Any]]) -> Dict[str, int]:
-    return dict(TallyCounter(e.get("kind", "?") for e in events))
-
-
-def run_end_times(events: List[Dict[str, Any]]) -> Dict[Optional[int], float]:
-    """Per-run trace horizon: the run.end time, else the last sim event."""
-    ends: Dict[Optional[int], float] = {}
-    for e in events:
-        kind = e.get("kind", "")
-        if kind.startswith("sched.") or kind == META:
-            continue
-        run = _run_of(e)
-        t = e.get("t", 0.0)
-        if kind == RUN_END or t > ends.get(run, 0.0):
-            ends[run] = max(ends.get(run, 0.0), t)
-    return ends
-
-
-def state_dwell(events: List[Dict[str, Any]],
-                ) -> Dict[Tuple[Optional[int], Optional[int]],
-                          Dict[str, List[float]]]:
-    """Per (run, flow): state -> [entries, total dwell seconds]."""
-    ends = run_end_times(events)
-    open_state: Dict[Tuple, Tuple[str, float]] = {}
-    dwell: Dict[Tuple, Dict[str, List[float]]] = defaultdict(
-        lambda: defaultdict(lambda: [0, 0.0]))
-    for e in events:
-        if e.get("kind") != CC_STATE:
-            continue
-        key = (_run_of(e), e.get("flow"))
-        t = e["t"]
-        prev = open_state.get(key)
-        if prev is not None:
-            cell = dwell[key][prev[0]]
-            cell[1] += t - prev[1]
-        cell = dwell[key][e["state"]]
-        cell[0] += 1
-        open_state[key] = (e["state"], t)
-    for key, (state, since) in open_state.items():
-        end = ends.get(key[0], since)
-        if end > since:
-            dwell[key][state][1] += end - since
-    return {k: dict(v) for k, v in dwell.items()}
-
-
-def nfl_curve(events: List[Dict[str, Any]],
-              ) -> Dict[Tuple[Optional[int], Optional[int]],
-                        List[Dict[str, float]]]:
-    """Per (run, flow): the sequence of applied NFL threshold updates."""
-    curves: Dict[Tuple, List[Dict[str, float]]] = defaultdict(list)
-    for e in events:
-        if e.get("kind") == CC_NFL:
-            curves[(_run_of(e), e.get("flow"))].append(e)
-    return dict(curves)
-
-
-def link_rates(events: List[Dict[str, Any]],
-               ) -> Dict[Tuple[Optional[int], str], float]:
-    """Per (run, link name): mean capacity in bytes/s from run.start."""
-    rates: Dict[Tuple[Optional[int], str], float] = {}
-    for e in events:
-        if e.get("kind") == RUN_START:
-            for name, meta in (e.get("links") or {}).items():
-                rate = meta.get("rate")
-                if rate:
-                    rates[(_run_of(e), name)] = rate
-    return rates
-
-
-def queue_waveforms(events: List[Dict[str, Any]],
-                    ) -> Dict[Tuple[Optional[int], str],
-                              Tuple[np.ndarray, np.ndarray]]:
-    """Per (run, link): (sample times, queue length) arrays."""
-    samples: Dict[Tuple, Tuple[List[float], List[int]]] = defaultdict(
-        lambda: ([], []))
-    for e in events:
-        if e.get("kind") == QUEUE_SAMPLE:
-            times, lens = samples[(_run_of(e), e.get("link", "?"))]
-            times.append(e["t"])
-            lens.append(e["len"])
-    return {k: (np.asarray(t), np.asarray(n))
-            for k, (t, n) in samples.items()}
-
-
-def merged_metrics(events: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """One aggregate snapshot: the batch record if present, else the
-    fold of every run-scope metrics record."""
-    batch = None
-    total: Dict[str, Any] = {}
-    for e in events:
-        if e.get("kind") != METRICS:
-            continue
-        if e.get("scope") == "batch":
-            batch = e.get("metrics", {})
-        else:
-            merge_snapshots(total, e.get("metrics", {}))
-    return batch if batch is not None else total
-
-
-def _fmt_run(run: Optional[int]) -> str:
-    return "-" if run is None else str(run)
+    One drain of :class:`~repro.obs.live.TraceFollower`: raises
+    ``FileNotFoundError`` without a trace and
+    ``ValueError("<file>:<line>: ...")`` at a malformed record.
+    """
+    return TraceFollower(path).drain()
 
 
 #: Key fragment marking phase-profiler counters (see ``repro.obs.prof``).
 _PROF_MARKER = "timing.prof."
-
-#: Key fragment marking sampling-drop counters (see ``repro.obs.sampling``).
-_DROP_MARKER = "telemetry.dropped."
 
 
 def profile_table(events: List[Dict[str, Any]]) -> str:
@@ -176,9 +46,8 @@ def profile_table(events: List[Dict[str, Any]]) -> str:
     time.  Empty string when the trace carries no profiling data (the
     run was executed without ``profile=``/``REPRO_PROFILE``).
     """
-    snap = merged_metrics(events)
     rows: Dict[Tuple[str, str], Dict[str, float]] = {}
-    for key, value in snap.items():
+    for key, value in TraceState.of(events).metrics.items():
         pos = key.find(_PROF_MARKER)
         if pos < 0 or isinstance(value, dict):
             continue
@@ -203,23 +72,9 @@ def profile_table(events: List[Dict[str, Any]]) -> str:
     return "\n".join(out)
 
 
-def _sampling_lines(events: List[Dict[str, Any]]) -> List[str]:
+def _sampling_lines(state: TraceState) -> List[str]:
     """Per-kind sampling-drop counters, so truncation is never silent."""
-    snap = merged_metrics(events)
-    per: Dict[Tuple[str, str], float] = {}
-    total = 0.0
-    for key, value in snap.items():
-        if isinstance(value, dict):
-            continue
-        if key.endswith("telemetry.dropped_events"):
-            total += float(value)
-            continue
-        pos = key.find(_DROP_MARKER)
-        if pos < 0:
-            continue
-        scope = key[:pos].rstrip(".") or "?"
-        kind = key[pos + len(_DROP_MARKER):]
-        per[(scope, kind)] = per.get((scope, kind), 0.0) + float(value)
+    per, total = state.sampling_drops()
     lines = [f"  {scope:6s} {kind:20s} {value:.0f} dropped"
              for (scope, kind), value in sorted(per.items())]
     if total:
@@ -227,41 +82,43 @@ def _sampling_lines(events: List[Dict[str, Any]]) -> List[str]:
     return lines
 
 
-def _sawtooth_lines(events: List[Dict[str, Any]]) -> List[str]:
-    rates = link_rates(events)
+def _sawtooth_lines(state: TraceState) -> List[str]:
     lines = []
-    for (run, link), (times, lens) in sorted(
-            queue_waveforms(events).items(),
-            key=lambda kv: (_fmt_run(kv[0][0]), kv[0][1])):
-        rate = rates.get((run, link))
+    for (run, link), queue in sorted(
+            state.queues.items(),
+            key=lambda kv: (run_label(kv[0][0]), kv[0][1])):
+        times = np.asarray([t for t, _ in queue])
+        lens = np.asarray([n for _, n in queue])
+        rate = state.link_rates.get((run, link))
         if not rate or times.size < 10:
-            lines.append(f"  run {_fmt_run(run)} {link:10s} "
+            lines.append(f"  run {run_label(run)} {link:10s} "
                          f"{times.size} samples (too few / no rate)")
             continue
         delays = lens * (PACKET_BYTES / rate)
         try:
             s = sawtooth_summary(times, delays)
         except ValueError as exc:
-            lines.append(f"  run {_fmt_run(run)} {link:10s} n/a ({exc})")
+            lines.append(f"  run {run_label(run)} {link:10s} n/a ({exc})")
             continue
         period = "n/a" if np.isnan(s.period) else f"{s.period:6.2f}s"
         lines.append(
-            f"  run {_fmt_run(run)} {link:10s} peak {s.dmax * 1000:7.1f}ms  "
+            f"  run {run_label(run)} {link:10s} peak {s.dmax * 1000:7.1f}ms  "
             f"trough {s.dmin * 1000:7.1f}ms  avg {s.average * 1000:7.1f}ms  "
             f"period {period}  cycles {s.n_cycles}  "
             f"empty {s.empty_fraction * 100:.0f}%")
     return lines
 
 
-def _nfl_lines(events: List[Dict[str, Any]], max_rows: int = 6) -> List[str]:
+def _nfl_lines(state: TraceState, max_rows: int = 6) -> List[str]:
     lines = []
-    for (run, flow), curve in sorted(
-            nfl_curve(events).items(),
-            key=lambda kv: (_fmt_run(kv[0][0]), str(kv[0][1]))):
+    for (run, flow), updates in sorted(
+            state.nfl.items(),
+            key=lambda kv: (run_label(kv[0][0]), str(kv[0][1]))):
+        curve = list(updates)
         first, last = curve[0], curve[-1]
         target = last.get("target", float("nan"))
         lines.append(
-            f"  run {_fmt_run(run)} flow {flow}: {len(curve)} updates, "
+            f"  run {run_label(run)} flow {flow}: {len(curve)} updates, "
             f"T {first['threshold'] * 1000:.1f}ms -> "
             f"{last['threshold'] * 1000:.1f}ms "
             f"(target {target * 1000:.1f}ms, final t_actual "
@@ -277,23 +134,22 @@ def _nfl_lines(events: List[Dict[str, Any]], max_rows: int = 6) -> List[str]:
     return lines
 
 
-def _dwell_lines(events: List[Dict[str, Any]]) -> List[str]:
+def _dwell_lines(state: TraceState) -> List[str]:
     lines = []
     for (run, flow), states in sorted(
-            state_dwell(events).items(),
-            key=lambda kv: (_fmt_run(kv[0][0]), str(kv[0][1]))):
+            state.state_dwell().items(),
+            key=lambda kv: (run_label(kv[0][0]), str(kv[0][1]))):
         total = sum(t for _, t in states.values()) or 1.0
-        lines.append(f"  run {_fmt_run(run)} flow {flow}:")
-        for state, (entries, secs) in sorted(
+        lines.append(f"  run {run_label(run)} flow {flow}:")
+        for name, (entries, secs) in sorted(
                 states.items(), key=lambda kv: -kv[1][1]):
             lines.append(
-                f"      {state:12s} {entries:5d} entries  {secs:8.2f}s  "
+                f"      {name:12s} {entries:5d} entries  {secs:8.2f}s  "
                 f"{secs / total * 100:5.1f}%")
     return lines
 
 
-def _metrics_lines(events: List[Dict[str, Any]], limit: int = 40) -> List[str]:
-    snap = merged_metrics(events)
+def _metrics_lines(snap: Dict[str, Any], limit: int = 40) -> List[str]:
     lines = []
     for key in sorted(snap)[:limit]:
         value = snap[key]
@@ -313,243 +169,79 @@ def _metrics_lines(events: List[Dict[str, Any]], limit: int = 40) -> List[str]:
     return lines
 
 
-_EIGHTHS = " ▁▂▃▄▅▆▇█"
-
-
-def _column_values(times: np.ndarray, values: np.ndarray,
-                   t0: float, t1: float, width: int) -> List[float]:
-    """Per-column peak of a sample series over ``width`` time bins.
-
-    Empty bins carry the previous sample forward, so a sparsely sampled
-    waveform still renders as a continuous line.
-    """
-    cols: List[float] = []
-    span = max(t1 - t0, 1e-9)
-    idx = 0
-    last = 0.0
-    n = times.size
-    for c in range(width):
-        hi = t0 + (c + 1) * span / width
-        peak = None
-        while idx < n and times[idx] <= hi:
-            v = float(values[idx])
-            peak = v if peak is None else max(peak, v)
-            idx += 1
-        if peak is not None:
-            last = peak
-        cols.append(last)
-    return cols
-
-
-def _waveform_canvas(cols: List[float], vmax: float, height: int) -> List[str]:
-    """Render column peaks as stacked eighth-block rows, top first."""
-    rows: List[str] = []
-    for r in range(height, 0, -1):
-        line = []
-        for v in cols:
-            level = 0.0 if vmax <= 0 else v / vmax * height
-            fill = level - (r - 1)
-            if fill >= 1.0:
-                line.append(_EIGHTHS[8])
-            elif fill > 0.0:
-                line.append(_EIGHTHS[max(1, int(fill * 8))])
-            else:
-                line.append(" ")
-        rows.append("".join(line))
-    return rows
-
-
-def _state_lane(curve: List[Tuple[float, str]], legend: Dict[str, str],
-                t0: float, t1: float, width: int) -> str:
-    """One character per column: the CC state active at the bin start."""
-    span = max(t1 - t0, 1e-9)
-    lane = []
-    idx = 0
-    current = " "
-    for c in range(width):
-        at = t0 + c * span / width
-        while idx < len(curve) and curve[idx][0] <= at:
-            current = legend[curve[idx][1]]
-            idx += 1
-        lane.append(current)
-    return "".join(lane)
-
-
-def _mark_lane(times: List[float], t0: float, t1: float, width: int,
-               mark: str = "x") -> str:
-    """Mark the columns in which at least one event fired."""
-    span = max(t1 - t0, 1e-9)
-    lane = [" "] * width
-    for t in times:
-        c = int((t - t0) / span * width)
-        if 0 <= c < width:
-            lane[c] = mark
-        elif c == width:
-            lane[width - 1] = mark
-    return "".join(lane)
-
-
 def render_plot(events: List[Dict[str, Any]], width: int = 100,
                 height: int = 8) -> str:
     """ASCII waveform view of a telemetry trace.
 
-    Per run: the bottleneck buffering-delay sawtooth (queue occupancy
-    converted to delay at the link rate recorded by ``run.start``),
-    aligned with a per-flow state-dwell strip (one character per column
-    showing the CC state machine's position) and a loss-mark lane
-    (columns in which ``cc.loss`` or ``cc.loss-runs`` fired — the
-    latter covers window-based senders, which have no state curve but
-    still get the lane).  All lanes of a run share one
-    time axis, so a buffer peak can be read against the state the
-    controller was in and the losses it took.
+    Every run's panel (:meth:`TraceState.panel` — the same lanes the
+    ``repro watch`` frame shows) over the whole time axis, then the
+    fluid-tier tower panel if the trace has one.
     """
-    rates = link_rates(events)
-    waves = queue_waveforms(events)
-    state_curves: Dict[Tuple, List[Tuple[float, str]]] = defaultdict(list)
-    loss_times: Dict[Tuple, List[float]] = defaultdict(list)
-    for e in events:
-        kind = e.get("kind")
-        if kind == CC_STATE:
-            state_curves[(_run_of(e), e.get("flow"))].append(
-                (e["t"], e["state"]))
-        elif kind in (CC_LOSS, CC_LOSS_RUNS):
-            loss_times[(_run_of(e), e.get("flow"))].append(e["t"])
-
-    runs = sorted(
-        {k[0] for k in waves} | {k[0] for k in state_curves},
-        key=_fmt_run,
-    )
-    if not runs:
-        return "no queue samples or cc.state events to plot"
-
-    # One legend across all runs, so lanes are comparable between runs.
-    states = sorted({s for curve in state_curves.values() for _, s in curve})
-    legend: Dict[str, str] = {}
-    for s in states:
-        ch = s[0].upper()
-        while ch in legend.values():
-            ch = chr(ord(ch) + 1)
-        legend[s] = ch
-
-    out: List[str] = []
-    for run in runs:
-        run_waves = {k: v for k, v in waves.items() if k[0] == run}
-        run_states = {k: v for k, v in state_curves.items() if k[0] == run}
-        spans: List[float] = []
-        for times, _ in run_waves.values():
-            if times.size:
-                spans.extend((float(times[0]), float(times[-1])))
-        for curve in run_states.values():
-            spans.extend((curve[0][0], curve[-1][0]))
-        if not spans:
-            continue
-        t0, t1 = min(spans), max(spans)
-        out.append(f"run {_fmt_run(run)}  [{t0:.2f}s .. {t1:.2f}s]")
-        for (_, link), (times, lens) in sorted(
-                run_waves.items(), key=lambda kv: kv[0][1]):
-            rate = rates.get((run, link))
-            if rate:
-                values = lens * (PACKET_BYTES / rate) * 1000.0
-                unit = "ms"
-            else:
-                values = lens.astype(float)
-                unit = "pkts"
-            cols = _column_values(times, values, t0, t1, width)
-            vmax = max(cols) if cols else 0.0
-            out.append(f"  {link}: buffering delay, peak {vmax:.1f} {unit}")
-            canvas = _waveform_canvas(cols, vmax, height)
-            for r, row in enumerate(canvas):
-                label = f"{vmax * (height - r) / height:7.1f} " if vmax else \
-                    "        "
-                out.append(label + "|" + row)
-            out.append("        +" + "-" * width)
-        # Window-based senders emit loss events but no cc.state curve;
-        # their flows still get a loss lane, just without a state strip.
-        flows = {f for _, f in run_states} | \
-            {f for r, f in loss_times if r == run}
-        for flow in sorted(flows, key=str):
-            curve = run_states.get((run, flow))
-            if curve:
-                out.append(
-                    f"  state  |{_state_lane(curve, legend, t0, t1, width)}"
-                    f"  flow {flow}")
-            marks = loss_times.get((run, flow))
-            if marks:
-                out.append(f"  loss   |{_mark_lane(marks, t0, t1, width)}"
-                           f"  flow {flow} ({len(marks)} cc.loss events)")
-    if legend:
-        out.append("legend: " + "  ".join(
-            f"{ch}={s}" for s, ch in sorted(legend.items())))
-    return "\n".join(out)
+    state = TraceState.of(events)
+    lines = state.panel(state.last_t, width, height)
+    if state.towers:
+        lines.extend(state.tower_panel(width))
+    return "\n".join(lines) if lines else \
+        "no queue samples or cc.state events to plot"
 
 
 def summarize_trace(events: List[Dict[str, Any]], label: str = "trace") -> str:
     """Human-readable single-trace report."""
-    counts = kind_counts(events)
-    runs = sorted({_fmt_run(_run_of(e)) for e in events
-                   if e.get("kind") not in (META,)})
-    out = [f"Trace {label}: {len(events)} records, runs: "
+    state = TraceState.of(events)
+    runs = sorted({run_label(run) for run in state.runs})
+    out = [f"Trace {label}: {state.records} records, runs: "
            f"{', '.join(runs) if runs else '-'}"]
     out.append("Event counts:")
-    for kind in sorted(counts):
-        out.append(f"  {kind:20s} {counts[kind]}")
-    dwell = _dwell_lines(events)
-    if dwell:
-        out.append("State dwell (CC state machine):")
-        out.extend(dwell)
-    nfl = _nfl_lines(events)
-    if nfl:
-        out.append("NFL threshold convergence:")
-        out.extend(nfl)
-    saw = _sawtooth_lines(events)
-    if saw:
-        out.append("Queue sawtooth (from queue.sample, assuming 1500 B/pkt):")
-        out.extend(saw)
-    sampling = _sampling_lines(events)
-    if sampling:
-        out.append("Sampling (events dropped by per-kind budgets):")
-        out.extend(sampling)
-    metrics = _metrics_lines(events)
-    if metrics:
-        out.append("Metrics:")
-        out.extend(metrics)
+    for kind in sorted(state.kinds):
+        out.append(f"  {kind:20s} {state.kinds[kind]}")
+    for title, lines in (
+            ("State dwell (CC state machine):", _dwell_lines(state)),
+            ("NFL threshold convergence:", _nfl_lines(state)),
+            ("Queue sawtooth (from queue.sample, assuming 1500 B/pkt):",
+             _sawtooth_lines(state)),
+            ("Sampling (events dropped by per-kind budgets):",
+             _sampling_lines(state)),
+            ("Metrics:", _metrics_lines(state.metrics))):
+        if lines:
+            out.append(title)
+            out.extend(lines)
     return "\n".join(out)
 
 
-def _aggregate_dwell(events: List[Dict[str, Any]]) -> Dict[str, float]:
+def _aggregate_dwell(state: TraceState) -> Dict[str, float]:
     totals: Dict[str, float] = defaultdict(float)
-    for states in state_dwell(events).values():
-        for state, (_, secs) in states.items():
-            totals[state] += secs
+    for states in state.state_dwell().values():
+        for name, (_, secs) in states.items():
+            totals[name] += secs
     return dict(totals)
 
 
-def _final_thresholds(events: List[Dict[str, Any]]) -> Dict[str, float]:
-    return {f"run {_fmt_run(run)} flow {flow}": curve[-1]["threshold"]
-            for (run, flow), curve in nfl_curve(events).items()}
+def _final_thresholds(state: TraceState) -> Dict[str, float]:
+    return {f"run {run_label(run)} flow {flow}": curve[-1]["threshold"]
+            for (run, flow), curve in state.nfl.items()}
 
 
 def diff_traces(a: List[Dict[str, Any]], b: List[Dict[str, Any]],
                 label_a: str = "A", label_b: str = "B") -> str:
     """Side-by-side comparison of two traces."""
-    out = [f"Diff: A={label_a} ({len(a)} records)  "
-           f"B={label_b} ({len(b)} records)"]
-    ca, cb = kind_counts(a), kind_counts(b)
+    sa, sb = TraceState.of(a), TraceState.of(b)
+    out = [f"Diff: A={label_a} ({sa.records} records)  "
+           f"B={label_b} ({sb.records} records)"]
     out.append("Event count deltas (B - A):")
-    for kind in sorted(set(ca) | set(cb)):
-        da, db = ca.get(kind, 0), cb.get(kind, 0)
+    for kind in sorted(set(sa.kinds) | set(sb.kinds)):
+        da, db = sa.kinds[kind], sb.kinds[kind]
         if da != db:
             out.append(f"  {kind:20s} {da:8d} -> {db:8d}  ({db - da:+d})")
-    dwa, dwb = _aggregate_dwell(a), _aggregate_dwell(b)
+    dwa, dwb = _aggregate_dwell(sa), _aggregate_dwell(sb)
     if dwa or dwb:
         ta = sum(dwa.values()) or 1.0
         tb = sum(dwb.values()) or 1.0
         out.append("State dwell share (all runs/flows):")
-        for state in sorted(set(dwa) | set(dwb)):
-            sa, sb = dwa.get(state, 0.0) / ta, dwb.get(state, 0.0) / tb
-            out.append(f"  {state:12s} {sa * 100:6.1f}% -> {sb * 100:6.1f}%  "
-                       f"({(sb - sa) * 100:+.1f}pp)")
-    tha, thb = _final_thresholds(a), _final_thresholds(b)
+        for name in sorted(set(dwa) | set(dwb)):
+            pa, pb = dwa.get(name, 0.0) / ta, dwb.get(name, 0.0) / tb
+            out.append(f"  {name:12s} {pa * 100:6.1f}% -> {pb * 100:6.1f}%  "
+                       f"({(pb - pa) * 100:+.1f}pp)")
+    tha, thb = _final_thresholds(sa), _final_thresholds(sb)
     if tha or thb:
         out.append("Final NFL threshold (ms):")
         for key in sorted(set(tha) | set(thb)):
@@ -558,7 +250,7 @@ def diff_traces(a: List[Dict[str, Any]], b: List[Dict[str, Any]],
             fa = "-" if va is None else f"{va * 1000:.2f}"
             fb = "-" if vb is None else f"{vb * 1000:.2f}"
             out.append(f"  {key}: {fa} -> {fb}")
-    ma, mb = merged_metrics(a), merged_metrics(b)
+    ma, mb = sa.metrics, sb.metrics
     changed = []
     for key in sorted(set(ma) | set(mb)):
         va, vb = ma.get(key), mb.get(key)

@@ -249,6 +249,15 @@ class TestTraceSubcommand:
         args = build_parser().parse_args(["run", "CUBIC"])
         assert args.telemetry is None
 
+    @pytest.mark.parametrize("views", [["--plot", "--profile"],
+                                       ["--diff", "y", "--plot"],
+                                       ["--profile", "--diff", "y"]])
+    def test_trace_views_are_exclusive(self, views, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["trace", "x.jsonl"] + views)
+        assert exc_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_trace_missing_file_raises(self):
         with pytest.raises(FileNotFoundError):
             main(["trace", "/nonexistent/trace.jsonl"])

@@ -16,6 +16,7 @@ The contracts under test:
 import io
 import json
 import os
+import re
 import time
 
 import pytest
@@ -323,9 +324,9 @@ class TestDashboard:
         return base
 
     def test_dashboard_renders_batch_panels(self, batch_trace):
-        from repro.obs.live import DashboardState, TraceFollower
+        from repro.obs.live import TraceFollower, TraceState
 
-        state = DashboardState()
+        state = TraceState()
         state.ingest_all(TraceFollower(batch_trace).poll())
         assert state.complete
         frame = state.render(width=70, height=4)
@@ -333,6 +334,36 @@ class TestDashboard:
         assert "buffering delay" in frame
         assert "state  |" in frame
         assert "sampling:" in frame and "queue.sample" in frame
+
+    def test_sampling_footer_matches_summary_total(self, batch_trace):
+        # The batch metrics record already merges the run records, so
+        # the dashboard must not add them up a second time.
+        from repro.obs.analyze import read_trace, summarize_trace
+        from repro.obs.live import watch
+
+        frame = watch(batch_trace, once=True, out=io.StringIO())
+        (footer,) = re.findall(r"^sampling: (\d+) dropped", frame, re.M)
+        (total,) = re.findall(r"total dropped by sampling budgets: (\d+)",
+                              summarize_trace(read_trace(batch_trace)))
+        assert int(footer) == int(total) > 0
+
+    def test_progress_total_is_the_batch_size(self, tmp_path):
+        # A serial batch dispatches one spec at a time; the bar's total
+        # must still be the whole batch after the first outcome.
+        from repro.obs.analyze import read_trace
+        from repro.obs.live import TraceState
+
+        base = str(tmp_path / "serial.jsonl")
+        specs = [RunSpec(cc=proprate_spec(0.040), downlink=as_ref(_down()),
+                         duration=1.5, measure_start=0.5, name=f"r{i}")
+                 for i in range(3)]
+        run_batch(specs, n_jobs=1, run_options=RunOptions(telemetry=base))
+        records = read_trace(base)
+        first = next(i for i, r in enumerate(records)
+                     if r["kind"] == obs.SCHED_OUTCOME)
+        state = TraceState()
+        state.ingest_all(records[:first + 1])
+        assert "1/3 done" in state.render(width=60)
 
     def test_watch_once_cli(self, batch_trace, capsys):
         from repro.__main__ import main

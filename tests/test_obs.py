@@ -552,9 +552,10 @@ class TestTraceAnalysis:
 
     def test_state_dwell_closes_open_state(self, batch_trace):
         from repro.obs import analyze
+        from repro.obs.live import TraceState
 
         events = analyze.read_trace(batch_trace)
-        for states in analyze.state_dwell(events).values():
+        for states in TraceState.of(events).state_dwell().values():
             total = sum(secs for _, secs in states.values())
             assert total == pytest.approx(6.0, abs=0.5)
 
@@ -608,6 +609,37 @@ class TestTraceAnalysis:
         assert "buffering delay" in out
         assert "legend:" in out
 
+    @pytest.mark.parametrize("text, line", [
+        ('{"t":0.0,"kind":"meta"}\n{"t":0.1,"kind"\n'
+         '{"t":0.2,"kind":"run.end"}\n', 2),
+        ('{"t":0.0,"kind":"meta"}\n{"t":0.1,"kind":"run.end"}\n{"t":0.2,"ki',
+         3),
+    ], ids=["interior", "unterminated-final"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, capsys,
+                                                text, line):
+        from repro.__main__ import main
+        from repro.obs import analyze
+
+        path = str(tmp_path / "bad.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with pytest.raises(ValueError, match=f"bad.jsonl:{line}: "):
+            analyze.read_trace(path)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["trace", path])
+        assert str(exc_info.value.code).startswith(
+            f"repro trace: {path}:{line}: malformed trace record")
+        assert capsys.readouterr().out == ""
+
+    def test_complete_final_line_without_newline_reads(self, tmp_path):
+        from repro.obs import analyze
+
+        path = str(tmp_path / "t.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write('{"t":0.0,"kind":"meta"}\n{"t":0.1,"kind":"run.end"}')
+        assert [r["kind"] for r in analyze.read_trace(path)] == \
+            ["meta", "run.end"]
+
     def test_run_cli_telemetry_flag(self, tmp_path, capsys):
         from repro.__main__ import main
 
@@ -616,3 +648,102 @@ class TestTraceAnalysis:
               "--warmup", "1", "--telemetry", path])
         assert "KB/s" in capsys.readouterr().out
         assert any(r["kind"] == "run.end" for r in _read_jsonl(path))
+
+
+# ----------------------------------------------------------------------
+# One reducer, two views: the plot pinned byte for byte
+# ----------------------------------------------------------------------
+def _plot_records():
+    """Two runs, simulation-free: a rated and an unrated link, two CC
+    states sharing an initial, and a window-based flow with
+    cc.loss-runs but no state curve."""
+    recs = [{"t": 0.0, "kind": "meta", "format": "repro.obs/1"}]
+    # run 0: a rated downlink (ms) and an unrated uplink (pkts); one
+    # rate-based flow walking four states, two of which share "F".
+    recs.append({"t": 0.0, "kind": "run.start", "run": 0,
+                 "links": {"downlink": {"rate": 1250000.0, "kind": "cellular"},
+                           "uplink": {"kind": "wired"}}})
+    states = ["slow_start", "fill", "drain", "fill", "fast_probe", "drain",
+              "fill"]
+    for i, state in enumerate(states):
+        recs.append({"t": 0.3 * i, "kind": "cc.state", "run": 0, "flow": 0,
+                     "state": state})
+    for i in range(40):
+        t = 0.05 * i
+        recs.append({"t": t, "kind": "queue.sample", "run": 0,
+                     "link": "downlink", "len": (i * 7) % 23})
+        recs.append({"t": t, "kind": "queue.sample", "run": 0,
+                     "link": "uplink", "len": i % 3})
+    for t in (0.42, 0.44, 1.37):
+        recs.append({"t": t, "kind": "cc.loss", "run": 0, "flow": 0,
+                     "lost": 1})
+    recs.append({"t": 2.0, "kind": "run.end", "run": 0})
+    # run 1: no run.start rate (pkts); a window-based flow with
+    # cc.loss-runs but no state curve, next to a rate-based one.
+    for i in range(30):
+        recs.append({"t": 0.1 * i, "kind": "queue.sample", "run": 1,
+                     "link": "downlink", "len": (i * i) % 17})
+    for i, state in enumerate(["slow_start", "fill", "drain"]):
+        recs.append({"t": 0.9 * i, "kind": "cc.state", "run": 1, "flow": 0,
+                     "state": state})
+    for t in (0.5, 1.05, 2.9):
+        recs.append({"t": t, "kind": "cc.loss-runs", "run": 1, "flow": 1,
+                     "runs": [[10, 12]]})
+    return recs
+
+
+#: ``render_plot(_plot_records(), width=60, height=6)``, captured before
+#: the plot and the dashboard shared one panel renderer.
+GOLDEN_PLOT = "\n".join([
+    'run 0  [0.00s .. 1.95s]',
+    '  downlink: buffering delay, peak 26.4 ms',
+    '   26.4 |    ▅▅   ▁         ██   ▃▃             ▅▅   ▁▁         █   ▃',
+    '   22.0 |    ██   █   ▅▅   ▁██   ██   ▇   ▂▂    ██   ██   ▅   ▁▁█   █',
+    '   17.6 |   ▆██ ▂▂█   ██   ███  ▄██   █   ██   ▆██  ▂██   █   ███  ▄█',
+    '   13.2 |   ███ ███  ▅██ ▁▁███  ███ ███  ▃██   ███  ███ ▅▅█  ▁███  ██',
+    '    8.8 | ▇▇███▂███  ███ █████▅▅███▁███  ███ ▇▇███▂▂███ ███  ████▅▅██',
+    '    4.4 | █████████▆▆███▂██████████████▄▄███ ██████████▆███▂▂████████',
+    '        +------------------------------------------------------------',
+    '  uplink: buffering delay, peak 2.0 pkts',
+    '    2.0 |   █   ██   █   ██   ██   █   ██   █   ██   ██   █   ██   █ ',
+    '    1.7 |   █   ██   █   ██   ██   █   ██   █   ██   ██   █   ██   █ ',
+    '    1.3 |   █   ██   █   ██   ██   █   ██   █   ██   ██   █   ██   █ ',
+    '    1.0 | ███  ███ ███  ███ ████ ███  ███ ███  ███  ███ ███  ███ ███ ',
+    '    0.7 | ███  ███ ███  ███ ████ ███  ███ ███  ███  ███ ███  ███ ███ ',
+    '    0.3 | ███  ███ ███  ███ ████ ███  ███ ███  ███  ███ ███  ███ ███ ',
+    '        +------------------------------------------------------------',
+    '  state  |SSSSSSSSSSGGGGGGGGGDDDDDDDDDGGGGGGGGGFFFFFFFFFFDDDDDDDDDGGGG  flow 0',
+    '  loss   |            xx                            x                 '
+    '  flow 0 (3 cc.loss events)',
+    'run 1  [0.00s .. 2.90s]',
+    '  downlink: buffering delay, peak 16.0 pkts',
+    '   16.0 |        ██    ▅▅    ▅▅    ██               ██    ▅▅    ▅▅   ',
+    '   13.3 |        ██    ██▇▇▇▇██    ██               ██    ██▇▇▇▇██   ',
+    '   10.7 |      ▃▃██    ████████    ██▃▃▃          ▃▃██    ████████   ',
+    '    8.0 |      ██████  ████████  ███████          ██████  ████████  █',
+    '    5.3 |    ▄▄██████  ████████  ███████▄▄      ▄▄██████  ████████  █',
+    '    2.7 |  ▃▃████████▆▆████████▆▆█████████▃▃  ▃▃████████▆▆████████▆▆█',
+    '        +------------------------------------------------------------',
+    '  state  |SSSSSSSSSSSSSSSSSSSGGGGGGGGGGGGGGGGGGGDDDDDDDDDDDDDDDDDDDDDD  flow 0',
+    '  loss   |          x          x                                     x'
+    '  flow 1 (3 cc.loss events)',
+    'legend: D=drain  F=fast_probe  G=fill  S=slow_start',
+])
+
+
+class TestPlotGolden:
+    def test_plot_is_byte_identical(self):
+        from repro.obs import analyze
+
+        assert analyze.render_plot(_plot_records(), width=60, height=6) == \
+            GOLDEN_PLOT
+
+    def test_watch_panel_lines_appear_verbatim_in_plot(self):
+        from repro.obs.live import WAVE_SAMPLES, TraceState
+
+        state = TraceState(WAVE_SAMPLES)
+        state.ingest_all(_plot_records())
+        frame = state.render(width=60, height=6).splitlines()
+        assert frame[0].startswith("run 0")
+        plot = set(GOLDEN_PLOT.splitlines())
+        assert [ln for ln in frame if ln not in plot] == []
