@@ -330,10 +330,14 @@ class ExperimentHarness:
             name = spec.name or f"flow{flow_id}"
             collector = DeliveryCollector()
             cc = spec.cc_factory()
+            # Endpoints inject straight into the links' enqueue, the
+            # work DuplexPath.send_forward/send_reverse would forward to.
+            forward = self.path.forward_link.enqueue
+            reverse = self.path.reverse_link.enqueue
             if spec.direction == "down":
-                data_sink, ack_sink = self.path.send_forward, self.path.send_reverse
+                data_sink, ack_sink = forward, reverse
             else:
-                data_sink, ack_sink = self.path.send_reverse, self.path.send_forward
+                data_sink, ack_sink = reverse, forward
             receiver = TcpReceiver(
                 self.sim,
                 flow_id,

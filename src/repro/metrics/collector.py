@@ -7,12 +7,20 @@ timestamp — ground truth, unaffected by the receiver's quantised TCP
 timestamps).  Duplicate arrivals (spurious retransmissions) are counted
 but excluded from delay statistics and throughput, mirroring how the
 paper measures goodput and per-packet delay with tcpdump.
+
+The records are stored as five ``array.array`` columns rather than one
+object per delivery: an append is five C-level stores with no Python
+frame and no boxed floats.  Arrivals come off the simulator clock, so
+the time column is nondecreasing and window bounds are found by
+bisection.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -31,50 +39,64 @@ class DeliveryRecord:
 
 
 class DeliveryCollector:
-    """Accumulates delivery records for one flow."""
+    """Accumulates delivery records for one flow.
+
+    ``on_data`` must be fed nondecreasing arrival times (the receiver
+    passes the simulator clock).
+    """
 
     def __init__(self) -> None:
         self._seen: Set[int] = set()
-        self.records: List[DeliveryRecord] = []
+        self._time = array("d")
+        self._seq = array("q")
+        self._delay = array("d")
+        self._size = array("q")
+        self._rtx = array("b")
         self.duplicates = 0
 
     def on_data(self, packet: Packet, now: float) -> None:
         """Receiver hook: called for every arriving data packet."""
-        if packet.seq in self._seen:
+        seq = packet.seq
+        seen = self._seen
+        if seq in seen:
             self.duplicates += 1
             return
-        self._seen.add(packet.seq)
-        self.records.append(
-            DeliveryRecord(
-                time=now,
-                seq=packet.seq,
-                one_way_delay=now - packet.sent_time,
-                size=packet.size,
-                was_retransmit=packet.retransmit,
-            )
-        )
+        seen.add(seq)
+        self._time.append(now)
+        self._seq.append(seq)
+        self._delay.append(now - packet.sent_time)
+        self._size.append(packet.size)
+        self._rtx.append(packet.retransmit)
+
+    @property
+    def records(self) -> List[DeliveryRecord]:
+        """Every unique delivery in arrival order, as a fresh list."""
+        return [
+            DeliveryRecord(t, q, d, s, bool(r))
+            for t, q, d, s, r in zip(self._time, self._seq, self._delay,
+                                     self._size, self._rtx)
+        ]
 
     # ------------------------------------------------------------------
+    def _window(self, start: float, end: Optional[float]) -> Tuple[int, int]:
+        """Index range of the records with ``start <= time < end``."""
+        times = self._time
+        lo = bisect_left(times, start)
+        hi = len(times) if end is None else bisect_left(times, end)
+        return lo, hi
+
     def delays(
         self, start: float = 0.0, end: Optional[float] = None
     ) -> np.ndarray:
         """One-way delays of unique deliveries within ``[start, end)``."""
-        return np.asarray(
-            [
-                r.one_way_delay
-                for r in self.records
-                if r.time >= start and (end is None or r.time < end)
-            ]
-        )
+        lo, hi = self._window(start, end)
+        return np.array(self._delay[lo:hi], dtype=np.float64)
 
     def delivered_bytes(
         self, start: float = 0.0, end: Optional[float] = None
     ) -> int:
-        return sum(
-            r.size
-            for r in self.records
-            if r.time >= start and (end is None or r.time < end)
-        )
+        lo, hi = self._window(start, end)
+        return sum(self._size[lo:hi])
 
     def throughput(self, start: float, end: float) -> float:
         """Goodput in bytes/second over ``[start, end)``."""
@@ -83,7 +105,7 @@ class DeliveryCollector:
         return self.delivered_bytes(start, end) / (end - start)
 
     def arrival_times(self) -> np.ndarray:
-        return np.asarray([r.time for r in self.records])
+        return np.array(self._time, dtype=np.float64)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._time)

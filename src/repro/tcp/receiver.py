@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.sim.engine import Simulator
-from repro.sim.packet import Packet, SackBlock, make_ack_packet
+from repro.sim.packet import ACK_PACKET_BYTES, Packet, SackBlock
 from repro.tcp.scoreboard import ReceiverScoreboard
 
 #: Default receiver timestamp granularity (10 ms, paper §4.2).
@@ -123,6 +123,8 @@ class TcpReceiver:
             self.rcv_nxt = nxt
             self._ts_recent = packet.tsval
             echo = packet.tsval
+            # Filling a hole is acknowledged at once (RFC 5681 §4.2).
+            in_order = nxt == seq + 1
         elif seq > self.rcv_nxt:
             if self._ooo.add(seq):
                 self.unique_segments += 1
@@ -130,12 +132,14 @@ class TcpReceiver:
                 self.duplicate_packets += 1
             self._last_ooo_seq = seq
             echo = self._ts_recent
+            in_order = False
         else:
-            # Below rcv_nxt: a duplicate (e.g. spurious retransmission).
+            # Below rcv_nxt: a duplicate (e.g. spurious retransmission),
+            # answered with an immediate duplicate ACK.
             self.duplicate_packets += 1
             echo = self._ts_recent
+            in_order = False
 
-        in_order = seq < self.rcv_nxt and seq >= self.rcv_nxt - 1
         if self.delayed_ack and in_order and not self._ooo:
             self._unacked_segments += 1
             if self._unacked_segments < 2:
@@ -155,15 +159,12 @@ class TcpReceiver:
             self._delack_event.cancel()
             self._delack_event = None
         self._unacked_segments = 0
-        ack = make_ack_packet(
-            flow_id=self.flow_id,
-            ack=self.rcv_nxt,
-            receiver_ts=self.receiver_timestamp(),
-            echoed_tsval=echo,
-            sacks=self._sack_blocks(),
-        )
-        ack.sent_time = self.sim.now
-        self.send_ack(ack)
+        # make_ack_packet's fields plus the send time, positionally.
+        self.send_ack(Packet(
+            self.flow_id, 0, self.rcv_nxt, True, self.receiver_timestamp(),
+            echo, self._sack_blocks() if self._ooo else [], ACK_PACKET_BYTES,
+            self.sim.now,
+        ))
 
     # ------------------------------------------------------------------
     def _sack_blocks(self) -> List[SackBlock]:

@@ -37,12 +37,7 @@ from repro.obs import (
     current_tracer,
 )
 from repro.sim.engine import Event, Simulator
-from repro.sim.packet import (
-    DATA_PACKET_BYTES,
-    MSS,
-    Packet,
-    make_data_packet,
-)
+from repro.sim.packet import DATA_PACKET_BYTES, MSS, Packet
 from repro.tcp.application import Application, BulkApplication
 from repro.tcp.congestion.base import (
     AckSample,
@@ -115,7 +110,10 @@ class TcpSender:
         self.total_segments = self.application.total()
         self.tick = tick
         self.on_complete = on_complete
-        self._packet_bytes = packet_bytes
+        #: HostView fields that never change: plain attributes, so the
+        #: congestion controller reads them without a property frame.
+        self.packet_bytes = packet_bytes
+        self.mss = MSS
 
         # Sequence state (segment indices).  Per-segment recovery state
         # lives in the run-based scoreboard; the sender keeps only the
@@ -135,6 +133,13 @@ class TcpSender:
         self._dupacks = 0
         self._recovery_point: Optional[int] = None
         self._window_based = isinstance(cc, WindowCongestionControl)
+        # The base hook is a no-op: call it only where a class overrides
+        # it (decided once, like ``_tick_passive``).
+        self._on_sent = (
+            cc.on_packet_sent
+            if type(cc).on_packet_sent is not CongestionControl.on_packet_sent
+            else None
+        )
 
         # Estimators and timers.
         self.rto_estimator = RtoEstimator()
@@ -184,14 +189,6 @@ class TcpSender:
     @property
     def now(self) -> float:
         return self.sim.now
-
-    @property
-    def mss(self) -> int:
-        return MSS
-
-    @property
-    def packet_bytes(self) -> int:
-        return self._packet_bytes
 
     @property
     def srtt(self) -> Optional[float]:
@@ -288,18 +285,16 @@ class TcpSender:
         return sent
 
     def _transmit(self, seq: int, retransmit: bool) -> None:
-        packet = make_data_packet(
-            flow_id=self.flow_id,
-            seq=seq,
-            now=self.sim.now,
-            retransmit=retransmit,
-            size=self._packet_bytes,
-        )
+        now = self.sim.now
+        # make_data_packet's fields, positionally and without its frame.
+        packet = Packet(self.flow_id, seq, 0, False, now, -1.0, [],
+                        self.packet_bytes, now, retransmit)
         self._pipe += 1
         self.segments_sent += 1
         if retransmit:
             self.retransmissions += 1
-        self.cc.on_packet_sent(seq, self.sim.now, retransmit)
+        if self._on_sent is not None:
+            self._on_sent(seq, now, retransmit)
         if self._rto_event is None:
             self._arm_rto()
         self.send_packet(packet)
@@ -338,15 +333,45 @@ class TcpSender:
             self._fill_window()
 
     def _tick_fire(self) -> None:
-        """Pacing-tick heartbeat: re-arm (reusing the fired heap entry),
-        then run one tick.  Re-arming *before* the tick preserves event
-        ordering: the next tick's seq precedes anything this tick
-        schedules at the same instant."""
+        """Rate-based dispatch: one pacing tick (paper §4.3).
+
+        Re-arms first, reusing the fired heap entry: the next tick's seq
+        then precedes anything this tick schedules at the same instant.
+        """
         event = self._tick_event
         if event is None:
             return
         self._tick_event = self.sim.reschedule(event, self.tick)
-        self._on_tick()
+        if self.complete:
+            return
+        cc = self.cc
+        assert isinstance(cc, RateCongestionControl)
+        cc.on_tick(self.sim.now)
+
+        burst = cc.take_burst()
+        if burst:
+            sent_burst = self._send_many(burst)
+            if sent_burst < burst:
+                # Application-limited: keep the remaining probe credits
+                # for later ticks instead of silently discarding them (a
+                # CBR source may not have produced the data yet).
+                cc.request_burst(burst - sent_burst)
+
+        rate = cc.pacing_rate
+        if rate > 0.0:  # a zero or negative rate adds nothing
+            self._budget += rate * self.tick
+        count = int(self._budget // self.packet_bytes)
+        remainder = self._budget - count * self.packet_bytes
+        if cc.round_mode == "up" and remainder > 1e-9:
+            count += 1
+        if count > 0:
+            count = min(count, MAX_TICK_PACKETS)
+            sent = self._send_many(count)
+            self._budget -= sent * self.packet_bytes
+            if sent < count:
+                # Application-limited: do not accumulate credit.
+                self._budget = min(self._budget, float(self.packet_bytes))
+        self._suspend_tick_if_idle(cc)
 
     def _suspend_tick_if_idle(self, cc: RateCongestionControl) -> None:
         """Park the pacing tick while ticks are provably no-ops.
@@ -365,7 +390,7 @@ class TcpSender:
             and (
                 self._budget <= 1e-9
                 if cc.round_mode == "up"
-                else self._budget < self._packet_bytes
+                else self._budget < self.packet_bytes
             )
         ):
             event = self._tick_event
@@ -404,38 +429,6 @@ class TcpSender:
             t += tick
         self._tick_event = self.sim.schedule_at(t, self._tick_fire)
 
-    def _on_tick(self) -> None:
-        """Rate-based dispatch: one pacing tick (paper §4.3)."""
-        if self.complete:
-            return
-        cc = self.cc
-        assert isinstance(cc, RateCongestionControl)
-        cc.on_tick(self.sim.now)
-
-        burst = cc.take_burst()
-        if burst:
-            sent_burst = self._send_many(burst)
-            if sent_burst < burst:
-                # Application-limited: keep the remaining probe credits
-                # for later ticks instead of silently discarding them (a
-                # CBR source may not have produced the data yet).
-                cc.request_burst(burst - sent_burst)
-
-        rate = max(0.0, cc.pacing_rate)
-        self._budget += rate * self.tick
-        count = int(self._budget // self._packet_bytes)
-        remainder = self._budget - count * self._packet_bytes
-        if cc.round_mode == "up" and remainder > 1e-9:
-            count += 1
-        if count > 0:
-            count = min(count, MAX_TICK_PACKETS)
-            sent = self._send_many(count)
-            self._budget -= sent * self._packet_bytes
-            if sent < count:
-                # Application-limited: do not accumulate credit.
-                self._budget = min(self._budget, float(self._packet_bytes))
-        self._suspend_tick_if_idle(cc)
-
     # ------------------------------------------------------------------
     # ACK processing
     # ------------------------------------------------------------------
@@ -455,8 +448,12 @@ class TcpSender:
         now = self.sim.now
         ack = packet.ack
 
-        newly_acked = max(0, ack - self.snd_una)
-        newly_sacked = self._process_sacks(packet, cumulative_ack=ack)
+        newly_acked = ack - self.snd_una
+        if newly_acked < 0:
+            newly_acked = 0
+        newly_sacked = (
+            self._process_sacks(packet, ack) if packet.sacks else 0
+        )
 
         recovery_exited = False
         if newly_acked:
@@ -471,15 +468,27 @@ class TcpSender:
                 pipe = self._pipe - board.ack_to(self.snd_una, ack)
             self._pipe = pipe if pipe > 0 else 0
             self.snd_una = ack
-            self._loss_ptr = max(self._loss_ptr, ack)
+            if ack > self._loss_ptr:
+                self._loss_ptr = ack
             self._dupacks = 0
             if (
                 self._recovery_point is not None
-                and self.snd_una >= self._recovery_point
+                and ack >= self._recovery_point
             ):
                 self._recovery_point = None
                 recovery_exited = True
-            self._rearm_rto()
+            # Re-arm the RTO; inlined _arm_rto for its common case, where
+            # the queued timer fires no later than the new deadline.
+            if ack < self.next_seq:
+                deadline = now + self.rto_estimator.rto
+                event = self._rto_event
+                if event is not None and event[0] <= deadline:
+                    self._rto_deadline = deadline
+                else:
+                    self._arm_rto()
+            elif self._rto_event is not None:
+                self._rto_event.cancel()
+                self._rto_event = None
 
         is_dupack = newly_acked == 0 and ack == self.snd_una
         if is_dupack:
@@ -492,8 +501,13 @@ class TcpSender:
             increment = 1
         self.delivered_total += increment
 
-        # Loss detection.
-        newly_lost = self._mark_losses()
+        # Loss detection: _mark_losses when a SACK edge has moved
+        # DupThresh segments past the loss pointer.
+        newly_lost = (
+            self._mark_losses()
+            if self._highest_sacked - (DUPTHRESH - 1) > self._loss_ptr
+            else 0
+        )
         if self._dupacks >= DUPTHRESH and self._loss_ptr <= self.snd_una:
             # When _loss_ptr has passed snd_una the head is already
             # SACKed or marked (that is the pointer's invariant), so the
@@ -508,19 +522,11 @@ class TcpSender:
                 self.rto_estimator.on_rtt_sample(rtt)
         one_way = packet.tsval - packet.tsecr if packet.tsecr >= 0 else None
 
+        # Positional, in AckSample's field order.
         sample = AckSample(
-            now=now,
-            ack=ack,
-            newly_acked=newly_acked,
-            newly_sacked=newly_sacked,
-            delivered_total=self.delivered_total,
-            rtt=rtt,
-            one_way_delay=one_way,
-            receiver_ts=packet.tsval,
-            inflight=self._pipe,
-            is_dupack=is_dupack,
-            in_recovery=self.in_recovery,
-            lost_total=self.lost_total,
+            now, ack, newly_acked, newly_sacked, self.delivered_total, rtt,
+            one_way, packet.tsval, self._pipe, is_dupack,
+            self._recovery_point is not None, self.lost_total,
         )
 
         tr = self._tracer
@@ -617,10 +623,9 @@ class TcpSender:
 
         The scan window ``[_loss_ptr, threshold)`` is folded into the
         scoreboard as one bulk transition — O(loss runs), not O(window).
+        The caller has checked that the window is not empty.
         """
         threshold = self._highest_sacked - (DUPTHRESH - 1)
-        if threshold <= self._loss_ptr:
-            return 0
         newly = self._mark_lost_range(
             max(self._loss_ptr, self.snd_una), threshold
         )
@@ -648,13 +653,6 @@ class TcpSender:
             # would miss the real timeout, so replace the entry.
             event.cancel()
             self._rto_event = self.sim.schedule_at(deadline, self._rto_fire)
-
-    def _rearm_rto(self) -> None:
-        if self.snd_una < self.next_seq:
-            self._arm_rto()
-        elif self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
 
     def _rto_fire(self) -> None:
         self._rto_event = None

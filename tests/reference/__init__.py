@@ -15,7 +15,10 @@ to it bit for bit:
   application's segment count (tests/test_application.py);
 * :mod:`~tests.reference.proprate` — PropRate's operating point and
   in-flight cap recomputed from scratch at every ACK and tick
-  (tests/test_proprate_memo.py).
+  (tests/test_proprate_memo.py);
+* :mod:`~tests.reference.collector` — ``ReferenceCollector``, one
+  frozen ``DeliveryRecord`` per arrival and linear-scan windows
+  (tests/test_metrics.py).
 
 The rule: a reference is frozen at the behaviour it pins and is never
 optimised.  When the shipped code changes on purpose, the reference

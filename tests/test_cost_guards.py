@@ -9,9 +9,11 @@ below what they did when the work was per call.
 
 import bisect
 import fractions
+import sys
 from unittest import mock
 
 import repro.core.proprate as proprate_module
+from repro.core.proprate import PropRate
 from repro.experiments.algorithms import paper_algorithms
 from repro.experiments.runner import (
     FlowSpec,
@@ -19,7 +21,10 @@ from repro.experiments.runner import (
     run_experiment,
     run_single_flow,
 )
+from repro.metrics.collector import DeliveryRecord
 from repro.tcp.application import OnOffApplication
+from repro.tcp.congestion.base import CongestionControl
+from repro.tcp.congestion.cubic import Cubic
 from repro.util.intervals import RunMap
 from tests.helpers import isp_traces
 
@@ -98,3 +103,88 @@ def test_onoff_source_constructs_no_fraction():
     assert results[0].delivered_bytes > 0
     assert built[0] == 0
     assert fractions.Fraction.__new__ is real
+
+
+def _counting(calls):
+    """A stand-in for a method that counts its entries, then runs it."""
+    def wrap(real):
+        def counted(self, *args, **kwargs):
+            calls[0] += 1
+            return real(self, *args, **kwargs)
+        return counted
+    return wrap
+
+
+def test_delivery_collector_builds_no_record_objects():
+    """Deliveries are appended to columns; a ``DeliveryRecord`` is only
+    materialised when ``records`` is read."""
+    built = [0]
+    down, up = isp_traces("A", "stationary", 5.0)
+    with mock.patch.object(DeliveryRecord, "__init__",
+                           _counting(built)(DeliveryRecord.__init__)):
+        DeliveryRecord(0.0, 0, 0.0, 0, False)
+        assert built[0] == 1, "the counter is not armed"
+        built[0] = 0
+        result = run_single_flow(paper_algorithms()["PR(M)"], down, up,
+                                 duration=5.0, measure_start=1.0)
+        assert len(result.collector) > 3000
+        assert built[0] == 0
+        assert len(result.collector.records) == len(result.collector)
+
+
+def test_no_op_packet_sent_hook_is_not_called():
+    """The base ``on_packet_sent`` does nothing, so the sender skips it
+    for a class that does not override it — and still calls an
+    override once per transmission."""
+    base_calls, override_calls = [0], [0]
+    down, up = isp_traces("A", "stationary", 5.0)
+    with mock.patch.object(
+            CongestionControl, "on_packet_sent",
+            _counting(base_calls)(CongestionControl.on_packet_sent)), \
+         mock.patch.object(
+            PropRate, "on_packet_sent",
+            _counting(override_calls)(PropRate.on_packet_sent)):
+        Cubic().on_packet_sent(0, 0.0, False)
+        assert base_calls[0] == 1, "the counter is not armed"
+        base_calls[0] = 0
+        cubic = run_single_flow(Cubic, down, up, duration=5.0,
+                                measure_start=1.0)
+        prm = run_single_flow(paper_algorithms()["PR(M)"], down, up,
+                              duration=5.0, measure_start=1.0)
+    assert cubic.sender.segments_sent > 3000
+    assert base_calls[0] == 0
+    assert override_calls[0] == prm.sender.segments_sent
+
+
+#: Python calls into ``repro`` code per delivered data packet on the
+#: fixed PR(M) + CUBIC pair below.  Measured on CPython 3.11: 74.2
+#: before the per-packet path was flattened (DESIGN.md §12), 60.1 after.
+CALLS_PER_PACKET_BOUND = 66.0
+
+
+def test_python_calls_per_delivered_packet():
+    """Counts every Python frame entered in ``repro`` modules over two
+    fixed 5 s runs: the frames a data packet and its ACK cross."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get(
+                "__name__", "").startswith("repro."):
+            calls[0] += 1
+
+    down, up = isp_traces("A", "stationary", 5.0)
+    down.compiled(), up.compiled()  # memoised per trace: keep them out
+    delivered = 0
+    for name in ("PR(M)", "CUBIC"):
+        factory = paper_algorithms()[name]
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            result = run_single_flow(factory, down, up, duration=5.0,
+                                     measure_start=1.0)
+        finally:
+            sys.setprofile(previous)
+        delivered += len(result.collector)
+    assert delivered > 6000
+    per_packet = calls[0] / delivered
+    assert per_packet < CALLS_PER_PACKET_BOUND, per_packet

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.metrics.collector import DeliveryCollector
 from repro.metrics.stats import (
@@ -10,6 +11,7 @@ from repro.metrics.stats import (
     throughput_timeseries,
 )
 from repro.sim.packet import make_data_packet
+from tests.reference.collector import ReferenceCollector
 
 
 def _deliver(collector, seq, sent, arrived, retransmit=False):
@@ -54,6 +56,64 @@ class TestDeliveryCollector:
         c = DeliveryCollector()
         _deliver(c, 0, 0.0, 0.1, retransmit=True)
         assert c.records[0].was_retransmit
+
+    def test_records_is_a_copy(self):
+        c = DeliveryCollector()
+        _deliver(c, 0, 0.0, 0.1)
+        c.records.clear()
+        assert len(c.records) == 1
+
+
+#: One arrival: (seq, sent-time offset, size, retransmit, time step).  A
+#: zero step repeats the previous arrival time; seqs drawn from a small
+#: range repeat, so duplicates are common.
+_arrival = st.tuples(
+    st.integers(min_value=0, max_value=40),
+    st.floats(min_value=0.0, max_value=0.5),
+    st.sampled_from([60, 1000, 1500]),
+    st.booleans(),
+    st.sampled_from([0.0, 0.0, 0.001, 0.01, 0.0137, 0.25]),
+)
+
+
+class TestCollectorMatchesReference:
+    """The columnar collector against the object-per-record reference."""
+
+    @given(
+        arrivals=st.lists(_arrival, max_size=120),
+        picks=st.lists(st.integers(min_value=0, max_value=10 ** 6),
+                       min_size=2, max_size=2),
+        offsets=st.lists(st.sampled_from([-0.01, -1e-9, 0.0, 1e-9, 0.01]),
+                         min_size=2, max_size=2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_query_is_identical(self, arrivals, picks, offsets):
+        fast, ref = DeliveryCollector(), ReferenceCollector()
+        now = 0.5
+        times = [0.0]
+        for seq, back, size, rtx, step in arrivals:
+            now += step
+            times.append(now)
+            pkt = make_data_packet(flow_id=0, seq=seq, now=now - back,
+                                   retransmit=rtx, size=size)
+            fast.on_data(pkt, now)
+            ref.on_data(pkt, now)
+
+        assert fast.records == ref.records
+        assert len(fast) == len(ref)
+        assert fast.duplicates == ref.duplicates
+        assert fast.arrival_times().tolist() == ref.arrival_times().tolist()
+        # Window edges on record times exactly, and a hair either side.
+        start, end = (times[p % len(times)] + o
+                      for p, o in zip(picks, offsets))
+        windows = [(0.0, None), (start, None), (start, end), (end, start)]
+        for lo, hi in windows:
+            got, want = fast.delays(lo, hi), ref.delays(lo, hi)
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+            assert fast.delivered_bytes(lo, hi) == ref.delivered_bytes(lo, hi)
+            if hi is not None and hi > lo:
+                assert fast.throughput(lo, hi) == ref.throughput(lo, hi)
 
 
 class TestDelaySummary:

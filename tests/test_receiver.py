@@ -139,3 +139,43 @@ class TestSack:
         recv.receive(_data(2))
         recv.receive(_data(1))
         assert acks[-1].sacks == []
+
+
+class TestDelayedAck:
+    def _delayed(self):
+        sim = Simulator()
+        acks = []
+        recv = TcpReceiver(
+            sim, flow_id=0, send_ack=lambda p: acks.append((sim.now, p.ack)),
+            delayed_ack=True,
+        )
+        return sim, recv, acks
+
+    def test_every_second_in_order_segment_acked(self):
+        sim, recv, acks = self._delayed()
+        for seq in range(4):
+            recv.receive(_data(seq))
+        assert acks == [(0.0, 2), (0.0, 4)]
+
+    def test_lone_segment_acked_by_timer(self):
+        sim, recv, acks = self._delayed()
+        recv.receive(_data(0))
+        sim.run(until=1.0)
+        assert acks == [(pytest.approx(0.040), 1)]
+
+    def test_duplicate_of_last_segment_acked_at_once(self):
+        """A duplicate of segment ``rcv_nxt - 1`` is out-of-order data
+        (RFC 5681 §4.2): it gets an immediate duplicate ACK, not one
+        held for the 40 ms timer."""
+        sim, recv, acks = self._delayed()
+        recv.receive(_data(0))
+        recv.receive(_data(1))
+        recv.receive(_data(1))
+        sim.run(until=1.0)
+        assert acks == [(0.0, 2), (0.0, 2)]
+
+    def test_hole_fill_acked_at_once(self):
+        sim, recv, acks = self._delayed()
+        recv.receive(_data(1))
+        recv.receive(_data(0))
+        assert acks == [(0.0, 0), (0.0, 2)]
