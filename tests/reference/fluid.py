@@ -4,6 +4,13 @@
 before its per-step cost was halved (every mask and product rebuilt
 every step, CUBIC cubed with ``** 3``); tests/test_fluid_diff.py holds
 :func:`repro.fluid.run_fluid` to it.
+
+The loss side is frozen too: every loss-based bank below carries its
+own copy of the per-RTT overflow hold-off and of its reaction, and the
+adaptive bank its own copy of the §6 rule, as they stood before the
+hold-off moved into ``ControllerBank.on_overflow`` and the rule into
+``repro.core.adaptive.TargetAdjuster`` — so the differential compares
+the shipped code with the code it replaced, not with itself.
 """
 
 from __future__ import annotations
@@ -25,6 +32,13 @@ from repro.fluid.engine import (
     TowerSummary,
 )
 from repro.metrics.stats import jain_fairness
+from tests.reference.adaptive import (
+    EPISODE_MEMORY,
+    LOSS_EPISODES_TO_SHRINK,
+    RECOVERY_QUIET_TIME,
+    RECOVERY_STEP,
+    SHRINK_FACTOR,
+)
 
 
 class ReferencePropRateBank(fluid_controllers.PropRateBank):
@@ -70,13 +84,115 @@ class ReferencePropRateBank(fluid_controllers.PropRateBank):
         return np.where(active, gain * self.rho, 0.0)
 
 
-class ReferenceAdaptivePropRateBank(fluid_controllers.AdaptivePropRateBank,
-                                    ReferencePropRateBank):
-    """The §6 rule over :class:`ReferencePropRateBank` (the adaptive
-    bank's ``super().rates`` resolves to the reference one)."""
+class ReferenceAdaptivePropRateBank(ReferencePropRateBank):
+    """The §6 rule written out over five state arrays, on
+    :class:`ReferencePropRateBank`."""
+
+    kind = "adaptive-proprate"
+    loss_based = True
+
+    def __init__(self, index, rtts, starts, dt, targets, min_targets):
+        super().__init__(index, rtts, starts, dt, targets)
+        self.configured_target = self.target.copy()
+        self.min_target = np.asarray(min_targets, dtype=np.float64)
+        if bool((self.min_target <= 0).any()) or bool(
+            (self.min_target > self.configured_target).any()
+        ):
+            raise ValueError("min_target must be in (0, target]")
+        self.consecutive = np.zeros(self.n, dtype=np.int64)
+        self.last_episode_at = np.full(self.n, -np.inf)
+        self.last_loss_at = np.zeros(self.n)
+        self.last_recovery_at = np.full(self.n, -np.inf)
+        self.last_loss = np.full(self.n, -np.inf)
+        self.target_adjustments = np.zeros(self.n, dtype=np.int64)
+
+    def _apply_targets(self, mask, proposed):
+        clamped = np.minimum(self.configured_target,
+                             np.maximum(self.min_target, proposed))
+        changed = mask & (np.abs(clamped - self.target) >= 1e-9)
+        if not bool(changed.any()):
+            return
+        self.target = np.where(changed, clamped, self.target)
+        self._derive(np.nonzero(changed)[0])
+        self.target_adjustments += changed
+
+    def rates(self, t, observed, tbuff_now, delivered, active):
+        quiet = (
+            active
+            & (t - self.last_loss_at >= RECOVERY_QUIET_TIME)
+            & (t - self.last_recovery_at >= RECOVERY_QUIET_TIME)
+            & (self.target < self.configured_target)
+        )
+        if bool(quiet.any()):
+            self.last_recovery_at = np.where(quiet, t, self.last_recovery_at)
+            self._apply_targets(quiet, self.target + RECOVERY_STEP)
+        return super().rates(t, observed, tbuff_now, delivered, active)
+
+    def on_overflow(self, t, hit):
+        react = hit & (t - self.last_loss > self.rtt)
+        if not bool(react.any()):
+            return 0
+        self.last_loss = np.where(react, t, self.last_loss)
+        self.last_loss_at = np.where(react, t, self.last_loss_at)
+        linked = react & (t - self.last_episode_at <= EPISODE_MEMORY)
+        self.consecutive = np.where(
+            react, np.where(linked, self.consecutive + 1, 1),
+            self.consecutive,
+        )
+        self.last_episode_at = np.where(react, t, self.last_episode_at)
+        shrink = react & (self.consecutive >= LOSS_EPISODES_TO_SHRINK)
+        if bool(shrink.any()):
+            self.consecutive = np.where(shrink, 0, self.consecutive)
+            self._apply_targets(shrink, self.target * SHRINK_FACTOR)
+        self.loss_epochs += react
+        return int(react.sum())
 
 
-class ReferenceCubicBank(fluid_controllers.CubicBank):
+class ReferenceLossCubicBank(fluid_controllers.CubicBank):
+    """The shipped CUBIC window curve with the loss reaction and its
+    per-RTT hold-off written out in the bank."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.last_loss = np.full(self.n, -np.inf)
+
+    def on_overflow(self, t, hit):
+        react = hit & (t - self.last_loss > self.rtt)
+        if not bool(react.any()):
+            return 0
+        self.w_max = np.where(react, self.w, self.w_max)
+        self.k = np.where(
+            react,
+            np.cbrt(self.w_max * (1.0 - self.BETA) / self.C),
+            self.k,
+        )
+        self.w = np.where(react, np.maximum(self.BETA * self.w,
+                                            self.MIN_CWND), self.w)
+        self.epoch = np.where(react, t, self.epoch)
+        self.slow_start = self.slow_start & ~react
+        self._any_slow_start = bool(self.slow_start.any())
+        self.last_loss = np.where(react, t, self.last_loss)
+        self.loss_epochs += react
+        return int(react.sum())
+
+
+class ReferencePolicyBank(fluid_controllers.PolicyBank):
+    """Policy bank with its per-RTT hold-off written out in the bank."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.last_loss = np.full(self.n, -np.inf)
+
+    def on_overflow(self, t, hit):
+        react = hit & (t - self.last_loss > self.rtt)
+        if not bool(react.any()):
+            return 0
+        self.last_loss = np.where(react, t, self.last_loss)
+        self.loss_epochs += react
+        return int(react.sum())
+
+
+class ReferenceCubicBank(ReferenceLossCubicBank):
     """CUBIC bank cubing with numpy's ``** 3``."""
 
     def rates(self, t, observed, tbuff_now, delivered, active):
@@ -96,8 +212,9 @@ def reference_integrate(flows, towers, duration, dt=DEFAULT_DT,
                         cube_by_pow=True) -> FluidReport:
     """The fluid step loop before PR 14, observers stripped: every
     mask, gather and ``dt`` product rebuilt at every step, the reference
-    banks above.  ``cube_by_pow=False`` keeps the shipped CUBIC bank, so
-    the loop rewrite can be held to byte-identity on its own."""
+    banks above.  ``cube_by_pow=False`` keeps the shipped CUBIC window
+    curve (with the frozen loss reaction), so the loop rewrite can be
+    held to byte-identity on its own."""
     MSS = fluid_controllers.MSS
     if measure_end is None:
         measure_end = duration
@@ -123,9 +240,10 @@ def reference_integrate(flows, towers, duration, dt=DEFAULT_DT,
     reference_banks = dict(
         PropRateBank=ReferencePropRateBank,
         AdaptivePropRateBank=ReferenceAdaptivePropRateBank,
+        CubicBank=(ReferenceCubicBank if cube_by_pow
+                   else ReferenceLossCubicBank),
+        PolicyBank=ReferencePolicyBank,
     )
-    if cube_by_pow:
-        reference_banks["CubicBank"] = ReferenceCubicBank
     with mock.patch.multiple(fluid_controllers, **reference_banks):
         banks = fluid_controllers.build_banks(flows, dt)
 
