@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import repro.obs as obs_mod
 from repro.core.adaptive import retarget
@@ -254,7 +254,9 @@ class CcEnv:
         self._observers.close()
 
     # -- the step loop --------------------------------------------------
-    def step(self, action: Optional[Dict[str, Any]] = None):
+    def step(
+        self, action: Optional[Dict[str, Any]] = None,
+    ) -> Tuple[Observation, float, bool, Dict[str, Any]]:
         """Apply ``action``, integrate one epoch, observe.
 
         Returns ``(obs, reward, done, info)``.  The reward is

@@ -10,9 +10,9 @@ learned models share one face:
   gate).
 * :class:`ConstantRatePolicy` — pins a fixed pacing rate (the simplest
   externally driven sender).
-* :class:`AdaptiveTargetPolicy` — the §6 adaptive-target rule
-  (:class:`repro.core.adaptive.TargetAdjuster`) re-expressed at
-  feedback-epoch granularity: it watches the observation's cumulative
+* :class:`AdaptiveTargetPolicy` — the env binding of the §6
+  adaptive-target rule (:class:`repro.core.adaptive.TargetAdjuster`;
+  DESIGN.md §13): it watches the observation's cumulative
   loss-episode / RTO counters and emits ``{"target": …}`` actions,
   steering a plain PropRate inner from outside the ACK path.
 """
@@ -20,6 +20,8 @@ learned models share one face:
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
+
+import numpy as np
 
 from repro.core.adaptive import TargetAdjuster
 from repro.env.core import CcEnv, Observation
@@ -30,6 +32,9 @@ __all__ = [
     "ConstantRatePolicy",
     "AdaptiveTargetPolicy",
 ]
+
+#: The one flow the rule steers.
+_ONE = np.ones(1, dtype=bool)
 
 
 class Policy:
@@ -62,13 +67,14 @@ class ConstantRatePolicy(Policy):
 class AdaptiveTargetPolicy(Policy):
     """Adaptive-target PropRate as an out-of-path policy.
 
-    The same :class:`~repro.core.adaptive.TargetAdjuster` decision core
-    as :class:`~repro.core.adaptive.AdaptivePropRate`, driven from
-    observation deltas instead of per-ACK hooks: loss episodes and RTOs
-    land at epoch resolution (``obs.t``), so shrink decisions can lag a
-    native in-path run by up to one ``step_interval`` — equivalent in
-    steady state, not bit-identical.  Requires an env whose adapter
-    wraps a PropRate inner.
+    The :class:`~repro.core.adaptive.TargetAdjuster` rule for one flow,
+    driven from observation deltas instead of per-ACK hooks: each new
+    loss episode is an ``on_loss`` and each new RTO an ``on_rto`` at
+    ``obs.t``, and an epoch with neither is an ``on_quiet``.  Events
+    land at epoch resolution, so shrink decisions can lag a native
+    in-path run by up to one ``step_interval`` — equivalent in steady
+    state, not bit-identical.  Requires an env whose adapter wraps a
+    PropRate inner.
     """
 
     def __init__(self, configured_target: float = 0.040,
@@ -77,37 +83,34 @@ class AdaptiveTargetPolicy(Policy):
         TargetAdjuster(configured_target, min_target)
         self.configured_target = configured_target
         self.min_target = min_target
-        self._adjuster: Optional[TargetAdjuster] = None
+        self._rule: Optional[TargetAdjuster] = None
         self._seen_episodes = 0.0
         self._seen_rtos = 0.0
 
     def reset(self, env: CcEnv, obs: Observation) -> None:
-        self._adjuster = TargetAdjuster(
-            self.configured_target, self.min_target
-        )
+        self._rule = TargetAdjuster(self.configured_target, self.min_target)
         self._seen_episodes = obs.loss_episodes
         self._seen_rtos = obs.rtos
 
     def action(self, obs: Observation) -> Optional[Dict[str, Any]]:
-        adjuster = self._adjuster
-        if adjuster is None:
+        rule = self._rule
+        if rule is None:
             raise RuntimeError("policy not reset")
-        target = obs.target
-        if target != target:  # NaN: no PropRate inner to steer
+        if obs.target != obs.target:  # NaN: no PropRate inner to steer
             return None
-        new: Optional[float] = None
         episodes = int(obs.loss_episodes - self._seen_episodes)
         rtos = int(obs.rtos - self._seen_rtos)
         self._seen_episodes = obs.loss_episodes
         self._seen_rtos = obs.rtos
+        # Out of path, the observation is the sender's target.
+        rule.target[0] = obs.target
         for _ in range(episodes):
-            proposed = adjuster.on_loss(obs.t, target)
-            if proposed is not None:
-                new = target = proposed
+            rule.on_loss(obs.t, _ONE)
         for _ in range(rtos):
-            new = target = adjuster.on_rto(target)
-        if new is None:
-            new = adjuster.on_quiet(obs.t, target)
-        if new is None or abs(new - obs.target) < 1e-9:
+            rule.on_rto(obs.t, _ONE)
+        if not (episodes or rtos):
+            rule.on_quiet(obs.t, _ONE)
+        new = float(rule.target[0])
+        if abs(new - obs.target) < 1e-9:
             return None
         return {"target": new}

@@ -26,6 +26,7 @@ from repro.debug import AuditArg
 from repro.experiments.options import RunOptions
 from repro.experiments.runner import (
     CcFactory,
+    ExperimentHarness,
     FlowResult,
     FlowSpec,
     cellular_path_config,
@@ -224,64 +225,25 @@ def baseline_shift(
     estimate read too high until the old RD minimum ages out of the
     estimator's window; a negative one self-heals immediately.
     """
-    from repro.debug import InvariantViolation, make_auditor
-    from repro.sim.engine import Simulator
-    from repro.sim.network import DuplexPath
-    from repro.metrics.collector import DeliveryCollector
-    from repro.metrics.stats import delay_summary
-    from repro.tcp.receiver import TcpReceiver
-    from repro.tcp.sender import TcpSender
+    # The shift is an extra event on an ordinary harness, so the run
+    # gets the same auditor and telemetry records as run_experiment's.
+    with obs.observing() as (tracer, profiler):
+        harness = ExperimentHarness(
+            cellular_path_config(downlink_trace),
+            [FlowSpec(cc_factory=cc_factory, name=name or "shifted")],
+            duration,
+            measure_start=measure_start,
+            audit=audit,
+            tracer=tracer,
+            profiler=profiler,
+        )
+        link = harness.path.forward_link
 
-    sim = Simulator()
-    config = cellular_path_config(downlink_trace)
-    path = DuplexPath(sim, config)
+        def shift() -> None:
+            link.prop_delay += shift_delta
 
-    forward_audit = None
-    auditor = make_auditor(sim, audit)
-    if auditor is not None:
-        forward_audit, _ = auditor.attach_path(path)
-
-    collector = DeliveryCollector()
-    receiver = TcpReceiver(
-        sim, 0, send_ack=path.send_reverse, on_data=collector.on_data
-    )
-    sender = TcpSender(sim, 0, cc_factory(), send_packet=path.send_forward)
-    path.attach_flow(0, receiver.receive, sender.on_ack_packet)
-    if auditor is not None:
-        auditor.attach_flow(sender, receiver, data_link=forward_audit)
-    sender.start()
-
-    def shift() -> None:
-        path.forward_link.prop_delay += shift_delta
-
-    sim.schedule_at(shift_at, shift)
-    try:
-        sim.run(until=duration)
-        if auditor is not None:
-            auditor.final_check()
-    except InvariantViolation:
-        raise
-    except Exception as exc:
-        if auditor is not None:
-            auditor.record_exception(exc)
-        raise
-
-    delays = collector.delays(measure_start, duration)
-    window = max(1e-9, duration - measure_start)
-    return FlowResult(
-        name=name or "shifted",
-        throughput=collector.delivered_bytes(measure_start, duration) / window,
-        delay=delay_summary(delays),
-        delivered_bytes=collector.delivered_bytes(measure_start, duration),
-        bottleneck_drops=path.forward_drops.get(0, 0),
-        retransmissions=sender.retransmissions,
-        rto_count=sender.rto_count,
-        measure_start=measure_start,
-        measure_end=duration,
-        collector=collector,
-        sender=sender,
-        capacity=downlink_trace.capacity_bytes(measure_start, duration) / window,
-    )
+        harness.sim.schedule_at(shift_at, shift)
+        return harness.finalize()[0]
 
 
 def throughput_share(results: List[FlowResult]) -> List[float]:

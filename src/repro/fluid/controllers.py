@@ -32,13 +32,11 @@ Two families are modelled:
 
 Two control-plane extensions ride on those families:
 
-* :class:`AdaptivePropRateBank` — the §6 adaptive-target rule
-  (:class:`repro.core.adaptive.TargetAdjuster`) vectorized over the
-  fleet: tower overflows count as loss episodes, consecutive episodes
-  within :data:`~repro.core.adaptive.EPISODE_MEMORY` shrink each flow's
-  target (floored at its ``min_target``), sustained quiet recovers it
-  additively, and the fill/drain parameters are re-derived whenever a
-  flow's target moves.
+* :class:`AdaptivePropRateBank` — the fluid binding of the §6
+  adaptive-target rule (:class:`repro.core.adaptive.TargetAdjuster`,
+  DESIGN.md §13): tower overflows are the rule's loss episodes, every
+  step is a quiet-time probe, and the fill/drain parameters are
+  re-derived whenever a flow's target moves.
 * :class:`PolicyBank` — externally driven rates, the fluid face of the
   :mod:`repro.env` control-plane split: a callable policy receives the
   fleet's observation arrays once per step and returns the per-flow
@@ -51,13 +49,7 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from repro.core.adaptive import (
-    EPISODE_MEMORY,
-    LOSS_EPISODES_TO_SHRINK,
-    RECOVERY_QUIET_TIME,
-    RECOVERY_STEP,
-    SHRINK_FACTOR,
-)
+from repro.core.adaptive import TargetAdjuster
 from repro.core.model import derive_parameters
 from repro.core.proprate import RHO_HOLD_TAU
 from repro.tcp.congestion.cubic import Cubic
@@ -108,6 +100,8 @@ class ControllerBank:
         self.dt = float(dt)
         #: Loss epochs registered per flow (report statistic).
         self.loss_epochs = np.zeros(self.n, dtype=np.int64)
+        #: When each flow last registered one (the per-RTT hold-off).
+        self.last_loss = np.full(self.n, -np.inf)
 
     def rates(self, t: float, observed: np.ndarray, tbuff_now: np.ndarray,
               delivered: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -124,10 +118,24 @@ class ControllerBank:
     def on_overflow(self, t: float, hit: np.ndarray) -> int:
         """Register a loss epoch for flows in ``hit`` (local bool mask).
 
-        Returns how many flows actually reacted (after per-flow loss
-        hold-off); rate-based families ignore the signal entirely.
+        One loss epoch per RTT per flow: a multi-step overflow burst is
+        one congestion event, as the packet scoreboard treats it.  The
+        flows that pass the hold-off get the family's :meth:`_react`.
+        Returns how many flows reacted; rate-based families ignore the
+        signal entirely.
         """
-        return 0
+        if not self.loss_based:
+            return 0
+        react = hit & (t - self.last_loss > self.rtt)
+        if not bool(react.any()):
+            return 0
+        self.last_loss = np.where(react, t, self.last_loss)
+        self.loss_epochs += react
+        self._react(t, react)
+        return int(react.sum())
+
+    def _react(self, t: float, react: np.ndarray) -> None:
+        """The family's response to a loss epoch of the ``react`` flows."""
 
 
 class PropRateBank(ControllerBank):
@@ -218,19 +226,13 @@ class PropRateBank(ControllerBank):
 
 
 class AdaptivePropRateBank(PropRateBank):
-    """Fluid PR(A): PropRate with the §6 target-adjustment rule.
+    """Fluid PR(A): PropRate steered by the §6 rule over the fleet.
 
-    The scalar :class:`~repro.core.adaptive.TargetAdjuster` semantics,
-    applied per flow as array operations: a tower buffer overflow is
-    this bank's loss-episode signal (with the same per-RTT hold-off as
-    :class:`CubicBank`), ``LOSS_EPISODES_TO_SHRINK`` consecutive
-    episodes within ``EPISODE_MEMORY`` cut the flow's target by
-    ``SHRINK_FACTOR`` (floored at ``min_target``), and after
-    ``RECOVERY_QUIET_TIME`` without a loss the target recovers by
-    ``RECOVERY_STEP`` per quiet interval, capped at the configured
-    target.  Every target move re-derives the flow's threshold/k_f/k_d
-    from :func:`repro.core.model.derive_parameters`, exactly as the
-    packet tier's ``retarget`` re-centres the feedback band.
+    A loss epoch (after the per-RTT hold-off) is the rule's
+    ``on_loss``, every step its ``on_quiet`` for the active flows, and
+    every target move re-derives the flow's threshold/k_f/k_d from
+    :func:`repro.core.model.derive_parameters`, as the packet tier's
+    ``retarget`` re-centres the feedback band.
     """
 
     kind = "adaptive-proprate"
@@ -241,67 +243,22 @@ class AdaptivePropRateBank(PropRateBank):
                  targets: Sequence[float],
                  min_targets: Sequence[float]) -> None:
         super().__init__(index, rtts, starts, dt, targets)
-        self.configured_target = self.target.copy()
-        self.min_target = np.asarray(min_targets, dtype=np.float64)
-        if bool((self.min_target <= 0).any()) or bool(
-            (self.min_target > self.configured_target).any()
-        ):
-            raise ValueError("min_target must be in (0, target]")
-        #: §6 episode bookkeeping (TargetAdjuster state, vectorized).
-        self.consecutive = np.zeros(self.n, dtype=np.int64)
-        self.last_episode_at = np.full(self.n, -np.inf)
-        self.last_loss_at = np.zeros(self.n)
-        self.last_recovery_at = np.full(self.n, -np.inf)
-        self.last_loss = np.full(self.n, -np.inf)
+        self.rule = TargetAdjuster(self.target, min_targets)
         self.target_adjustments = np.zeros(self.n, dtype=np.int64)
 
-    def _apply_targets(self, mask: np.ndarray,
-                       proposed: np.ndarray) -> None:
-        """Move targets for ``mask`` flows (1 ns dead-band, re-derive)."""
-        clamped = np.minimum(self.configured_target,
-                             np.maximum(self.min_target, proposed))
-        changed = mask & (np.abs(clamped - self.target) >= 1e-9)
-        if not bool(changed.any()):
-            return
-        self.target = np.where(changed, clamped, self.target)
-        self._derive(np.nonzero(changed)[0])
-        self.target_adjustments += changed
+    def _retarget(self, moved: np.ndarray) -> None:
+        if bool(moved.any()):
+            self.target = self.rule.target
+            self._derive(np.nonzero(moved)[0])
+            self.target_adjustments += moved
 
     def rates(self, t: float, observed: np.ndarray, tbuff_now: np.ndarray,
               delivered: np.ndarray, active: np.ndarray) -> np.ndarray:
-        # Quiet-time recovery first (the per-ACK on_quiet probe): one
-        # additive step per RECOVERY_QUIET_TIME of loss-free progress.
-        quiet = (
-            active
-            & (t - self.last_loss_at >= RECOVERY_QUIET_TIME)
-            & (t - self.last_recovery_at >= RECOVERY_QUIET_TIME)
-            & (self.target < self.configured_target)
-        )
-        if bool(quiet.any()):
-            self.last_recovery_at = np.where(quiet, t, self.last_recovery_at)
-            self._apply_targets(quiet, self.target + RECOVERY_STEP)
+        self._retarget(self.rule.on_quiet(t, active))
         return super().rates(t, observed, tbuff_now, delivered, active)
 
-    def on_overflow(self, t: float, hit: np.ndarray) -> int:
-        react = hit & (t - self.last_loss > self.rtt)
-        if not bool(react.any()):
-            return 0
-        self.last_loss = np.where(react, t, self.last_loss)
-        self.last_loss_at = np.where(react, t, self.last_loss_at)
-        # Consecutive-episode counting: an episode within EPISODE_MEMORY
-        # of the previous one (inclusive boundary) extends the streak.
-        linked = react & (t - self.last_episode_at <= EPISODE_MEMORY)
-        self.consecutive = np.where(
-            react, np.where(linked, self.consecutive + 1, 1),
-            self.consecutive,
-        )
-        self.last_episode_at = np.where(react, t, self.last_episode_at)
-        shrink = react & (self.consecutive >= LOSS_EPISODES_TO_SHRINK)
-        if bool(shrink.any()):
-            self.consecutive = np.where(shrink, 0, self.consecutive)
-            self._apply_targets(shrink, self.target * SHRINK_FACTOR)
-        self.loss_epochs += react
-        return int(react.sum())
+    def _react(self, t: float, react: np.ndarray) -> None:
+        self._retarget(self.rule.on_loss(t, react))
 
 
 class CubicBank(ControllerBank):
@@ -324,7 +281,6 @@ class CubicBank(ControllerBank):
         self.epoch = self.start.copy()
         self.slow_start = np.ones(self.n, dtype=bool)
         self._any_slow_start = True
-        self.last_loss = np.full(self.n, -np.inf)
         #: Continuous doubling per RTT.
         self._ss_growth = 2.0 ** (dt / self.rtt)
 
@@ -344,12 +300,7 @@ class CubicBank(ControllerBank):
         # the send rate as the standing queue grows.
         return np.where(active, w * MSS / (self.rtt + tbuff_now), 0.0)
 
-    def on_overflow(self, t: float, hit: np.ndarray) -> int:
-        # One loss epoch per RTT per flow: a multi-step overflow burst is
-        # one congestion event, as the packet scoreboard treats it.
-        react = hit & (t - self.last_loss > self.rtt)
-        if not bool(react.any()):
-            return 0
+    def _react(self, t: float, react: np.ndarray) -> None:
         self.w_max = np.where(react, self.w, self.w_max)
         self.k = np.where(
             react,
@@ -361,9 +312,6 @@ class CubicBank(ControllerBank):
         self.epoch = np.where(react, t, self.epoch)
         self.slow_start = self.slow_start & ~react
         self._any_slow_start = bool(self.slow_start.any())
-        self.last_loss = np.where(react, t, self.last_loss)
-        self.loss_epochs += react
-        return int(react.sum())
 
 
 class PolicyBank(ControllerBank):
@@ -391,7 +339,6 @@ class PolicyBank(ControllerBank):
                                   np.ndarray]) -> None:
         super().__init__(index, rtts, starts, dt)
         self.policy = policy
-        self.last_loss = np.full(self.n, -np.inf)
 
     def rates(self, t: float, observed: np.ndarray, tbuff_now: np.ndarray,
               delivered: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -412,14 +359,6 @@ class PolicyBank(ControllerBank):
                 f"expected ({self.n},)"
             )
         return np.where(active, np.maximum(actions, 0.0), 0.0)
-
-    def on_overflow(self, t: float, hit: np.ndarray) -> int:
-        react = hit & (t - self.last_loss > self.rtt)
-        if not bool(react.any()):
-            return 0
-        self.last_loss = np.where(react, t, self.last_loss)
-        self.loss_epochs += react
-        return int(react.sum())
 
 
 def build_banks(specs: Sequence, dt: float) -> List[ControllerBank]:

@@ -24,16 +24,19 @@ or replace the inner outputs.
 Both adapters also count forwarded congestion events and timeouts
 (:attr:`congestion_events`, :attr:`rto_events`) so epoch-granularity
 policies can detect loss episodes between observations without hooking
-the ACK path themselves.
+the ACK path themselves.  The forwarding and the counters are written
+once, in :class:`_Forwarding`; each adapter keeps only its ``_sync``
+and its own actions.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional, Union
 
 from repro.tcp.congestion.base import (
     AckSample,
     CongestionControl,
+    HostView,
     RateCongestionControl,
     WindowCongestionControl,
 )
@@ -41,7 +44,73 @@ from repro.tcp.congestion.base import (
 __all__ = ["PolicyDriven", "WindowPolicyDriven", "policy_adapter"]
 
 
-class PolicyDriven(RateCongestionControl):
+class _Forwarding(CongestionControl):
+    """The sender hooks both adapters forward to their ``inner``
+    algorithm, each followed by ``_sync`` — plus the loss-episode and
+    timeout counters epoch policies read."""
+
+    inner: Optional[Any]
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: Fast-retransmit episodes / timeouts forwarded so far, and the
+        #: host clock of the most recent of each (for epoch policies).
+        self.congestion_events = 0
+        self.rto_events = 0
+        self.last_congestion_at: Optional[float] = None
+        self.last_rto_at: Optional[float] = None
+
+    def _sync(self) -> None:
+        """Mirror the inner algorithm's outputs onto the adapter."""
+        raise NotImplementedError
+
+    def bind(self, host: HostView) -> None:
+        super().bind(host)
+        if self.inner is not None:
+            self.inner.bind(host)
+
+    def on_connection_start(self) -> None:
+        if self.inner is not None:
+            self.inner.on_connection_start()
+        self._sync()
+
+    def on_ack(self, sample: AckSample) -> None:
+        if self.inner is not None:
+            self.inner.on_ack(sample)
+        self._sync()
+
+    def on_congestion(self, sample: AckSample) -> None:
+        self.congestion_events += 1
+        self.last_congestion_at = sample.now
+        if self.inner is not None:
+            self.inner.on_congestion(sample)
+        self._sync()
+
+    def on_recovery_exit(self, sample: AckSample) -> None:
+        if self.inner is not None:
+            self.inner.on_recovery_exit(sample)
+        self._sync()
+
+    def on_rto(self) -> None:
+        self.rto_events += 1
+        if self.host is not None:
+            self.last_rto_at = self.host.now
+        if self.inner is not None:
+            self.inner.on_rto()
+        self._sync()
+
+    def on_packet_sent(self, seq: int, now: float, retransmit: bool) -> None:
+        if self.inner is not None:
+            self.inner.on_packet_sent(seq, now, retransmit)
+            self._sync()
+
+    def telemetry_close(self, now: float) -> None:
+        close = getattr(self.inner, "telemetry_close", None)
+        if close is not None:
+            close(now)
+
+
+class PolicyDriven(_Forwarding, RateCongestionControl):
     """Rate-based adapter: an external policy (or wrapped native
     algorithm) owns the pacing rate."""
 
@@ -55,16 +124,10 @@ class PolicyDriven(RateCongestionControl):
                 "PolicyDriven wraps rate-based algorithms; "
                 "use WindowPolicyDriven for cwnd-based ones"
             )
-        self.inner: Optional[RateCongestionControl] = inner
+        self.inner = inner
         self._rate_override: Optional[float] = None
         self._kf_override: Optional[float] = None
         self._kd_override: Optional[float] = None
-        #: Fast-retransmit episodes / timeouts forwarded so far, and the
-        #: host clock of the most recent of each (for epoch policies).
-        self.congestion_events = 0
-        self.rto_events = 0
-        self.last_congestion_at: Optional[float] = None
-        self.last_rto_at: Optional[float] = None
 
     # -- sender introspection -------------------------------------------
     @property
@@ -153,59 +216,14 @@ class PolicyDriven(RateCongestionControl):
         else:
             self.pacing_rate = inner.pacing_rate * self._gain_scale(inner)
 
-    # -- forwarded hooks ------------------------------------------------
-    def bind(self, host) -> None:
-        super().bind(host)
-        if self.inner is not None:
-            self.inner.bind(host)
-
-    def on_connection_start(self) -> None:
-        if self.inner is not None:
-            self.inner.on_connection_start()
-        self._sync()
-
-    def on_ack(self, sample: AckSample) -> None:
-        if self.inner is not None:
-            self.inner.on_ack(sample)
-        self._sync()
-
-    def on_congestion(self, sample: AckSample) -> None:
-        self.congestion_events += 1
-        self.last_congestion_at = sample.now
-        if self.inner is not None:
-            self.inner.on_congestion(sample)
-        self._sync()
-
-    def on_recovery_exit(self, sample: AckSample) -> None:
-        if self.inner is not None:
-            self.inner.on_recovery_exit(sample)
-        self._sync()
-
-    def on_rto(self) -> None:
-        self.rto_events += 1
-        if self.host is not None:
-            self.last_rto_at = self.host.now
-        if self.inner is not None:
-            self.inner.on_rto()
-        self._sync()
-
-    def on_packet_sent(self, seq: int, now: float, retransmit: bool) -> None:
-        if self.inner is not None:
-            self.inner.on_packet_sent(seq, now, retransmit)
-            self._sync()
-
+    # -- the one rate-only forwarded hook --------------------------------
     def on_tick(self, now: float) -> None:
         if self.inner is not None:
             self.inner.on_tick(now)
             self._sync()
 
-    def telemetry_close(self, now: float) -> None:
-        close = getattr(self.inner, "telemetry_close", None)
-        if close is not None:
-            close(now)
 
-
-class WindowPolicyDriven(WindowCongestionControl):
+class WindowPolicyDriven(_Forwarding, WindowCongestionControl):
     """cwnd-based adapter: an external policy (or wrapped native
     algorithm) owns the congestion window."""
 
@@ -219,12 +237,8 @@ class WindowPolicyDriven(WindowCongestionControl):
                 "WindowPolicyDriven wraps cwnd-based algorithms; "
                 "use PolicyDriven for rate-based ones"
             )
-        self.inner: Optional[WindowCongestionControl] = inner
+        self.inner = inner
         self._cwnd_override: Optional[float] = None
-        self.congestion_events = 0
-        self.rto_events = 0
-        self.last_congestion_at: Optional[float] = None
-        self.last_rto_at: Optional[float] = None
         self._sync()
 
     # -- external actions -----------------------------------------------
@@ -244,54 +258,10 @@ class WindowPolicyDriven(WindowCongestionControl):
             self.cwnd = self.inner.cwnd
             self.ssthresh = self.inner.ssthresh
 
-    # -- forwarded hooks ------------------------------------------------
-    def bind(self, host) -> None:
-        super().bind(host)
-        if self.inner is not None:
-            self.inner.bind(host)
 
-    def on_connection_start(self) -> None:
-        if self.inner is not None:
-            self.inner.on_connection_start()
-        self._sync()
-
-    def on_ack(self, sample: AckSample) -> None:
-        if self.inner is not None:
-            self.inner.on_ack(sample)
-        self._sync()
-
-    def on_congestion(self, sample: AckSample) -> None:
-        self.congestion_events += 1
-        self.last_congestion_at = sample.now
-        if self.inner is not None:
-            self.inner.on_congestion(sample)
-        self._sync()
-
-    def on_recovery_exit(self, sample: AckSample) -> None:
-        if self.inner is not None:
-            self.inner.on_recovery_exit(sample)
-        self._sync()
-
-    def on_rto(self) -> None:
-        self.rto_events += 1
-        if self.host is not None:
-            self.last_rto_at = self.host.now
-        if self.inner is not None:
-            self.inner.on_rto()
-        self._sync()
-
-    def on_packet_sent(self, seq: int, now: float, retransmit: bool) -> None:
-        if self.inner is not None:
-            self.inner.on_packet_sent(seq, now, retransmit)
-            self._sync()
-
-    def telemetry_close(self, now: float) -> None:
-        close = getattr(self.inner, "telemetry_close", None)
-        if close is not None:
-            close(now)
-
-
-def policy_adapter(inner: Optional[CongestionControl] = None):
+def policy_adapter(
+    inner: Optional[CongestionControl] = None,
+) -> Union[PolicyDriven, WindowPolicyDriven]:
     """The adapter matching ``inner``'s regulation mechanism.
 
     Rate-based inners (and ``None``) get :class:`PolicyDriven`,

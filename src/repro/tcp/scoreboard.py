@@ -2,8 +2,8 @@
 
 One representation, four consumers.  Per-segment recovery state used to
 be scattered across a per-seq dict (``_rtx_state``), a retransmission
-heap, and a separate SACKed :class:`~repro.util.intervals.IntervalSet`,
-making every loss episode O(window) per ACK.  Here the whole window is
+heap, and a separate set of SACKed intervals, making every loss episode
+O(window) per ACK.  Here the whole window is
 a :class:`~repro.util.intervals.RunMap` of disjoint tagged runs:
 
 * **untagged** — a plain in-flight transmission (contributes to pipe);

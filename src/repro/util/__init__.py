@@ -1,6 +1,6 @@
-"""Small shared utilities: interval sets, sliding windows, EWMA filters."""
+"""Small shared utilities: tagged interval runs, sliding windows, EWMA
+filters."""
 
-from repro.util.intervals import IntervalSet
 from repro.util.windows import Ewma, SlidingWindowMin, WindowedMax
 
-__all__ = ["Ewma", "IntervalSet", "SlidingWindowMin", "WindowedMax"]
+__all__ = ["Ewma", "SlidingWindowMin", "WindowedMax"]

@@ -1,15 +1,14 @@
-"""Disjoint half-open integer intervals: plain sets and tagged runs.
+"""Disjoint half-open integer runs, each carrying a small integer tag.
 
 Used for SACK scoreboards on both ends of a connection (via
-:mod:`repro.tcp.scoreboard`): the receiver's out-of-order store and the
-sender's record of per-segment recovery state.  Both need *incremental*
-range operations — every ACK repeats previously seen SACK blocks, and
-reprocessing them per-segment would make loss episodes quadratic.
-:class:`IntervalSet` covers the untagged case (:meth:`~IntervalSet
-.add_range` returns only the sub-ranges that are genuinely new);
-:class:`RunMap` is the run-tagged variant, keeping one small integer tag
-per run so a whole window of per-segment states collapses to a handful
-of runs.
+:mod:`repro.tcp.scoreboard`): the receiver's out-of-order store (one
+tag) and the sender's record of per-segment recovery state (one tag per
+state).  Both need *incremental* range operations — every ACK repeats
+previously seen SACK blocks, and reprocessing them per-segment would
+make loss episodes quadratic.  :class:`RunMap` keeps one tag per run,
+so a whole window of per-segment states collapses to a handful of runs,
+and its bulk retag (:meth:`RunMap.map_range`) returns only the pieces
+whose tag actually changed.
 """
 
 from __future__ import annotations
@@ -18,195 +17,14 @@ import bisect
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 
-class IntervalSet:
-    """Disjoint, sorted, half-open ``[start, end)`` integer intervals."""
-
-    def __init__(self) -> None:
-        self._starts: List[int] = []
-        self._ends: List[int] = []
-        self._count = 0  # total integers covered
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        """Total number of integers covered."""
-        return self._count
-
-    def __bool__(self) -> bool:
-        return bool(self._starts)
-
-    def __contains__(self, value: int) -> bool:
-        idx = bisect.bisect_right(self._starts, value) - 1
-        return idx >= 0 and value < self._ends[idx]
-
-    def __iter__(self) -> Iterator[Tuple[int, int]]:
-        return iter(zip(self._starts, self._ends))
-
-    @property
-    def intervals(self) -> List[Tuple[int, int]]:
-        return list(zip(self._starts, self._ends))
-
-    @property
-    def min(self) -> int:
-        if not self._starts:
-            raise ValueError("empty IntervalSet has no min")
-        return self._starts[0]
-
-    @property
-    def max(self) -> int:
-        """One past the largest covered integer."""
-        if not self._ends:
-            raise ValueError("empty IntervalSet has no max")
-        return self._ends[-1]
-
-    # ------------------------------------------------------------------
-    def add(self, value: int) -> bool:
-        """Insert a single integer; returns True if it was new."""
-        return bool(self.add_range(value, value + 1))
-
-    def add_range(self, start: int, end: int) -> List[Tuple[int, int]]:
-        """Insert ``[start, end)``; returns the newly covered sub-ranges.
-
-        Already-covered portions are skipped, so repeated insertion of the
-        same SACK block is O(log n) and returns nothing.
-        """
-        if end <= start:
-            return []
-        new_ranges: List[Tuple[int, int]] = []
-
-        # Find all existing intervals overlapping or adjacent to [start,end).
-        lo = bisect.bisect_left(self._ends, start)       # first with end >= start
-        hi = bisect.bisect_right(self._starts, end)      # last with start <= end
-        if lo >= hi:
-            # No overlap/adjacency: plain insertion.
-            self._starts.insert(lo, start)
-            self._ends.insert(lo, end)
-            self._count += end - start
-            return [(start, end)]
-
-        # Compute the uncovered gaps inside [start, end).
-        cursor = start
-        for i in range(lo, hi):
-            s, e = self._starts[i], self._ends[i]
-            if cursor < s:
-                new_ranges.append((cursor, min(s, end)))
-            cursor = max(cursor, e)
-            if cursor >= end:
-                break
-        if cursor < end:
-            new_ranges.append((cursor, end))
-
-        merged_start = min(start, self._starts[lo])
-        merged_end = max(end, self._ends[hi - 1])
-        del self._starts[lo:hi]
-        del self._ends[lo:hi]
-        self._starts.insert(lo, merged_start)
-        self._ends.insert(lo, merged_end)
-        self._count += sum(e - s for s, e in new_ranges)
-        return new_ranges
-
-    def remove_below(self, bound: int) -> int:
-        """Drop all integers < ``bound``; returns how many were removed."""
-        removed = 0
-        while self._starts and self._ends[0] <= bound:
-            removed += self._ends[0] - self._starts[0]
-            del self._starts[0]
-            del self._ends[0]
-        if self._starts and self._starts[0] < bound:
-            removed += bound - self._starts[0]
-            self._starts[0] = bound
-        self._count -= removed
-        return removed
-
-    def remove_range(self, start: int, end: int) -> List[Tuple[int, int]]:
-        """Remove ``[start, end)``; returns the sub-ranges actually removed.
-
-        Portions of ``[start, end)`` that were not covered are skipped, so
-        the return value mirrors :meth:`add_range`: exactly the integers
-        whose membership changed, as disjoint sorted ranges.
-        """
-        if end <= start:
-            return []
-        starts, ends = self._starts, self._ends
-        lo = bisect.bisect_right(ends, start)  # first interval ending > start
-        hi = bisect.bisect_left(starts, end)   # first interval starting >= end
-        if lo >= hi:
-            return []
-        removed: List[Tuple[int, int]] = []
-        keep_starts: List[int] = []
-        keep_ends: List[int] = []
-        for i in range(lo, hi):
-            s, e = starts[i], ends[i]
-            rs, re = max(s, start), min(e, end)
-            removed.append((rs, re))
-            if s < start:
-                keep_starts.append(s)
-                keep_ends.append(start)
-            if e > end:
-                keep_starts.append(end)
-                keep_ends.append(e)
-        starts[lo:hi] = keep_starts
-        ends[lo:hi] = keep_ends
-        self._count -= sum(e - s for s, e in removed)
-        return removed
-
-    def iter_gaps(self, start: int, end: int) -> Iterator[Tuple[int, int]]:
-        """Yield the maximal uncovered sub-ranges of ``[start, end)``."""
-        if end <= start:
-            return
-        cursor = start
-        idx = bisect.bisect_right(self._ends, start)
-        for i in range(idx, len(self._starts)):
-            s, e = self._starts[i], self._ends[i]
-            if s >= end:
-                break
-            if cursor < s:
-                yield (cursor, s)
-            cursor = max(cursor, e)
-            if cursor >= end:
-                return
-        if cursor < end:
-            yield (cursor, end)
-
-    def contains_range(self, start: int, end: int) -> bool:
-        """True when every integer of ``[start, end)`` is covered."""
-        if end <= start:
-            return True
-        idx = bisect.bisect_right(self._starts, start) - 1
-        return idx >= 0 and self._ends[idx] >= end
-
-    def first_gap_at_or_after(self, value: int) -> int:
-        """Smallest integer >= ``value`` not in the set."""
-        probe = value
-        idx = bisect.bisect_right(self._starts, probe) - 1
-        if idx >= 0 and probe < self._ends[idx]:
-            probe = self._ends[idx]
-        return probe
-
-    def covered_in(self, start: int, end: int) -> int:
-        """How many integers in ``[start, end)`` are covered."""
-        if end <= start:
-            return 0
-        total = 0
-        idx = max(0, bisect.bisect_right(self._starts, start) - 1)
-        for i in range(idx, len(self._starts)):
-            s, e = self._starts[i], self._ends[i]
-            if s >= end:
-                break
-            lo, hi = max(s, start), min(e, end)
-            if hi > lo:
-                total += hi - lo
-        return total
-
-
 class RunMap:
     """Disjoint, sorted, half-open integer runs, each carrying a tag.
 
-    The run-tagged variant of :class:`IntervalSet`: every covered
-    integer has a small integer tag, untagged integers form the gaps,
-    and adjacent runs with equal tags are kept merged.  All bulk
-    operations are O(runs touched), never O(integers touched) — the
-    property the SACK scoreboard needs to make loss episodes O(runs)
-    per ACK.
+    Every covered integer has a small integer tag, untagged integers
+    form the gaps, and adjacent runs with equal tags are kept merged.
+    All bulk operations are O(runs touched), never O(integers touched)
+    — the property the SACK scoreboard needs to make loss episodes
+    O(runs) per ACK.
 
     Tags are arbitrary hashable values in principle; the scoreboard
     uses small ints.  ``None`` is reserved to mean "untagged".

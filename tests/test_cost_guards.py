@@ -12,7 +12,10 @@ import fractions
 import sys
 from unittest import mock
 
+import numpy as np
+
 import repro.core.proprate as proprate_module
+from repro.core.adaptive import TargetAdjuster
 from repro.core.proprate import PropRate
 from repro.experiments.algorithms import paper_algorithms
 from repro.experiments.runner import (
@@ -154,6 +157,28 @@ def test_no_op_packet_sent_hook_is_not_called():
     assert cubic.sender.segments_sent > 3000
     assert base_calls[0] == 0
     assert override_calls[0] == prm.sender.segments_sent
+
+
+def test_adaptive_rule_is_not_entered_per_ack():
+    """PR(A) hands its ACKs to the §6 rule only once the rule's
+    ``quiet_due`` time has come; on a loss-free run the target stays
+    at its ceiling and the rule is never due."""
+    entries = [0]
+    down, up = isp_traces("A", "stationary", 5.0)
+    with mock.patch.multiple(
+            TargetAdjuster,
+            on_loss=_counting(entries)(TargetAdjuster.on_loss),
+            on_rto=_counting(entries)(TargetAdjuster.on_rto),
+            on_quiet=_counting(entries)(TargetAdjuster.on_quiet)):
+        TargetAdjuster(0.040, 0.005).on_quiet(0.0, np.ones(1, dtype=bool))
+        assert entries[0] == 1, "the counter is not armed"
+        entries[0] = 0
+        result = run_single_flow(paper_algorithms()["PR(A)"], down, up,
+                                 duration=5.0, measure_start=1.0)
+    acks = result.sender.acks_received
+    assert acks > 3000
+    assert result.retransmissions == 0 and result.rto_count == 0
+    assert entries[0] < 0.01 * acks, (entries[0], acks)
 
 
 #: Python calls into ``repro`` code per delivered data packet on the

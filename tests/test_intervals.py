@@ -1,144 +1,180 @@
-"""Unit and property tests for IntervalSet (the SACK scoreboard core)."""
+"""Unit and property tests for RunMap (the SACK scoreboard core).
+
+The first half pins RunMap's single-tag face: a plain set of disjoint
+half-open integer intervals, the shape of the receiver's out-of-order
+store (:class:`~repro.tcp.scoreboard.ReceiverScoreboard`).  Every set
+operation is a RunMap call with one tag, through the helpers below.
+The second half pins the tagged runs the sender's scoreboard uses.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.util.intervals import IntervalSet, RunMap
+from repro.util.intervals import RunMap
+
+#: The one tag of a single-tag map.
+ON = 1
+
+
+def _add(m, start, end):
+    """Cover ``[start, end)``; the newly covered sub-ranges."""
+    return [(s, e) for s, e, _ in m.map_range(start, end, {None: ON})]
+
+
+def _remove(m, start, end):
+    """Uncover ``[start, end)``; the sub-ranges actually removed."""
+    return [(s, e) for s, e, _ in m.map_range(start, end, {ON: None})]
+
+
+def _remove_below(m, bound):
+    return sum(m.clear_below(bound).values())
+
+
+def _intervals(m):
+    return [(s, e) for s, e, _ in m.runs]
+
+
+def _gaps(m, start, end):
+    return [(s, e) for s, e, t in m.segments(start, end) if t is None]
+
+
+def _covers(m, start, end):
+    return all(t is not None for _, _, t in m.segments(start, end))
 
 
 class TestBasics:
     def test_empty(self):
-        s = IntervalSet()
+        s = RunMap()
         assert len(s) == 0
         assert not s
-        assert 5 not in s
-        assert s.intervals == []
+        assert s.get(5) is None
+        assert _intervals(s) == []
 
     def test_single_add(self):
-        s = IntervalSet()
-        assert s.add(5)
-        assert 5 in s
-        assert 4 not in s
-        assert 6 not in s
+        s = RunMap()
+        assert _add(s, 5, 6)
+        assert s.get(5) is not None
+        assert s.get(4) is None
+        assert s.get(6) is None
         assert len(s) == 1
 
     def test_duplicate_add_returns_false(self):
-        s = IntervalSet()
-        assert s.add(5)
-        assert not s.add(5)
+        s = RunMap()
+        assert _add(s, 5, 6)
+        assert not _add(s, 5, 6)
         assert len(s) == 1
 
     def test_adjacent_adds_merge(self):
-        s = IntervalSet()
-        s.add(1)
-        s.add(2)
-        s.add(3)
-        assert s.intervals == [(1, 4)]
+        s = RunMap()
+        _add(s, 1, 2)
+        _add(s, 2, 3)
+        _add(s, 3, 4)
+        assert _intervals(s) == [(1, 4)]
 
     def test_min_max(self):
-        s = IntervalSet()
-        s.add_range(10, 15)
-        s.add_range(20, 25)
+        s = RunMap()
+        _add(s, 10, 15)
+        _add(s, 20, 25)
         assert s.min == 10
         assert s.max == 25
 
     def test_min_on_empty_raises(self):
         with pytest.raises(ValueError):
-            IntervalSet().min
+            RunMap().min
 
 
 class TestAddRange:
     def test_disjoint_ranges(self):
-        s = IntervalSet()
-        assert s.add_range(0, 5) == [(0, 5)]
-        assert s.add_range(10, 15) == [(10, 15)]
-        assert s.intervals == [(0, 5), (10, 15)]
+        s = RunMap()
+        assert _add(s, 0, 5) == [(0, 5)]
+        assert _add(s, 10, 15) == [(10, 15)]
+        assert _intervals(s) == [(0, 5), (10, 15)]
         assert len(s) == 10
 
     def test_empty_range_is_noop(self):
-        s = IntervalSet()
-        assert s.add_range(5, 5) == []
-        assert s.add_range(5, 3) == []
+        s = RunMap()
+        assert _add(s, 5, 5) == []
+        assert _add(s, 5, 3) == []
 
     def test_overlapping_range_returns_only_new(self):
-        s = IntervalSet()
-        s.add_range(0, 10)
-        new = s.add_range(5, 15)
+        s = RunMap()
+        _add(s, 0, 10)
+        new = _add(s, 5, 15)
         assert new == [(10, 15)]
-        assert s.intervals == [(0, 15)]
+        assert _intervals(s) == [(0, 15)]
 
     def test_range_bridging_two_intervals(self):
-        s = IntervalSet()
-        s.add_range(0, 5)
-        s.add_range(10, 15)
-        new = s.add_range(3, 12)
+        s = RunMap()
+        _add(s, 0, 5)
+        _add(s, 10, 15)
+        new = _add(s, 3, 12)
         assert new == [(5, 10)]
-        assert s.intervals == [(0, 15)]
+        assert _intervals(s) == [(0, 15)]
 
     def test_range_inside_existing_returns_nothing(self):
-        s = IntervalSet()
-        s.add_range(0, 100)
-        assert s.add_range(10, 20) == []
+        s = RunMap()
+        _add(s, 0, 100)
+        assert _add(s, 10, 20) == []
         assert len(s) == 100
 
     def test_adjacent_ranges_merge(self):
-        s = IntervalSet()
-        s.add_range(0, 5)
-        s.add_range(5, 10)
-        assert s.intervals == [(0, 10)]
+        s = RunMap()
+        _add(s, 0, 5)
+        _add(s, 5, 10)
+        assert _intervals(s) == [(0, 10)]
 
     def test_range_covering_multiple_gaps(self):
-        s = IntervalSet()
-        s.add_range(2, 4)
-        s.add_range(6, 8)
-        s.add_range(10, 12)
-        new = s.add_range(0, 14)
+        s = RunMap()
+        _add(s, 2, 4)
+        _add(s, 6, 8)
+        _add(s, 10, 12)
+        new = _add(s, 0, 14)
         assert new == [(0, 2), (4, 6), (8, 10), (12, 14)]
-        assert s.intervals == [(0, 14)]
+        assert _intervals(s) == [(0, 14)]
 
     def test_repeated_sack_block_is_cheap_noop(self):
-        s = IntervalSet()
-        s.add_range(100, 200)
+        s = RunMap()
+        _add(s, 100, 200)
         for _ in range(10):
-            assert s.add_range(100, 200) == []
+            assert _add(s, 100, 200) == []
 
 
 class TestRemoveBelow:
     def test_removes_whole_intervals(self):
-        s = IntervalSet()
-        s.add_range(0, 5)
-        s.add_range(10, 15)
-        assert s.remove_below(7) == 5
-        assert s.intervals == [(10, 15)]
+        s = RunMap()
+        _add(s, 0, 5)
+        _add(s, 10, 15)
+        assert _remove_below(s, 7) == 5
+        assert _intervals(s) == [(10, 15)]
 
     def test_truncates_partial_interval(self):
-        s = IntervalSet()
-        s.add_range(0, 10)
-        assert s.remove_below(4) == 4
-        assert s.intervals == [(4, 10)]
+        s = RunMap()
+        _add(s, 0, 10)
+        assert _remove_below(s, 4) == 4
+        assert _intervals(s) == [(4, 10)]
         assert len(s) == 6
 
     def test_noop_below_everything(self):
-        s = IntervalSet()
-        s.add_range(10, 20)
-        assert s.remove_below(5) == 0
+        s = RunMap()
+        _add(s, 10, 20)
+        assert _remove_below(s, 5) == 0
         assert len(s) == 10
 
 
 class TestQueries:
     def test_first_gap_at_or_after(self):
-        s = IntervalSet()
-        s.add_range(0, 5)
-        s.add_range(7, 10)
+        s = RunMap()
+        _add(s, 0, 5)
+        _add(s, 7, 10)
         assert s.first_gap_at_or_after(0) == 5
         assert s.first_gap_at_or_after(5) == 5
         assert s.first_gap_at_or_after(6) == 6
         assert s.first_gap_at_or_after(8) == 10
 
     def test_covered_in(self):
-        s = IntervalSet()
-        s.add_range(0, 5)
-        s.add_range(10, 20)
+        s = RunMap()
+        _add(s, 0, 5)
+        _add(s, 10, 20)
         assert s.covered_in(0, 25) == 15
         assert s.covered_in(3, 12) == 4
         assert s.covered_in(5, 10) == 0
@@ -164,39 +200,39 @@ class TestProperties:
     @given(_operations())
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_set(self, ranges):
-        """IntervalSet must behave exactly like a plain set of ints."""
-        s = IntervalSet()
+        """A single-tag RunMap behaves exactly like a plain set of ints."""
+        s = RunMap()
         reference = set()
         for start, end in ranges:
-            new = s.add_range(start, end)
+            new = _add(s, start, end)
             new_flat = {v for a, b in new for v in range(a, b)}
             expected_new = set(range(start, end)) - reference
             assert new_flat == expected_new
             reference |= set(range(start, end))
         assert len(s) == len(reference)
-        covered = {v for a, b in s.intervals for v in range(a, b)}
+        covered = {v for a, b in _intervals(s) for v in range(a, b)}
         assert covered == reference
 
     @given(_operations(), st.integers(min_value=0, max_value=250))
     @settings(max_examples=100, deadline=None)
     def test_remove_below_matches_reference(self, ranges, bound):
-        s = IntervalSet()
+        s = RunMap()
         reference = set()
         for start, end in ranges:
-            s.add_range(start, end)
+            _add(s, start, end)
             reference |= set(range(start, end))
-        removed = s.remove_below(bound)
+        removed = _remove_below(s, bound)
         assert removed == len({v for v in reference if v < bound})
-        remaining = {v for a, b in s.intervals for v in range(a, b)}
+        remaining = {v for a, b in _intervals(s) for v in range(a, b)}
         assert remaining == {v for v in reference if v >= bound}
 
     @given(_operations())
     @settings(max_examples=100, deadline=None)
     def test_intervals_sorted_and_disjoint(self, ranges):
-        s = IntervalSet()
+        s = RunMap()
         for start, end in ranges:
-            s.add_range(start, end)
-        intervals = s.intervals
+            _add(s, start, end)
+        intervals = _intervals(s)
         for (a1, b1), (a2, b2) in zip(intervals, intervals[1:]):
             assert b1 < a2  # disjoint and non-adjacent (merged)
         for a, b in intervals:
@@ -204,69 +240,71 @@ class TestProperties:
 
 
 class TestIntervalSetExtensions:
+    """Removal, gaps and coverage on the single-tag face."""
+
     def test_remove_range_splits_interval(self):
-        s = IntervalSet()
-        s.add_range(0, 10)
-        assert s.remove_range(3, 6) == [(3, 6)]
-        assert s.intervals == [(0, 3), (6, 10)]
+        s = RunMap()
+        _add(s, 0, 10)
+        assert _remove(s, 3, 6) == [(3, 6)]
+        assert _intervals(s) == [(0, 3), (6, 10)]
         assert len(s) == 7
 
     def test_remove_range_skips_uncovered(self):
-        s = IntervalSet()
-        s.add_range(0, 2)
-        s.add_range(5, 8)
-        assert s.remove_range(1, 7) == [(1, 2), (5, 7)]
-        assert s.intervals == [(0, 1), (7, 8)]
+        s = RunMap()
+        _add(s, 0, 2)
+        _add(s, 5, 8)
+        assert _remove(s, 1, 7) == [(1, 2), (5, 7)]
+        assert _intervals(s) == [(0, 1), (7, 8)]
 
     def test_remove_range_noop(self):
-        s = IntervalSet()
-        s.add_range(5, 8)
-        assert s.remove_range(0, 5) == []
-        assert s.remove_range(8, 12) == []
-        assert s.remove_range(6, 6) == []
-        assert s.intervals == [(5, 8)]
+        s = RunMap()
+        _add(s, 5, 8)
+        assert _remove(s, 0, 5) == []
+        assert _remove(s, 8, 12) == []
+        assert _remove(s, 6, 6) == []
+        assert _intervals(s) == [(5, 8)]
 
     def test_iter_gaps(self):
-        s = IntervalSet()
-        s.add_range(2, 4)
-        s.add_range(6, 8)
-        assert list(s.iter_gaps(0, 10)) == [(0, 2), (4, 6), (8, 10)]
-        assert list(s.iter_gaps(2, 8)) == [(4, 6)]
-        assert list(s.iter_gaps(2, 4)) == []
-        assert list(s.iter_gaps(5, 5)) == []
+        s = RunMap()
+        _add(s, 2, 4)
+        _add(s, 6, 8)
+        assert _gaps(s, 0, 10) == [(0, 2), (4, 6), (8, 10)]
+        assert _gaps(s, 2, 8) == [(4, 6)]
+        assert _gaps(s, 2, 4) == []
+        assert _gaps(s, 5, 5) == []
 
     def test_contains_range(self):
-        s = IntervalSet()
-        s.add_range(2, 8)
-        assert s.contains_range(2, 8)
-        assert s.contains_range(3, 5)
-        assert s.contains_range(4, 4)  # empty range is vacuously covered
-        assert not s.contains_range(1, 3)
-        assert not s.contains_range(7, 9)
+        s = RunMap()
+        _add(s, 2, 8)
+        assert _covers(s, 2, 8)
+        assert _covers(s, 3, 5)
+        assert _covers(s, 4, 4)  # empty range is vacuously covered
+        assert not _covers(s, 1, 3)
+        assert not _covers(s, 7, 9)
 
     @given(_operations(), _operations())
     @settings(max_examples=100, deadline=None)
     def test_remove_range_matches_reference(self, adds, removes):
-        s = IntervalSet()
+        s = RunMap()
         reference = set()
         for start, end in adds:
-            s.add_range(start, end)
+            _add(s, start, end)
             reference |= set(range(start, end))
         for start, end in removes:
-            removed = s.remove_range(start, end)
+            removed = _remove(s, start, end)
             removed_flat = {v for a, b in removed for v in range(a, b)}
             assert removed_flat == reference & set(range(start, end))
             reference -= set(range(start, end))
-        assert {v for a, b in s.intervals for v in range(a, b)} == reference
+        assert {v for a, b in _intervals(s) for v in range(a, b)} == reference
 
     @given(_operations())
     @settings(max_examples=100, deadline=None)
     def test_iter_gaps_complements_coverage(self, ranges):
-        s = IntervalSet()
+        s = RunMap()
         for start, end in ranges:
-            s.add_range(start, end)
-        covered = {v for a, b in s.intervals for v in range(a, b)}
-        gaps = {v for a, b in s.iter_gaps(0, 260) for v in range(a, b)}
+            _add(s, start, end)
+        covered = {v for a, b in _intervals(s) for v in range(a, b)}
+        gaps = {v for a, b in _gaps(s, 0, 260) for v in range(a, b)}
         assert gaps == set(range(260)) - covered
 
 

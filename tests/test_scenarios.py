@@ -208,3 +208,32 @@ class TestBaselineShiftScenario:
             duration=15.0, measure_start=5.0,
         )
         assert result.capacity == pytest.approx(1.5e6, rel=0.02)
+
+    def test_writes_the_same_run_records_as_any_scenario(self, tmp_path):
+        # A hand-built harness once ran without the tracer: no run.start,
+        # queue samples, run metrics or run.end, so nothing to plot.
+        from collections import Counter
+
+        from repro.experiments.options import RunOptions
+        from repro.experiments.parallel import CcSpec
+        from repro.experiments.scenarios import run_scenario_grid
+        from repro.obs.analyze import read_trace
+
+        def kinds(scenario, **options):
+            path = str(tmp_path / f"{scenario}.jsonl")
+            run_scenario_grid(
+                scenario, {"cubic": CcSpec("CUBIC")}, _trace(duration=7.0),
+                run_options=RunOptions(telemetry=path, profile=True),
+                duration=6.0, measure_start=1.0, **options,
+            )
+            return Counter(
+                "metrics.run" if r["kind"] == "metrics"
+                and r.get("scope") == "run" else r["kind"]
+                for r in read_trace(path)
+            )
+
+        shifted = kinds("baseline_shift", shift_delta=0.010, shift_at=2.0)
+        for kind in ("run.start", "metrics.run", "run.end"):
+            assert shifted[kind] == 1, kind
+        assert shifted["queue.sample"] == \
+            kinds("shallow_buffer")["queue.sample"] > 1000
