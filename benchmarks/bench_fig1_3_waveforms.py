@@ -8,8 +8,7 @@ waveform (Figure 2 / 3(f)), and the period-vs-threshold-placement sweep
 
 import pytest
 
-from repro.core.fluid import simulate_sawtooth
-from repro.core.model import Regime, derive_parameters
+from repro.core.model import Regime, derive_parameters, simulate_sawtooth
 
 from _report import emit
 

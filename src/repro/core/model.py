@@ -16,15 +16,32 @@ Two operating regimes exist (Figures 1 and 2):
 
 Given an application latency budget L_max and a target average buffer
 delay t̄_buff, §3.1 derives the regime and the (T, k_f, k_d) that produce
-it.  This module implements those closed forms; the fluid simulation in
-:mod:`repro.core.fluid` cross-validates them.
+it.  This module implements those closed forms, and beside them the
+ideal waveform they describe (:func:`simulate_sawtooth`, Figures 1–3):
+a deterministic fluid integration of the two-state system, free of the
+packet simulator's noise (timestamp quantisation, ACK spacing, bursts):
+
+* the bottleneck drains the buffer at a constant rate ρ;
+* the sender fills at σ_f = k_f·ρ or drains at σ_d = k_d·ρ;
+* the controller sees the buffer delay only after the feedback lag — a
+  packet sent at s is observed at ``s + t_buff(s) + RTT`` — and switches
+  state when the *observed* delay crosses the threshold T.
+
+Because observation lags reality, the actual delay overshoots T on both
+sides, producing the sawtooth of Figure 1 (buffer full) or Figure 2
+(buffer emptied, with an empty period t_e).  Running the integration
+against :func:`derive_parameters` validates Equations 1–8: the measured
+D_max, D_min, utilisation and average buffer delay match the closed
+forms.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 #: Default gap between the latency budget and the base RTT when the
 #: application does not specify L_max explicitly.  The paper's PR(M)
@@ -229,3 +246,175 @@ def _buffer_emptied_params(
         rtt=rtt,
         lmax=lmax,
     )
+
+
+# ----------------------------------------------------------------------
+# The ideal waveform
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class FluidResult:
+    """Steady-state summary of a fluid run.
+
+    ``times``/``tbuff`` hold the full waveform; the scalar summaries are
+    measured over the final ``measure_fraction`` of the run (transients
+    discarded).
+    """
+
+    times: np.ndarray
+    tbuff: np.ndarray
+    states: np.ndarray            # +1 fill, -1 drain
+    dmax: float
+    dmin: float
+    avg_tbuff: float
+    utilization: float            # fraction of time the buffer is non-empty,
+                                  # plus fill time (Eq. 1)
+    period: float                 # mean cycle duration (fill->fill)
+    empty_fraction: float         # t_e / cycle
+
+
+def simulate_sawtooth(
+    rho: float,
+    rtt: float,
+    threshold: float,
+    kf: float,
+    kd: float,
+    duration: float = 20.0,
+    dt: float = 1e-4,
+    initial_tbuff: float = 0.0,
+    measure_fraction: float = 0.5,
+) -> FluidResult:
+    """Integrate the fluid system and summarise its steady state.
+
+    Parameters
+    ----------
+    rho:
+        Bottleneck (receive) rate, any consistent unit — it cancels out
+        of the delay dynamics, which evolve at (k−1) seconds/second.
+    rtt:
+        Feedback round-trip time excluding buffer delay.
+    threshold:
+        State-switch threshold T on the *observed* buffer delay.
+    kf, kd:
+        Fill and drain rate multipliers (k_f > 1 > k_d ≥ 0).
+    duration, dt:
+        Integration horizon and step.
+    initial_tbuff:
+        Starting buffer delay.
+    measure_fraction:
+        Trailing fraction of the run used for steady-state statistics.
+    """
+    if kf <= 1.0:
+        raise ValueError("kf must exceed 1")
+    if not 0.0 <= kd < 1.0:
+        raise ValueError("kd must be in [0, 1)")
+    if rho <= 0 or rtt <= 0:
+        raise ValueError("rho and rtt must be positive")
+    # threshold == 0 is a legal degenerate placement: the controller
+    # drains as soon as any queueing is observed and never re-fills
+    # (observed delay cannot go *below* zero), so the queue empties and
+    # stays empty — the T→0 limit of Eq. 5's trade-off.
+    if threshold < 0:
+        raise ValueError("threshold must be non-negative")
+
+    n = int(round(duration / dt))
+    times = np.arange(n) * dt
+    tbuff = np.empty(n)
+    states = np.empty(n, dtype=np.int8)
+
+    fill = True  # start filling an empty buffer
+    q = initial_tbuff  # buffer delay is queue/rho; integrate delay directly
+    obs_ptr = 0  # index s such that s*dt + tbuff[s] + rtt ~ now
+    rise = kf - 1.0
+    fall = kd - 1.0
+
+    for i in range(n):
+        tbuff[i] = q
+        states[i] = 1 if fill else -1
+
+        # Advance the observation pointer: the controller at time t sees
+        # the buffer delay experienced by the newest packet whose ACK has
+        # returned, i.e. the largest s with s + tbuff(s) + rtt <= t.
+        t_now = times[i]
+        while (
+            obs_ptr < i
+            and times[obs_ptr + 1] + tbuff[obs_ptr + 1] + rtt <= t_now
+        ):
+            obs_ptr += 1
+        observed = tbuff[obs_ptr] if times[obs_ptr] + tbuff[obs_ptr] + rtt <= t_now else 0.0
+
+        if fill and observed > threshold:
+            fill = False
+        elif not fill and observed < threshold:
+            fill = True
+
+        rate = rise if fill else fall
+        q = max(0.0, q + rate * dt)
+
+    start = int(n * (1.0 - measure_fraction))
+    tail = tbuff[start:]
+    tail_states = states[start:]
+    dmax = float(tail.max())
+    dmin = _steady_trough(tail)
+    avg = float(tail.mean())
+    empty = float(np.mean(tail <= dt))  # numerically-zero buffer
+    util = 1.0 - empty
+    period = _mean_period(times[start:], tail_states)
+    return FluidResult(
+        times=times,
+        tbuff=tbuff,
+        states=states,
+        dmax=dmax,
+        dmin=dmin,
+        avg_tbuff=avg,
+        utilization=util,
+        period=period,
+        empty_fraction=empty,
+    )
+
+
+def _steady_trough(tail: np.ndarray) -> float:
+    """Mean of the local minima of the waveform (the troughs)."""
+    interior = tail[1:-1]
+    minima = (interior <= tail[:-2]) & (interior <= tail[2:]) & (
+        (interior < tail[:-2]) | (interior < tail[2:])
+    )
+    values = interior[minima]
+    if values.size == 0:
+        return float(tail.min())
+    return float(values.mean())
+
+
+def _mean_period(times: np.ndarray, states: np.ndarray) -> float:
+    """Mean time between successive drain→fill transitions."""
+    flips = np.where((states[1:] == 1) & (states[:-1] == -1))[0]
+    if flips.size < 2:
+        return float("nan")
+    return float(np.diff(times[flips + 1]).mean())
+
+
+def waveform_phases(result: FluidResult) -> List[Tuple[str, float]]:
+    """Decompose a run into (phase, duration) pairs: fill / drain / empty.
+
+    Useful for checking Eq. 1 directly: U = (t_f + t_d)/(t_f + t_d + t_e).
+    """
+    dt = float(result.times[1] - result.times[0]) if result.times.size > 1 else 0.0
+    phases: List[Tuple[str, float]] = []
+    current = None
+    count = 0
+    for state, delay in zip(result.states, result.tbuff):
+        if state == 1:
+            label = "fill"
+        elif delay <= dt:
+            label = "empty"
+        else:
+            label = "drain"
+        if label == current:
+            count += 1
+        else:
+            if current is not None:
+                phases.append((current, count * dt))
+            current = label
+            count = 1
+    if current is not None:
+        phases.append((current, count * dt))
+    return phases

@@ -55,8 +55,9 @@ from repro.experiments.runner import (
     cellular_path_config,
     run_experiment,
 )
-from repro.metrics.stats import jain_fairness
+from repro.metrics.stats import finite_or_none, jain_fairness
 from repro.sim.queues import DEFAULT_BUFFER_PACKETS
+from repro.traces.presets import trace_for_label
 
 __all__ = [
     "MIXES",
@@ -117,7 +118,8 @@ class GridConfig:
 
     ``traces`` entries are labels of the form ``"wired:<mbps>mbps"``
     (a constant-rate bottleneck through the cellular topology) or
-    ``"cellular:<ISP>-<mode>"`` (a Table-2 preset trace).
+    ``"cellular:<ISP>-<mode>"`` (a Table-2 preset trace); see
+    :func:`repro.traces.presets.trace_for_label`.
 
     The measurement window is the common overlap: every flow is
     measured from ``max(starts) + settle`` for ``overlap`` seconds,
@@ -169,25 +171,6 @@ REDUCED_GRID = GridConfig(
     settle=1.0,
     overlap=5.0,
 )
-
-
-def _trace_for(label: str, duration: float):
-    """Materialize a grid trace label (see :class:`GridConfig`)."""
-    kind, _, arg = label.partition(":")
-    if kind == "wired" and arg.endswith("mbps"):
-        from repro.traces.generator import constant_rate_trace
-
-        rate_bps = float(arg[: -len("mbps")]) * 1e6 / 8.0
-        return constant_rate_trace(rate_bps, duration, name=label)
-    if kind == "cellular":
-        from repro.traces.presets import isp_trace
-
-        isp, _, mode = arg.partition("-")
-        return isp_trace(isp, mode, duration=duration)
-    raise ValueError(
-        f"unknown trace label {label!r}; expected 'wired:<N>mbps' or "
-        "'cellular:<ISP>-<mode>'"
-    )
 
 
 def build_contention_flows(
@@ -312,13 +295,6 @@ class GridCellSpec:
 # ----------------------------------------------------------------------
 # Reduction
 # ----------------------------------------------------------------------
-def _finite(value: Optional[float]) -> Optional[float]:
-    """A float fit for a deterministic JSON artifact (NaN/inf → None)."""
-    if value is None or not math.isfinite(value):
-        return None
-    return value
-
-
 def _queueing_delay(result: FlowResult) -> Optional[float]:
     """Mean standing-queue delay: one-way mean minus propagation."""
     queueing = result.delay.mean - DEFAULT_PROP_DELAY
@@ -352,13 +328,13 @@ class CellResult:
             "pattern": self.pattern,
             "trace": self.trace,
             "flow_names": list(self.flow_names),
-            "throughputs": [_finite(t) for t in self.throughputs],
-            "shares": [_finite(s) for s in self.shares],
-            "jain": _finite(self.jain),
-            "queueing_delay": _finite(self.queueing_delay),
-            "tbuff_inflation": _finite(self.tbuff_inflation),
+            "throughputs": [finite_or_none(t) for t in self.throughputs],
+            "shares": [finite_or_none(s) for s in self.shares],
+            "jain": finite_or_none(self.jain),
+            "queueing_delay": finite_or_none(self.queueing_delay),
+            "tbuff_inflation": finite_or_none(self.tbuff_inflation),
             "per_flow_inflation": [
-                _finite(v) for v in self.per_flow_inflation
+                finite_or_none(v) for v in self.per_flow_inflation
             ],
         }
 
@@ -433,7 +409,7 @@ class GridReport:
                 "buffer_packets": self.config.buffer_packets,
             },
             "baselines": {
-                f"{label}@{trace}": _finite(value)
+                f"{label}@{trace}": finite_or_none(value)
                 for (label, trace), value in sorted(self.baselines.items())
             },
             "cells": [cell.to_dict() for cell in self.cells],
@@ -464,7 +440,8 @@ def expand_grid(
     ]
     trace_duration = max(durations) + 1.0
     trace_refs = {
-        label: _trace_for(label, trace_duration) for label in config.traces
+        label: trace_for_label(label, trace_duration)
+        for label in config.traces
     }
 
     common = dict(

@@ -24,9 +24,10 @@ at most ``n_jobs`` in flight, so an idle worker always takes the next
 undone spec — work-stealing across long-tailed grids falls out of the
 queue discipline instead of static chunk pre-cutting.  Long LTE
 deep-buffer runs no longer pin a pre-assigned chunk of short runs
-behind them.
+behind them.  One dispatch loop drives either a process pool or, for
+``n_jobs=1``, an in-process executor with the same interface.
 
-Determinism: the serial (``n_jobs=1``) and parallel paths run the same
+Determinism: the in-process and pool executors run the same
 ``execute()`` code against traces materialized by the same cache, and
 each simulation is fully deterministic, so results are bit-identical
 across job counts and completion orders.
@@ -55,12 +56,14 @@ import os
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from contextlib import nullcontext
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
+    Callable,
+    ContextManager,
     Dict,
     Iterator,
     List,
@@ -221,7 +224,7 @@ def collect(outcomes: Sequence[RunOutcome]) -> List[Any]:
 # Trace-reference plumbing
 # ----------------------------------------------------------------------
 #: The batch's deduplicated {content key -> reference} table.  Installed
-#: in workers by the pool initializer and in-process by the serial path.
+#: in workers by the pool initializer and in-process by iter_batch.
 _TRACE_TABLE: Dict[str, TraceRef] = {}
 
 
@@ -295,12 +298,48 @@ def _run_entry(entry: Tuple[int, Any]) -> Tuple[int, Any, Optional[str]]:
     index, spec = entry
     try:
         return index, spec.execute(), None
+    except RunDeadlineExceeded:
+        raise  # a timeout: the scheduler charges it, not the outcome
     except Exception:  # noqa: BLE001 - reported on the outcome
         return index, None, traceback.format_exc()
 
 
 def _init_worker(table: Dict[str, TraceRef]) -> None:
     _install_table(table)
+
+
+class _InProcessExecutor:
+    """The pool's stand-in for a batch that runs in this process.
+
+    :func:`iter_batch` drives it exactly as it drives a
+    ``ProcessPoolExecutor``, but ``submit`` runs the call at once and
+    returns a finished future.  There is no worker to kill, so a
+    ``timeout`` is the engine's ambient run deadline: the event loop
+    raises :class:`RunDeadlineExceeded` between event batches, and the
+    future carries it to the scheduler as a timeout.
+    """
+
+    def __init__(self, timeout: Optional[float]) -> None:
+        self.timeout = timeout
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
+        future: "Future[Any]" = Future()
+        if self.timeout is not None:
+            set_run_deadline(time.monotonic() + self.timeout)
+        try:
+            future.set_result(fn(*args))
+        except RunDeadlineExceeded as exc:
+            future.set_exception(exc)
+        finally:
+            if self.timeout is not None:
+                set_run_deadline(None)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        """Nothing runs in the background, so there is nothing to stop."""
+
+
+_Executor = Union[ProcessPoolExecutor, _InProcessExecutor]
 
 
 @dataclass
@@ -318,6 +357,11 @@ class _Task:
     dispatches: int = 0  # submissions to a worker, charged or not
     suspect: bool = False
 
+    def outcome(self, result: Any = None,
+                error: Optional[str] = None) -> RunOutcome:
+        return RunOutcome(self.index, self.spec, result, error,
+                          self.dispatches)
+
 
 class _BatchTelemetry:
     """Coordinator half of batch telemetry.
@@ -329,7 +373,8 @@ class _BatchTelemetry:
     into the batch trace with every record tagged ``"run": <index>``,
     folding the per-run metrics snapshots into one ``scope="batch"``
     metrics record.  Workers never coordinate — they just write their
-    own part, which also makes the serial (``n_jobs=1``) path identical.
+    own part, which also makes the in-process (``n_jobs=1``) trace
+    identical.
     """
 
     def __init__(self, base: Union[str, os.PathLike],
@@ -385,9 +430,11 @@ class _BatchTelemetry:
             for path in obs.iter_trace_files(self._parts[index]):
                 with open(path, encoding="utf-8") as fh:
                     for line in fh:
-                        line = line.rstrip("\n")
-                        if not line.startswith("{"):
+                        # An unterminated line is what a worker killed
+                        # mid-write (a timeout, an early close) leaves.
+                        if not (line.startswith("{") and line.endswith("\n")):
                             continue
+                        line = line[:-1]
                         if '"kind":"metrics"' in line:
                             try:
                                 record = json.loads(line)
@@ -404,26 +451,18 @@ class _BatchTelemetry:
         metrics.counter("batch.sched.steals").add(
             max(0, self.counters["dispatched"] - self.workers)
         )
-        if self.prof is not None:
-            self.prof.flush_into(metrics, prefix="batch.timing.prof.")
-        dropped = self.tracer.drain_dropped()
-        if dropped:
-            total = 0
-            for kind, count in dropped.items():
-                metrics.counter(f"batch.telemetry.dropped.{kind}").add(count)
-                total += count
-            metrics.counter("batch.telemetry.dropped_events").add(total)
-        obs.merge_snapshots(totals, metrics.snapshot())
+        obs.merge_snapshots(
+            totals, obs.close_scope(self.tracer, "batch", self.prof))
         self.event(obs.METRICS, scope="batch", metrics=totals)
         self.tracer.close()
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
+def _kill_pool(pool: _Executor) -> None:
     """Tear a pool down hard: terminate workers, then force-kill stragglers.
 
-    Needed to enforce wall-clock timeouts — a spec stuck inside
-    ``execute()`` never returns to the executor, so the only way to
-    reclaim the worker is to kill the process.
+    Needed to enforce wall-clock timeouts and early closes — a spec
+    stuck inside ``execute()`` never returns to the executor, so the
+    only way to reclaim the worker is to kill the process.
     """
     processes = list(getattr(pool, "_processes", {}).values())
     for proc in processes:
@@ -458,9 +497,9 @@ def iter_batch(
         ``downlink``/``uplink`` are treated as trace references and
         deduplicated into a once-per-worker table.
     n_jobs:
-        Worker processes.  ``1`` runs serially in-process (no pool);
-        ``None``/``0`` uses every core; negative counts from the end
-        (``-1`` = all cores).
+        Worker processes.  ``1`` runs serially in-process (no pool, as
+        does a lone spec without a ``timeout``); ``None``/``0`` uses
+        every core; negative counts from the end (``-1`` = all cores).
     start_method:
         ``multiprocessing`` start method; defaults to ``fork`` where
         available (cheap, inherits imports) and the platform default
@@ -470,13 +509,13 @@ def iter_batch(
         (documented there, once).  What the scheduler adds to that
         description:
 
-        * a ``timeout`` is measured from dispatch to a worker; other
-          specs in flight when the pool is torn down re-queue without
-          charge.  On the serial path (``n_jobs=1``) there is no worker
-          to kill, so the simulation event loop checks a monotonic
-          deadline between event batches
+        * one dispatch loop serves both executors (DESIGN.md §14).  A
+          ``timeout`` is measured from dispatch; other specs in flight
+          when the pool is torn down re-queue without charge.  In
+          process there is no worker to kill, so the simulation event
+          loop checks a monotonic deadline between event batches
           (:func:`repro.sim.engine.set_run_deadline`) and the overrun
-          is charged exactly like a pool-path timeout;
+          is charged exactly like a pool timeout;
         * a loss is only charged to the spec that caused it: when a
           worker death takes down several in-flight specs and the
           culprit cannot be identified, none are charged — they
@@ -487,8 +526,14 @@ def iter_batch(
           stamped with :meth:`RunOptions.per_run` — the scheduler
           fields never reach a worker, so specs stay picklable whatever
           ``on_outcome`` is;
-        * with ``profile`` the coordinator also times its own dispatch
-          loop (``batch.timing.prof.sched.dispatch``).
+        * with ``profile`` the coordinator also times its dispatch
+          bookkeeping (``batch.timing.prof.sched.dispatch``, one call
+          per dispatch).
+
+    Closing the generator early (``break``, or an exception in the
+    consumer) kills the workers of any spec still running, so the
+    process exits without waiting for them; the batch trace is still
+    merged and readable.
     """
     entries = list(enumerate(specs))
     if not entries:
@@ -496,7 +541,7 @@ def iter_batch(
     stripped, table = _strip_specs([s for _, s in entries])
     entries = [(i, s) for (i, _), s in zip(entries, stripped)]
     jobs = resolve_n_jobs(n_jobs)
-    _install_table(table)  # serial path + fork parent share the table
+    _install_table(table)  # in-process runs + fork parent share the table
 
     options = run_options or RunOptions()
     timeout, retries = options.timeout, options.retries
@@ -520,88 +565,20 @@ def iter_batch(
         entries = [(i, stamp(i, s)) for i, s in entries]
     prof = bt.prof if bt is not None else None
 
-    def dispatch_span():
+    def dispatch_span() -> ContextManager[None]:
         return prof.span("sched.dispatch") if prof is not None \
             else nullcontext()
 
-    def emit(outcome: RunOutcome) -> RunOutcome:
+    def event(kind: str, **fields: Any) -> None:
         if bt is not None:
-            bt.event(
-                obs.SCHED_OUTCOME,
-                spec=outcome.index,
-                ok=outcome.ok,
-                attempts=outcome.attempts,
-            )
+            bt.event(kind, **fields)
+
+    def emit(outcome: RunOutcome) -> RunOutcome:
+        event(obs.SCHED_OUTCOME, spec=outcome.index, ok=outcome.ok,
+              attempts=outcome.attempts)
         if on_outcome is not None:
             on_outcome(outcome)
         return outcome
-
-    if jobs == 1 or (len(entries) == 1 and timeout is None):
-        # Serial in-process path.  ``timeout`` is enforced via the
-        # engine's ambient wall-clock deadline: there is no worker to
-        # kill, so the event loop itself checks ``time.monotonic()``
-        # between event batches and raises RunDeadlineExceeded, which is
-        # settled with the same charge/retry semantics as a pool-path
-        # timeout.
-        tasks = deque(_Task(i, s) for i, s in entries)
-        try:
-            while tasks:
-                with dispatch_span():
-                    task = tasks.popleft()
-                    task.dispatches += 1
-                    if bt is not None:
-                        bt.event(
-                            obs.SCHED_DISPATCH,
-                            spec=task.index,
-                            attempt=task.dispatches,
-                            of=len(entries),
-                        )
-                timed_out = False
-                try:
-                    if timeout is not None:
-                        set_run_deadline(time.monotonic() + timeout)
-                    result, error = task.spec.execute(), None
-                except RunDeadlineExceeded:
-                    timed_out = True
-                except Exception:  # noqa: BLE001 - reported on the outcome
-                    result, error = None, traceback.format_exc()
-                finally:
-                    if timeout is not None:
-                        set_run_deadline(None)
-                if timed_out:
-                    task.failures += 1
-                    if bt is not None:
-                        bt.event(
-                            obs.SCHED_TIMEOUT,
-                            spec=task.index,
-                            failures=task.failures,
-                        )
-                    if task.failures <= retries:
-                        tasks.append(task)
-                        if bt is not None:
-                            bt.event(
-                                obs.SCHED_RETRY,
-                                spec=task.index,
-                                failures=task.failures,
-                            )
-                        continue
-                    result, error = None, (
-                        f"timed out after {timeout:.6g}s "
-                        f"(attempt {task.dispatches})"
-                    )
-                yield emit(
-                    RunOutcome(
-                        index=task.index,
-                        spec=task.spec,
-                        result=result,
-                        error=error,
-                        attempts=task.dispatches,
-                    )
-                )
-        finally:
-            if bt is not None:
-                bt.finalize()
-        return
 
     if start_method is None and "fork" in multiprocessing.get_all_start_methods():
         start_method = "fork"
@@ -610,10 +587,12 @@ def iter_batch(
     )
 
     queue = deque(_Task(i, s) for i, s in entries)
-    workers = min(jobs, len(entries))
+    # A lone spec without a timeout gains nothing from a worker process.
+    inline = jobs == 1 or (len(entries) == 1 and timeout is None)
+    workers = 1 if inline else min(jobs, len(entries))
     if bt is not None:
         bt.workers = workers
-    pool: Optional[ProcessPoolExecutor] = None
+    pool: Optional[_Executor] = None
     inflight: Dict[Any, Tuple[_Task, Optional[float]]] = {}
 
     def settle_loss(
@@ -621,113 +600,96 @@ def iter_batch(
     ) -> Optional[RunOutcome]:
         """Charge a timeout/death to ``task``; re-queue or report it."""
         task.failures += 1
-        if bt is not None:
-            bt.event(kind, spec=task.index, failures=task.failures)
+        event(kind, spec=task.index, failures=task.failures)
         if task.failures <= retries:
             queue.append(task)
-            if bt is not None:
-                bt.event(obs.SCHED_RETRY, spec=task.index, failures=task.failures)
+            event(obs.SCHED_RETRY, spec=task.index, failures=task.failures)
             return None
-        return RunOutcome(
-            index=task.index,
-            spec=task.spec,
-            error=reason,
-            attempts=task.dispatches,
+        return task.outcome(error=reason)
+
+    def timed_out(task: _Task) -> Optional[RunOutcome]:
+        return settle_loss(
+            task,
+            f"timed out after {timeout:.6g}s (attempt {task.dispatches})",
+            kind=obs.SCHED_TIMEOUT,
         )
 
-    def harvest(future: Any, task: _Task) -> Optional[RunOutcome]:
-        """Turn a done future into an outcome (None = pool breakage).
+    def harvest(
+        future: "Future[Any]", task: _Task, broken: List[_Task]
+    ) -> Optional[RunOutcome]:
+        """Turn a done future into an outcome (None = none yet).
 
-        A ``BrokenProcessPool`` is not charged here: the caller collects
-        every task the breakage took down and attributes the loss once.
+        A run past its in-process deadline settles as a timeout.  A
+        ``BrokenProcessPool`` is not charged here: the task joins
+        ``broken`` and the caller attributes the loss once for all.
         """
         try:
             _, result, error = future.result()
         except BrokenProcessPool:
+            broken.append(task)
             return None
+        except RunDeadlineExceeded:
+            return timed_out(task)
         except Exception:  # noqa: BLE001 - e.g. unpicklable result
-            return RunOutcome(
-                index=task.index,
-                spec=task.spec,
-                error=traceback.format_exc(),
-                attempts=task.dispatches,
-            )
-        return RunOutcome(
-            index=task.index,
-            spec=task.spec,
-            result=result,
-            error=error,
-            attempts=task.dispatches,
-        )
+            return task.outcome(error=traceback.format_exc())
+        return task.outcome(result, error)
 
     try:
         while queue or inflight:
             if pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=context,
-                    initializer=_init_worker,
-                    initargs=(table,),
-                )
+                pool = _InProcessExecutor(timeout) if inline else \
+                    ProcessPoolExecutor(
+                        max_workers=workers,
+                        mp_context=context,
+                        initializer=_init_worker,
+                        initargs=(table,),
+                    )
             suspect_inflight = any(t.suspect for t, _ in inflight.values())
             held = []
-            with dispatch_span():
-                while queue and len(inflight) < workers:
-                    task = queue.popleft()
-                    if task.suspect and suspect_inflight:
-                        held.append(task)  # quarantine: one suspect at a time
-                        continue
-                    suspect_inflight = suspect_inflight or task.suspect
+            while queue and len(inflight) < workers:
+                task = queue.popleft()
+                if task.suspect and suspect_inflight:
+                    held.append(task)  # quarantine: one suspect at a time
+                    continue
+                suspect_inflight = suspect_inflight or task.suspect
+                with dispatch_span():
                     task.dispatches += 1
-                    if bt is not None:
-                        bt.event(
-                            obs.SCHED_DISPATCH,
-                            spec=task.index,
-                            attempt=task.dispatches,
-                            of=len(entries),
-                        )
-                    future = pool.submit(_run_entry, (task.index, task.spec))
-                    deadline = (
-                        None if timeout is None else time.monotonic() + timeout
-                    )
-                    inflight[future] = (task, deadline)
-                queue.extendleft(reversed(held))
-
-            wait_for = None
-            if timeout is not None:
-                now = time.monotonic()
-                wait_for = max(
-                    0.0,
-                    min(d for _, d in inflight.values() if d is not None) - now,
+                    event(obs.SCHED_DISPATCH, spec=task.index,
+                          attempt=task.dispatches, of=len(entries))
+                future = pool.submit(_run_entry, (task.index, task.spec))
+                deadline = (
+                    None if timeout is None else time.monotonic() + timeout
                 )
+                inflight[future] = (task, deadline)
+            queue.extendleft(reversed(held))
+
+            wait_for = None if timeout is None else max(0.0, min(
+                d for _, d in inflight.values() if d is not None
+            ) - time.monotonic())
             done, _ = wait(
                 set(inflight), timeout=wait_for, return_when=FIRST_COMPLETED
             )
 
-            broken_tasks = []
+            broken: List[_Task] = []
             for future in done:
                 task, _ = inflight.pop(future)
-                outcome = harvest(future, task)
-                if outcome is None:
-                    broken_tasks.append(task)  # pool breakage
-                    continue
-                yield emit(outcome)
+                outcome = harvest(future, task, broken)
+                if outcome is not None:
+                    yield emit(outcome)
 
-            if broken_tasks:
+            if broken:
                 # One BrokenProcessPool means every in-flight future is
                 # lost — drain them (keeping any that did complete with
                 # real results), then attribute the death and respawn.
                 for future in list(inflight):
                     task, _ = inflight.pop(future)
                     if future.done():
-                        outcome = harvest(future, task)
-                        if outcome is None:
-                            broken_tasks.append(task)
-                        else:
+                        outcome = harvest(future, task, broken)
+                        if outcome is not None:
                             yield emit(outcome)
                     else:
                         future.cancel()
-                        broken_tasks.append(task)
+                        broken.append(task)
                 pool.shutdown(wait=False, cancel_futures=True)
                 pool = None
 
@@ -735,9 +697,9 @@ def iter_batch(
                 # down the culprit is known; with several, a quarantined
                 # suspect (which never shares the pool with another
                 # suspect) is the repeat offender and takes the charge.
-                suspects = [t for t in broken_tasks if t.suspect]
-                if len(broken_tasks) == 1:
-                    culprit = broken_tasks[0]
+                suspects = [t for t in broken if t.suspect]
+                if len(broken) == 1:
+                    culprit: Optional[_Task] = broken[0]
                 elif len(suspects) == 1:
                     culprit = suspects[0]
                 else:
@@ -751,18 +713,13 @@ def iter_batch(
                     outcome = settle_loss(culprit, "worker process died")
                     if outcome is not None:
                         yield emit(outcome)
-                for task in reversed(broken_tasks):
+                for task in reversed(broken):
                     if task is culprit:
                         continue
                     if culprit is None:
                         task.suspect = True
-                        if bt is not None:
-                            bt.event(
-                                obs.SCHED_RETRY,
-                                spec=task.index,
-                                failures=task.failures,
-                                suspect=True,
-                            )
+                        event(obs.SCHED_RETRY, spec=task.index,
+                              failures=task.failures, suspect=True)
                     queue.appendleft(task)
                 continue
 
@@ -785,19 +742,20 @@ def iter_batch(
                     task, _ = inflight.pop(future)
                     future.cancel()
                     if future in expired_set:
-                        outcome = settle_loss(
-                            task,
-                            f"timed out after {timeout:.6g}s "
-                            f"(attempt {task.dispatches})",
-                            kind=obs.SCHED_TIMEOUT,
-                        )
+                        outcome = timed_out(task)
                         if outcome is not None:
                             yield emit(outcome)
                     else:
                         queue.appendleft(task)
     finally:
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            if inflight:
+                # Closed early — the caller stopped iterating or raised.
+                # Cancelling leaves running specs running, and interpreter
+                # exit would wait for them.
+                _kill_pool(pool)
+            else:
+                pool.shutdown(wait=False, cancel_futures=True)
         if bt is not None:
             bt.finalize()
 

@@ -52,7 +52,7 @@ _EXPERIMENTS = [
         artifact="Figures 1-3",
         description="Sawtooth waveforms of the fluid model in both regimes "
         "and across threshold placements",
-        modules=("repro.core.fluid", "repro.core.model"),
+        modules=("repro.core.model",),
         bench="benchmarks/bench_fig1_3_waveforms.py",
     ),
     Experiment(

@@ -502,16 +502,7 @@ class ExperimentHarness:
                 if close is not None:
                     close(sim.now)
             metrics.gauge("run.timing.wall_s").set(perf_counter() - self._wall_start)
-            if self._profiler is not None:
-                self._profiler.flush_into(metrics)
-            dropped = tracer.drain_dropped()
-            if dropped:
-                total = 0
-                for kind, count in dropped.items():
-                    metrics.counter(f"run.telemetry.dropped.{kind}").add(count)
-                    total += count
-                metrics.counter("run.telemetry.dropped_events").add(total)
-            snapshot = metrics.snapshot()
+            snapshot = obs.close_scope(tracer, "run", self._profiler)
             tracer.emit(obs.METRICS, sim.now, scope="run", metrics=snapshot)
             tracer.emit(obs.RUN_END, sim.now, events=sim.events_processed)
 

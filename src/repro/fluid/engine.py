@@ -5,7 +5,7 @@ as a discrete event — faithful, but topping out at hundreds of
 concurrent flows.  This tier evolves per-flow *rate and buffer-delay
 trajectories* on a fixed time grid instead, the multi-flow
 generalization of the §3 fluid sawtooth already validated single-flow
-in :mod:`repro.core.fluid`:
+in :mod:`repro.core.model`:
 
 * each **tower** is one bottleneck: a time-varying capacity profile
   (trace-driven or constant), a drop-tail buffer, and an aggregate
@@ -34,14 +34,14 @@ through both tiers must agree within checked-in tolerance bands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 import repro.obs as obs
 from repro.fluid.controllers import MSS, build_banks
-from repro.metrics.stats import jain_fairness
+from repro.metrics.stats import finite_or_none, jain_fairness
 from repro.sim.queues import DEFAULT_BUFFER_PACKETS
 from repro.traces.trace import Trace
 
@@ -214,12 +214,6 @@ class TowerSummary:
     loss_epochs: int
 
 
-def _finite(value: Optional[float]) -> Optional[float]:
-    if value is None or not math.isfinite(value):
-        return None
-    return value
-
-
 @dataclass
 class FluidReport:
     """The reduced fluid run: per-flow results, per-tower aggregates,
@@ -258,17 +252,17 @@ class FluidReport:
                 "n_flows": len(self.flows),
                 "n_towers": len(self.towers),
             },
-            "jfi": _finite(self.jfi),
+            "jfi": finite_or_none(self.jfi),
             "handovers_applied": self.handovers_applied,
             "flows": [
                 {
                     "name": f.name,
                     "controller": f.controller,
-                    "goodput": _finite(f.goodput),
-                    "delivered_bytes": _finite(f.delivered_bytes),
-                    "avg_tbuff": _finite(f.avg_tbuff),
-                    "max_tbuff": _finite(f.max_tbuff),
-                    "utilization": _finite(f.utilization),
+                    "goodput": finite_or_none(f.goodput),
+                    "delivered_bytes": finite_or_none(f.delivered_bytes),
+                    "avg_tbuff": finite_or_none(f.avg_tbuff),
+                    "max_tbuff": finite_or_none(f.max_tbuff),
+                    "utilization": finite_or_none(f.utilization),
                     "loss_epochs": f.loss_epochs,
                     "handovers": f.handovers,
                     "tower": f.final_tower,
@@ -279,10 +273,10 @@ class FluidReport:
                 {
                     "name": t.name,
                     "flows": t.flows_final,
-                    "mean_capacity": _finite(t.mean_capacity),
-                    "utilization": _finite(t.utilization),
-                    "peak_tbuff": _finite(t.peak_tbuff),
-                    "dropped_bytes": _finite(t.dropped_bytes),
+                    "mean_capacity": finite_or_none(t.mean_capacity),
+                    "utilization": finite_or_none(t.utilization),
+                    "peak_tbuff": finite_or_none(t.peak_tbuff),
+                    "dropped_bytes": finite_or_none(t.dropped_bytes),
                     "loss_epochs": t.loss_epochs,
                 }
                 for t in self.towers
@@ -696,23 +690,14 @@ def _integrate(
         metrics.counter("run.fluid.loss_epochs").add(
             int(loss_by_flow.sum())
         )
-        if profiler is not None:
-            profiler.flush_into(metrics)
-        dropped = tracer.drain_dropped()
-        if dropped:
-            total = 0
-            for kind, count in dropped.items():
-                metrics.counter(f"run.telemetry.dropped.{kind}").add(count)
-                total += count
-            metrics.counter("run.telemetry.dropped_events").add(total)
         # Standalone fluid runs previously never wrote their metrics
         # snapshot into the trace (the counters only surfaced through a
         # batch merge); emit it so `repro trace` and the dashboard see
         # fluid counters and dropped-event accounting.
         tracer.emit(obs.METRICS, duration, scope="run",
-                    metrics=metrics.snapshot())
+                    metrics=obs.close_scope(tracer, "run", profiler))
         tracer.emit(
             obs.FLUID_END, duration, flows=n_flows,
-            jfi=_finite(report.jfi),
+            jfi=finite_or_none(report.jfi),
         )
     return report

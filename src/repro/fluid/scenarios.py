@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.fluid.engine import FluidFlowSpec, HandoverSpec, TowerSpec
+from repro.traces.presets import label_rate, trace_for_label
 
 __all__ = ["tower_for_label", "fan_in_scenario", "FAN_IN_MIXES"]
 
@@ -39,28 +40,19 @@ def tower_for_label(label: str, duration: float,
                     buffer_packets: Optional[int] = None) -> TowerSpec:
     """A tower from a grid trace label.
 
-    ``wired:<N>mbps`` becomes a constant-rate tower; ``cellular:
-    <ISP>-<mode>`` samples the preset trace (looped over ``duration``
-    exactly as the packet links loop it).
+    ``wired:<N>mbps`` becomes a constant-rate tower; any other label is
+    materialized by :func:`~repro.traces.presets.trace_for_label` (a
+    ``cellular:<ISP>-<mode>`` preset, looped over ``duration`` exactly
+    as the packet links loop it).
     """
-    kind, _, arg = label.partition(":")
     extra = {} if buffer_packets is None else {
         "buffer_packets": buffer_packets
     }
-    if kind == "wired" and arg.endswith("mbps"):
-        rate = float(arg[: -len("mbps")]) * 1e6 / 8.0
+    rate = label_rate(label)
+    if rate is not None:
         return TowerSpec(name=label, rate=rate, **extra)
-    if kind == "cellular":
-        from repro.traces.presets import isp_trace
-
-        isp, _, mode = arg.partition("-")
-        return TowerSpec(
-            name=label, trace=isp_trace(isp, mode, duration=duration),
-            **extra,
-        )
-    raise ValueError(
-        f"unknown trace label {label!r}; expected 'wired:<N>mbps' or "
-        "'cellular:<ISP>-<mode>'"
+    return TowerSpec(
+        name=label, trace=trace_for_label(label, duration), **extra
     )
 
 

@@ -28,10 +28,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.fluid.engine import FluidFlowSpec, TowerSpec, run_fluid
+from repro.fluid.engine import FluidFlowSpec, run_fluid
 from repro.fluid.scenarios import tower_for_label
 from repro.metrics.stats import jain_fairness
-from repro.traces.trace import Trace
+from repro.traces.presets import trace_for_label
 
 __all__ = [
     "XvalScenario",
@@ -166,23 +166,6 @@ def load_bands(path: str) -> Dict[str, Bands]:
     return bands
 
 
-def _trace_for_label(label: str, duration: float) -> Trace:
-    """Materialize a trace label for the packet side (the grid's
-    vocabulary: ``wired:<N>mbps`` / ``cellular:<ISP>-<mode>``)."""
-    kind, _, arg = label.partition(":")
-    if kind == "wired" and arg.endswith("mbps"):
-        from repro.traces.generator import constant_rate_trace
-
-        rate_bps = float(arg[: -len("mbps")]) * 1e6 / 8.0
-        return constant_rate_trace(rate_bps, duration, name=label)
-    if kind == "cellular":
-        from repro.traces.presets import isp_trace
-
-        isp, _, mode = arg.partition("-")
-        return isp_trace(isp, mode, duration=duration)
-    raise ValueError(f"unknown trace label {label!r}")
-
-
 def _packet_side(scn: XvalScenario) -> Dict[str, Any]:
     from repro.experiments.parallel import CcSpec, proprate_spec
     from repro.experiments.runner import (
@@ -192,9 +175,9 @@ def _packet_side(scn: XvalScenario) -> Dict[str, Any]:
         run_experiment,
     )
 
-    trace = _trace_for_label(scn.trace_label, scn.duration)
     path = cellular_path_config(
-        trace, buffer_packets=scn.buffer_packets
+        trace_for_label(scn.trace_label, scn.duration),
+        buffer_packets=scn.buffer_packets,
     )
     flows = []
     for name, controller, target in scn.flow_plan():

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
+
+
+def finite_or_none(value: Optional[float]) -> Optional[float]:
+    """A float fit for a deterministic JSON artifact (NaN/inf → None)."""
+    if value is None or not math.isfinite(value):
+        return None
+    return value
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,7 @@ from repro.obs.tracer import (
     TELEMETRY_ENV,
     Tracer,
     activate,
+    close_scope,
     current_tracer,
     deactivate,
     env_trace_path,
@@ -107,9 +108,9 @@ __all__ = [
     "JsonlSink", "RingSink", "Sink", "SocketStreamSink", "StreamSink",
     "TcpLineServer", "parse_tcp_target",
     "encode", "iter_trace_files", "QUEUE_SAMPLE_INTERVAL",
-    "SAMPLE_ENV", "TELEMETRY_ENV", "Tracer", "activate", "current_tracer",
-    "deactivate", "env_trace_path", "observing", "require_tracer",
-    "resolve_tracer", "tracing",
+    "SAMPLE_ENV", "TELEMETRY_ENV", "Tracer", "activate", "close_scope",
+    "current_tracer", "deactivate", "env_trace_path", "observing",
+    "require_tracer", "resolve_tracer", "tracing",
     "PROTECTED_KINDS", "KindBudget", "SamplingPolicy",
     "resolve_sampling", "sampling_spec",
     "PROFILE_ENV", "PhaseProfiler", "activate_profiler",

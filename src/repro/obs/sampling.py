@@ -6,9 +6,9 @@ by periodic records (``queue.sample`` every 10 ms per link,
 bounds that volume *visibly*: each event kind can be decimated
 (every-Nth), time-decimated (at most one record per interval of
 simulated time), and hard-capped per run — and every record the policy
-rejects is counted per kind, so the runner can fold
-``run.telemetry.dropped.<kind>`` counters into the metrics snapshot and
-truncation is never silent.
+rejects is counted per kind, so :func:`repro.obs.tracer.close_scope`
+can fold ``run.telemetry.dropped.<kind>`` counters into the metrics
+snapshot and truncation is never silent.
 
 Determinism: a policy's decisions depend only on the event stream
 itself (arrival order and the simulated ``t`` field), never on wall

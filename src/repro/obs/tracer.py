@@ -23,8 +23,8 @@ Resolution order for a run (``resolve_tracer``):
 A tracer may carry a :class:`~repro.obs.sampling.SamplingPolicy`
 (``sampling=`` on the entry points, ``REPRO_TELEMETRY_SAMPLE`` from the
 environment): ``emit`` consults it per event kind and the policy counts
-every record it rejects, which the runner folds into
-``run.telemetry.dropped.*`` metrics at the end of the run.
+every record it rejects, which :func:`close_scope` folds into
+``run.telemetry.dropped.*`` (``batch.*`` for a batch) at the end.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import itertools
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.obs.prof import (
     PhaseProfiler,
@@ -88,14 +88,33 @@ class Tracer:
         self.sink.write(record)
         self.events += 1
 
-    def drain_dropped(self) -> dict:
-        """Per-kind sampling drops since the last drain (``{}`` if none)."""
-        if self.sampling is None:
-            return {}
-        return self.sampling.drain_dropped()
-
     def close(self) -> None:
         self.sink.close()
+
+
+def close_scope(tracer: Tracer, scope: str,
+                profiler: Optional[PhaseProfiler] = None) -> Dict[str, Any]:
+    """Fold a scope's phase timings and sampling drops into its metrics.
+
+    ``scope`` is the key prefix (``run`` or ``batch``): the profiler's
+    phases land in ``<scope>.timing.prof.*``, the records sampling
+    rejected in ``<scope>.telemetry.dropped.<kind>`` plus their total
+    ``<scope>.telemetry.dropped_events``.  Both accumulators reset, so
+    a tracer or profiler shared by sequential scopes reports per-scope
+    deltas.  Returns the metrics snapshot the scope's ``metrics``
+    record carries.
+    """
+    metrics = tracer.metrics
+    if profiler is not None:
+        profiler.flush_into(metrics, prefix=f"{scope}.timing.prof.")
+    sampling = tracer.sampling
+    dropped = sampling.drain_dropped() if sampling is not None else {}
+    if dropped:
+        for kind, count in dropped.items():
+            metrics.counter(f"{scope}.telemetry.dropped.{kind}").add(count)
+        metrics.counter(f"{scope}.telemetry.dropped_events").add(
+            sum(dropped.values()))
+    return metrics.snapshot()
 
 
 _active: Optional[Tracer] = None

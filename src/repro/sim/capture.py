@@ -21,9 +21,12 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Union
 
 from repro.sim.packet import Packet
+
+if TYPE_CHECKING:
+    from repro.sim.network import DuplexPath
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ class PacketCapture:
     # Tapping
     # ------------------------------------------------------------------
     def tap(
-        self, sink: Callable[[Packet], None], point: str, clock
+        self, sink: Callable[[Packet], None], point: str, clock: Any
     ) -> Callable[[Packet], None]:
         """Wrap a packet sink so traversals are recorded.
 
@@ -99,7 +102,7 @@ class PacketCapture:
 
         return tapped
 
-    def tap_path(self, path) -> None:
+    def tap_path(self, path: DuplexPath) -> None:
         """Record every delivery out of a DuplexPath's two links."""
         sim = path.sim
         for link, point in (

@@ -34,8 +34,8 @@ class RunDeadlineExceeded(RuntimeError):
     """A :meth:`Simulator.run` call overran its wall-clock deadline.
 
     Raised between event batches when an ambient deadline installed with
-    :func:`set_run_deadline` has passed.  The batch layer's serial path
-    uses this to enforce per-spec timeouts in-process, where there is no
+    :func:`set_run_deadline` has passed.  The batch layer's in-process
+    executor uses this to enforce per-spec timeouts, where there is no
     worker to kill (:mod:`repro.experiments.parallel`).
     """
 

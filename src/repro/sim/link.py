@@ -33,6 +33,7 @@ from repro.obs import (
     LINK_HANDOVER,
     LINK_OUTAGE,
     LINK_RECOVER,
+    Tracer,
     current_profiler,
     current_tracer,
 )
@@ -339,8 +340,9 @@ class CellularLink(Link):
         self._finish_batch(tr, opportunities, delivered_p, delivered_b,
                            wasted, t - first_t)
 
-    def _finish_batch(self, tr, opportunities: int, delivered_p: int,
-                      delivered_b: int, wasted: int, span: float) -> None:
+    def _finish_batch(self, tr: Optional[Tracer], opportunities: int,
+                      delivered_p: int, delivered_b: int, wasted: int,
+                      span: float) -> None:
         self.delivered_packets += delivered_p
         self.delivered_bytes += delivered_b
         self.wasted_opportunities += wasted

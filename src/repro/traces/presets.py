@@ -32,9 +32,13 @@ cites for its buffer sizing.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.traces.generator import TraceSpec, generate_cellular_trace
+from repro.traces.generator import (
+    TraceSpec,
+    constant_rate_trace,
+    generate_cellular_trace,
+)
 from repro.traces.trace import Trace
 
 KB = 1000.0
@@ -120,6 +124,31 @@ def isp_trace(
     elif direction != "downlink":
         raise ValueError("direction must be 'downlink' or 'uplink'")
     return generate_cellular_trace(spec)
+
+
+def label_rate(label: str) -> Optional[float]:
+    """Bytes/s of a ``wired:<N>mbps`` link label; None for other labels."""
+    kind, _, arg = label.partition(":")
+    if kind == "wired" and arg.endswith("mbps"):
+        return float(arg[: -len("mbps")]) * 1e6 / 8.0
+    return None
+
+
+def trace_for_label(label: str, duration: float) -> Trace:
+    """Materialize a link label, the one grammar the contention grid and
+    both fluid/packet sides use: ``wired:<N>mbps`` is a constant-rate
+    trace, ``cellular:<ISP>-<mode>`` a Table-2 preset."""
+    rate = label_rate(label)
+    if rate is not None:
+        return constant_rate_trace(rate, duration, name=label)
+    kind, _, arg = label.partition(":")
+    if kind == "cellular":
+        isp, _, mode = arg.partition("-")
+        return isp_trace(isp, mode, duration=duration)
+    raise ValueError(
+        f"unknown trace label {label!r}; expected 'wired:<N>mbps' or "
+        "'cellular:<ISP>-<mode>'"
+    )
 
 
 @lru_cache(maxsize=4)

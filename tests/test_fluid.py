@@ -7,8 +7,11 @@ must produce the predicted sawtooth.
 
 import pytest
 
-from repro.core.fluid import simulate_sawtooth, waveform_phases
-from repro.core.model import derive_parameters
+from repro.core.model import (
+    derive_parameters,
+    simulate_sawtooth,
+    waveform_phases,
+)
 
 RTT = 0.040
 RHO = 1_000_000.0

@@ -19,12 +19,15 @@ import multiprocessing
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+import repro
 from repro.experiments.algorithms import run_shootout
 from repro.experiments.frontier import iter_frontier, sweep_frontier
 from repro.experiments.options import RunOptions
@@ -39,6 +42,7 @@ from repro.experiments.parallel import (
     run_batch,
 )
 from repro.experiments.runner import FlowResult, run_single_flow
+from repro.obs.analyze import read_trace
 from repro.traces import cache as trace_cache
 from repro.traces.cache import DataTraceRef, SpecTraceRef, as_ref
 from repro.traces.generator import TraceSpec, generate_cellular_trace
@@ -470,6 +474,60 @@ class TestRobustness:
         assert [o.ok for o in outcomes] == [True, False, True, True]
         assert outcomes[1].result is None
         assert [o.result for o in outcomes if o.ok] == [0, 2, 3]
+
+    def test_in_process_and_pool_settle_a_schedule_alike(self, tmp_path):
+        # One dispatch loop drives both executors, so the same schedule
+        # (clean specs, a raising spec, a run that overruns its timeout
+        # and its one retry) ends the same way at n_jobs=1 and 2.
+        specs = [_SleepSpec(0.05, 0), _BoomSpec(), _SlowSimSpec(2),
+                 _SleepSpec(0.05, 3)]
+        seen = {}
+        for n_jobs in (1, 2):
+            base = str(tmp_path / f"batch-{n_jobs}.jsonl")
+            outcomes = run_batch(specs, n_jobs=n_jobs, run_options=RunOptions(
+                timeout=0.5, retries=1, telemetry=base))
+            (batch,) = [r for r in read_trace(base)
+                        if r["kind"] == "metrics" and r.get("scope") == "batch"]
+            counters = {k: batch["metrics"][f"batch.sched.{k}"]
+                        for k in ("outcomes", "timeouts", "retries")}
+            errors = [(o.error.splitlines()[0], o.error.splitlines()[-1])
+                      for o in outcomes if not o.ok]
+            assert outcomes[2].attempts == 2, n_jobs
+            seen[n_jobs] = ([o.ok for o in outcomes], errors, counters)
+        assert seen[1] == seen[2]
+        assert seen[1][0] == [True, False, False, True]
+        assert seen[1][1][1] == ("timed out after 0.5s (attempt 2)",) * 2
+        assert seen[1][2] == {"outcomes": 4, "timeouts": 2, "retries": 1}
+
+    def test_early_close_kills_running_workers(self, tmp_path):
+        # Regression: breaking out of iter_batch only cancelled queued
+        # specs, so interpreter exit waited for the running ones (15 s
+        # here).  The closed batch's trace must still merge and read.
+        base = tmp_path / "batch.jsonl"
+        script = tmp_path / "early_close.py"
+        script.write_text(
+            "import sys, time\n"
+            "from repro.experiments.options import RunOptions\n"
+            "from repro.experiments.parallel import iter_batch\n"
+            "class Boom:\n"
+            "    def execute(self):\n"
+            "        raise ValueError('boom')\n"
+            "class Sleep:\n"
+            "    def execute(self):\n"
+            "        time.sleep(15.0)\n"
+            "for _ in iter_batch([Boom(), Sleep(), Sleep()], n_jobs=2,\n"
+            "                    run_options=RunOptions(telemetry=sys.argv[1])):\n"
+            "    break\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        start = time.monotonic()
+        subprocess.run([sys.executable, str(script), str(base)], env=env,
+                       check=True, timeout=60)
+        assert time.monotonic() - start < 5.0
+        kinds = [r["kind"] for r in read_trace(str(base))]
+        assert kinds.count("sched.outcome") == 1
+        assert kinds[-1] == "metrics"
 
     def test_deterministic_exceptions_are_not_retried(self):
         outcomes = run_batch(

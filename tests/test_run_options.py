@@ -37,6 +37,28 @@ FORWARDERS = (run_shootout, sweep_frontier, iter_frontier, nfl_convergence,
 SPECS = (RunSpec, ScenarioSpec, GridCellSpec)
 
 
+def _calls(names):
+    """``(path, enclosing class or "", name)`` of every call to one of
+    ``names`` in the package source, paths relative to ``repro/``."""
+    root = pathlib.Path(repro.__file__).parent
+    found = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in names:
+                    found.append((path, scope, name))
+            inner = child.name if isinstance(child, ast.ClassDef) else scope
+            visit(child, path, inner)
+
+    for path in root.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        visit(tree, path.relative_to(root).as_posix(), "")
+    return found
+
+
 class TestOneDeclaration:
     def test_the_seven_settings(self):
         assert SETTINGS == {"audit", "telemetry", "sampling", "profile",
@@ -55,21 +77,19 @@ class TestOneDeclaration:
         assert "run_options" in names
 
     def test_observer_setup_is_written_only_under_obs(self):
-        root = pathlib.Path(repro.__file__).parent
+        # Resolving observers and closing a scope's telemetry (phase
+        # timings, sampling drops) each have one home, in repro.obs.
         guarded = {"activate_profiler", "deactivate_profiler",
-                   "resolve_tracer"}
-        offenders = []
-        for path in root.rglob("*.py"):
-            if path.parent == root / "obs":
-                continue
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = getattr(func, "attr", getattr(func, "id", None))
-                if name in guarded:
-                    offenders.append(f"{path.relative_to(root)}:{name}")
-        assert offenders == []
+                   "resolve_tracer", "flush_into", "drain_dropped"}
+        assert [f"{path}:{name}" for path, _, name in _calls(guarded)
+                if not path.startswith("obs/")] == []
+
+    def test_only_the_in_process_executor_sets_a_run_deadline(self):
+        # A second serial dispatch loop would need its own deadline.
+        sites = [(path, scope) for path, scope, _ in
+                 _calls({"set_run_deadline"})]
+        assert sites and set(sites) == {
+            ("experiments/parallel.py", "_InProcessExecutor")}
 
 
 class TestStaleSpelling:
