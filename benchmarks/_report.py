@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 import pathlib
-from typing import Iterable
+from typing import Callable, Iterable
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
@@ -33,6 +33,29 @@ def emit(name: str, lines: Iterable[str]) -> str:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
     return text
+
+
+def dump_profile(workload: Callable[[], object], out: pathlib.Path,
+                 label: str) -> None:
+    """cProfile one call of ``workload`` for a failing gate.
+
+    Writes ``<out>.pstats`` (for pstats/snakeviz) and ``<out>.txt`` (the
+    top 40 functions by cumulative and by own time), which CI uploads
+    so a regression can be diagnosed without reproducing the runner.
+    """
+    import cProfile
+    import pstats
+
+    out.parent.mkdir(parents=True, exist_ok=True)
+    profiler = cProfile.Profile()
+    profiler.runcall(workload)
+    profiler.dump_stats(f"{out}.pstats")
+    with open(f"{out}.txt", "w", encoding="utf-8") as fh:
+        fh.write(f"gate: {label}\n")
+        stats = pstats.Stats(profiler, stream=fh)
+        stats.sort_stats("cumulative").print_stats(40)
+        stats.sort_stats("tottime").print_stats(40)
+    print(f"profile written to {out}.pstats / .txt")
 
 
 def emit_flow_csv(name: str, results) -> None:

@@ -13,10 +13,8 @@ wall-time gate fails, a cProfile of the fan-in is written to
 job uploads.
 """
 
-import cProfile
 import os
 import pathlib
-import pstats
 import time
 
 from repro.experiments.parallel import CcSpec, proprate_spec
@@ -28,7 +26,7 @@ from repro.experiments.runner import (
 from repro.fluid import fan_in_scenario, run_fluid
 from repro.traces.generator import constant_rate_trace
 
-from _report import emit
+from _report import dump_profile, emit
 
 #: Fan-in size for the wall-time gate.
 N_FLOWS = int(os.environ.get("REPRO_BENCH_FLUID_FLOWS", "1000"))
@@ -73,22 +71,6 @@ def _fluid_fan_in():
     return time.perf_counter() - t0, report
 
 
-def _dump_profile(label: str) -> None:
-    """Profile one more fan-in for the failing gate: ``.pstats`` for
-    pstats/snakeviz, ``.txt`` with the top functions."""
-    out = pathlib.Path("fluid-artifacts")
-    out.mkdir(exist_ok=True)
-    profiler = cProfile.Profile()
-    profiler.runcall(_fluid_fan_in)
-    profiler.dump_stats(str(out / "fluid_fanin_profile.pstats"))
-    with open(out / "fluid_fanin_profile.txt", "w") as fh:
-        fh.write(f"gate: {label}\n")
-        stats = pstats.Stats(profiler, stream=fh)
-        stats.sort_stats("cumulative").print_stats(30)
-        stats.sort_stats("tottime").print_stats(30)
-    print(f"profile written to {out}/fluid_fanin_profile.pstats / .txt")
-
-
 def test_fluid_scaling(benchmark):
     packet_wall = _packet_reference()
     packet_rate = PACKET_FLOWS * PACKET_DURATION / packet_wall
@@ -123,7 +105,9 @@ def test_fluid_scaling(benchmark):
     if fluid_wall >= MAX_FAN_IN_WALL:
         label = (f"{N_FLOWS}-flow fan-in took {fluid_wall:.2f}s (gate "
                  f"{MAX_FAN_IN_WALL:.0f}s)")
-        _dump_profile(label)
+        dump_profile(_fluid_fan_in,
+                     pathlib.Path("fluid-artifacts", "fluid_fanin_profile"),
+                     label)
         raise AssertionError(label)
     assert speedup >= MIN_SPEEDUP, (
         f"fluid tier only {speedup:.0f}x the packet engine's "

@@ -2,7 +2,10 @@
 
 Substitute for the paper's sender-CPU-utilisation measurement: the wall
 time each algorithm's control callbacks consume per simulated second of
-a fixed transfer.
+a fixed transfer.  That time is the phase profiler's ``cc.control``
+phase (the sender wraps the controller's hooks when a profiler is
+active); each run executes under a bare :class:`~repro.obs.PhaseProfiler`
+with no tracer, so no telemetry cost lands inside the control time.
 
 Known reproduction gap (see EXPERIMENTS.md): the paper's ordering —
 forecast/utility algorithms an order of magnitude costlier than the
@@ -16,14 +19,15 @@ Reduced mode: setting ``REPRO_BENCH_REDUCED=1`` shrinks the transfer
 and trims the line-up to a representative cheap/expensive subset — this
 is the workload behind the CI perf-smoke gate
 (``scripts/perf_smoke.py``), which tracks the aggregate simulator
-events/second of the run against a checked-in baseline.
+speed of the run against a checked-in baseline.  The gate times the
+unprofiled workload.
 """
 
 import os
 import time
 
+import repro.obs as obs
 from repro.experiments.algorithms import paper_algorithms
-from repro.experiments.cpu import instrumented_factory
 from repro.experiments.runner import run_single_flow
 from repro.traces.presets import isp_trace
 
@@ -50,11 +54,14 @@ def workload_algorithms():
     return algorithms
 
 
-def run_workload(duration: float = DURATION):
+def run_workload(duration: float = DURATION, profiled: bool = False):
     """Run the Table-4 workload; (costs, total events, wall seconds).
 
-    ``costs`` maps algorithm → (control s per sim-s, calls, KB/s); the
-    event total and wall clock feed the perf-smoke events/sec gate.
+    ``costs`` maps algorithm → (control s per sim-s, calls, KB/s).  The
+    control columns come from the ``cc.control`` phase when
+    ``profiled``, and are zero otherwise: the unprofiled pass is the
+    plain simulator whose events and wall clock feed the perf-smoke
+    gate.
     """
     down = isp_trace("A", "stationary", duration=60.0)
     up = isp_trace("A", "stationary", duration=60.0, direction="uplink")
@@ -62,17 +69,19 @@ def run_workload(duration: float = DURATION):
     total_events = 0
     wall_start = time.perf_counter()
     for name, factory in workload_algorithms().items():
-        result = run_single_flow(
-            instrumented_factory(factory), down, up,
-            duration=duration, measure_start=2.0,
-        )
-        cc = result.sender.cc
+        prof = obs.PhaseProfiler()
+        if profiled:
+            obs.activate_profiler(prof)
+        try:
+            result = run_single_flow(
+                factory, down, up, duration=duration, measure_start=2.0,
+            )
+        finally:
+            if profiled:
+                obs.deactivate_profiler()
+        calls, wall, _cpu = prof.phases.get("cc.control", (0, 0.0, 0.0))
         total_events += result.sender.sim.events_processed
-        costs[name] = (
-            cc.control_seconds / duration,
-            cc.control_calls,
-            result.throughput_kbps,
-        )
+        costs[name] = (wall / duration, calls, result.throughput_kbps)
     return costs, total_events, time.perf_counter() - wall_start
 
 
@@ -96,7 +105,7 @@ def sim_seconds_per_second(duration: float = DURATION) -> float:
 
 def test_table4_control_overhead(benchmark):
     costs, events, wall = benchmark.pedantic(
-        run_workload, rounds=1, iterations=1
+        run_workload, kwargs={"profiled": True}, rounds=1, iterations=1
     )
     mode = "reduced" if REDUCED else "full"
     lines = [f"mode: {mode}   events/sec: {events / wall:,.0f}"]

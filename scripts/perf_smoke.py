@@ -61,6 +61,10 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "benchmarks"))  # bench modules + _report
+
+from _report import dump_profile
+
 BASELINE = REPO / "benchmarks" / "baselines" / "perf_smoke.json"
 LOSS_BASELINE = REPO / "benchmarks" / "baselines" / "sack_scoreboard.json"
 PROFILE_OUT = REPO / "perf_profile"
@@ -92,7 +96,6 @@ def _bench_module():
     # Reduced mode must be set before the bench module is imported —
     # it freezes its configuration at import time.
     os.environ.setdefault("REPRO_BENCH_REDUCED", "1")
-    sys.path.insert(0, str(REPO / "benchmarks"))
     import bench_table4_cpu
 
     return bench_table4_cpu
@@ -106,32 +109,8 @@ def measure() -> float:
     return bench_table4_cpu.sim_seconds_per_second()
 
 
-def dump_profile(workload, label: str) -> None:
-    """Write a cProfile of ``workload`` for the failing gate.
-
-    CI uploads ``perf_profile.pstats`` (for ``pstats``/snakeviz) and
-    ``perf_profile.txt`` (human-readable top functions) as artifacts so
-    a regression can be diagnosed without reproducing the runner.
-    """
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    workload()
-    profiler.disable()
-    profiler.dump_stats(str(PROFILE_OUT) + ".pstats")
-    with open(str(PROFILE_OUT) + ".txt", "w") as fh:
-        fh.write(f"gate: {label}\n")
-        stats = pstats.Stats(profiler, stream=fh)
-        stats.sort_stats("cumulative").print_stats(40)
-        stats.sort_stats("tottime").print_stats(40)
-    print(f"profile written to {PROFILE_OUT}.pstats / .txt")
-
-
 def _loss_bench_module():
     os.environ.setdefault("REPRO_BENCH_REDUCED", "1")
-    sys.path.insert(0, str(REPO / "benchmarks"))
     import bench_sack_scoreboard
 
     return bench_sack_scoreboard
@@ -147,7 +126,6 @@ def measure_loss() -> float:
 
 
 def _env_bench_module():
-    sys.path.insert(0, str(REPO / "benchmarks"))
     import bench_env_overhead
 
     return bench_env_overhead
@@ -326,7 +304,8 @@ def main() -> int:
             f"(baseline {baseline['acks_per_cpu_sec']:,}, floor {floor:,.0f})"
         )
         if rate < floor:
-            dump_profile(_loss_bench_module().run_workload, "loss-recovery")
+            dump_profile(_loss_bench_module().run_workload, PROFILE_OUT,
+                         "loss-recovery")
             return 1
         return 0
 
@@ -351,7 +330,8 @@ def main() -> int:
         f"(baseline {baseline['sim_seconds_per_sec']:,}, floor {floor:,.2f})"
     )
     if rate < floor:
-        dump_profile(_bench_module().run_workload, "table4-sim-rate")
+        dump_profile(_bench_module().run_workload, PROFILE_OUT,
+                     "table4-sim-rate")
         return 1
     return 0
 

@@ -33,6 +33,8 @@ from repro.experiments.frontier import sweep_frontier
 from repro.experiments.options import RunOptions
 from repro.experiments.registry import describe_all
 from repro.experiments.runner import run_single_flow
+from repro.fluid import fan_in_scenario, run_fluid
+from repro.fluid.scenarios import FAN_IN_MIXES
 from repro.traces.presets import (
     TABLE2_TARGETS,
     isp_trace,
@@ -208,8 +210,6 @@ def _cmd_grid(args: argparse.Namespace) -> None:
 
 
 def _cmd_fluid(args: argparse.Namespace) -> None:
-    # Lazy: the fluid tier drags in numpy.
-    from repro.fluid import fan_in_scenario, run_fluid
     from repro.report import fluid_to_json, render_fluid_towers
 
     options = _run_options(args)
@@ -485,11 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fluid.add_argument("--duration", type=float, default=30.0)
     p_fluid.add_argument("--warmup", type=float, default=5.0)
     p_fluid.add_argument(
-        # Keep in sync with repro.fluid.scenarios.FAN_IN_MIXES (listed
-        # literally so the parser builds without importing numpy).
-        "--mix", choices=("cubic-self", "pr-adaptive", "pr-heavy",
-                          "pr-self", "pr-vs-cubic"),
-        default="pr-vs-cubic",
+        "--mix", choices=sorted(FAN_IN_MIXES), default="pr-vs-cubic",
         help="controller rotation across flows (default pr-vs-cubic)",
     )
     p_fluid.add_argument(

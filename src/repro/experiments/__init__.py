@@ -9,7 +9,6 @@
 * :mod:`repro.experiments.algorithms` — the Table-3 algorithm line-up.
 * :mod:`repro.experiments.options` — :class:`RunOptions`, the one value
   every batch driver takes for auditing, telemetry and scheduling.
-* :mod:`repro.experiments.cpu` — control-cost probes (Table 4).
 * :mod:`repro.experiments.registry` — experiment id → runner index
   (the per-figure map of DESIGN.md §5).
 """
@@ -30,7 +29,6 @@ from repro.experiments.parallel import (
     proprate_spec,
     run_batch,
 )
-from repro.experiments.cpu import instrument, instrumented_factory
 from repro.experiments.frontier import (
     ConvergencePoint,
     FrontierPoint,
@@ -76,8 +74,6 @@ __all__ = [
     "collect",
     "contention_vs_cubic",
     "describe_all",
-    "instrument",
-    "instrumented_factory",
     "iter_batch",
     "iter_frontier",
     "nfl_convergence",

@@ -385,6 +385,8 @@ class _BatchTelemetry:
             obs.JsonlSink(self.base),
             sampling=obs.resolve_sampling(sampling),
         )
+        if profile is None:  # the rule every run resolves by
+            profile = obs.env_profile()
         self.prof = obs.PhaseProfiler() if profile else None
         self.workers = 1
         self._t0 = time.monotonic()

@@ -43,8 +43,9 @@ _EXPERIMENTS = [
         id="T4",
         artifact="Table 4",
         description="Control-computation overhead per algorithm "
-        "(CPU-utilisation substitute)",
-        modules=("repro.experiments.cpu", "repro.experiments.runner"),
+        "(CPU-utilisation substitute): the profiler's cc.control phase",
+        modules=("repro.obs.prof", "repro.tcp.sender",
+                 "repro.experiments.runner"),
         bench="benchmarks/bench_table4_cpu.py",
     ),
     Experiment(

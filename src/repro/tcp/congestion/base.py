@@ -140,6 +140,12 @@ class CongestionControl:
         """A data packet left the sender."""
 
 
+#: The hooks whose time is the algorithm's control computation (Table
+#: 4): the sender times them as the profiler phase ``cc.control``.
+CONTROL_HOOKS = ("on_connection_start", "on_ack", "on_congestion",
+                 "on_recovery_exit", "on_rto", "on_packet_sent", "on_tick")
+
+
 class WindowCongestionControl(CongestionControl):
     """cwnd-regulated algorithms: sender keeps ``inflight < cwnd``."""
 

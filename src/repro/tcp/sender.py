@@ -25,7 +25,6 @@ O(loss runs) per ACK rather than O(window segments).
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Callable, Optional
 
 from repro.obs import (
@@ -40,6 +39,7 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.packet import DATA_PACKET_BYTES, MSS, Packet
 from repro.tcp.application import Application, BulkApplication
 from repro.tcp.congestion.base import (
+    CONTROL_HOOKS,
     AckSample,
     CongestionControl,
     RateCongestionControl,
@@ -133,13 +133,6 @@ class TcpSender:
         self._dupacks = 0
         self._recovery_point: Optional[int] = None
         self._window_based = isinstance(cc, WindowCongestionControl)
-        # The base hook is a no-op: call it only where a class overrides
-        # it (decided once, like ``_tick_passive``).
-        self._on_sent = (
-            cc.on_packet_sent
-            if type(cc).on_packet_sent is not CongestionControl.on_packet_sent
-            else None
-        )
 
         # Estimators and timers.
         self.rto_estimator = RtoEstimator()
@@ -165,23 +158,32 @@ class TcpSender:
         self.complete = False
 
         # Telemetry: ambient tracer captured at construction; the ACK
-        # hot path pays one None check when tracing is off.  Per-ACK
-        # processing cost is sampled 1-in-64 to bound the probe cost.
+        # hot path pays one None check when tracing is off.
         self._tracer = current_tracer()
-        self._ack_cost = (
-            self._tracer.metrics.histogram(
-                f"flow{flow_id}.timing.ack_cost_us")
-            if self._tracer is not None else None
-        )
         # Profiling: shadow the ACK entry point with a timed wrapper so
         # the whole ACK/scoreboard path is attributed to one phase.
         # The runner passes this *bound attribute* to attach_flow after
         # construction, so shadowing here covers every call; with
-        # profiling off the plain method stays untouched.
+        # profiling off the plain method stays untouched.  The
+        # controller's hooks are shadowed on the instance the same way,
+        # as ``cc.control`` (nested inside ``ack.scoreboard`` for the
+        # hooks an ACK drives).
         prof = current_profiler()
         if prof is not None:
             self.on_ack_packet = prof.wrap(  # type: ignore[method-assign]
                 "ack.scoreboard", self.on_ack_packet)
+            for hook in CONTROL_HOOKS:
+                fn = getattr(cc, hook, None)
+                if fn is not None:
+                    setattr(cc, hook, prof.wrap("cc.control", fn))
+        # The base hook is a no-op: call it only where a class overrides
+        # it (decided once from the class, like ``_tick_passive``, and
+        # bound after the profiler's wrap so a timed hook stays timed).
+        self._on_sent = (
+            cc.on_packet_sent
+            if type(cc).on_packet_sent is not CongestionControl.on_packet_sent
+            else None
+        )
 
     # ------------------------------------------------------------------
     # HostView protocol (what the CC module may observe)
@@ -438,12 +440,6 @@ class TcpSender:
             return
         if self._tick_event is None and self.cc.is_rate_based:
             self._resume_tick()
-        cost = self._ack_cost
-        t0 = (
-            perf_counter()
-            if cost is not None and (self.acks_received & 63) == 0
-            else None
-        )
         self.acks_received += 1
         now = self.sim.now
         ack = packet.ack
@@ -547,13 +543,8 @@ class TcpSender:
 
         if self.total_segments is not None and self.snd_una >= self.total_segments:
             self._finish()
-            if t0 is not None:
-                cost.observe((perf_counter() - t0) * 1e6)
-            return
-        if self._window_based:
+        elif self._window_based:
             self._fill_window()
-        if t0 is not None:
-            cost.observe((perf_counter() - t0) * 1e6)
 
     def _process_sacks(self, packet: Packet, cumulative_ack: int) -> int:
         """Fold SACK blocks into the scoreboard; returns newly SACKed count.

@@ -1,22 +1,24 @@
-"""Tests for the algorithm line-up, CPU probes and experiment registry."""
+"""Tests for the algorithm line-up, control-cost phase and experiment
+registry."""
 
 import pathlib
 
 import pytest
 
+import repro.obs as obs
+from repro.core.proprate import PropRate
+from repro.env import CcEnv, rollout
 from repro.experiments.algorithms import (
     PR_TARGETS,
     baseline_names,
     paper_algorithms,
     proprate_factory,
 )
-from repro.experiments.cpu import instrument, instrumented_factory
 from repro.experiments.registry import EXPERIMENTS, describe_all
-from repro.core.proprate import PropRate
+from repro.experiments.runner import canonical_summary, run_single_flow
 from repro.tcp.congestion import Cubic
 from repro.tcp.congestion.base import CongestionControl
-
-from tests.helpers import AckFeeder, FakeHost
+from repro.traces.presets import isp_trace
 
 
 class TestAlgorithms:
@@ -53,31 +55,63 @@ class TestAlgorithms:
             assert isinstance(factory(), CongestionControl), name
 
 
+#: The controller shapes whose hooks the sender times as ``cc.control``:
+#: rate-based, window-based, and a CcEnv native replay (the hooks the
+#: sender sees are the ``PolicyDriven`` adapter's).
+CASES = ("PR(M)", "CUBIC", "CcEnv")
+
+
+def _run_case(case):
+    down = isp_trace("A", "mobile", duration=10.0)
+    factory = paper_algorithms()["CUBIC" if case == "CUBIC" else "PR(M)"]
+    if case == "CcEnv":
+        env = CcEnv(down, inner_cc=factory, duration=4.0, measure_start=1.0)
+        return rollout(env).result
+    return run_single_flow(factory, down, duration=4.0, measure_start=1.0)
+
+
+@pytest.fixture(scope="module")
+def control_runs():
+    """case → (plain result, result under a bare ambient profiler, the
+    profiler's phases) — the Table-4 bench's measurement, no tracer."""
+    runs = {}
+    for case in CASES:
+        plain = _run_case(case)
+        prof = obs.activate_profiler(obs.PhaseProfiler())
+        try:
+            profiled = _run_case(case)
+        finally:
+            obs.deactivate_profiler()
+        runs[case] = (plain, profiled, prof.phases)
+    return runs
+
+
 class TestCpuInstrumentation:
-    def test_control_time_accumulates(self):
-        cc = instrument(Cubic())
-        feeder = AckFeeder(cc, FakeHost())
-        feeder.run(100)
-        assert cc.control_seconds > 0.0
-        assert cc.control_calls >= 100
+    """Table 4's control time is the profiler's ``cc.control`` phase."""
 
-    def test_behaviour_unchanged(self):
-        plain, timed = Cubic(), instrument(Cubic())
-        f1, f2 = AckFeeder(plain, FakeHost()), AckFeeder(timed, FakeHost())
-        f1.run(50)
-        f2.run(50)
-        assert plain.cwnd == pytest.approx(timed.cwnd)
+    def test_control_time_accumulates(self, control_runs):
+        for case, (_, _, phases) in control_runs.items():
+            calls, wall, _cpu = phases["cc.control"]
+            assert calls > 0 and wall > 0.0, case
+            # It nests inside the ACK path's phase.
+            assert phases["ack.scoreboard"][0] > 0, case
 
-    def test_instrumented_factory(self):
-        factory = instrumented_factory(Cubic)
-        cc = factory()
-        assert hasattr(cc, "control_seconds")
-        assert isinstance(cc, Cubic)
+    def test_behaviour_unchanged(self, control_runs):
+        for case, (plain, profiled, _) in control_runs.items():
+            assert (canonical_summary(profiled.summary())
+                    == canonical_summary(plain.summary())), case
 
-    def test_rate_cc_keeps_class(self):
-        cc = instrument(PropRate(0.040))
-        assert cc.is_rate_based
-        assert isinstance(cc, PropRate)
+    def test_rate_cc_keeps_class(self, control_runs):
+        # The hooks are shadowed on the instance; the sender's dispatch
+        # decisions still read the class.
+        rate = control_runs["PR(M)"][1].sender
+        assert isinstance(rate.cc, PropRate) and rate.cc.is_rate_based
+        assert {"on_ack", "on_tick"} <= set(vars(rate.cc))
+        assert rate._on_sent is rate.cc.on_packet_sent  # timed, overridden
+        window = control_runs["CUBIC"][1].sender
+        assert isinstance(window.cc, Cubic)
+        assert window._on_sent is None  # base no-op stays skipped
+        assert "on_tick" not in vars(window.cc)
 
 
 class TestRegistry:

@@ -217,7 +217,8 @@ class TestProfiling:
         (metrics_rec,) = [r for r in _read_jsonl(path)
                           if r["kind"] == "metrics"]
         snap = metrics_rec["metrics"]
-        for phase in ("ack.scoreboard", "link.serve", "delivery.pump"):
+        for phase in ("ack.scoreboard", "cc.control", "link.serve",
+                      "delivery.pump"):
             assert snap[f"run.timing.prof.{phase}.calls"] > 0
             assert snap[f"run.timing.prof.{phase}.wall_s"] >= 0.0
 
@@ -249,6 +250,22 @@ class TestProfiling:
         snap = batch["metrics"]
         assert snap["batch.timing.prof.sched.dispatch.calls"] == 2
         assert snap["run.timing.prof.ack.scoreboard.calls"] > 0
+
+    def test_env_profile_reaches_the_batch_coordinator(self, tmp_path,
+                                                        monkeypatch):
+        # profile=None resolves through REPRO_PROFILE for the coordinator
+        # exactly as it does for every run.
+        monkeypatch.setenv(obs.PROFILE_ENV, "1")
+        base = str(tmp_path / "batch.jsonl")
+        specs = [RunSpec(cc=proprate_spec(0.040), downlink=as_ref(_down()),
+                         duration=2.0, measure_start=1.0, name=f"r{i}")
+                 for i in range(2)]
+        run_batch(specs, run_options=RunOptions(telemetry=base))
+        (batch,) = [r for r in _read_jsonl(base)
+                    if r["kind"] == "metrics" and r.get("scope") == "batch"]
+        snap = batch["metrics"]
+        assert snap["batch.timing.prof.sched.dispatch.calls"] == 2
+        assert snap["run.timing.prof.cc.control.calls"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -84,6 +84,16 @@ class TestOneDeclaration:
         assert [f"{path}:{name}" for path, _, name in _calls(guarded)
                 if not path.startswith("obs/")] == []
 
+    def test_one_timing_instrument(self):
+        # Timing inside the package is the phase profiler's; the only
+        # other clock reads are the two behind the run.timing.wall_s
+        # gauge.  A second timer (a per-ACK probe, a hook wrapper) would
+        # have to read the clock somewhere else.
+        sites = [(path, scope) for path, scope, _ in
+                 _calls({"perf_counter", "process_time"})
+                 if path != "obs/prof.py"]
+        assert sites == [("experiments/runner.py", "ExperimentHarness")] * 2
+
     def test_only_the_in_process_executor_sets_a_run_deadline(self):
         # A second serial dispatch loop would need its own deadline.
         sites = [(path, scope) for path, scope, _ in
