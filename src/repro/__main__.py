@@ -196,7 +196,7 @@ def _cmd_grid(args: argparse.Namespace) -> None:
         grid_size,
         run_grid,
     )
-    from repro.report import grid_to_json, render_grid_heatmaps
+    from repro.report import render_grid_heatmaps, report_to_json
 
     config = REDUCED_GRID if args.reduced else FULL_GRID
     report = run_grid(
@@ -205,12 +205,12 @@ def _cmd_grid(args: argparse.Namespace) -> None:
     )
     print(render_grid_heatmaps(report))
     if args.out is not None:
-        path = grid_to_json(report.to_dict(), args.out)
+        path = report_to_json(report.to_dict(), args.out)
         print(f"\nwrote {path}")
 
 
 def _cmd_fluid(args: argparse.Namespace) -> None:
-    from repro.report import fluid_to_json, render_fluid_towers
+    from repro.report import render_fluid_towers, report_to_json
 
     options = _run_options(args)
     flows, towers, handovers = fan_in_scenario(
@@ -233,7 +233,7 @@ def _cmd_fluid(args: argparse.Namespace) -> None:
         raise SystemExit(f"repro fluid: {err}")
     print(render_fluid_towers(report))
     if args.out is not None:
-        path = fluid_to_json(report.to_dict(), args.out)
+        path = report_to_json(report.to_dict(), args.out)
         print(f"\nwrote {path}")
 
 

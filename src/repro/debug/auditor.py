@@ -40,9 +40,9 @@ The auditor is strictly an observer: it schedules no events and mutates
 no simulation state, so a run with auditing enabled is bit-identical to
 the same run without it.  The event loop itself stamps every event into
 the flight-recorder ring (``Simulator.audit_ring`` — plain list stores,
-no per-event Python call); full sweeps run every ``stride`` events and
-verify time monotonicity over the ring window accumulated since the
-last sweep, so the check loses nothing to the striding.
+no per-event Python call); full sweeps run every :data:`DEFAULT_STRIDE`
+events and verify time monotonicity over the ring window accumulated
+since the last sweep, so the check loses nothing to the striding.
 :meth:`final_check` closes the loop at end of run — a totally stalled
 flow fires no further events, so the end-of-run sweep is what catches
 it.
@@ -50,14 +50,13 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.debug.recorder import FlightRecorder
 from repro.obs import AUDIT_VIOLATION, current_tracer
 from repro.util.windows import WindowedMax
 
-__all__ = ["AuditConfig", "InvariantAuditor", "InvariantViolation"]
+__all__ = ["InvariantAuditor", "InvariantViolation"]
 
 #: Events between invariant sweeps.  The flight-recorder ring is
 #: written inline by the event loop on every event, and each sweep
@@ -107,57 +106,13 @@ _MIN_RATE_DT = 0.002
 class InvariantViolation(RuntimeError):
     """A simulator invariant failed.  Carries the dumped trace path."""
 
-    def __init__(self, check: str, message: str, trace_path: Optional[str] = None):
+    def __init__(
+        self, check: str, message: str, trace_path: Optional[str] = None
+    ) -> None:
         super().__init__(f"[{check}] {message}")
         self.check = check
         self.detail = message
         self.trace_path = trace_path
-
-
-@dataclass(frozen=True)
-class AuditConfig:
-    """Per-scenario audit overrides, accepted anywhere ``audit=`` is.
-
-    ``audit=True`` keeps the global defaults; passing an
-    :class:`AuditConfig` instead enables auditing with the bands below.
-    The config is a frozen bag of primitives, so it pickles cleanly into
-    the parallel scheduler's worker processes.
-
-    ``flow_scale`` widens the t_buff band by the number of *active*
-    flows sharing the audited data link (see
-    :meth:`InvariantAuditor._tbuff_band`): with N senders competing for
-    one bottleneck, each sender's feedback arrives ~N× less often and
-    the smoothed estimate holds contention peaks ~N× longer than the
-    ground-truth window does, so the single-flow band trips spuriously
-    under contention.  Set it False to restore the fixed band.
-    """
-
-    enabled: bool = True
-    strict: bool = True
-    stride: int = DEFAULT_STRIDE
-    tbuff_tolerance: float = DEFAULT_TBUFF_TOLERANCE
-    rho_factor: float = DEFAULT_RHO_FACTOR
-    rho_floor: float = DEFAULT_RHO_FLOOR
-    sustain: int = DEFAULT_SUSTAIN
-    pipe_check_every: int = DEFAULT_PIPE_CHECK_EVERY
-    flow_scale: bool = True
-
-    def build(
-        self, sim: Any, recorder: Optional[FlightRecorder] = None
-    ) -> "InvariantAuditor":
-        """Construct an :class:`InvariantAuditor` with these bands."""
-        return InvariantAuditor(
-            sim,
-            recorder=recorder,
-            stride=self.stride,
-            strict=self.strict,
-            tbuff_tolerance=self.tbuff_tolerance,
-            rho_factor=self.rho_factor,
-            rho_floor=self.rho_floor,
-            sustain=self.sustain,
-            pipe_check_every=self.pipe_check_every,
-            flow_scale=self.flow_scale,
-        )
 
 
 class _LinkAudit:
@@ -323,37 +278,14 @@ class InvariantAuditor:
     Attach to a :class:`~repro.sim.engine.Simulator` (done by the
     constructor), then register topology with :meth:`attach_path` /
     :meth:`attach_link` and endpoints with :meth:`attach_flow` before
-    running.  On a violation the flight recorder dumps a JSON trace and,
-    when ``strict`` (the default), :class:`InvariantViolation` is
-    raised; otherwise violations accumulate on :attr:`violations`.
+    running.  On a violation the flight recorder dumps a JSON trace and
+    :class:`InvariantViolation` is raised.  The bands are the module
+    constants above.
     """
 
-    def __init__(
-        self,
-        sim: Any,
-        recorder: Optional[FlightRecorder] = None,
-        stride: int = DEFAULT_STRIDE,
-        strict: bool = True,
-        tbuff_tolerance: float = DEFAULT_TBUFF_TOLERANCE,
-        rho_factor: float = DEFAULT_RHO_FACTOR,
-        rho_floor: float = DEFAULT_RHO_FLOOR,
-        sustain: int = DEFAULT_SUSTAIN,
-        pipe_check_every: int = DEFAULT_PIPE_CHECK_EVERY,
-        flow_scale: bool = True,
-    ) -> None:
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
+    def __init__(self, sim: Any) -> None:
         self.sim = sim
-        self.recorder = recorder if recorder is not None else FlightRecorder()
-        self.stride = stride
-        self.strict = strict
-        self.tbuff_tolerance = tbuff_tolerance
-        self.rho_factor = rho_factor
-        self.rho_floor = rho_floor
-        self.sustain = sustain
-        self.pipe_check_every = pipe_check_every
-        self.flow_scale = flow_scale
-
+        self.recorder = FlightRecorder()
         self.violations: List[Dict[str, Any]] = []
         self.sweeps = 0
         self.trace_path: Optional[str] = None
@@ -362,18 +294,16 @@ class InvariantAuditor:
         self._links: List[_LinkAudit] = []
         self._flows: List[_FlowAudit] = []
         # The event loop writes the flight-recorder ring inline and
-        # invokes the hook every ``stride`` events (see Simulator).
+        # sweeps every DEFAULT_STRIDE events (see Simulator.audit_ring).
         rec = self.recorder
-        if stride > rec.ring_capacity:
-            raise ValueError("stride must not exceed the recorder ring")
-        sim.audit_hook = self._on_stride
         sim.audit_ring = (
             rec.ring_times,
             rec.ring_details,
             rec.ring_count,
             rec.ring_capacity - 1,
-            [stride],
-            stride,
+            [DEFAULT_STRIDE],
+            DEFAULT_STRIDE,
+            self.sweep,
         )
 
     # ------------------------------------------------------------------
@@ -417,10 +347,6 @@ class InvariantAuditor:
     @property
     def _events_seen(self) -> int:
         return self.recorder.ring_count[0]
-
-    def _on_stride(self, event: Any) -> None:
-        """Invoked by the event loop every ``stride`` events."""
-        self.sweep()
 
     def _check_ring_monotone(self) -> None:
         """Verify simulated time never ran backwards since last sweep.
@@ -630,7 +556,7 @@ class InvariantAuditor:
                     "acks": acks,
                 },
             )
-            if flow.ack_sweeps % self.pipe_check_every == 0:
+            if flow.ack_sweeps % DEFAULT_PIPE_CHECK_EVERY == 0:
                 expected = sender.debug_expected_pipe()
                 if sender._pipe != expected:
                     self._violation(
@@ -749,9 +675,7 @@ class InvariantAuditor:
         queue the sender actually observed — so the band scales with
         the count of active flows on the audited link.
         """
-        if not self.flow_scale:
-            return self.tbuff_tolerance
-        return self.tbuff_tolerance * max(1, self._active_flows_on(link))
+        return DEFAULT_TBUFF_TOLERANCE * max(1, self._active_flows_on(link))
 
     def _check_estimators(self, flow: _FlowAudit, now: float) -> None:
         link = flow.data_link
@@ -785,7 +709,7 @@ class InvariantAuditor:
                 tolerance = self._tbuff_band(link)
                 if estimate > truth + tolerance:
                     flow.tbuff_streak += 1
-                    if flow.tbuff_streak >= self.sustain:
+                    if flow.tbuff_streak >= DEFAULT_SUSTAIN:
                         self._violation(
                             "estimator-tbuff",
                             f"flow {flow.sender.flow_id}: t_buff estimate "
@@ -807,15 +731,15 @@ class InvariantAuditor:
             if (
                 estimate is not None
                 and truth is not None
-                and truth >= self.rho_floor
+                and truth >= DEFAULT_RHO_FLOOR
             ):
-                if estimate > truth * self.rho_factor:
+                if estimate > truth * DEFAULT_RHO_FACTOR:
                     flow.rho_streak += 1
-                    if flow.rho_streak >= self.sustain:
+                    if flow.rho_streak >= DEFAULT_SUSTAIN:
                         self._violation(
                             "estimator-rho",
                             f"flow {flow.sender.flow_id}: ρ estimate "
-                            f"{estimate:.0f} B/s exceeds {self.rho_factor}x "
+                            f"{estimate:.0f} B/s exceeds {DEFAULT_RHO_FACTOR}x "
                             f"the ground-truth peak drain rate {truth:.0f} "
                             f"B/s for {flow.rho_streak} consecutive audited "
                             "ACKs",
@@ -846,8 +770,7 @@ class InvariantAuditor:
             context={"events_seen": self._events_seen, "sweeps": self.sweeps},
             path=self.trace_path,
         )
-        if self.strict:
-            raise InvariantViolation(check, message, trace_path=self.trace_path)
+        raise InvariantViolation(check, message, trace_path=self.trace_path)
 
     def record_exception(self, exc: BaseException) -> str:
         """Dump the flight recorder for an unhandled engine exception."""

@@ -49,10 +49,8 @@ from repro.experiments.runner import (
 from repro.experiments.scenarios import (
     baseline_shift,
     contention_vs_cubic,
-    run_scenario_grid,
     self_contention,
     shallow_buffer,
-    throughput_share,
     uplink_congestion,
     wired_path,
 )
@@ -83,13 +81,11 @@ __all__ = [
     "proprate_spec",
     "run_batch",
     "run_experiment",
-    "run_scenario_grid",
     "run_shootout",
     "run_single_flow",
     "self_contention",
     "shallow_buffer",
     "sweep_frontier",
-    "throughput_share",
     "uplink_congestion",
     "wired_path",
     "wired_path_config",

@@ -9,7 +9,7 @@ the figures, and ``PR(A)`` — the §6 adaptive-target extension
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.experiments.options import RunOptions
 from repro.traces.trace import Trace
@@ -46,13 +46,12 @@ def proprate_factory(target: float, **kwargs) -> CcFactory:
     return lambda: PropRate(target_buffer_delay=target, **kwargs)
 
 
-def paper_algorithms(include_proprate: bool = True) -> Dict[str, CcFactory]:
+def paper_algorithms() -> Dict[str, CcFactory]:
     """Name → factory for the full Figure-7 line-up, in table order."""
-    algorithms: Dict[str, CcFactory] = {}
-    if include_proprate:
-        for name, target in PR_TARGETS.items():
-            algorithms[name] = proprate_factory(target)
-        algorithms[ADAPTIVE_NAME] = AdaptivePropRate
+    algorithms: Dict[str, CcFactory] = {
+        name: proprate_factory(target) for name, target in PR_TARGETS.items()
+    }
+    algorithms[ADAPTIVE_NAME] = AdaptivePropRate
     algorithms.update(
         {
             "CUBIC": Cubic,
@@ -69,11 +68,6 @@ def paper_algorithms(include_proprate: bool = True) -> Dict[str, CcFactory]:
         }
     )
     return algorithms
-
-
-def baseline_names() -> List[str]:
-    """The non-PropRate algorithms, in table order."""
-    return list(paper_algorithms(include_proprate=False))
 
 
 def run_shootout(

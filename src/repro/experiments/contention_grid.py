@@ -23,7 +23,7 @@ under one ``RunOptions`` (timeouts, retries, progress, observers); the
 reduction is deterministic (no wall-clock anywhere), so a repeated
 ``run_grid`` is byte-identical at any job count.  Render the result with
 :func:`repro.report.heatmap.render_grid_heatmap` and persist it with
-:func:`repro.report.export.grid_to_json`.
+:func:`repro.report.export.report_to_json`.
 
 Related work motivates the default mixes: BBR's bandwidth-grabbing
 under competition ("An Evaluation of BBR and its variants") and CUBIC's
@@ -56,6 +56,7 @@ from repro.experiments.runner import (
     run_experiment,
 )
 from repro.metrics.stats import finite_or_none, jain_fairness
+from repro.sim.network import LinkConfig
 from repro.sim.queues import DEFAULT_BUFFER_PACKETS
 from repro.traces.presets import trace_for_label
 
@@ -137,6 +138,9 @@ class GridConfig:
     buffer_packets: int = DEFAULT_BUFFER_PACKETS
 
     def __post_init__(self) -> None:
+        for axis in ("mixes", "flow_counts", "patterns", "traces"):
+            if not getattr(self, axis):
+                raise ValueError(f"{axis} must not be empty")
         for mix in self.mixes:
             if mix not in MIXES:
                 raise ValueError(f"unknown mix {mix!r}; have {sorted(MIXES)}")
@@ -145,8 +149,19 @@ class GridConfig:
                 raise ValueError(
                     f"unknown start pattern {pattern!r}; have {PATTERNS}"
                 )
-        if min(self.flow_counts, default=1) < 1:
-            raise ValueError("flow counts must be >= 1")
+        if min(self.flow_counts) < 1:
+            raise ValueError("flow_counts must be >= 1")
+        if self.overlap <= 0:
+            raise ValueError("overlap must be positive")
+        for name in ("stagger", "settle"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
+        if self.buffer_packets < 1:
+            raise ValueError("buffer_packets must be >= 1")
+        try:
+            LinkConfig(rate=1.0, aqm=self.aqm).validate()
+        except ValueError as err:
+            raise ValueError(f"aqm: {err}") from None
 
 
 #: The paper-scale grid: every mix, the {2, 4, 16, 64} flow ladder,

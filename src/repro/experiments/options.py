@@ -5,10 +5,9 @@ setting names it; a function that only forwards settings takes the
 value.**  The leaf entry points (``run_experiment``, ``run_single_flow``,
 ``run_fluid``, ``CcEnv``) build the observers themselves and keep explicit
 ``audit=`` / ``telemetry=`` / ``sampling=`` / ``profile=`` keywords; every
-driver above them — ``run_shootout``, the frontier sweeps,
-``run_scenario_grid``, ``run_grid``, ``run_batch`` / ``iter_batch`` — and
-every picklable spec class takes ``run_options: Optional[RunOptions]``
-and hands it down unread.
+driver above them — ``run_shootout``, the frontier sweeps, ``run_grid``,
+``run_batch`` / ``iter_batch`` — and every picklable spec class takes
+``run_options: Optional[RunOptions]`` and hands it down unread.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
-from repro.debug import AuditArg
 from repro.obs import SamplingPolicy, sampling_spec
 
 __all__ = ["OutcomeCallback", "RunOptions"]
@@ -36,11 +34,11 @@ class RunOptions:
     never travel to a worker.
 
     audit  (CLI ``--audit``; ``None`` → ``REPRO_AUDIT``)
-        Attach the :mod:`repro.debug` invariant auditor: ``True`` /
-        ``False``, or an :class:`~repro.debug.AuditConfig` with band
-        overrides.  Observation-only — results are bit-identical either
-        way; a violation raises after dumping a flight-recorder trace.
-        Worker processes inherit the environment switch.
+        Attach the :mod:`repro.debug` invariant auditor: on or off; its
+        bands are the constants of :mod:`repro.debug.auditor`.
+        Observation-only — results are bit-identical either way; a
+        violation raises after dumping a flight-recorder trace.  Worker
+        processes inherit the environment switch.
     telemetry  (``--telemetry PATH``; ``None`` → ``REPRO_TELEMETRY``)
         Trace target (:mod:`repro.obs`): a JSONL path or
         ``tcp://host:port``.  For a batch this is the *merged* trace:
@@ -74,7 +72,7 @@ class RunOptions:
     silently instead.
     """
 
-    audit: AuditArg = None
+    audit: Optional[bool] = None
     telemetry: Optional[str] = None
     sampling: Union[str, SamplingPolicy, None] = None
     profile: Optional[bool] = None

@@ -19,12 +19,7 @@ from typing import Dict, List, Sequence
 from repro.experiments.runner import CcFactory, FlowResult, run_single_flow
 from repro.metrics.compare import MeanCI, bootstrap_mean_ci
 from repro.traces.generator import TraceSpec, generate_cellular_trace
-
-#: Seed offset separating downlink and uplink synthesis per replication.
-_UPLINK_SEED_OFFSET = 5000
-
-#: Uplink scaled to a quarter of the downlink, as in the presets.
-_UPLINK_RATIO = 0.25
+from repro.traces.presets import uplink_spec
 
 
 @dataclass(frozen=True)
@@ -42,19 +37,6 @@ class ReplicatedResult:
         return self.throughput.mean / 1000.0
 
 
-def _uplink_spec(spec: TraceSpec, seed: int) -> TraceSpec:
-    return TraceSpec(
-        name=f"{spec.name}-ul#s{seed}",
-        mean_throughput=spec.mean_throughput * _UPLINK_RATIO,
-        std_throughput=spec.std_throughput * _UPLINK_RATIO,
-        duration=spec.duration,
-        seed=seed + _UPLINK_SEED_OFFSET,
-        coherence_time=spec.coherence_time,
-        outage_fraction=spec.outage_fraction,
-        outage_mean_duration=spec.outage_mean_duration,
-    )
-
-
 def replicate_single_flow(
     cc_factory: CcFactory,
     trace_spec: TraceSpec,
@@ -69,8 +51,9 @@ def replicate_single_flow(
         raise ValueError("need at least one seed")
     runs: List[FlowResult] = []
     for seed in seeds:
-        down = generate_cellular_trace(trace_spec.with_seed(seed))
-        up = generate_cellular_trace(_uplink_spec(trace_spec, seed))
+        down_spec = trace_spec.with_seed(seed)
+        down = generate_cellular_trace(down_spec)
+        up = generate_cellular_trace(uplink_spec(down_spec))
         runs.append(
             run_single_flow(
                 cc_factory, down, up,

@@ -15,7 +15,7 @@ from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
 
 import repro.obs as obs
-from repro.debug import AuditArg, InvariantViolation, make_auditor
+from repro.debug import InvariantAuditor, InvariantViolation, audit_enabled
 from repro.metrics.collector import DeliveryCollector
 from repro.tcp.application import Application
 from repro.metrics.stats import DelaySummary, delay_summary
@@ -237,7 +237,7 @@ def run_experiment(
     measure_start: float = 5.0,
     measure_end: Optional[float] = None,
     ts_granularity: float = DEFAULT_TS_GRANULARITY,
-    audit: AuditArg = None,
+    audit: Optional[bool] = None,
     telemetry: Optional[Any] = None,
     sampling: Optional[Any] = None,
     profile: Optional[Any] = None,
@@ -301,7 +301,7 @@ class ExperimentHarness:
         measure_start: float = 5.0,
         measure_end: Optional[float] = None,
         ts_granularity: float = DEFAULT_TS_GRANULARITY,
-        audit: AuditArg = None,
+        audit: Optional[bool] = None,
         tracer=None,
         profiler=None,
     ) -> None:
@@ -322,7 +322,7 @@ class ExperimentHarness:
         self._harnessed: List[tuple] = []
 
         forward_audit = reverse_audit = None
-        self.auditor = make_auditor(self.sim, audit)
+        self.auditor = InvariantAuditor(self.sim) if audit_enabled(audit) else None
         if self.auditor is not None:
             forward_audit, reverse_audit = self.auditor.attach_path(self.path)
 
@@ -473,15 +473,12 @@ class ExperimentHarness:
             metrics = tracer.metrics
             metrics.counter("run.engine.events").add(sim.events_processed)
             metrics.counter("run.engine.compactions").add(sim.compactions)
-            for link_name, link in (
-                ("downlink", path.forward_link),
-                ("uplink", path.reverse_link),
+            for link_name, link, sampler in (
+                ("downlink", path.forward_link, self._samplers[0]),
+                ("uplink", path.reverse_link, self._samplers[1]),
             ):
-                peak = getattr(link.queue, "peak_length", None)
-                if peak is None and self._samplers:
-                    sampler = self._samplers[0 if link_name == "downlink" else 1]
-                    peak = max(sampler.lengths, default=0)
-                metrics.gauge(f"run.link.{link_name}.queue_peak").track_max(peak or 0)
+                metrics.gauge(f"run.link.{link_name}.queue_peak").track_max(
+                    max(sampler.lengths, default=0))
                 batches = getattr(link, "batches_drained", 0)
                 if batches:
                     metrics.counter(f"run.link.{link_name}.batches").add(batches)
@@ -567,7 +564,7 @@ def run_single_flow(
     prop_delay: float = DEFAULT_PROP_DELAY,
     aqm: str = "droptail",
     ts_granularity: float = DEFAULT_TS_GRANULARITY,
-    audit: AuditArg = None,
+    audit: Optional[bool] = None,
     telemetry: Optional[Any] = None,
     sampling: Optional[Any] = None,
     profile: Optional[Any] = None,

@@ -15,15 +15,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.experiments.parallel import CcSpec, RefOrKey
+from typing import Dict, Optional, Tuple
 
 import repro.obs as obs
-from repro.debug import AuditArg
-from repro.experiments.options import RunOptions
 from repro.experiments.runner import (
     CcFactory,
     ExperimentHarness,
@@ -47,7 +41,7 @@ def self_contention(
     downlink_trace: Trace,
     uplink_trace: Optional[Trace] = None,
     name: str = "",
-    audit: AuditArg = None,
+    audit: Optional[bool] = None,
 ) -> Tuple[FlowResult, FlowResult]:
     """Two flows of the same algorithm share the path (Figure 12(a)).
 
@@ -87,7 +81,7 @@ def contention_vs_cubic(
     uplink_trace: Optional[Trace] = None,
     cubic_first: bool = True,
     name: str = "algo",
-    audit: AuditArg = None,
+    audit: Optional[bool] = None,
 ) -> Dict[str, FlowResult]:
     """One algorithm against CUBIC cross traffic (Figure 12(b)).
 
@@ -134,7 +128,7 @@ def uplink_congestion(
     duration: float = 40.0,
     measure_start: float = 5.0,
     name: str = "down",
-    audit: AuditArg = None,
+    audit: Optional[bool] = None,
 ) -> Dict[str, FlowResult]:
     """Figure 14: a download races a CUBIC upload saturating the uplink.
 
@@ -163,7 +157,7 @@ def wired_path(
     duration: float = 30.0,
     measure_start: float = 3.0,
     name: str = "",
-    audit: AuditArg = None,
+    audit: Optional[bool] = None,
 ) -> FlowResult:
     """Figure 13: a single flow over an inter-continental wired path.
 
@@ -192,7 +186,7 @@ def shallow_buffer(
     duration: float = 30.0,
     measure_start: float = 3.0,
     name: str = "",
-    audit: AuditArg = None,
+    audit: Optional[bool] = None,
 ) -> FlowResult:
     """§6 discussion: shallow bottleneck buffers and CoDel AQM."""
     config = cellular_path_config(
@@ -216,7 +210,7 @@ def baseline_shift(
     duration: float = 30.0,
     measure_start: float = 4.0,
     name: str = "",
-    audit: AuditArg = None,
+    audit: Optional[bool] = None,
 ) -> FlowResult:
     """§4.1: shift the underlying one-way delay mid-flow (handover).
 
@@ -244,117 +238,3 @@ def baseline_shift(
 
         harness.sim.schedule_at(shift_at, shift)
         return harness.finalize()[0]
-
-
-def throughput_share(results: List[FlowResult]) -> List[float]:
-    """Each flow's fraction of the summed throughput."""
-    total = sum(r.throughput for r in results)
-    if total <= 0:
-        return [0.0 for _ in results]
-    return [r.throughput / total for r in results]
-
-
-# ----------------------------------------------------------------------
-# Batch execution over worker processes
-# ----------------------------------------------------------------------
-#: Name → driver, for picklable scenario references.
-SCENARIOS = {
-    "self_contention": self_contention,
-    "contention_vs_cubic": contention_vs_cubic,
-    "uplink_congestion": uplink_congestion,
-    "wired_path": wired_path,
-    "shallow_buffer": shallow_buffer,
-    "baseline_shift": baseline_shift,
-}
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """One scenario × algorithm cell, picklable for process pools.
-
-    ``scenario`` names an entry of :data:`SCENARIOS`; ``cc`` rebuilds
-    the algorithm in the worker; traces travel as references.
-    ``wired_path`` takes no traces — leave ``downlink`` as ``None`` and
-    pass ``region`` through ``options``.  ``options`` holds the
-    *scenario driver's* keywords (``duration``, ``region``, …); how the
-    cell is observed is ``run_options``, stamped by the batch layer.
-    """
-
-    scenario: str
-    cc: "CcSpec"
-    downlink: Optional["RefOrKey"] = None
-    uplink: Optional["RefOrKey"] = None
-    options: Tuple[Tuple[str, object], ...] = ()
-    run_options: Optional[RunOptions] = None
-
-    def __post_init__(self) -> None:
-        # The pre-RunOptions spelling — a bare ``retries`` keyword to
-        # run_scenario_grid — lands here; swallowed it would run
-        # un-retried.
-        stale = sorted(
-            {key for key, _ in self.options}
-            & {f.name for f in fields(RunOptions)}
-        )
-        if stale:
-            raise TypeError(
-                f"run setting(s) {', '.join(stale)} among the scenario "
-                "keywords; pass run_options=RunOptions(...) instead"
-            )
-
-    def execute(self):
-        from repro.experiments.parallel import detach_results, resolve_trace
-
-        driver = SCENARIOS[self.scenario]
-        args = [self.cc.build]
-        if self.downlink is not None:
-            args.append(resolve_trace(self.downlink))
-            if self.uplink is not None:
-                args.append(resolve_trace(self.uplink))
-        run = self.run_options or RunOptions()
-        # Scenario drivers build their simulations internally, and
-        # instrumented components bind the ambient tracer (and profiler)
-        # at construction — so both are made ambient around the whole
-        # driver call.  The inner run_experiment finds them ambient and
-        # flushes metrics/timings per run.
-        with obs.observing(run.telemetry, run.sampling, run.profile):
-            outcome = driver(*args, audit=run.audit, **dict(self.options))
-        return detach_results(outcome)
-
-
-def run_scenario_grid(
-    scenario: str,
-    algorithms: Dict[str, "CcSpec"],
-    downlink_trace: Optional[Trace] = None,
-    uplink_trace: Optional[Trace] = None,
-    n_jobs: int = 1,
-    run_options: Optional[RunOptions] = None,
-    **options: object,
-) -> Dict[str, object]:
-    """Run one scenario for several algorithms, optionally in parallel.
-
-    ``algorithms`` maps a label to the :class:`~repro.experiments.
-    parallel.CcSpec` to run; the return maps each label to whatever the
-    scenario driver returns (detached of simulation handles).
-    ``**options`` are the scenario driver's own keywords; ``run_options``
-    goes to :func:`repro.experiments.parallel.run_batch` as is, and a
-    run setting found among ``options`` is a ``TypeError``.
-    """
-    from repro.experiments.parallel import collect, run_batch
-
-    if scenario not in SCENARIOS:
-        raise ValueError(
-            f"unknown scenario {scenario!r}; have {sorted(SCENARIOS)}"
-        )
-    labels = list(algorithms)
-    specs = [
-        ScenarioSpec(
-            scenario=scenario,
-            cc=algorithms[label],
-            downlink=downlink_trace,
-            uplink=uplink_trace,
-            options=tuple(sorted(options.items())),
-        )
-        for label in labels
-    ]
-    results = collect(run_batch(specs, n_jobs=n_jobs, run_options=run_options))
-    return dict(zip(labels, results))

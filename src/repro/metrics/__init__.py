@@ -8,12 +8,7 @@ reduces the records to the numbers the figures plot.
 """
 
 from repro.metrics.collector import DeliveryCollector, DeliveryRecord
-from repro.metrics.stats import (
-    DelaySummary,
-    delay_summary,
-    jain_fairness,
-    throughput_timeseries,
-)
+from repro.metrics.stats import DelaySummary, delay_summary, jain_fairness
 
 __all__ = [
     "DelaySummary",
@@ -21,5 +16,4 @@ __all__ = [
     "DeliveryRecord",
     "delay_summary",
     "jain_fairness",
-    "throughput_timeseries",
 ]

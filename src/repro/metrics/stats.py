@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -65,22 +65,3 @@ def jain_fairness(allocations: Sequence[float]) -> float:
     if denom == 0:
         return 1.0
     return float(arr.sum()) ** 2 / denom
-
-
-def throughput_timeseries(
-    times: Sequence[float],
-    sizes: Sequence[float],
-    window: float = 0.1,
-    duration: float = 0.0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Windowed throughput (bytes/s) from per-delivery (time, size) pairs."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    t = np.asarray(times, dtype=float)
-    s = np.asarray(sizes, dtype=float)
-    if t.size == 0:
-        return np.empty(0), np.empty(0)
-    horizon = duration if duration > 0 else float(t.max()) + window
-    edges = np.arange(0.0, horizon + window, window)
-    sums, _ = np.histogram(t, bins=edges, weights=s)
-    return edges[:-1], sums / window

@@ -71,7 +71,6 @@ from repro.obs.net import (
 )
 from repro.obs.sink import (
     JsonlSink,
-    RingSink,
     Sink,
     StreamSink,
     encode,
@@ -105,7 +104,7 @@ __all__ = [
     "SCHED_DISPATCH", "SCHED_OUTCOME", "SCHED_RETRY", "SCHED_TIMEOUT",
     "SCHED_WORKER_DEATH", "MetricsRegistry", "canonical_metrics",
     "flow_metrics_view", "merge_snapshots", "merge_value",
-    "JsonlSink", "RingSink", "Sink", "SocketStreamSink", "StreamSink",
+    "JsonlSink", "Sink", "SocketStreamSink", "StreamSink",
     "TcpLineServer", "parse_tcp_target",
     "encode", "iter_trace_files", "QUEUE_SAMPLE_INTERVAL",
     "SAMPLE_ENV", "TELEMETRY_ENV", "Tracer", "activate", "close_scope",

@@ -1,5 +1,4 @@
-"""Pluggable trace sinks: JSONL files (with rotation), bounded rings,
-and push streams.
+"""Pluggable trace sinks: JSONL files (with rotation) and push streams.
 
 Every sink speaks the same two-method protocol the tracer and the batch
 merge layer use: ``write(record)`` for dict records and ``write_line``
@@ -13,9 +12,6 @@ part-file merge both pre-encode).
   while nothing is lost.  ``iter_trace_files`` returns the rotated
   series in write order for readers, and ``repro watch`` follows the
   live file across rotations by inode.
-* :class:`RingSink` — bounded in-memory ring of decoded records; keeps
-  the newest ``max_records`` and counts what it evicted.  For embedding
-  telemetry in tests and long-lived processes without filesystem churn.
 * :class:`StreamSink` — pushes encoded lines to a callback or file-like
   object as they happen (a socket, ``sys.stdout``, a queue ``put``).
 """
@@ -24,9 +20,8 @@ from __future__ import annotations
 
 import json
 import os
-from collections import deque
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, Union
+from typing import Any, Callable, Dict, List, Union
 
 from repro.obs.events import FORMAT, META
 
@@ -117,36 +112,6 @@ class JsonlSink(Sink):
         if not self._closed:
             self._closed = True
             self._fh.close()
-
-
-class RingSink(Sink):
-    """Bounded in-memory sink keeping the newest ``max_records`` records.
-
-    Records are stored decoded; ``records()`` returns them in arrival
-    order.  ``dropped_oldest`` counts evictions so truncation is never
-    silent, matching the sampling layer's contract.
-    """
-
-    def __init__(self, max_records: int = 100_000, header: bool = True) -> None:
-        if max_records < 1:
-            raise ValueError("max_records must be >= 1")
-        self.max_records = max_records
-        self.dropped_oldest = 0
-        self._ring: Deque[Dict[str, Any]] = deque(maxlen=max_records)
-        if header:
-            self.write({"t": 0.0, "kind": META, "format": FORMAT,
-                        "pid": os.getpid()})
-
-    def write(self, record: Dict[str, Any]) -> None:
-        if len(self._ring) == self.max_records:
-            self.dropped_oldest += 1
-        self._ring.append(record)
-
-    def write_line(self, line: str) -> None:
-        self.write(json.loads(line))
-
-    def records(self) -> List[Dict[str, Any]]:
-        return list(self._ring)
 
 
 class StreamSink(Sink):

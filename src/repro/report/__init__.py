@@ -1,12 +1,9 @@
-"""Result export: CSV/JSON tables, gnuplot scripts, ASCII heatmaps."""
+"""Result export: CSV/JSON tables and ASCII heatmaps."""
 
 from repro.report.export import (
     flow_results_to_csv,
-    fluid_to_json,
     frontier_to_csv,
-    gnuplot_scatter_script,
-    grid_to_json,
-    timeseries_to_csv,
+    report_to_json,
 )
 from repro.report.heatmap import (
     render_fluid_towers,
@@ -16,12 +13,9 @@ from repro.report.heatmap import (
 
 __all__ = [
     "flow_results_to_csv",
-    "fluid_to_json",
     "frontier_to_csv",
-    "gnuplot_scatter_script",
-    "grid_to_json",
     "render_fluid_towers",
     "render_grid_heatmap",
     "render_grid_heatmaps",
-    "timeseries_to_csv",
+    "report_to_json",
 ]

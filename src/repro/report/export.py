@@ -1,18 +1,17 @@
-"""Export experiment outcomes to CSV and gnuplot.
+"""Export experiment outcomes to CSV and JSON.
 
 The benchmarks print and persist plain-text tables; this module produces
-machine-readable artifacts for anyone who wants to re-plot the figures —
-a CSV per figure plus a ready-to-run gnuplot script reproducing the
-paper's scatter layout (throughput on y, delay on x, one point per
-algorithm, mean and 95th percentile as separate series).
+machine-readable artifacts for anyone who wants to re-plot the figures:
+a CSV per figure, and the deterministic JSON artifact that ``repro grid
+--out`` and ``repro fluid --out`` write.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import json
 from pathlib import Path
-from typing import Dict, Iterable, Sequence, Union
+from typing import Dict, Sequence, Union
 
 PathLike = Union[str, Path]
 
@@ -73,91 +72,17 @@ def frontier_to_csv(points: Sequence["FrontierPoint"], path: PathLike) -> Path:
     return path
 
 
-def timeseries_to_csv(
-    times: Iterable[float],
-    values: Iterable[float],
-    path: PathLike,
-    value_label: str = "value",
-) -> Path:
-    """A (time, value) series, e.g. windowed throughput or queue delay."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", value_label])
-        for t, v in zip(times, values):
-            writer.writerow([f"{t:.4f}", f"{v:.4f}"])
-    return path
+def report_to_json(report: Dict[str, object], path: PathLike) -> Path:
+    """Persist a report as a deterministic JSON artifact.
 
-
-def gnuplot_scatter_script(
-    csv_path: PathLike,
-    output_path: PathLike,
-    title: str = "Throughput vs one-way delay",
-    png_path: PathLike = "figure.png",
-) -> Path:
-    """Write a gnuplot script plotting a flow-results CSV.
-
-    The layout mirrors the paper's Figure 7: delay on a linear x axis,
-    throughput on y, each algorithm a labelled point, mean and p95 delay
-    joined by a horizontal segment.
-    """
-    csv_path = Path(csv_path)
-    output_path = Path(output_path)
-    script = io.StringIO()
-    script.write(
-        "\n".join(
-            [
-                "set datafile separator ','",
-                f"set output '{png_path}'",
-                "set terminal pngcairo size 900,600",
-                f"set title '{title}'",
-                "set xlabel 'Delay (ms)'",
-                "set ylabel 'Throughput (KB/s)'",
-                "set key outside right",
-                "set grid",
-                # mean->p95 segment per algorithm, then labelled points
-                f"plot '{csv_path.name}' using 3:2:($4-$3):(0) skip 1 "
-                "with vectors nohead lc rgb 'gray' notitle, \\",
-                f"     '{csv_path.name}' using 3:2:1 skip 1 "
-                "with labels point pt 7 offset char 1,0.5 notitle",
-                "",
-            ]
-        )
-    )
-    output_path.write_text(script.getvalue(), encoding="ascii")
-    return output_path
-
-
-def grid_to_json(report: Dict[str, object], path: PathLike) -> Path:
-    """Persist a contention-grid report as a deterministic JSON artifact.
-
-    ``report`` is :meth:`repro.experiments.contention_grid.GridReport.
-    to_dict` output — already JSON-safe (NaN rendered as ``null``) and
-    free of wall-clock data.  Keys are sorted and floats repr-encoded
-    by the standard encoder, so two runs of the same grid produce
+    ``report`` is a ``to_dict()`` of
+    :class:`repro.experiments.contention_grid.GridReport` or
+    :class:`repro.fluid.engine.FluidReport` — already JSON-safe
+    (non-finite floats rendered as ``null``) and free of wall-clock
+    data.  Keys are sorted and floats repr-encoded by the standard
+    encoder, so two runs of the same grid or fluid scenario produce
     byte-identical files (the CI determinism gate relies on this).
     """
-    import json
-
-    path = Path(path)
-    payload = json.dumps(
-        report, sort_keys=True, indent=2, allow_nan=False
-    )
-    path.write_text(payload + "\n", encoding="ascii")
-    return path
-
-
-def fluid_to_json(report: Dict[str, object], path: PathLike) -> Path:
-    """Persist a fluid-tier report as a deterministic JSON artifact.
-
-    ``report`` is :meth:`repro.fluid.engine.FluidReport.to_dict` output
-    — JSON-safe (non-finite floats rendered as ``null``) and free of
-    wall-clock data, so repeated runs of the same scenario produce
-    byte-identical files, the same contract :func:`grid_to_json` keeps
-    for the contention grid.
-    """
-    import json
-
     path = Path(path)
     payload = json.dumps(
         report, sort_keys=True, indent=2, allow_nan=False

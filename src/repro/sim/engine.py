@@ -138,21 +138,15 @@ class Simulator:
         self._compact_at = _COMPACT_MIN
         #: Lazily-cancelled-entry sweeps actually performed (telemetry).
         self.compactions = 0
-        #: Observer invoked after an event's callback ran
-        #: (:mod:`repro.debug`).  Must not mutate simulation state.
-        #: Attach before calling :meth:`run`; the loop reads it once.
-        #: Without :attr:`audit_ring` it fires on every event; with a
-        #: ring it fires every ``stride`` events (the ring captures the
-        #: per-event record inline, so the hook only needs to run its
-        #: periodic sweep).
-        self.audit_hook: Optional[Callable[[Event], None]] = None
-        #: Optional inline event-trace ring:
-        #: ``(times, details, count_cell, mask, countdown_cell, stride)``.
-        #: After each callback the loop stores ``(now, callback)`` into
-        #: slot ``count & mask`` and bumps ``count_cell[0]`` — plain
-        #: list-slot stores, no Python call on the per-event path.
-        #: ``countdown_cell[0]`` counts down from ``stride``; at zero it
-        #: is reset and :attr:`audit_hook` is invoked.
+        #: The auditor's inline event-trace ring (:mod:`repro.debug`):
+        #: ``(times, details, count_cell, mask, countdown_cell, stride,
+        #: sweep)``.  After each callback the loop stores
+        #: ``(now, callback)`` into slot ``count & mask`` and bumps
+        #: ``count_cell[0]`` — plain list-slot stores, no Python call on
+        #: the per-event path.  ``countdown_cell[0]`` counts down from
+        #: ``stride``; at zero it is reset and ``sweep()`` is called,
+        #: which must not mutate simulation state.  Attach before
+        #: calling :meth:`run`; the loop reads it once.
         self.audit_ring: Optional[tuple] = None
 
     # ------------------------------------------------------------------
@@ -280,17 +274,14 @@ class Simulator:
         self._running = True
         self.run_until = until
         heap = self._heap
-        audit = self.audit_hook
         ring = self.audit_ring
-        if ring is not None:
-            ring_t, ring_cb, ring_n, ring_mask, countdown, stride = ring
         deadline = _RUN_DEADLINE[0]
         ticks = _DEADLINE_STRIDE
         processed = 0
         try:
-            if ring is None and audit is None:
-                # Lean loop for the common uninstrumented run: same
-                # semantics as below minus the per-event hook branches.
+            if ring is None:
+                # Lean loop for the common unaudited run: same semantics
+                # as below minus the per-event ring stores.
                 while heap:
                     event = heap[0]
                     if until is not None and event[0] > until:
@@ -314,6 +305,7 @@ class Simulator:
                 if until is not None and until > self.now:
                     self.now = until
                 return
+            ring_t, ring_cb, ring_n, ring_mask, countdown, stride, sweep = ring
             while heap:
                 event = heap[0]
                 if until is not None and event[0] > until:
@@ -338,20 +330,17 @@ class Simulator:
                 # NOTE: record `now`/`callback` locals, not event[0]/
                 # event[2] — the callback may have rescheduled its own
                 # entry (reuse mutates the slots in place).
-                if ring is not None:
-                    n = ring_n[0]
-                    i = n & ring_mask
-                    ring_t[i] = now
-                    ring_cb[i] = callback
-                    ring_n[0] = n + 1
-                    c = countdown[0] - 1
-                    if c:
-                        countdown[0] = c
-                    else:
-                        countdown[0] = stride
-                        audit(event)
-                elif audit is not None:
-                    audit(event)
+                n = ring_n[0]
+                i = n & ring_mask
+                ring_t[i] = now
+                ring_cb[i] = callback
+                ring_n[0] = n + 1
+                c = countdown[0] - 1
+                if c:
+                    countdown[0] = c
+                else:
+                    countdown[0] = stride
+                    sweep()
             if until is not None and until > self.now:
                 self.now = until
         finally:
@@ -373,7 +362,7 @@ class Simulator:
             callback()
             ring = self.audit_ring
             if ring is not None:
-                ring_t, ring_cb, ring_n, ring_mask, countdown, stride = ring
+                ring_t, ring_cb, ring_n, ring_mask, countdown, stride, sweep = ring
                 n = ring_n[0]
                 i = n & ring_mask
                 ring_t[i] = now
@@ -384,9 +373,7 @@ class Simulator:
                     countdown[0] = c
                 else:
                     countdown[0] = stride
-                    self.audit_hook(event)
-            elif self.audit_hook is not None:
-                self.audit_hook(event)
+                    sweep()
             return True
         return False
 
@@ -402,16 +389,6 @@ class Simulator:
     def events_processed(self) -> int:
         """Total callbacks executed so far."""
         return self._events_processed
-
-    def peek_next_time(self) -> Optional[float]:
-        """Time of the next live event, or None if the queue is empty."""
-        heap = self._heap
-        while heap:
-            if heap[0][2] is None:
-                heappop(heap)  # dead head: discard while we're looking
-                continue
-            return heap[0][0]
-        return None
 
     def horizon_excluding(self, exclude: Optional[Event]) -> float:
         """A lower bound on the time of the next event other than ``exclude``.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 #: Maximum segment size: payload bytes carried by one data packet.
 MSS = 1448
@@ -122,18 +122,3 @@ def make_ack_packet(
     """Build a pure ACK carrying the receiver timestamp and SACK blocks."""
     return Packet(flow_id, 0, ack, True, receiver_ts, echoed_tsval,
                   list(sacks) if sacks else [], ACK_PACKET_BYTES)
-
-
-def merge_sack_ranges(ranges: List[Tuple[int, int]]) -> List[SackBlock]:
-    """Coalesce ``(start, end)`` half-open ranges into sorted SACK blocks."""
-    if not ranges:
-        return []
-    ordered = sorted(ranges)
-    merged: List[Tuple[int, int]] = [ordered[0]]
-    for start, end in ordered[1:]:
-        last_start, last_end = merged[-1]
-        if start <= last_end:
-            merged[-1] = (last_start, max(last_end, end))
-        else:
-            merged.append((start, end))
-    return [SackBlock(s, e) for s, e in merged if e > s]

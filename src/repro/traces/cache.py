@@ -124,8 +124,3 @@ def cache_len() -> int:
 def clear_cache() -> None:
     """Drop all materialized traces (tests and memory-pressure relief)."""
     _CACHE.clear()
-
-
-def table_for(refs: Dict[str, TraceRef]) -> Dict[str, Trace]:
-    """Materialize a whole reference table (worker initialization aid)."""
-    return {key: get(ref) for key, ref in refs.items()}

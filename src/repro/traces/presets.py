@@ -31,6 +31,7 @@ cites for its buffer sizing.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
@@ -65,6 +66,29 @@ _SEEDS: Dict[Tuple[str, str], int] = {
 #: Ratio of uplink to downlink mean capacity used when synthesising the
 #: return path of each capture.
 UPLINK_RATIO = 0.25
+
+#: Seed offset separating a capture's uplink synthesis from its downlink.
+UPLINK_SEED_OFFSET = 5000
+
+
+def uplink_spec(spec: TraceSpec) -> TraceSpec:
+    """The return path of a downlink capture: the same shape at
+    :data:`UPLINK_RATIO` of its moments, on its own seed."""
+    return replace(
+        spec,
+        name=f"{spec.name}-ul",
+        mean_throughput=spec.mean_throughput * UPLINK_RATIO,
+        std_throughput=spec.std_throughput * UPLINK_RATIO,
+        seed=spec.seed + UPLINK_SEED_OFFSET,
+    )
+
+
+def _directed(spec: TraceSpec, direction: str) -> TraceSpec:
+    if direction == "uplink":
+        return uplink_spec(spec)
+    if direction != "downlink":
+        raise ValueError("direction must be 'downlink' or 'uplink'")
+    return spec
 
 
 def _spec(isp: str, mode: str, duration: float) -> TraceSpec:
@@ -109,21 +133,7 @@ def isp_trace(
     """
     if (isp, mode) not in TABLE2_TARGETS:
         raise ValueError(f"unknown trace {(isp, mode)!r}")
-    spec = _spec(isp, mode, duration)
-    if direction == "uplink":
-        spec = TraceSpec(
-            name=f"{spec.name}-ul",
-            mean_throughput=spec.mean_throughput * UPLINK_RATIO,
-            std_throughput=spec.std_throughput * UPLINK_RATIO,
-            duration=duration,
-            seed=spec.seed + 5000,
-            coherence_time=spec.coherence_time,
-            outage_fraction=spec.outage_fraction,
-            outage_mean_duration=spec.outage_mean_duration,
-        )
-    elif direction != "downlink":
-        raise ValueError("direction must be 'downlink' or 'uplink'")
-    return generate_cellular_trace(spec)
+    return generate_cellular_trace(_directed(_spec(isp, mode, duration), direction))
 
 
 def label_rate(label: str) -> Optional[float]:
@@ -177,23 +187,17 @@ def lte_validation_trace(
     direction: str = "downlink",
 ) -> Trace:
     """Held-out trace family standing in for the paper's real LTE runs."""
-    mean, std = 2100.0, 750.0
-    if direction == "uplink":
-        mean *= UPLINK_RATIO
-        std *= UPLINK_RATIO
-        seed += 5000
-    return generate_cellular_trace(
-        TraceSpec(
-            name=f"LTE-validation-{direction}",
-            mean_throughput=mean * KB,
-            std_throughput=std * KB,
-            duration=duration,
-            seed=seed,
-            coherence_time=1.0,
-            outage_fraction=0.01,
-            outage_mean_duration=0.3,
-        )
+    spec = TraceSpec(
+        name="LTE-validation",
+        mean_throughput=2100.0 * KB,
+        std_throughput=750.0 * KB,
+        duration=duration,
+        seed=seed,
+        coherence_time=1.0,
+        outage_fraction=0.01,
+        outage_mean_duration=0.3,
     )
+    return generate_cellular_trace(_directed(spec, direction))
 
 
 #: Inter-continental wired paths for Figure 13: sender in Singapore,

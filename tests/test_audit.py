@@ -11,10 +11,11 @@ import os
 
 import pytest
 
+import repro.debug.auditor as auditor_module
+import repro.experiments.runner as runner_module
 from repro.core.proprate import PropRate
 from repro.debug import (
     AUDIT_ENV,
-    AuditConfig,
     FlightRecorder,
     InvariantAuditor,
     InvariantViolation,
@@ -152,7 +153,7 @@ class TestCleanRun:
 
         def observe(sim, path):
             audits.extend(
-                InvariantAuditor(sim, strict=True).attach_path(path))
+                InvariantAuditor(sim).attach_path(path))
 
         sim, path, arrivals = drive_bursts(observe)
         assert path.forward_link.batched_packets == 7 * 40
@@ -170,9 +171,7 @@ class TestCleanRun:
                 super().__init__(*args, **kw)
                 attached.append(self)
 
-        import repro.debug
-
-        monkeypatch.setattr(repro.debug, "InvariantAuditor", Spy)
+        monkeypatch.setattr(runner_module, "InvariantAuditor", Spy)
         monkeypatch.setenv(AUDIT_ENV, "1")
         run_single_flow(
             lambda: PropRate(target_buffer_delay=0.040), _trace(),
@@ -187,11 +186,11 @@ class TestCleanRun:
 # ----------------------------------------------------------------------
 # Injected corruption must trip the matching check
 # ----------------------------------------------------------------------
-def _wire(strict: bool = True):
+def _wire():
     """A manually wired single-flow simulation with the auditor attached."""
     sim = Simulator()
     path = DuplexPath(sim, cellular_path_config(_trace()))
-    auditor = InvariantAuditor(sim, strict=strict)
+    auditor = InvariantAuditor(sim)
     forward_audit, _ = auditor.attach_path(path)
     receiver = TcpReceiver(sim, 0, send_ack=path.send_reverse)
     sender = TcpSender(
@@ -269,23 +268,6 @@ class TestInjectedViolations:
             sim.run(until=4.0)
         assert exc_info.value.check == "ack-monotone"
 
-    def test_non_strict_accumulates_without_raising(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
-        sim, path, sender, auditor = _wire(strict=False)
-        sim.schedule_at(2.0, lambda: setattr(
-            path.forward_link.queue, "enqueued",
-            path.forward_link.queue.enqueued + 1,
-        ))
-        sim.run(until=2.5)
-        auditor.final_check()
-        assert auditor.violations
-        assert all(v["check"] == "conservation" for v in auditor.violations)
-        # All dumps go to one file, rewritten in place.
-        assert auditor.trace_path is not None
-        with open(auditor.trace_path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        assert payload["violations"] == auditor.violations
-
     def test_record_exception_dumps_trace(self, tmp_path, monkeypatch):
         monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
         sim, path, sender, auditor = _wire()
@@ -319,18 +301,11 @@ class TestBatchPlumbing:
             assert serial[name].throughput == parallel[name].throughput
 
     def test_scenario_grid_audited(self):
-        from repro.experiments.parallel import CcSpec
-        from repro.experiments.scenarios import run_scenario_grid
+        # The WiredLink data path, audited.
+        from repro.experiments.scenarios import wired_path
 
-        results = run_scenario_grid(
-            "wired_path",
-            {"cubic": CcSpec("CUBIC")},
-            n_jobs=1,
-            run_options=RunOptions(audit=True),
-            duration=3.0,
-            measure_start=0.5,
-        )
-        assert results["cubic"].throughput > 0
+        result = wired_path(Cubic, duration=3.0, measure_start=0.5, audit=True)
+        assert result.throughput > 0
 
     def test_frontier_audited(self):
         from repro.experiments.frontier import sweep_frontier
@@ -343,13 +318,17 @@ class TestBatchPlumbing:
 
 
 class TestScoreboardInvariants:
-    """Satellite checks for the interval-run scoreboards (PR 5)."""
+    """Checks of the interval-run scoreboards, run on every ACK sweep."""
 
-    def _wire_fast_checks(self, strict: bool = True):
-        """Like ``_wire`` but checking scoreboards on every ACK sweep."""
+    @pytest.fixture(autouse=True)
+    def _every_ack_sweep(self, monkeypatch):
+        monkeypatch.setattr(auditor_module, "DEFAULT_PIPE_CHECK_EVERY", 1)
+
+    def _wire_fast_checks(self):
+        """Like ``_wire``; the fixture checks scoreboards every ACK sweep."""
         sim = Simulator()
         path = DuplexPath(sim, cellular_path_config(_trace()))
-        auditor = InvariantAuditor(sim, strict=strict, pipe_check_every=1)
+        auditor = InvariantAuditor(sim)
         forward_audit, _ = auditor.attach_path(path)
         receiver = TcpReceiver(sim, 0, send_ack=path.send_reverse)
         sender = TcpSender(
@@ -427,7 +406,7 @@ class TestScoreboardInvariants:
 
 
 # ----------------------------------------------------------------------
-# Multi-flow tolerance scaling and AuditConfig overrides (PR 7)
+# Multi-flow tolerance scaling and the band constants
 # ----------------------------------------------------------------------
 class _StaleDelayEstimator:
     """A delay estimator frozen at an absurd over-read.
@@ -446,13 +425,13 @@ class _StaleDelayEstimator:
         pass  # stays frozen even if the CC pokes at it
 
 
-def _wire_contention(n: int, auditor_kwargs=None, stagger: float = 0.5):
+def _wire_contention(n: int, stagger: float = 0.5):
     """``n`` staggered PropRate flows sharing one audited bottleneck."""
     sim = Simulator()
     path = DuplexPath(
         sim, cellular_path_config(constant_rate_trace(1.5e6, 14.0))
     )
-    auditor = InvariantAuditor(sim, **(auditor_kwargs or {}))
+    auditor = InvariantAuditor(sim)
     forward_audit, _ = auditor.attach_path(path)
     senders = []
     for i in range(n):
@@ -512,9 +491,6 @@ class TestMultiFlowTolerance:
         ))
         sim.run(until=3.0)
         assert bands == [pytest.approx(4 * DEFAULT_TBUFF_TOLERANCE)]
-        # flow_scale=False restores the fixed single-flow band.
-        auditor.flow_scale = False
-        assert auditor._tbuff_band(forward_audit) == DEFAULT_TBUFF_TOLERANCE
 
     def test_stale_estimator_still_trips_at_scaled_tolerance(
         self, tmp_path, monkeypatch
@@ -534,37 +510,26 @@ class TestMultiFlowTolerance:
 
 
 class TestAuditConfig:
-    def test_enabled_flag_resolves(self, monkeypatch):
-        monkeypatch.setenv(AUDIT_ENV, "1")
-        assert audit_enabled(AuditConfig(enabled=False)) is False
-        monkeypatch.delenv(AUDIT_ENV)
-        assert audit_enabled(AuditConfig()) is True
+    """Audit is on or off; the bands are module constants, and tests
+    narrow them by monkeypatching those constants."""
 
-    def test_overrides_reach_the_auditor(self):
-        cfg = AuditConfig(
-            tbuff_tolerance=0.5, sustain=3, flow_scale=False, strict=False,
-        )
-        auditor = cfg.build(Simulator())
-        assert auditor.tbuff_tolerance == 0.5
-        assert auditor.sustain == 3
-        assert auditor.flow_scale is False
-        assert auditor.strict is False
+    def test_overrides_reach_the_auditor(self, monkeypatch):
+        monkeypatch.setattr(auditor_module, "DEFAULT_TBUFF_TOLERANCE", 0.5)
+        sim, path, senders, auditor, forward_audit = _wire_contention(1)
+        # No flow has started yet: the band is the single-flow constant.
+        assert auditor._tbuff_band(forward_audit) == 0.5
 
     def test_config_threads_through_run_experiment(self, tmp_path, monkeypatch):
-        # An impossibly tight band + sustain=1 must trip on a clean run
-        # if (and only if) the config actually reaches the auditor.
+        # An impossibly tight band + a one-ACK sustain must trip on a
+        # clean run if (and only if) the constants reach the auditor
+        # that run_single_flow builds.
         monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
-        cfg = AuditConfig(tbuff_tolerance=-10.0, sustain=1, flow_scale=False)
+        monkeypatch.setattr(auditor_module, "DEFAULT_TBUFF_TOLERANCE", -10.0)
+        monkeypatch.setattr(auditor_module, "DEFAULT_SUSTAIN", 1)
         with pytest.raises(InvariantViolation) as exc_info:
             run_single_flow(
                 lambda: PropRate(target_buffer_delay=0.040),
                 constant_rate_trace(750_000.0, 8.0),
-                duration=6.0, measure_start=1.0, audit=cfg,
+                duration=6.0, measure_start=1.0, audit=True,
             )
         assert exc_info.value.check == "estimator-tbuff"
-
-    def test_config_pickles(self):
-        import pickle
-
-        cfg = AuditConfig(sustain=7)
-        assert pickle.loads(pickle.dumps(cfg)) == cfg

@@ -1,5 +1,6 @@
 """The N×M contention/fairness grid (repro.experiments.contention_grid)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -23,7 +24,7 @@ from repro.experiments.contention_grid import (
 from repro.experiments.options import RunOptions
 from repro.experiments.runner import DEFAULT_PROP_DELAY
 from repro.metrics.stats import DelaySummary, jain_fairness
-from repro.report.export import grid_to_json
+from repro.report.export import report_to_json
 from repro.report.heatmap import render_grid_heatmap, render_grid_heatmaps
 
 #: A one-cell grid small enough to run inside a unit test.
@@ -130,8 +131,22 @@ class TestConfig:
             GridConfig(("nope",), (2,), ("staggered",), ("wired:4mbps",))
         with pytest.raises(ValueError, match="start pattern"):
             GridConfig(("pr-self",), (2,), ("sideways",), ("wired:4mbps",))
-        with pytest.raises(ValueError, match="flow counts"):
+        with pytest.raises(ValueError, match="flow_counts"):
             GridConfig(("pr-self",), (0,), ("staggered",), ("wired:4mbps",))
+
+    @pytest.mark.parametrize("axis", ["mixes", "flow_counts", "patterns",
+                                      "traces"])
+    def test_rejects_an_empty_axis(self, axis):
+        with pytest.raises(ValueError, match=f"{axis} must not be empty"):
+            dataclasses.replace(TINY_GRID, **{axis: ()})
+
+    @pytest.mark.parametrize("field,value", [
+        ("overlap", 0.0), ("overlap", -1.0), ("stagger", -0.1),
+        ("settle", -0.1), ("buffer_packets", 0), ("aqm", "red"),
+    ])
+    def test_rejects_a_degenerate_setting_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            dataclasses.replace(TINY_GRID, **{field: value})
 
     def test_expand_matches_grid_size(self):
         for config in (TINY_GRID, REDUCED_GRID, FULL_GRID):
@@ -309,7 +324,7 @@ class TestEndToEnd:
         }
 
     def test_json_round_trip(self, report, tmp_path):
-        path = grid_to_json(report.to_dict(), tmp_path / "grid.json")
+        path = report_to_json(report.to_dict(), tmp_path / "grid.json")
         data = json.loads(path.read_text(encoding="ascii"))
         assert data["format"] == "repro.grid/1"
         assert data["config"]["mixes"] == ["pr-vs-cubic"]

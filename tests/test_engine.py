@@ -114,16 +114,6 @@ class TestCancellation:
         cancelled.cancel()
         assert sim.pending_events == 1
 
-    def test_peek_next_time_skips_cancelled(self):
-        sim = Simulator()
-        first = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        first.cancel()
-        assert sim.peek_next_time() == 2.0
-
-    def test_peek_next_time_empty(self):
-        assert Simulator().peek_next_time() is None
-
 
 class TestStep:
     def test_step_runs_single_event(self):

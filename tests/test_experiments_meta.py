@@ -10,7 +10,6 @@ from repro.core.proprate import PropRate
 from repro.env import CcEnv, rollout
 from repro.experiments.algorithms import (
     PR_TARGETS,
-    baseline_names,
     paper_algorithms,
     proprate_factory,
 )
@@ -44,11 +43,6 @@ class TestAlgorithms:
         cc = proprate_factory(0.030, enable_feedback=False)()
         assert cc.target_buffer_delay == 0.030
         assert not cc.feedback.enabled
-
-    def test_baseline_names_exclude_proprate(self):
-        names = baseline_names()
-        assert "PR(L)" not in names
-        assert "CUBIC" in names
 
     def test_every_factory_builds_a_cc(self):
         for name, factory in paper_algorithms().items():

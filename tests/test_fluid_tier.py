@@ -22,7 +22,7 @@ from repro.fluid import (
     run_fluid,
     tower_for_label,
 )
-from repro.report import fluid_to_json, render_fluid_towers
+from repro.report import render_fluid_towers, report_to_json
 
 RATE = 1e6  # bytes/s, the 8 Mbps wired bottleneck
 
@@ -153,7 +153,7 @@ class TestDeterminismAndExport:
         for i in range(2):
             report = run_fluid(flows, towers, 8.0, handovers=handovers,
                                measure_start=2.0)
-            path = fluid_to_json(report.to_dict(), tmp_path / f"r{i}.json")
+            path = report_to_json(report.to_dict(), tmp_path / f"r{i}.json")
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 

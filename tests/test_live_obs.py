@@ -151,20 +151,6 @@ class TestSamplingPolicy:
 # Pluggable sinks
 # ----------------------------------------------------------------------
 class TestSinks:
-    def test_ring_sink_bounds_and_counts(self):
-        ring = obs.RingSink(max_records=3, header=False)
-        for i in range(5):
-            ring.write({"i": i})
-        assert [r["i"] for r in ring.records()] == [2, 3, 4]
-        assert ring.dropped_oldest == 2
-
-    def test_ring_sink_as_tracer_target(self):
-        ring = obs.RingSink(max_records=100)
-        tracer = obs.Tracer(ring)
-        tracer.emit("x", 1.0, flow=0, value=3)
-        kinds = [r.get("kind") for r in ring.records()]
-        assert kinds == ["meta", "x"]
-
     def test_stream_sink_callable_and_filelike(self):
         got = []
         stream = obs.StreamSink(got.append, header=False)

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.metrics.collector import DeliveryCollector
-from repro.metrics.stats import (
-    delay_summary,
-    jain_fairness,
-    throughput_timeseries,
-)
+from repro.metrics.stats import delay_summary, jain_fairness
 from repro.sim.packet import make_data_packet
 from tests.reference.collector import ReferenceCollector
 
@@ -156,20 +152,3 @@ class TestJainFairness:
     def test_all_zero_defined_as_fair(self):
         assert jain_fairness([0.0, 0.0]) == 1.0
 
-
-class TestThroughputTimeseries:
-    def test_bins_bytes_per_window(self):
-        times = [0.05, 0.15, 0.16, 0.25]
-        sizes = [1500.0] * 4
-        starts, series = throughput_timeseries(times, sizes, window=0.1)
-        assert series[0] == pytest.approx(15000.0)
-        assert series[1] == pytest.approx(30000.0)
-        assert series[2] == pytest.approx(15000.0)
-
-    def test_empty_input(self):
-        starts, series = throughput_timeseries([], [], window=0.1)
-        assert starts.size == 0
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            throughput_timeseries([1.0], [1.0], window=0.0)

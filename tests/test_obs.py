@@ -453,40 +453,6 @@ class TestBatchTelemetry:
         )
         assert [r.summary() for r in serial] == [r.summary() for r in parallel]
 
-    def test_scenario_batch_all_observers_serial_equals_parallel(
-            self, tmp_path):
-        # Scenario drivers build their simulations internally, so the
-        # cell's observers are ambient around the driver call.
-        from repro.experiments.parallel import CcSpec
-        from repro.experiments.runner import canonical_summary
-        from repro.experiments.scenarios import run_scenario_grid
-
-        algos = {"PR(M)": CcSpec("PR(M)"), "CUBIC": CcSpec("CUBIC")}
-        summaries = {}
-        for n_jobs in (1, 2):
-            base = str(tmp_path / f"scenario-{n_jobs}.jsonl")
-            results = run_scenario_grid(
-                "wired_path", algos, n_jobs=n_jobs,
-                run_options=RunOptions(
-                    audit=True, telemetry=base, profile=True,
-                    sampling="queue.sample:every=4"),
-                duration=3.0, measure_start=0.5,
-            )
-            summaries[n_jobs] = {
-                label: canonical_summary(r.summary())
-                for label, r in results.items()
-            }
-            (batch,) = [
-                r for r in _read_jsonl(base)
-                if r["kind"] == "metrics" and r.get("scope") == "batch"
-            ]
-            metrics = batch["metrics"]
-            assert metrics["run.timing.prof.ack.scoreboard.calls"] > 0
-            assert metrics["run.telemetry.dropped.queue.sample"] > 0
-            assert metrics["batch.sched.outcomes"] == 2
-        assert summaries[1] == summaries[2]
-        assert all(s[-1] for s in summaries[1].values())  # metrics rode along
-
     def test_rotated_part_files_merge_in_order(self, tmp_path):
         # A worker whose part trace rotated still merges completely and
         # chronologically into the batch trace, tagged with its run.

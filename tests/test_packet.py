@@ -8,7 +8,6 @@ from repro.sim.packet import (
     SackBlock,
     make_ack_packet,
     make_data_packet,
-    merge_sack_ranges,
 )
 
 
@@ -62,18 +61,3 @@ class TestFactories:
         uids = {make_data_packet(0, i, 0.0).uid for i in range(100)}
         assert len(uids) == 100
 
-
-class TestMergeSackRanges:
-    def test_empty(self):
-        assert merge_sack_ranges([]) == []
-
-    def test_disjoint_sorted(self):
-        blocks = merge_sack_ranges([(10, 12), (1, 3)])
-        assert blocks == [SackBlock(1, 3), SackBlock(10, 12)]
-
-    def test_overlapping_merge(self):
-        blocks = merge_sack_ranges([(1, 5), (4, 8), (8, 10)])
-        assert blocks == [SackBlock(1, 10)]
-
-    def test_drops_empty_ranges(self):
-        assert merge_sack_ranges([(5, 5), (1, 2)]) == [SackBlock(1, 2)]

@@ -1,4 +1,4 @@
-"""Tests for CSV/gnuplot export."""
+"""Tests for CSV export."""
 
 import csv
 
@@ -9,8 +9,6 @@ from repro.experiments.runner import FlowSpec, cellular_path_config, run_experim
 from repro.report.export import (
     flow_results_to_csv,
     frontier_to_csv,
-    gnuplot_scatter_script,
-    timeseries_to_csv,
 )
 from repro.tcp.congestion import NewReno
 from repro.traces.generator import constant_rate_trace
@@ -60,25 +58,3 @@ class TestFrontierCsv:
         assert rows[0]["target_tbuff_ms"] == "40.0"
         assert float(rows[0]["throughput_kbps"]) > 0
 
-
-class TestTimeseriesCsv:
-    def test_pairs_written(self, tmp_path):
-        path = timeseries_to_csv(
-            [0.0, 0.1, 0.2], [1.0, 2.0, 3.0], tmp_path / "ts.csv",
-            value_label="queue_ms",
-        )
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 3
-        assert rows[1]["queue_ms"] == "2.0000"
-
-
-class TestGnuplot:
-    def test_script_references_csv(self, sample_result, tmp_path):
-        csv_path = flow_results_to_csv({"X": sample_result}, tmp_path / "d.csv")
-        gp = gnuplot_scatter_script(csv_path, tmp_path / "plot.gp",
-                                    png_path="out.png")
-        text = gp.read_text()
-        assert "d.csv" in text
-        assert "out.png" in text
-        assert "plot" in text

@@ -2,8 +2,7 @@
 
 A function that *consumes* a setting names it; a function that only
 *forwards* settings takes the value.  The structural guard pins that
-rule, the spawn test pins "only the per-run part reaches a worker", and
-the stale-spelling test pins the loud failure for the old keywords.
+rule, and the spawn test pins "only the per-run part reaches a worker".
 """
 
 import ast
@@ -26,15 +25,14 @@ from repro.experiments.frontier import (
     sweep_frontier,
 )
 from repro.experiments.options import RunOptions
-from repro.experiments.parallel import CcSpec, RunSpec, iter_batch, run_batch
-from repro.experiments.scenarios import ScenarioSpec, run_scenario_grid
+from repro.experiments.parallel import RunSpec, iter_batch, run_batch
 from repro.obs.analyze import read_trace
 from tests.helpers import isp_traces
 
 SETTINGS = {f.name for f in dataclasses.fields(RunOptions)}
 FORWARDERS = (run_shootout, sweep_frontier, iter_frontier, nfl_convergence,
-              run_scenario_grid, run_grid, run_batch, iter_batch)
-SPECS = (RunSpec, ScenarioSpec, GridCellSpec)
+              run_grid, run_batch, iter_batch)
+SPECS = (RunSpec, GridCellSpec)
 
 
 def _calls(names):
@@ -100,20 +98,6 @@ class TestOneDeclaration:
                  _calls({"set_run_deadline"})]
         assert sites and set(sites) == {
             ("experiments/parallel.py", "_InProcessExecutor")}
-
-
-class TestStaleSpelling:
-    def test_run_setting_in_scenario_keywords_fails_before_any_worker(self):
-        with mock.patch.object(parallel, "iter_batch") as batch:
-            with pytest.raises(TypeError, match=r"run_options=RunOptions"):
-                run_scenario_grid(
-                    "wired_path", {"cubic": CcSpec("CUBIC")}, retries=1)
-        batch.assert_not_called()
-
-    def test_scenario_spec_rejects_it_too(self):
-        with pytest.raises(TypeError, match="audit"):
-            ScenarioSpec("wired_path", CcSpec("CUBIC"),
-                         options=(("audit", True),))
 
 
 @pytest.mark.skipif(

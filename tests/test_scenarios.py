@@ -7,12 +7,14 @@ trace-driven versions live in benchmarks/.
 import pytest
 
 import repro.experiments.scenarios as scenarios
+import repro.obs as obs
 from repro.core.proprate import PropRate
+from repro.experiments.contention_grid import goodput_shares
 from repro.experiments.scenarios import (
+    baseline_shift,
     contention_vs_cubic,
     self_contention,
     shallow_buffer,
-    throughput_share,
     uplink_congestion,
     wired_path,
 )
@@ -36,7 +38,7 @@ class TestSelfContention:
         first, second = self_contention(
             lambda: PropRate(0.080), _trace(), name="pr"
         )
-        shares = throughput_share([first, second])
+        shares = goodput_shares([first.throughput, second.throughput])
         # Figure 12(a): PropRate self-contention is near-fair.
         assert 0.25 <= shares[1] <= 0.75
 
@@ -173,21 +175,15 @@ class TestShallowBuffer:
 class TestThroughputShare:
     def test_shares_sum_to_one(self):
         first, second = self_contention(Cubic, _trace())
-        shares = throughput_share([first, second])
+        shares = goodput_shares([first.throughput, second.throughput])
         assert sum(shares) == pytest.approx(1.0)
 
     def test_zero_total_handled(self):
-        class Dummy:
-            throughput = 0.0
-
-        assert throughput_share([Dummy(), Dummy()]) == [0.0, 0.0]
+        assert goodput_shares([0.0, 0.0]) == [0.0, 0.0]
 
 
 class TestBaselineShiftScenario:
     def test_positive_shift_survivable(self):
-        from repro.experiments.scenarios import baseline_shift
-        from repro.core.proprate import PropRate
-
         result = baseline_shift(
             lambda: PropRate(0.040, rdmin_window=8.0),
             _trace(duration=26.0),
@@ -200,7 +196,6 @@ class TestBaselineShiftScenario:
         assert result.utilization > 0.7
 
     def test_scenario_reports_capacity(self):
-        from repro.experiments.scenarios import baseline_shift
         from repro.tcp.congestion import NewReno
 
         result = baseline_shift(
@@ -214,26 +209,21 @@ class TestBaselineShiftScenario:
         # queue samples, run metrics or run.end, so nothing to plot.
         from collections import Counter
 
-        from repro.experiments.options import RunOptions
-        from repro.experiments.parallel import CcSpec
-        from repro.experiments.scenarios import run_scenario_grid
         from repro.obs.analyze import read_trace
 
-        def kinds(scenario, **options):
-            path = str(tmp_path / f"{scenario}.jsonl")
-            run_scenario_grid(
-                scenario, {"cubic": CcSpec("CUBIC")}, _trace(duration=7.0),
-                run_options=RunOptions(telemetry=path, profile=True),
-                duration=6.0, measure_start=1.0, **options,
-            )
+        def kinds(driver, **options):
+            path = str(tmp_path / f"{driver.__name__}.jsonl")
+            with obs.tracing(path):
+                driver(Cubic, _trace(duration=7.0), duration=6.0,
+                       measure_start=1.0, **options)
             return Counter(
                 "metrics.run" if r["kind"] == "metrics"
                 and r.get("scope") == "run" else r["kind"]
                 for r in read_trace(path)
             )
 
-        shifted = kinds("baseline_shift", shift_delta=0.010, shift_at=2.0)
+        shifted = kinds(baseline_shift, shift_delta=0.010, shift_at=2.0)
         for kind in ("run.start", "metrics.run", "run.end"):
             assert shifted[kind] == 1, kind
         assert shifted["queue.sample"] == \
-            kinds("shallow_buffer")["queue.sample"] > 1000
+            kinds(shallow_buffer)["queue.sample"] > 1000
