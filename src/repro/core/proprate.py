@@ -268,6 +268,12 @@ class PropRate(RateCongestionControl):
             self._state_entered = host.now
         self._enter_slow_start()
 
+    def unbind(self) -> None:
+        # The epoch hooks set above capture the host.
+        super().unbind()
+        self.rate_estimator.on_epoch = None
+        self.delay_estimator.on_epoch = None
+
     def _trace_state(self, prev: PropRateState) -> None:
         """Emit a ``cc.state`` event and record the dwell of ``prev``."""
         tr = self._tracer

@@ -214,6 +214,12 @@ class _LinkAudit:
 
             queue.drain_opportunity = _tap_drain
 
+    def close(self) -> None:
+        """Remove the queue taps (run end): each wraps a bound method
+        of the queue it is stored on, a loop through the queue."""
+        vars(self.queue).pop("pop", None)
+        vars(self.queue).pop("drain_opportunity", None)
+
     def fold(self, now: float) -> None:
         """Fold the per-packet accumulators into the windowed trackers.
 
@@ -340,6 +346,12 @@ class InvariantAuditor:
         audit = _FlowAudit(sender, receiver, data_link)
         self._flows.append(audit)
         return audit
+
+    def close(self) -> None:
+        """Detach from the finished run: remove every link's taps.  The
+        violations, sweep count and flight-recorder ring stay readable."""
+        for link in self._links:
+            link.close()
 
     # ------------------------------------------------------------------
     # Engine hook

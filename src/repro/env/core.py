@@ -212,6 +212,10 @@ class CcEnv:
         """Build a fresh simulation and return the initial observation."""
         if self._closed:
             raise RuntimeError("env is closed")
+        if self._harness is not None:
+            # The episode this reset abandons is freed now, not at the
+            # next full garbage collection.
+            self._harness.close()
         inner = self.inner_cc() if self.inner_cc is not None else None
         if inner is not None:
             self.adapter = policy_adapter(inner)
@@ -247,10 +251,13 @@ class CcEnv:
         return self._observe()
 
     def close(self) -> None:
-        """Release the tracer and profiler (those this env set up)."""
+        """Close the current episode's simulation and release the tracer
+        and profiler (those this env set up)."""
         if self._closed:
             return
         self._closed = True
+        if self._harness is not None:
+            self._harness.close()
         self._observers.close()
 
     # -- the step loop --------------------------------------------------

@@ -291,6 +291,14 @@ class ExperimentHarness:
     sender/attachment, start events, telemetry samplers) is the
     determinism-sensitive part: it fixes the event heap's insertion
     sequence.  Do not reorder it.
+
+    The built graph is full of reference cycles (pending events hold
+    bound methods of the objects that hold the simulator, links call
+    back into the path that owns them, sender and controller point at
+    each other).  :meth:`close` cuts them, so a finished run is freed
+    by reference counting instead of waiting for a full garbage
+    collection; :meth:`finalize` and every failure path call it
+    (DESIGN.md, "Run lifetime and memory").
     """
 
     def __init__(
@@ -314,7 +322,7 @@ class ExperimentHarness:
         self._tracer = tracer
         self._profiler = profiler
         self._results: Optional[List[FlowResult]] = None
-        self._samplers_stopped = False
+        self._closed = False
 
         self._wall_start = perf_counter() if tracer is not None else 0.0
         self.sim = Simulator()
@@ -428,45 +436,61 @@ class ExperimentHarness:
         the run duration).  Returns the simulator clock afterwards."""
         if self._results is not None:
             raise RuntimeError("harness already finalized")
+        if self._closed:
+            raise RuntimeError("harness closed")
         until = min(until, self.duration)
         try:
             self.sim.run(until=until)
-        except InvariantViolation:
-            self._stop_samplers()
-            raise
         except Exception as exc:
-            if self.auditor is not None:
-                self.auditor.record_exception(exc)
-            self._stop_samplers()
+            self._fail(exc)
             raise
         return self.sim.now
 
-    def _stop_samplers(self) -> None:
-        if self._samplers_stopped:
+    def _fail(self, exc: Exception) -> None:
+        """A run raised: dump the flight recorder for anything but an
+        invariant violation (which dumped its own), then close."""
+        if self.auditor is not None and not isinstance(exc, InvariantViolation):
+            self.auditor.record_exception(exc)
+        self.close()
+
+    def close(self) -> None:
+        """Cut the run graph's reference cycles.  Idempotent.
+
+        Each cut lives in the class that made the reference: the
+        simulator drops its pending events and audit ring, the path its
+        links' callbacks into it, each link its bound methods of itself,
+        each sender its controller's back-reference, the auditor its
+        queue taps, and each telemetry sampler its timer.  No event runs
+        afterwards; counters, collectors and senders stay readable.
+        """
+        if self._closed:
             return
-        self._samplers_stopped = True
+        self._closed = True
         for sampler in self._samplers:
             sampler.stop()
+        self.sim.close()
+        self.path.close()
+        for _spec, _name, _collector, sender in self._harnessed:
+            sender.close()
+        if self.auditor is not None:
+            self.auditor.close()
 
     def finalize(self) -> List[FlowResult]:
         """Run any remaining events, close out telemetry, and reduce
-        each flow to a :class:`FlowResult`.  Idempotent."""
+        each flow to a :class:`FlowResult`.  Idempotent; closes the
+        harness (:meth:`close`) as its last step."""
         if self._results is not None:
             return self._results
+        if self._closed:
+            raise RuntimeError("harness closed")
         sim, path, tracer = self.sim, self.path, self._tracer
         try:
-            try:
-                sim.run(until=self.duration)
-                if self.auditor is not None:
-                    self.auditor.final_check()
-            except InvariantViolation:
-                raise
-            except Exception as exc:
-                if self.auditor is not None:
-                    self.auditor.record_exception(exc)
-                raise
-        finally:
-            self._stop_samplers()
+            sim.run(until=self.duration)
+            if self.auditor is not None:
+                self.auditor.final_check()
+        except Exception as exc:
+            self._fail(exc)
+            raise
 
         snapshot: Optional[Dict[str, Any]] = None
         if tracer is not None:
@@ -550,6 +574,7 @@ class ExperimentHarness:
                 )
             )
         self._results = results
+        self.close()
         return results
 
 

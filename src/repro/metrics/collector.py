@@ -13,6 +13,11 @@ object per delivery: an append is five C-level stores with no Python
 frame and no boxed floats.  Arrivals come off the simulator clock, so
 the time column is nondecreasing and window bounds are found by
 bisection.
+
+Duplicate detection keeps the receiver's shape: every seq below a
+next-expected counter has arrived, and a set holds only the seqs that
+arrived above it (the reordering window).  Memory is bounded by the
+reordering, not by the length of the run.
 """
 
 from __future__ import annotations
@@ -42,11 +47,14 @@ class DeliveryCollector:
     """Accumulates delivery records for one flow.
 
     ``on_data`` must be fed nondecreasing arrival times (the receiver
-    passes the simulator clock).
+    passes the simulator clock) and non-negative seqs (segment indices).
     """
 
     def __init__(self) -> None:
-        self._seen: Set[int] = set()
+        #: Every seq below ``_next`` has arrived; ``_ahead`` holds the
+        #: seqs at or above it that have.
+        self._next = 0
+        self._ahead: Set[int] = set()
         self._time = array("d")
         self._seq = array("q")
         self._delay = array("d")
@@ -57,11 +65,20 @@ class DeliveryCollector:
     def on_data(self, packet: Packet, now: float) -> None:
         """Receiver hook: called for every arriving data packet."""
         seq = packet.seq
-        seen = self._seen
-        if seq in seen:
+        nxt = self._next
+        if seq == nxt:
+            nxt += 1
+            ahead = self._ahead
+            if ahead:
+                while nxt in ahead:
+                    ahead.remove(nxt)
+                    nxt += 1
+            self._next = nxt
+        elif seq < nxt or seq in self._ahead:
             self.duplicates += 1
             return
-        seen.add(seq)
+        else:
+            self._ahead.add(seq)
         self._time.append(now)
         self._seq.append(seq)
         self._delay.append(now - packet.sent_time)

@@ -84,8 +84,11 @@ class QueueSampler:
             tr.events += 1
 
     def stop(self) -> None:
+        # The timer's callback is a bound method of this sampler; drop
+        # the timer so the pair does not outlive the run as a loop.
         if self._timer is not None:
             self._timer.stop()
+            self._timer = None
 
     def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.times), np.asarray(self.lengths, dtype=float)

@@ -377,6 +377,21 @@ class Simulator:
             return True
         return False
 
+    def close(self) -> None:
+        """Drop every pending event and the audit ring (run end).
+
+        Pending callbacks are bound methods of the links, senders and
+        timers built on this simulator, which hold it in turn; an owner
+        that keeps its pending :class:`Event` closes a second loop.
+        Cancelling each entry and emptying the heap cuts both, so a
+        finished run is freed by reference counting.  The clock and the
+        counters stay readable.
+        """
+        for event in self._heap:
+            event[2] = None
+        self._heap.clear()
+        self.audit_ring = None
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

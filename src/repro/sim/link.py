@@ -65,6 +65,9 @@ class Link:
     def enqueue(self, packet: Packet) -> bool:  # pragma: no cover - interface
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Drop the references the link holds to itself (run end)."""
+
 
 class CellularLink(Link):
     """A trace-driven bottleneck: finite queue drained by trace opportunities.
@@ -112,11 +115,10 @@ class CellularLink(Link):
         self._outage_open = False
         schedule = trace.compiled()
         self._schedule = schedule
-        self._times = schedule.times
-        # Plain-float copy: scalar indexing and bisect on a Python list
-        # beat numpy scalar extraction on this per-packet path.  Shared
-        # across every link replaying the same trace.
-        self._times_list: List[float] = schedule.times_list
+        # Zero-copy view of the schedule: scalar reads on this
+        # per-packet path yield plain floats.  Shared across every link
+        # replaying the same trace.
+        self._times = schedule.times_view
         self._tsize = schedule.size
         self._period = schedule.period
         self._cycle = 0  # how many whole trace periods have elapsed
@@ -174,7 +176,7 @@ class CellularLink(Link):
         empty (they are wasted by definition; we count them lazily).
         """
         now = self.sim.now
-        times = self._times_list
+        times = self._times
         size = self._tsize
         schedule = self._schedule
         while True:
@@ -245,7 +247,7 @@ class CellularLink(Link):
         limit = sim.run_until
         drain = queue.drain_opportunity
         q_deque = queue._queue
-        times = self._times_list
+        times = self._times
         size = self._tsize
         period = self._period
         prop = self._prop_delay
@@ -416,6 +418,17 @@ class CellularLink(Link):
         if callback is not None:
             for p in group[1]:
                 callback(p)
+
+    def close(self) -> None:
+        """Drop the link's bound methods of itself (run end).
+
+        ``_serve_cb`` (and, under profiling, the wrapped ``_pump_fire``)
+        is an instance attribute holding a bound method of the link: a
+        loop that would keep a finished run alive until a full
+        collection.  The counters stay readable.
+        """
+        self._serve_cb = None
+        self.__dict__.pop("_pump_fire", None)
 
     # ------------------------------------------------------------------
     @property

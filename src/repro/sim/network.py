@@ -158,6 +158,20 @@ class DuplexPath:
         if sink is not None:
             sink(packet)
 
+    def close(self) -> None:
+        """Cut the path's loops through its links (run end).
+
+        Each link's ``on_deliver`` is a bound method of this path, and
+        each queue's ``on_drop`` closure captures it, while the path
+        holds both links.  Dropping the two back-references (and each
+        link's own, :meth:`Link.close`) leaves the graph acyclic.  The
+        drop counts stay readable.
+        """
+        for link in (self.forward_link, self.reverse_link):
+            link.on_deliver = None
+            link.queue.on_drop = None
+            link.close()
+
     # ------------------------------------------------------------------
     @property
     def min_rtt(self) -> float:

@@ -120,6 +120,11 @@ class CongestionControl:
         """Attach to a sender.  Called once before the connection starts."""
         self.host = host
 
+    def unbind(self) -> None:
+        """Detach from the sender (run end): drop every reference to it,
+        so the finished run holds no loop through the controller."""
+        self.host = None
+
     def on_connection_start(self) -> None:
         """Connection is about to send its first packet."""
 

@@ -69,6 +69,11 @@ class _Forwarding(CongestionControl):
         if self.inner is not None:
             self.inner.bind(host)
 
+    def unbind(self) -> None:
+        super().unbind()
+        if self.inner is not None:
+            self.inner.unbind()
+
     def on_connection_start(self) -> None:
         if self.inner is not None:
             self.inner.on_connection_start()

@@ -241,6 +241,18 @@ class TcpSender:
             self._app_poll_event.cancel()
             self._app_poll_event = None
 
+    def close(self) -> None:
+        """Cut the loops through this sender (run end).
+
+        The controller's ``host`` is this sender (``cc.unbind`` drops it
+        and whatever else the controller captured of it), and under
+        profiling ``on_ack_packet`` is an instance attribute wrapping a
+        bound method of the sender.  Counters, ``cc``, ``sim`` and
+        ``_on_sent`` stay readable.
+        """
+        self.cc.unbind()
+        self.__dict__.pop("on_ack_packet", None)
+
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------

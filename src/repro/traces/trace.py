@@ -12,7 +12,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,21 +24,23 @@ class CompiledSchedule:
     """A trace's opportunity schedule precompiled for the link hot path.
 
     Built once per :class:`Trace` (:meth:`Trace.compiled`) and shared by
-    every link and every run that replays the trace — links used to
-    convert the numpy array to a Python list *each*, which showed up as
-    a fixed per-run cost on the Table-4 profile.
+    every link and every run that replays the trace.
 
-    ``times_list`` is the plain-float copy links index and bisect on
-    (scalar indexing on a list beats numpy scalar extraction); ``times``
-    is the original float64 array kept for vectorized fast-forwards
-    (:meth:`first_at_or_after`).
+    ``times`` is the float64 array, searched for vectorized
+    fast-forwards (:meth:`first_at_or_after`).  ``times_view`` is a
+    zero-copy ``memoryview`` of the same buffer for the links' scalar
+    reads: indexing it yields a plain Python float, where numpy scalar
+    extraction is slower and yields ``np.float64``.  A list copy would
+    index faster but costs 32 bytes per opportunity beside the array's
+    eight (DESIGN.md, "Run lifetime and memory").  A ``memoryview``
+    does not pickle, so :class:`Trace` pickles without its schedule.
     """
 
-    __slots__ = ("times", "times_list", "size", "period")
+    __slots__ = ("times", "times_view", "size", "period")
 
     def __init__(self, times: np.ndarray, period: float) -> None:
         self.times = times
-        self.times_list: List[float] = times.tolist()
+        self.times_view = memoryview(times)
         self.size = int(times.size)
         self.period = float(period)
 
@@ -127,6 +129,13 @@ class Trace:
         #: trace by its compact spec instead of its opportunity array.
         self.source_spec = None
         self._compiled: Optional[CompiledSchedule] = None
+
+    def __getstate__(self) -> dict:
+        # The compiled schedule holds a memoryview, which cannot be
+        # pickled; it is rebuilt on first use.
+        state = self.__dict__.copy()
+        state["_compiled"] = None
+        return state
 
     def compiled(self) -> CompiledSchedule:
         """The cached :class:`CompiledSchedule` for this trace.

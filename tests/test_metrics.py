@@ -112,6 +112,58 @@ class TestCollectorMatchesReference:
                 assert fast.throughput(lo, hi) == ref.throughput(lo, hi)
 
 
+@st.composite
+def _tcp_arrivals(draw):
+    """A receiver's view of one flow: seqs 0..n-1, displaced by up to
+    eight places (reordering), some never arriving (holes above the
+    cumulative point), and some arriving again later (spurious and
+    late retransmissions, including ones below the cumulative point)."""
+    n = draw(st.integers(min_value=0, max_value=200))
+    order = list(range(n))
+    for _ in range(draw(st.integers(min_value=0, max_value=30)) if n > 1 else 0):
+        i = draw(st.integers(min_value=0, max_value=n - 2))
+        j = min(n - 1, i + draw(st.integers(min_value=1, max_value=8)))
+        order[i], order[j] = order[j], order[i]
+    lost = draw(st.sets(st.integers(min_value=0, max_value=max(n - 1, 0)),
+                        max_size=10))
+    order = [seq for seq in order if seq not in lost]
+    for _ in range(draw(st.integers(min_value=0, max_value=30)) if order else 0):
+        k = draw(st.integers(min_value=0, max_value=len(order) - 1))
+        at = draw(st.integers(min_value=k + 1, max_value=len(order)))
+        order.insert(at, order[k])
+    return order
+
+
+class TestCollectorReordering:
+    """Reordered and repeated arrivals against the reference, whose
+    duplicate check remembers every seq it has seen."""
+
+    @given(seqs=_tcp_arrivals())
+    @settings(max_examples=200, deadline=None)
+    def test_duplicates_and_records_match(self, seqs):
+        fast, ref = DeliveryCollector(), ReferenceCollector()
+        for i, seq in enumerate(seqs):
+            now = 1.0 + 0.001 * i
+            pkt = make_data_packet(flow_id=0, seq=seq, now=now - 0.05,
+                                   retransmit=seqs.index(seq) != i)
+            fast.on_data(pkt, now)
+            ref.on_data(pkt, now)
+        assert fast.records == ref.records
+        assert fast.duplicates == ref.duplicates
+        assert len(fast) == len(ref) == len(set(seqs))
+
+    def test_duplicate_state_bounded_by_the_reordering(self):
+        # Pairs swapped throughout a long run: at most one seq is ever
+        # held above the cumulative point, however long the run.
+        c = DeliveryCollector()
+        for base in range(0, 20000, 2):
+            for seq in (base + 1, base, base):
+                _deliver(c, seq, 0.0, 1.0)
+                assert len(c._ahead) <= 1
+        assert len(c) == 20000 and c.duplicates == 10000
+        assert not c._ahead
+
+
 class TestDelaySummary:
     def test_basic_statistics(self):
         s = delay_summary([0.01, 0.02, 0.03, 0.04, 0.05])
