@@ -35,6 +35,7 @@ from repro.experiments.registry import describe_all
 from repro.experiments.runner import run_single_flow
 from repro.fluid import fan_in_scenario, run_fluid
 from repro.fluid.scenarios import FAN_IN_MIXES
+from repro.obs.sink import trace_path
 from repro.traces.presets import (
     TABLE2_TARGETS,
     isp_trace,
@@ -111,8 +112,9 @@ def _run_options(args: argparse.Namespace, total: int = 0) -> RunOptions:
 
     A flag the subcommand lacks stays at its ``RunOptions`` default, and
     an on/off flag left off is ``None`` — "defer to ``REPRO_*``".
-    ``--sample``/``--profile`` with no tracer to serve them is a usage
-    error here, before any trace is loaded; ``total`` sizes the
+    ``--sample``/``--profile`` with no tracer to serve them, or a
+    ``--telemetry`` target that is not a file path, is a usage error
+    here, before any trace is loaded; ``total`` sizes the
     progress line of a batch command.
     """
     options = RunOptions(
@@ -129,6 +131,8 @@ def _run_options(args: argparse.Namespace, total: int = 0) -> RunOptions:
     )
     try:
         obs.require_tracer(options.telemetry, options.sampling, options.profile)
+        if options.telemetry is not None:
+            trace_path(options.telemetry)
     except ValueError as err:
         args.usage_error(str(err))
     return options
@@ -319,9 +323,9 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     try:
         events = analyze.read_trace(args.path)
         other = None if args.diff is None else analyze.read_trace(args.diff)
-    except ValueError as err:
-        # A malformed or truncated record (a killed writer leaves one):
-        # name the file and line, not a traceback.
+    except (FileNotFoundError, ValueError) as err:
+        # No trace at the path, or a malformed or truncated record (a
+        # killed writer leaves one): name the file, not a traceback.
         raise SystemExit(f"repro trace: {err}")
     if args.profile:
         table = analyze.profile_table(events)
@@ -341,20 +345,18 @@ def _cmd_watch(args: argparse.Namespace) -> None:
     # Lazy, like ``repro trace``: only the reading commands load the reader.
     from repro.obs.live import watch
 
-    if (args.path is None) == (args.connect is None):
-        raise SystemExit(
-            "repro watch: give a trace PATH or --connect host:port "
-            "(exactly one)")
-    watch(
-        args.path,
-        interval=args.interval,
-        frames=args.frames,
-        width=args.width,
-        height=args.height,
-        once=args.once,
-        clear=args.clear,
-        connect=args.connect,
-    )
+    try:
+        watch(
+            args.path,
+            interval=args.interval,
+            frames=args.frames,
+            width=args.width,
+            height=args.height,
+            once=args.once,
+            clear=args.clear,
+        )
+    except FileNotFoundError as err:
+        raise SystemExit(f"repro watch: {err}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -580,17 +582,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch = sub.add_parser(
         "watch",
         help="auto-refreshing ASCII dashboard following a live "
-        "--telemetry trace (works on in-progress parallel/grid/fluid "
-        "runs and across file rotation)",
+        "--telemetry trace file (works on in-progress parallel/grid/"
+        "fluid runs)",
     )
-    p_watch.add_argument("path", nargs="?", default=None,
+    p_watch.add_argument("path",
                          help="trace file a run is writing with "
                          "--telemetry (may not exist yet)")
-    p_watch.add_argument(
-        "--connect", default=None, metavar="HOST:PORT",
-        help="follow a run serving its trace over TCP "
-        "(--telemetry tcp://host:port) instead of tailing a file",
-    )
     p_watch.add_argument(
         "--interval", type=float, default=1.0, metavar="SECONDS",
         help="refresh interval (default 1.0)",

@@ -40,8 +40,8 @@ class RunOptions:
         violation raises after dumping a flight-recorder trace.  Worker
         processes inherit the environment switch.
     telemetry  (``--telemetry PATH``; ``None`` → ``REPRO_TELEMETRY``)
-        Trace target (:mod:`repro.obs`): a JSONL path or
-        ``tcp://host:port``.  For a batch this is the *merged* trace:
+        Trace target (:mod:`repro.obs`): a JSONL file path.  For a
+        batch this is the *merged* trace:
         each spec writes a worker part file (``<path>.partNNNN.jsonl``),
         the coordinator records ``sched.*`` events and folds the parts
         in, tagged ``"run": <index>``, under one ``scope="batch"``

@@ -419,9 +419,7 @@ class _BatchTelemetry:
         self.tracer.emit(kind, time.monotonic() - self._t0, **fields)
         # Scheduler events are rare; flushing each one lets a live
         # `repro watch` follower see batch progress as it happens.
-        flush = getattr(self.tracer.sink, "flush", None)
-        if flush is not None:
-            flush()
+        self.tracer.sink.flush()
 
     def finalize(self) -> None:
         """Merge worker parts, write the batch metrics record, close."""
@@ -429,24 +427,26 @@ class _BatchTelemetry:
         sink = self.tracer.sink
         for index in sorted(self._parts):
             prefix = '{"run":%d,' % index
-            for path in obs.iter_trace_files(self._parts[index]):
-                with open(path, encoding="utf-8") as fh:
-                    for line in fh:
-                        # An unterminated line is what a worker killed
-                        # mid-write (a timeout, an early close) leaves.
-                        if not (line.startswith("{") and line.endswith("\n")):
-                            continue
-                        line = line[:-1]
-                        if '"kind":"metrics"' in line:
-                            try:
-                                record = json.loads(line)
-                            except ValueError:
-                                record = {}
-                            snap = record.get("metrics")
-                            if isinstance(snap, dict):
-                                obs.merge_snapshots(totals, snap)
-                        sink.write_line(prefix + line[1:])
-                os.remove(path)
+            path = self._parts[index]
+            if not os.path.exists(path):
+                continue  # the spec never started (an early close)
+            with open(path, encoding="utf-8") as fh:
+                for line in fh:
+                    # An unterminated line is what a worker killed
+                    # mid-write (a timeout, an early close) leaves.
+                    if not (line.startswith("{") and line.endswith("\n")):
+                        continue
+                    line = line[:-1]
+                    if '"kind":"metrics"' in line:
+                        try:
+                            record = json.loads(line)
+                        except ValueError:
+                            record = {}
+                        snap = record.get("metrics")
+                        if isinstance(snap, dict):
+                            obs.merge_snapshots(totals, snap)
+                    sink.write_line(prefix + line[1:])
+            os.remove(path)
         metrics = self.tracer.metrics
         for name, value in self.counters.items():
             metrics.counter(f"batch.sched.{name}").add(value)

@@ -64,18 +64,7 @@ from repro.obs.sampling import (
     resolve_sampling,
     sampling_spec,
 )
-from repro.obs.net import (
-    SocketStreamSink,
-    TcpLineServer,
-    parse_tcp_target,
-)
-from repro.obs.sink import (
-    JsonlSink,
-    Sink,
-    StreamSink,
-    encode,
-    iter_trace_files,
-)
+from repro.obs.sink import JsonlSink, encode
 from repro.obs.tracer import (
     QUEUE_SAMPLE_INTERVAL,
     SAMPLE_ENV,
@@ -104,9 +93,7 @@ __all__ = [
     "SCHED_DISPATCH", "SCHED_OUTCOME", "SCHED_RETRY", "SCHED_TIMEOUT",
     "SCHED_WORKER_DEATH", "MetricsRegistry", "canonical_metrics",
     "flow_metrics_view", "merge_snapshots", "merge_value",
-    "JsonlSink", "Sink", "SocketStreamSink", "StreamSink",
-    "TcpLineServer", "parse_tcp_target",
-    "encode", "iter_trace_files", "QUEUE_SAMPLE_INTERVAL",
+    "JsonlSink", "encode", "QUEUE_SAMPLE_INTERVAL",
     "SAMPLE_ENV", "TELEMETRY_ENV", "Tracer", "activate", "close_scope",
     "current_tracer", "deactivate", "env_trace_path", "observing",
     "require_tracer", "resolve_tracer", "tracing",

@@ -25,7 +25,7 @@ from repro.obs.live import PACKET_BYTES, TraceFollower, TraceState, run_label
 
 
 def read_trace(path: str) -> List[Dict[str, Any]]:
-    """All records of a possibly-rotated trace, oldest first.
+    """All records of a trace and its part files, oldest first.
 
     One drain of :class:`~repro.obs.live.TraceFollower`: raises
     ``FileNotFoundError`` without a trace and

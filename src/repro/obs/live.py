@@ -5,21 +5,14 @@ Both trace tools — ``repro trace`` (:mod:`repro.obs.analyze`) and the
 same pieces:
 
 * :class:`TraceFollower` — incremental JSONL tailing of a trace that is
-  still being written.  State is keyed by inode, so a file that the
-  sink rotates away (``os.replace`` to ``<path>.1`` preserves the
-  inode) keeps its read offset and nothing is re-read or lost.  Worker
-  part files (``<base>.partNNNN.jsonl``, possibly themselves rotated)
-  are tailed as they appear, their records tagged with the spec index;
-  when the coordinator merges them back into the base trace the
-  follower skips the re-appearing copies, so every record is yielded
-  exactly once whether it was seen live or post-merge.
-  :meth:`TraceFollower.drain` reads a finished trace in one go; it is
-  what ``repro trace`` loads a trace with.
-* :class:`StreamFollower` — the same ``poll()`` contract over a TCP
-  connection to a run serving its trace with ``--telemetry
-  tcp://host:port`` (:mod:`repro.obs.net`).  Both followers split and
-  decode lines through one routine, so a file, a live part-file family
-  and a socket agree on what a record is; only the byte source differs.
+  still being written: the trace file plus the worker part files
+  (``<base>.partNNNN.jsonl``) of a batch in flight.  Read state is kept
+  per path.  Part files are tailed as they appear, their records tagged
+  with the spec index; when the coordinator merges them back into the
+  base trace the follower skips the re-appearing copies, so every
+  record is yielded exactly once whether it was seen live or
+  post-merge.  :meth:`TraceFollower.drain` reads a finished trace in
+  one go; it is what ``repro trace`` loads a trace with.
 * :class:`TraceState` — the fold of the record stream into everything
   either tool reads: run horizons and link rates, the queue sawtooth
   per link, the CC state curve, loss marks and NFL updates per flow,
@@ -38,7 +31,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import socket
 import sys
 import time
 from collections import Counter, defaultdict, deque
@@ -66,9 +58,8 @@ from repro.obs.events import (
     SCHED_WORKER_DEATH,
 )
 from repro.obs.registry import merge_snapshots
-from repro.obs.sink import iter_trace_files
 
-__all__ = ["TraceFollower", "StreamFollower", "TraceState", "watch"]
+__all__ = ["TraceFollower", "TraceState", "watch"]
 
 #: Retained samples per waveform in the live dashboard — enough for one
 #: screenful at any plausible width while keeping a 1000-flow fluid
@@ -104,7 +95,7 @@ def run_label(run: Any) -> str:
 # Readers
 # ----------------------------------------------------------------------
 class _LineSource:
-    """One byte source: read offset, held partial line, lines consumed."""
+    """One file's read state: offset, held partial line, lines consumed."""
 
     __slots__ = ("name", "offset", "tail", "lineno")
 
@@ -115,20 +106,37 @@ class _LineSource:
         self.lineno = 0
 
 
-class _Follower:
-    """The split-and-decode routine both transports share."""
+class TraceFollower:
+    """Incrementally read a live, possibly-parallel trace.
 
-    def __init__(self) -> None:
+    ``poll()`` returns the records appended since the previous poll,
+    oldest first.  Records read from worker part files carry a
+    ``"run"`` tag (the spec index from the filename), matching the
+    shape the coordinator's merge gives them, so downstream reductions
+    never care whether they saw the live part or the merged base.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = str(path)
         self.first_error: Optional[str] = None
+        # path -> read state for every file of the trace we have
+        # started reading.
+        self._sources: Dict[str, _LineSource] = {}
+        # run index -> records already yielded from that run's part
+        # file; the merged base re-contains exactly those lines (in the
+        # same per-run order), so this many run-tagged base records are
+        # skipped per run.
+        self._from_parts: Dict[int, int] = defaultdict(int)
+        self._skipped: Dict[int, int] = defaultdict(int)
 
     def _records(self, src: _LineSource, chunk: bytes,
-                 final: bool = False) -> List[Dict[str, Any]]:
+                 final: bool) -> List[Dict[str, Any]]:
         """The complete records ``chunk`` finishes.
 
         An unterminated last line is held in ``src`` for the next chunk,
         unless ``final`` says no more bytes are coming.  A line that is
         not a JSON object is skipped; the first one is reported in
-        :attr:`first_error` as ``"<source>:<line>: ..."``.
+        :attr:`first_error` as ``"<file>:<line>: ..."``.
         """
         lines = (src.tail + chunk).split(b"\n")
         src.tail = b"" if final else lines.pop()
@@ -150,45 +158,16 @@ class _Follower:
                                     f"trace record ({why})")
         return records
 
-
-class TraceFollower(_Follower):
-    """Incrementally read a live, rotating, possibly-parallel trace.
-
-    ``poll()`` returns the records appended since the previous poll,
-    oldest first.  Records read from worker part files carry a
-    ``"run"`` tag (the spec index from the filename), matching the
-    shape the coordinator's merge gives them, so downstream reductions
-    never care whether they saw the live part or the merged base.
-    """
-
-    def __init__(self, path: str) -> None:
-        super().__init__()
-        self.path = str(path)
-        # inode -> read state for every file of the trace family we
-        # have started reading.
-        self._sources: Dict[Tuple[int, int], _LineSource] = {}
-        # run index -> records already yielded from that run's part
-        # files; the merged base re-contains exactly those lines (in
-        # the same per-run order), so this many run-tagged base records
-        # are skipped per run.
-        self._from_parts: Dict[int, int] = defaultdict(int)
-        self._skipped: Dict[int, int] = defaultdict(int)
-
     def _read_new(self, fpath: str, final: bool) -> List[Dict[str, Any]]:
-        """Records appended to one file since the last read of its inode."""
+        """Records appended to one file since the last read of it."""
         try:
             fh = open(fpath, "rb")
         except OSError:
             return []
+        src = self._sources.get(fpath)
+        if src is None:
+            src = self._sources[fpath] = _LineSource(fpath)
         with fh:
-            try:
-                st = os.fstat(fh.fileno())
-            except OSError:
-                return []
-            key = (st.st_dev, st.st_ino)
-            src = self._sources.get(key)
-            if src is None:
-                src = self._sources[key] = _LineSource(fpath)
             fh.seek(src.offset)
             chunk = fh.read()
         src.offset += len(chunk)
@@ -198,27 +177,18 @@ class TraceFollower(_Follower):
         """Live worker part files next to the base trace, by run index."""
         parent = os.path.dirname(self.path) or "."
         base = os.path.basename(self.path)
-        found: Dict[int, str] = {}
         try:
             names = os.listdir(parent)
         except OSError:
             return []
+        found: List[Tuple[int, str]] = []
         for name in names:
             if not name.startswith(base + ".part"):
                 continue
             m = _PART_RE.search(name)
             if m is not None and name == f"{base}.part{int(m.group(1)):04d}.jsonl":
-                found[int(m.group(1))] = os.path.join(parent, name)
-            else:
-                # A rotated part segment (".jsonl.3"); register the run
-                # via its canonical live path so iter_trace_files finds
-                # the whole series even if the live file is mid-rotate.
-                m2 = re.search(r"\.part(\d+)\.jsonl\.\d+$", name)
-                if m2 is not None:
-                    run = int(m2.group(1))
-                    found.setdefault(
-                        run, os.path.join(parent, f"{base}.part{run:04d}.jsonl"))
-        return sorted(found.items())
+                found.append((int(m.group(1)), os.path.join(parent, name)))
+        return sorted(found)
 
     def poll(self, final: bool = False) -> List[Dict[str, Any]]:
         """New records; ``final`` also decodes unterminated last lines."""
@@ -227,22 +197,25 @@ class TraceFollower(_Follower):
         # Worker part files first: they hold the newest run-scoped
         # events while a batch is in flight.
         for run, part in self._part_paths():
-            for fpath in iter_trace_files(part):
-                for rec in self._read_new(fpath, final):
-                    rec.setdefault("run", run)
-                    self._from_parts[run] += 1
-                    records.append(rec)
-
-        # Then the base trace (rotations before the live file).
-        for fpath in iter_trace_files(self.path):
-            for rec in self._read_new(fpath, final):
-                run = rec.get("run")
-                if isinstance(run, int) and \
-                        self._skipped[run] < self._from_parts[run]:
-                    self._skipped[run] += 1  # merged copy of a seen record
-                    continue
+            for rec in self._read_new(part, final):
+                rec.setdefault("run", run)
+                self._from_parts[run] += 1
                 records.append(rec)
+
+        # Then the base trace.
+        for rec in self._read_new(self.path, final):
+            run = rec.get("run")
+            if isinstance(run, int) and \
+                    self._skipped[run] < self._from_parts[run]:
+                self._skipped[run] += 1  # merged copy of a seen record
+                continue
+            records.append(rec)
         return records
+
+    def require(self) -> None:
+        """Raise ``FileNotFoundError`` unless the trace file exists."""
+        if not os.path.exists(self.path):
+            raise FileNotFoundError(f"no trace found at {self.path}")
 
     def drain(self) -> List[Dict[str, Any]]:
         """Every record of a finished trace, oldest first.
@@ -251,81 +224,11 @@ class TraceFollower(_Follower):
         and ``ValueError("<file>:<line>: ...")`` at the first malformed
         or truncated record — what a killed writer leaves behind.
         """
-        if not iter_trace_files(self.path):
-            raise FileNotFoundError(f"no trace found at {self.path}")
+        self.require()
         records = self.poll(final=True)
         if self.first_error is not None:
             raise ValueError(self.first_error)
         return records
-
-
-class StreamFollower(_Follower):
-    """Incrementally read trace records from a TCP telemetry server.
-
-    ``poll()`` returns the records received since the previous poll,
-    oldest first — the same contract as :class:`TraceFollower`, so the
-    dashboard loop does not care which transport feeds it.  The
-    connection is dialled lazily and re-dialled on each poll until the
-    server appears, so ``repro watch --connect`` can be started before
-    the run it is watching.  When the server hangs up, :attr:`closed`
-    goes true and ``poll()`` returns nothing further.
-    """
-
-    def __init__(self, address: str, dial_timeout: float = 1.0) -> None:
-        super().__init__()
-        host, sep, port = str(address).rpartition(":")
-        try:
-            port_no = int(port)
-        except ValueError:
-            sep = ""
-        if not sep:
-            raise ValueError(
-                f"bad connect address {address!r}; expected host:port")
-        self.address: Tuple[str, int] = (host or "127.0.0.1", port_no)
-        self._dial_timeout = dial_timeout
-        self._sock: Optional[socket.socket] = None
-        self._src = _LineSource(f"{self.address[0]}:{port_no}")
-        self.closed = False
-
-    def _dial(self) -> bool:
-        try:
-            sock = socket.create_connection(
-                self.address, timeout=self._dial_timeout)
-        except OSError:
-            return False
-        sock.setblocking(False)
-        self._sock = sock
-        return True
-
-    def _hangup(self) -> None:
-        self.closed = True
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    def poll(self) -> List[Dict[str, Any]]:
-        if self.closed or (self._sock is None and not self._dial()):
-            return []
-        chunks: List[bytes] = []
-        assert self._sock is not None
-        while True:
-            try:
-                chunk = self._sock.recv(65536)
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError:
-                chunk = b""
-            if chunk == b"":
-                self._hangup()
-                break
-            chunks.append(chunk)
-        return self._records(self._src, b"".join(chunks))
-
-    def close(self) -> None:
-        self._hangup()
 
 
 # ----------------------------------------------------------------------
@@ -716,29 +619,27 @@ def _mark_lane(times: Iterable[float], t0: float, t1: float,
     return "".join(lane)
 
 
-def watch(path: Optional[str] = None, interval: float = 1.0,
+def watch(path: str, interval: float = 1.0,
           frames: Optional[int] = None,
           width: int = 100, height: int = 6, once: bool = False,
           out: Optional[TextIO] = None, clear: bool = True,
-          idle_exit: int = 3, connect: Optional[str] = None) -> str:
-    """Follow a trace and render the live dashboard until it completes.
+          idle_exit: int = 3) -> str:
+    """Follow a trace file and render the live dashboard until it completes.
 
-    The source is either a trace file (``path``, tailed through
-    :class:`TraceFollower`) or a run serving its trace over TCP
-    (``connect="host:port"``, via :class:`StreamFollower`); exactly one
-    must be given.  ``once`` drains whatever is available and renders a
-    single frame (the CI smoke mode).  Otherwise the dashboard
-    refreshes every ``interval`` seconds and exits on its own once the
-    trace reports completion — or the server hangs up — and
-    ``idle_exit`` consecutive polls saw no new records (or after
-    ``frames`` refreshes, if given).  Returns the final rendered frame.
+    The trace at ``path`` (and the part files of a batch in flight) is
+    tailed through :class:`TraceFollower`.  ``once`` drains whatever is
+    available and renders a single frame (the CI smoke mode); it raises
+    ``FileNotFoundError`` when there is no trace at ``path``.  Otherwise
+    the dashboard waits for the file to appear, refreshes every
+    ``interval`` seconds and exits on its own once the trace reports
+    completion and ``idle_exit`` consecutive polls saw no new records
+    (or after ``frames`` refreshes, if given).  Returns the final
+    rendered frame.
     """
-    if (path is None) == (connect is None):
-        raise ValueError("watch() needs exactly one of path or connect")
     stream = out if out is not None else sys.stdout
-    follower = StreamFollower(connect) if connect is not None \
-        else TraceFollower(path)  # type: ignore[arg-type]
-    source = connect if connect is not None else path
+    follower = TraceFollower(path)
+    if once:
+        follower.require()
     state = TraceState(WAVE_SAMPLES)
     frame = ""
     drawn = 0
@@ -746,11 +647,9 @@ def watch(path: Optional[str] = None, interval: float = 1.0,
     while True:
         fresh = state.ingest_all(follower.poll())
         idle = idle + 1 if fresh == 0 else 0
-        gone = getattr(follower, "closed", False)
-        status = (f"watch {source}  records {state.records}"
+        status = (f"watch {path}  records {state.records}"
                   f"  runs {len(state.last_t)}"
-                  f"{'  [complete]' if state.complete else ''}"
-                  f"{'  [disconnected]' if gone else ''}")
+                  f"{'  [complete]' if state.complete else ''}")
         frame = status + "\n" + state.render(width=width, height=height)
         if once:
             if fresh:
@@ -765,6 +664,6 @@ def watch(path: Optional[str] = None, interval: float = 1.0,
         drawn += 1
         if frames is not None and drawn >= frames:
             return frame
-        if (state.complete or gone) and idle >= idle_exit:
+        if state.complete and idle >= idle_exit:
             return frame
         time.sleep(interval)

@@ -48,6 +48,10 @@ PROTECTED_KINDS = frozenset({
 })
 
 
+#: Spec rule name -> :class:`KindBudget` keyword.
+_RULE_KEYWORDS = {"every": "every", "interval": "interval", "max": "max_events"}
+
+
 class KindBudget:
     """The sampling rules for one event kind (or the default).
 
@@ -64,7 +68,7 @@ class KindBudget:
                  max_events: Optional[int] = None) -> None:
         if every < 1:
             raise ValueError("every must be >= 1")
-        if interval < 0:
+        if not interval >= 0:  # also rejects NaN
             raise ValueError("interval must be >= 0")
         if max_events is not None and max_events < 0:
             raise ValueError("max must be >= 0")
@@ -189,30 +193,28 @@ class SamplingPolicy:
                 )
             kind, _, body = item.partition(":")
             kind = kind.strip()
+            if kind in rules:
+                raise ValueError(
+                    f"bad sampling item {item!r}: kind {kind!r} given twice"
+                )
             kwargs: Dict[str, Union[int, float]] = {}
-            for rule in body.split(","):
-                rule = rule.strip()
-                if not rule:
-                    continue
-                if "=" not in rule:
-                    kwargs["every"] = int(rule)
-                    continue
-                key, _, value = rule.partition("=")
-                key = key.strip()
-                if key == "every":
-                    kwargs["every"] = int(value)
-                elif key == "interval":
-                    kwargs["interval"] = float(value)
-                elif key == "max":
-                    kwargs["max_events"] = int(value)
-                else:
-                    raise ValueError(
-                        f"bad sampling rule {rule!r}: use every=, "
-                        f"interval=, or max="
-                    )
-            if not kwargs:
-                raise ValueError(f"empty sampling rules for kind {kind!r}")
-            rules[kind] = KindBudget(**kwargs)
+            try:
+                for rule in body.split(","):
+                    rule = rule.strip()
+                    if not rule:
+                        continue
+                    key, sep, value = rule.partition("=")
+                    key = key.strip() if sep else "every"
+                    if key not in _RULE_KEYWORDS:
+                        raise ValueError(f"bad sampling rule {rule!r}: use "
+                                         "every=, interval=, or max=")
+                    number = float if key == "interval" else int
+                    kwargs[_RULE_KEYWORDS[key]] = number(value if sep else rule)
+                if not kwargs:
+                    raise ValueError("empty sampling rules")
+                rules[kind] = KindBudget(**kwargs)
+            except ValueError as err:
+                raise ValueError(f"bad sampling item {item!r}: {err}") from None
         return cls(rules, spec=spec)
 
 

@@ -12,8 +12,7 @@ for hand-built simulations.
 
 Resolution order for a run (``resolve_tracer``):
 
-1. an explicit ``telemetry=`` argument (path, ``tcp://host:port`` to
-   serve the trace to ``repro watch --connect`` clients, or a
+1. an explicit ``telemetry=`` argument (a trace file path or a
    ``Tracer``);
 2. the already-active ambient tracer (nested runs share it);
 3. the ``REPRO_TELEMETRY`` environment variable: ``1``/``true`` writes
@@ -44,7 +43,7 @@ from repro.obs.prof import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampling import SamplingPolicy, resolve_sampling
-from repro.obs.sink import JsonlSink, Sink
+from repro.obs.sink import JsonlSink
 from repro.util.env import SAMPLE_ENV, TELEMETRY_ENV, env_flag
 
 #: Interval for the bottleneck-queue samplers attached by the runner.
@@ -53,23 +52,10 @@ QUEUE_SAMPLE_INTERVAL = 0.010
 _env_seq = itertools.count()
 
 
-def _open_sink(target: Union[str, Path]) -> Sink:
-    """Sink for a string target: a JSONL file, or — for
-    ``tcp://host:port`` — a broadcast server streaming the trace to
-    connected ``repro watch --connect`` clients."""
-    spec = str(target)
-    if spec.startswith("tcp://"):
-        from repro.obs.net import SocketStreamSink, parse_tcp_target
-
-        host, port = parse_tcp_target(spec)  # type: ignore[misc]
-        return SocketStreamSink(host, port)
-    return JsonlSink(spec)
-
-
 class Tracer:
     """Live telemetry handle: an event sink plus a metrics registry."""
 
-    def __init__(self, sink: Sink,
+    def __init__(self, sink: JsonlSink,
                  metrics: Optional[MetricsRegistry] = None,
                  sampling: Optional[SamplingPolicy] = None) -> None:
         self.sink = sink
@@ -166,7 +152,7 @@ def tracing(target: Union[str, Path, Tracer],
     """
     owned = not isinstance(target, Tracer)
     if owned:
-        tracer = Tracer(_open_sink(target),
+        tracer = Tracer(JsonlSink(target),
                         sampling=_effective_sampling(sampling))
     else:
         tracer = target
@@ -204,7 +190,7 @@ def resolve_tracer(telemetry: Union[str, Path, Tracer, None],
     if telemetry is not None:
         if isinstance(telemetry, Tracer):
             return telemetry, False
-        return Tracer(_open_sink(telemetry),
+        return Tracer(JsonlSink(telemetry),
                       sampling=_effective_sampling(sampling)), True
     ambient = current_tracer()
     if ambient is not None:

@@ -21,7 +21,7 @@ once ``produced(t) > i``.
 from __future__ import annotations
 
 import bisect
-from typing import Optional
+from typing import Iterable, Optional
 
 
 def _floor_segments(seconds: float, rate: float, segment_bytes: int) -> int:
@@ -166,7 +166,7 @@ class TraceApplication(Application):
     """Segments produced at explicit timestamps (e.g. a video encoder's
     frame schedule)."""
 
-    def __init__(self, production_times) -> None:
+    def __init__(self, production_times: Iterable[float]) -> None:
         times = sorted(float(t) for t in production_times)
         if times and times[0] < 0:
             raise ValueError("production times must be non-negative")

@@ -111,7 +111,6 @@ CLI_SURFACE = {
     },
     "watch": {
         (("path",), "_StoreAction", None),
-        (("--connect",), "_StoreAction", None),
         (("--interval",), "float", 1.0),
         (("--once",), "_StoreTrueAction", False),
         (("--frames",), "int", None),
@@ -259,5 +258,35 @@ class TestTraceSubcommand:
         assert "not allowed with argument" in capsys.readouterr().err
 
     def test_trace_missing_file_raises(self):
-        with pytest.raises(FileNotFoundError):
+        # The same exit as a malformed record: a message, not a traceback.
+        with pytest.raises(SystemExit) as exc_info:
             main(["trace", "/nonexistent/trace.jsonl"])
+        assert exc_info.value.code == \
+            "repro trace: no trace found at /nonexistent/trace.jsonl"
+
+
+class TestWatchSubcommand:
+    def test_path_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["watch"])
+        assert exc_info.value.code == 2
+        assert "path" in capsys.readouterr().err
+
+    def test_once_on_missing_trace_exits_1(self):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["watch", "/nonexistent/trace.jsonl", "--once"])
+        assert exc_info.value.code == \
+            "repro watch: no trace found at /nonexistent/trace.jsonl"
+
+
+class TestTelemetryTarget:
+    def test_url_target_is_a_usage_error(self, tmp_path, capsys,
+                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "PropRate", "--telemetry", "tcp://:9000"])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'tcp://:9000' is not a file path" in err
+        assert "repro watch PATH" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,6 @@
 """Tests for the :mod:`repro.obs` telemetry spine.
 
-Covers the three layers: the event sink (rotation, format), the metrics
+Covers the three layers: the event sink (format, target), the metrics
 registry (merge semantics, canonical views), and the run/batch plumbing
 (observer-only invariant, worker-part merging, the ``repro trace``
 CLI).
@@ -33,9 +33,8 @@ def _down(duration=30.0):
 
 def _read_jsonl(path):
     records = []
-    for fpath in obs.iter_trace_files(path):
-        with open(fpath, encoding="utf-8") as fh:
-            records.extend(json.loads(line) for line in fh if line.strip())
+    with open(path, encoding="utf-8") as fh:
+        records.extend(json.loads(line) for line in fh if line.strip())
     return records
 
 
@@ -51,22 +50,12 @@ class TestJsonlSink:
         assert records[0]["kind"] == "meta"
         assert records[0]["format"] == obs.FORMAT
 
-    def test_rotation_keeps_chronology(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        sink = obs.JsonlSink(path, rotate_bytes=200)
-        for i in range(50):
-            sink.write({"t": float(i), "kind": "x", "i": i})
-        sink.close()
-        assert sink.rotations >= 1
-        records = [r for r in _read_jsonl(path) if r["kind"] == "x"]
-        assert [r["i"] for r in records] == list(range(50))
-
     def test_unjsonable_values_degrade_to_repr(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
-        sink = obs.JsonlSink(path, header=False)
+        sink = obs.JsonlSink(path)
         sink.write({"t": 0.0, "kind": "x", "cb": object()})
         sink.close()
-        (record,) = _read_jsonl(path)
+        (_, record) = _read_jsonl(path)
         assert "object" in record["cb"]
 
     def test_close_idempotent(self, tmp_path):
@@ -74,59 +63,12 @@ class TestJsonlSink:
         sink.close()
         sink.close()
 
-    def test_part_files_not_rotations(self, tmp_path):
-        base = str(tmp_path / "t.jsonl")
-        obs.JsonlSink(base).close()
-        obs.JsonlSink(f"{base}.part0001.jsonl").close()
-        assert obs.iter_trace_files(base) == [base]
-
-    def test_record_exactly_at_rotation_limit(self, tmp_path):
-        # A write that lands exactly on rotate_bytes triggers rotation
-        # *after* the record is safely in the old segment: nothing is
-        # lost, split, or duplicated at the boundary.
-        path = str(tmp_path / "t.jsonl")
-        sink = obs.JsonlSink(path, rotate_bytes=100, header=False)
-        record = '{"pad":"%s"}' % ("y" * 89)  # 99 chars; +newline == limit
-        assert len(record) + 1 == 100
-        sink.write_line(record)
-        assert sink.rotations == 1
-        sink.write_line('{"after":1}')
-        sink.close()
-        files = obs.iter_trace_files(path)
-        assert files == [f"{path}.1", path]
-        assert _read_jsonl(path) == [{"pad": "y" * 89}, {"after": 1}]
-
-    def test_rotated_segments_carry_meta_headers(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        sink = obs.JsonlSink(path, rotate_bytes=200)
-        for i in range(50):
-            sink.write({"t": float(i), "kind": "x", "i": i})
-        sink.close()
-        assert sink.rotations >= 1
-        for fpath in obs.iter_trace_files(path):
-            with open(fpath, encoding="utf-8") as fh:
-                first = json.loads(fh.readline())
-            assert first["kind"] == "meta"
-        # Continuations are distinguishable from fresh traces.
-        with open(f"{path}.1", encoding="utf-8") as fh:
-            assert "rotation" not in json.loads(fh.readline())
-        with open(path, encoding="utf-8") as fh:
-            assert json.loads(fh.readline())["rotation"] == sink.rotations
-
-    def test_reopening_removes_stale_rotation_segments(self, tmp_path):
-        # A second run writing to the same path must not leave the
-        # first run's rotated segments to pollute readers.
-        path = str(tmp_path / "t.jsonl")
-        sink = obs.JsonlSink(path, rotate_bytes=200)
-        for i in range(50):
-            sink.write({"t": float(i), "kind": "x", "i": i})
-        sink.close()
-        assert len(obs.iter_trace_files(path)) > 1
-        fresh = obs.JsonlSink(path)
-        fresh.write({"t": 0.0, "kind": "x", "i": 99})
-        fresh.close()
-        assert obs.iter_trace_files(path) == [path]
-        assert [r["i"] for r in _read_jsonl(path) if r["kind"] == "x"] == [99]
+    def test_url_target_rejected_before_anything_is_created(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="repro watch PATH"):
+            obs.JsonlSink("tcp://127.0.0.1:9000")
+        assert os.listdir(tmp_path) == []
 
 
 # ----------------------------------------------------------------------
@@ -453,22 +395,30 @@ class TestBatchTelemetry:
         )
         assert [r.summary() for r in serial] == [r.summary() for r in parallel]
 
-    def test_rotated_part_files_merge_in_order(self, tmp_path):
-        # A worker whose part trace rotated still merges completely and
-        # chronologically into the batch trace, tagged with its run.
+    def test_url_target_fails_the_batch_before_any_spec_runs(
+            self, tmp_path, monkeypatch):
+        # Refused up front: no spec runs, and no "tcp:" directory is
+        # left behind.
+        monkeypatch.chdir(tmp_path)
+        seen = []
+        with pytest.raises(ValueError, match="not a file path"):
+            run_batch(self._specs(2), n_jobs=2, run_options=RunOptions(
+                telemetry="tcp://127.0.0.1:0", on_outcome=seen.append))
+        assert seen == []
+        assert os.listdir(tmp_path) == []
+
+    def test_part_never_created_is_skipped(self, tmp_path):
         from repro.experiments.parallel import _BatchTelemetry
 
         base = str(tmp_path / "batch.jsonl")
         bt = _BatchTelemetry(base)
-        part = obs.JsonlSink(bt.part(0), rotate_bytes=120)
-        for i in range(40):
-            part.write({"t": float(i), "kind": "x", "i": i})
+        bt.part(0)  # dispatched, but the spec never opened its trace
+        part = obs.JsonlSink(bt.part(1))
+        part.write({"t": 0.0, "kind": "x", "i": 1})
         part.close()
-        assert part.rotations >= 1
         bt.finalize()
-        records = [r for r in _read_jsonl(base) if r.get("kind") == "x"]
-        assert [r["i"] for r in records] == list(range(40))
-        assert all(r["run"] == 0 for r in records)
+        (record,) = [r for r in _read_jsonl(base) if r.get("kind") == "x"]
+        assert record["run"] == 1
         assert not [p for p in os.listdir(tmp_path) if ".part" in p]
 
     def test_spec_with_own_path_untouched(self, tmp_path):
