@@ -1,18 +1,9 @@
 """Build, cache and load the fluid step kernel (``step.c``).
 
 The kernel is compiled on first use — the first :func:`run_fluid` or
-bank call in a process, never at import — with the system C compiler,
-and loaded with :mod:`ctypes`.  The shared library is cached in the
-package's ``__pycache__`` under a name hashed from the C source, the
-compiler command and the machine, so an edited source can never load a
-stale build; it is written to a temporary name and renamed into place,
-so concurrent first runs each see either no library or a whole one.
-
-``-ffp-contract=off`` is part of the contract, not a tuning flag: the
-kernel reproduces the numpy step loop's rounding operation for
-operation, and a fused multiply-add (gcc emits them by default wherever
-the target has one, aarch64 for instance) rounds once where numpy rounds
-twice.
+bank call in a process, never at import — and loaded with
+:mod:`ctypes`; building and caching are :mod:`repro.util.cbuild`'s,
+shared with the packet tier's core.
 
 The structures below mirror ``step.c``'s field for field; every field
 is 8 bytes wide, so neither side pads.
@@ -21,20 +12,17 @@ is 8 bytes wide, so neither side pads.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import sysconfig
-import tempfile
 from pathlib import Path
 from typing import Any, Optional
 
 import numpy as np
 
+from repro.util import cbuild
+
 __all__ = ["Bank", "Cubic", "Fluid", "PropRate", "library", "pointer"]
 
 SOURCE = Path(__file__).with_name("step.c")
-COMPILER = "cc"
+COMPILER = cbuild.COMPILER
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 
@@ -104,44 +92,13 @@ def pointer(array: np.ndarray) -> int:
 
 def library_path(source: bytes) -> Path:
     """Where the library built from ``source`` is cached."""
-    key = hashlib.sha256(b"\0".join(
-        [source, COMPILER.encode(), *(flag.encode() for flag in FLAGS),
-         sysconfig.get_platform().encode()]
-    )).hexdigest()[:16]
-    return CACHE_DIR / f"fluidstep-{key}.so"
+    return cbuild.cached_path(CACHE_DIR, "fluidstep", source, FLAGS)
 
 
 def _build() -> Path:
     source = SOURCE.read_bytes()
-    target = library_path(source)
-    if target.exists():
-        return target
-    CACHE_DIR.mkdir(parents=True, exist_ok=True)
-    fd, scratch = tempfile.mkstemp(prefix=target.stem + ".", suffix=".tmp",
-                                   dir=CACHE_DIR)
-    os.close(fd)
-    # The source goes in on stdin, so what was hashed is what is built.
-    command = [COMPILER, *FLAGS, "-x", "c", "-o", scratch, "-"]
-    shown = " ".join(command)
-    try:
-        try:
-            done = subprocess.run(command, input=source, capture_output=True)
-        except OSError as exc:
-            raise RuntimeError(
-                f"the fluid tier builds a C kernel on first use and could "
-                f"not run the system C compiler: `{shown}`: {exc}"
-            ) from exc
-        if done.returncode != 0:
-            raise RuntimeError(
-                f"building the fluid step kernel failed: `{shown}` exited "
-                f"{done.returncode}:\n"
-                + done.stderr.decode(errors="replace")
-            )
-        os.replace(scratch, target)
-    finally:
-        if os.path.exists(scratch):
-            os.unlink(scratch)
-    return target
+    return cbuild.build(source, library_path(source), FLAGS,
+                        "the fluid step kernel")
 
 
 _library: Optional[ctypes.CDLL] = None

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sized, Tuple
 
 import numpy as np
 
-from repro.obs import QUEUE_SAMPLE, current_tracer
+from repro.obs import QUEUE_SAMPLE, Tracer, current_tracer
 from repro.sim.engine import PeriodicTimer, Simulator
 
 
@@ -37,11 +37,11 @@ class QueueSampler:
     def __init__(
         self,
         sim: Simulator,
-        queue,
+        queue: Sized,
         interval: float = 0.005,
         start: float = 0.0,
         name: str = "queue",
-        tracer=None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -93,7 +93,8 @@ class QueueSampler:
     def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.times), np.asarray(self.lengths, dtype=float)
 
-    def buffer_delays(self, service_rate: float, packet_bytes: int = 1500):
+    def buffer_delays(self, service_rate: float,
+                      packet_bytes: int = 1500) -> np.ndarray:
         """Queue occupancy converted to buffer delay (seconds)."""
         _, lengths = self.as_arrays()
         return lengths * packet_bytes / service_rate

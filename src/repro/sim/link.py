@@ -21,22 +21,27 @@ are served in one callback, draining the queue in slices
 groups of packets to a single self-re-arming delivery *pump* event.  The
 soundness argument, and the one-opportunity-per-event reference link the
 tests hold this engine to, are in DESIGN.md §9.
+
+The per-packet methods — ``enqueue``, ``_serve`` (with its delivery-group
+push) and ``_pump_fire`` — are C, on ``repro.sim._core.Cellular`` (DESIGN.md,
+"The packet core in C"); the Python they replaced is frozen in
+``tests/reference/link.py``.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.obs import (
     LINK_BATCH,
     LINK_HANDOVER,
     LINK_OUTAGE,
     LINK_RECOVER,
-    Tracer,
     current_profiler,
     current_tracer,
 )
+from repro.sim import _core
 from repro.sim.engine import Event, Simulator
 from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue
@@ -58,9 +63,16 @@ LINK_BATCH_EVENT_MIN = 8
 
 _INF = float("inf")
 
+_core.configure(opportunity_bytes=OPPORTUNITY_BYTES, outage_gap=OUTAGE_GAP,
+                batch_event_min=LINK_BATCH_EVENT_MIN)
+
 
 class Link:
     """Common interface: ``enqueue`` a packet, ``on_deliver`` fires later."""
+
+    # No instance layout of its own, so it combines with the C base of
+    # CellularLink.
+    __slots__ = ()
 
     def enqueue(self, packet: Packet) -> bool:  # pragma: no cover - interface
         raise NotImplementedError
@@ -69,7 +81,7 @@ class Link:
         """Drop the references the link holds to itself (run end)."""
 
 
-class CellularLink(Link):
+class CellularLink(_core.Cellular, Link):
     """A trace-driven bottleneck: finite queue drained by trace opportunities.
 
     Parameters
@@ -134,11 +146,12 @@ class CellularLink(Link):
             self._serve_cb = prof.wrap("link.serve", self._serve_cb)
             self._pump_fire = prof.wrap(  # type: ignore[method-assign]
                 "delivery.pump", self._pump_fire)
-        # Delivery pump: pending [time, packets] groups (time-ascending
-        # from _phead) drained by one self-re-arming event.
-        self._pending: List[Optional[list]] = []
+        # Delivery pump: pending [time, packets, seq] groups
+        # (time-ascending from _phead) drained by one self-re-arming
+        # event.
+        self._pending = []
         self._phead = 0
-        self._pump_event: Optional[Event] = None
+        self._pump_event = None
         self.delivered_packets = 0
         self.delivered_bytes = 0
         self.wasted_opportunities = 0
@@ -156,17 +169,6 @@ class CellularLink(Link):
         if tr is not None and value != old:
             tr.emit(LINK_HANDOVER, self.sim.now, link=self.name,
                     prop_delay=value, delta=value - old)
-
-    # ------------------------------------------------------------------
-    def enqueue(self, packet: Packet) -> bool:
-        """Offer a packet to the bottleneck buffer.
-
-        Returns False if the buffer dropped it.
-        """
-        accepted = self.queue.push(packet, self.sim.now)
-        if accepted and self._service_event is None:
-            self._arm_service()
-        return accepted
 
     # ------------------------------------------------------------------
     def _next_opportunity_time(self) -> float:
@@ -201,14 +203,11 @@ class CellularLink(Link):
 
     def _arm_service(self, reuse: Optional[Event] = None) -> None:
         t = self._next_opportunity_time()
-        tr = self._tracer
-        if tr is not None and not self._outage_open:
+        if self._tracer is not None and not self._outage_open:
             gap = t - self.sim.now
             if gap >= OUTAGE_GAP:
                 self._outage_open = True
-                tr.emit(LINK_OUTAGE, self.sim.now, link=self.name,
-                        gap=(gap if t != _INF else None),
-                        queued=len(self.queue))
+                self._emit_outage(gap if t != _INF else None)
         if t == _INF:
             self._service_event = None
             return
@@ -220,204 +219,21 @@ class CellularLink(Link):
             self._service_event = self.sim.schedule_at(t, self._serve_cb)
 
     # ------------------------------------------------------------------
-    def _serve(self) -> None:
-        """Serve the opportunity at ``now`` plus every later one that is
-        provably unobservable: strictly before the quiescence horizon
-        (the next event of any owner, this link's own pending and newly
-        scheduled deliveries included) and within the ``run(until)``
-        bound."""
-        sim = self.sim
-        fired = self._service_event
-        self._service_event = None
-        tr = self._tracer
-        queue = self.queue
-        if self._outage_open:
-            self._outage_open = False
-            if tr is not None:
-                tr.emit(LINK_RECOVER, sim.now, link=self.name,
-                        queued=len(queue))
+    # Telemetry, formatted here for the C service loop, which calls these
+    # only while a tracer is attached.
+    def _emit_recover(self) -> None:
+        self._tracer.emit(LINK_RECOVER, self.sim.now, link=self.name,
+                          queued=len(self.queue))
 
-        # Computed lazily — a batch that ends at its first opportunity
-        # (queue drained) never pays for the heap probe.
-        horizon = -_INF
-        t = sim.now
-        # The run(until) boundary is inclusive (events AT `until` fire),
-        # unlike the strictly-exclusive quiescence horizon; keep it as a
-        # separate `nt <= limit` test in the loop.
-        limit = sim.run_until
-        drain = queue.drain_opportunity
-        q_deque = queue._queue
-        times = self._times
-        size = self._tsize
-        period = self._period
-        prop = self._prop_delay
-        loop_trace = self.loop
-        deliver = self.on_deliver is not None
-        index = self._index
-        cycle = self._cycle
-        delivered_p = 0
-        delivered_b = 0
-        wasted = 0
-        opportunities = 0
-        first_t = t
-        group: Optional[list] = None
-        while True:
-            opportunities += 1
-            index += 1
-            pkts = drain(t, OPPORTUNITY_BYTES)
-            if pkts:
-                nbytes = 0
-                for p in pkts:
-                    nbytes += p.size
-                delivered_p += len(pkts)
-                delivered_b += nbytes
-                if deliver:
-                    due = t + prop
-                    if group is not None and group[0] == due:
-                        # Duplicate opportunity instant: nothing ran, so
-                        # nothing claimed a seq, since this batch opened
-                        # the group; one event delivers both slices.
-                        group[1] += pkts
-                    else:
-                        group = self._push_group(due, pkts)
-            else:
-                wasted += 1
-            if not q_deque:
-                # Idle: leave the service disarmed; the next enqueue
-                # re-arms and the lazy fast-forward accounts wasted
-                # opportunities.
-                break
-            # Replicate the per-event re-arm's float round-trip
-            # (_next_opportunity_time): its `local = now - base` carries
-            # the error of `base + times[i]` upward once cycle > 0, so any
-            # remaining *same-instant* duplicate opportunities compare
-            # below `local` and are wasted, not served.  A batch boundary
-            # must not change that, and ms-quantized traces depend on it.
-            local = t - cycle * period
-            while index < size and times[index] < local:
-                index += 1
-                wasted += 1
-            if index < size:
-                nt = cycle * period + times[index]
-            elif loop_trace:
-                cycle += 1
-                index = 0
-                nt = period * cycle + times[0]
-            else:
-                nt = _INF
-            if horizon == -_INF:
-                # The pump is not excluded: one of our own deliveries
-                # firing inside the window would let its consequences
-                # (an ACK served by the reverse link) claim heap seqs
-                # *after* groups this batch claimed up front, flipping
-                # exact-time ties (DESIGN.md §9).  The first_t + prop cap
-                # covers the groups this batch itself schedules.
-                horizon = sim.horizon_excluding(None)
-                bound = first_t + prop
-                if bound < horizon:
-                    horizon = bound
-            if nt < horizon and (limit is None or nt <= limit):
-                t = nt
-                continue
-            # Horizon reached: arm a plain service event at nt.
-            self._index = index
-            self._cycle = cycle
-            if tr is not None and not self._outage_open:
-                # Gap measured from the last opportunity actually served,
-                # where a one-opportunity-per-event link would emit it.
-                gap = nt - t
-                if gap >= OUTAGE_GAP:
-                    self._outage_open = True
-                    tr.emit(LINK_OUTAGE, sim.now, link=self.name,
-                            gap=(gap if nt != _INF else None),
-                            queued=len(queue))
-            if nt != _INF:
-                self._service_event = sim.reschedule_at(fired, nt) \
-                    if fired is not None else sim.schedule_at(nt, self._serve_cb)
-            self._finish_batch(tr, opportunities, delivered_p, delivered_b,
-                               wasted, t - first_t)
-            return
-        self._index = index
-        self._cycle = cycle
-        self._finish_batch(tr, opportunities, delivered_p, delivered_b,
-                           wasted, t - first_t)
+    def _emit_outage(self, gap: Optional[float]) -> None:
+        self._tracer.emit(LINK_OUTAGE, self.sim.now, link=self.name,
+                          gap=gap, queued=len(self.queue))
 
-    def _finish_batch(self, tr: Optional[Tracer], opportunities: int,
-                      delivered_p: int, delivered_b: int, wasted: int,
-                      span: float) -> None:
-        self.delivered_packets += delivered_p
-        self.delivered_bytes += delivered_b
-        self.wasted_opportunities += wasted
-        if opportunities > 1:
-            self.batches_drained += 1
-            self.batched_packets += delivered_p
-            if tr is not None and opportunities >= LINK_BATCH_EVENT_MIN:
-                tr.emit(LINK_BATCH, self.sim.now, link=self.name,
-                        opportunities=opportunities, packets=delivered_p,
-                        bytes=delivered_b, span=span)
-
-    def _push_group(self, time: float, pkts: List[Packet]) -> list:
-        """Add a delivery group, keeping ``_pending`` time-sorted and the
-        pump armed at the head group's time; returns the group.
-
-        Each group claims its heap seq *at creation* — the point where
-        a per-packet delivery event would have been scheduled — so
-        exact-time ties against other events break the same way wherever
-        the batch boundaries fall (see DESIGN.md §9).  Groups from
-        different serve events are never merged, even at one delivery
-        instant: another event due at that instant may have claimed a
-        seq between them.
-        """
-        sim = self.sim
-        pending = self._pending
-        phead = self._phead
-        group = [time, pkts, sim.claim_seq()]
-        if len(pending) > phead:
-            if time >= pending[-1][0]:
-                pending.append(group)
-                return group
-            # Rare: a handover shrank prop_delay while deliveries were
-            # in flight; insert in time order, after any equal slot.
-            i = len(pending) - 1
-            while i > phead and pending[i - 1][0] > time:
-                i -= 1
-            pending.insert(i, group)
-            if i == phead:
-                self._pump_event.cancel()
-                self._pump_event = sim.schedule_claimed(
-                    time, group[2], self._pump_fire)
-            return group
-        if pending:
-            pending.clear()
-        self._phead = 0
-        pending.append(group)
-        self._pump_event = sim.schedule_claimed(
-            time, group[2], self._pump_fire)
-        return group
-
-    def _pump_fire(self) -> None:
-        """Deliver the head group; re-arm for the next one."""
-        pending = self._pending
-        phead = self._phead
-        group = pending[phead]
-        pending[phead] = None
-        phead += 1
-        if phead >= len(pending):
-            pending.clear()
-            self._phead = 0
-            self._pump_event = None
-        else:
-            if phead >= 64 and phead * 2 >= len(pending):
-                del pending[:phead]
-                phead = 0
-            self._phead = phead
-            nxt = pending[phead]
-            self._pump_event = self.sim.requeue_claimed(
-                self._pump_event, nxt[0], nxt[2])
-        callback = self.on_deliver
-        if callback is not None:
-            for p in group[1]:
-                callback(p)
+    def _emit_batch(self, opportunities: int, packets: int, nbytes: int,
+                    span: float) -> None:
+        self._tracer.emit(LINK_BATCH, self.sim.now, link=self.name,
+                          opportunities=opportunities, packets=packets,
+                          bytes=nbytes, span=span)
 
     def close(self) -> None:
         """Drop the link's bound methods of itself (run end).

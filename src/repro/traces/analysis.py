@@ -12,7 +12,7 @@ their own captures before replaying them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -99,7 +99,8 @@ def outage_stats(trace: Trace, window: float = 0.1) -> OutageStats:
 
 
 def rate_percentiles(
-    trace: Trace, percentiles=(5, 25, 50, 75, 95), window: float = 0.1
+    trace: Trace, percentiles: Sequence[float] = (5, 25, 50, 75, 95),
+    window: float = 0.1,
 ) -> dict:
     """Windowed-throughput distribution percentiles (bytes/second)."""
     _, series = trace.throughput_series(window)

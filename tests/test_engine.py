@@ -1,8 +1,15 @@
 """Unit tests for the discrete-event engine."""
 
+import math
+import sysconfig
+from pathlib import Path
+
 import pytest
 
+import repro.sim.engine
+from repro.sim import _core
 from repro.sim.engine import Event, PeriodicTimer, Simulator
+from repro.util import cbuild
 
 
 class TestScheduling:
@@ -55,6 +62,64 @@ class TestScheduling:
         sim.schedule(1.0, outer)
         sim.run()
         assert order == ["outer", "inner"]
+
+
+NAN = float("nan")
+
+
+class TestNaNTimes:
+    """A NaN time passes a ``time < now`` check; every entry point must
+    reject it, or the loop runs it and ``now`` becomes NaN, after which
+    every past-time check passes too."""
+
+    @pytest.mark.parametrize("schedule", [
+        lambda sim, cb: sim.schedule(NAN, cb),
+        lambda sim, cb: sim.schedule_at(NAN, cb),
+        lambda sim, cb: sim.schedule_claimed(NAN, sim.claim_seq(), cb),
+    ], ids=["schedule", "schedule_at", "schedule_claimed"])
+    def test_scheduling_rejects_nan(self, schedule):
+        sim = Simulator()
+        seen = []
+        sim.schedule_at(2.0, lambda: seen.append(sim.now))
+        sim.schedule_at(3.0, lambda: seen.append(sim.now))
+        with pytest.raises(ValueError, match="NaN time: nan"):
+            schedule(sim, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [2.0, 3.0]
+        assert sim.now == 3.0 and sim.pending_events == 0
+
+    @pytest.mark.parametrize("rearm", [
+        lambda sim, event: sim.reschedule(event, NAN),
+        lambda sim, event: sim.reschedule_at(event, NAN),
+        lambda sim, event: sim.requeue_claimed(event, NAN, sim.claim_seq()),
+    ], ids=["reschedule", "reschedule_at", "requeue_claimed"])
+    def test_rearming_rejects_nan(self, rearm):
+        sim = Simulator()
+        errors, fired = [], []
+
+        def fire():
+            fired.append(sim.now)
+            if len(fired) > 1:
+                return  # the NaN entry ran
+            try:
+                rearm(sim, event)
+            except ValueError as exc:
+                errors.append(str(exc))
+
+        event = sim.schedule_at(1.0, fire)
+        sim.run()
+        assert fired == [1.0]
+        assert len(errors) == 1 and "NaN time: nan" in errors[0]
+        assert sim.now == 1.0 and sim.pending_events == 0
+        assert sim.events_processed == 1
+
+    def test_past_time_keeps_its_message(self):
+        sim = Simulator()
+        sim.run(until=1.0)
+        with pytest.raises(ValueError,
+                           match=r"cannot schedule in the past: 0.5 < now=1.0"):
+            sim.schedule_at(0.5, lambda: None)
+        assert not math.isnan(sim.now)
 
 
 class TestRunUntil:
@@ -186,3 +251,30 @@ class TestPeriodicTimer:
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError):
             PeriodicTimer(Simulator(), 0.0, lambda: None)
+
+
+class TestCoreBuild:
+    """The C core is built once per source, compiler command and Python
+    ABI, and cached beside the package."""
+
+    def test_loaded_from_the_cache_for_this_interpreter(self):
+        built = Path(_core.__file__)
+        package = Path(repro.sim.engine.__file__).parent
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        assert built == cbuild.cached_path(
+            package / "__pycache__", "core",
+            (package / "_core.c").read_bytes(), cbuild.EXTENSION_FLAGS,
+            suffix, extra=(suffix,))
+        assert isinstance(Simulator(), _core.Engine)
+
+    def test_cache_key_covers_the_abi_and_the_include_directory(self):
+        def key(include, suffix):
+            return cbuild.cached_path(Path("cache"), "core", b"source",
+                                      ("-O2", "-I" + include), suffix,
+                                      extra=(suffix,))
+
+        names = {key("/py310", ".cpython-310-x86_64-linux-gnu.so"),
+                 key("/py311", ".cpython-310-x86_64-linux-gnu.so"),
+                 key("/py310", ".cpython-311-x86_64-linux-gnu.so")}
+        assert len(names) == 3
+

@@ -130,3 +130,33 @@ class TestRegistry:
         text = describe_all()
         for exp in EXPERIMENTS.values():
             assert exp.id in text
+
+
+RESULTS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+
+#: Committed results tables whose rows are the full ``paper_algorithms()``
+#: line-up, one row per name in table order.
+LINEUP_TABLES = ("fig7a_stationary.txt", "fig7a_stationary.csv",
+                 "fig7b_mobile.txt", "fig7b_mobile.csv", "fig8_sprint.txt",
+                 "fig11_lte.txt", "fig14_uplink.txt")
+
+
+class TestCommittedResults:
+    """A results file regenerated after the line-up grew must be
+    committed with the new rows (the benchmarks rewrite these files, but
+    only CI's figure runs would notice a stale one)."""
+
+    @pytest.mark.parametrize("name", LINEUP_TABLES)
+    def test_table_has_a_row_per_algorithm(self, name):
+        lines = (RESULTS / name).read_text().splitlines()
+        if name.endswith(".csv"):
+            rows = [line.split(",")[0] for line in lines[1:]]
+        else:
+            rows = [line.split()[0] for line in lines if line.strip()]
+        assert rows == list(paper_algorithms())
+
+    def test_table3_has_a_row_per_algorithm(self):
+        lines = (RESULTS / "table3_taxonomy.txt").read_text().splitlines()
+        rows = [line.split()[0] for line in lines[1:] if line.strip()]
+        assert rows == [factory().name
+                        for factory in paper_algorithms().values()]
