@@ -267,13 +267,15 @@ def test_run_until_in_slices(traces):
     assert sliced["summaries"] == _single(traces, "PR(M)")()["summaries"]
 
 
-def _non_looping(sim_cls, link_cls):
-    """Bursts into a link whose trace ends mid-run and does not loop."""
+def _non_looping(sim_cls, link_cls, deliver):
+    """Bursts into a link whose trace ends mid-run and does not loop;
+    without a receiver, only the first_t + prop cap bounds a batch."""
     sim = sim_cls()
     arrivals = []
     link = link_cls(sim, quantized_outage_trace(), DropTailQueue(400),
                     loop=False,
-                    on_deliver=lambda p: arrivals.append((sim.now, p.seq)))
+                    on_deliver=(lambda p: arrivals.append((sim.now, p.seq)))
+                    if deliver else None)
     seqs = iter(range(10 ** 6))
 
     def burst():
@@ -289,7 +291,10 @@ def _non_looping(sim_cls, link_cls):
             _link_counters(link), len(link.queue))
 
 
-def test_non_looping_trace():
-    fast = _non_looping(Simulator, CellularLink)
-    assert fast == _non_looping(ReferenceSimulator, ReferenceCellularLink)
+@pytest.mark.parametrize("deliver", [True, False],
+                         ids=["receiver", "no-receiver"])
+def test_non_looping_trace(deliver):
+    fast = _non_looping(Simulator, CellularLink, deliver)
+    assert fast == _non_looping(ReferenceSimulator, ReferenceCellularLink,
+                                deliver)
     assert fast[-1] > 0  # packets left queued once the trace ran out
