@@ -84,10 +84,14 @@ def build(source: bytes, target: Path, flags: Sequence[str],
     return target
 
 
-#: Compile flags for an extension module against this interpreter.
-EXTENSION_FLAGS = ("-O2", "-shared", "-fPIC", "-fno-strict-aliasing",
-                   "-ffp-contract=off",
-                   "-I" + sysconfig.get_paths()["include"])
+#: Compile flags for an extension module against this interpreter.  The
+#: module resolves the interpreter's symbols when it is loaded, which
+#: macOS's linker must be told.
+EXTENSION_FLAGS = (("-O2", "-shared", "-fPIC", "-fno-strict-aliasing",
+                    "-ffp-contract=off",
+                    "-I" + sysconfig.get_paths()["include"])
+                   + (("-undefined", "dynamic_lookup")
+                      if sys.platform == "darwin" else ()))
 
 
 def load_extension(name: str, source_path: Path) -> ModuleType:
