@@ -57,11 +57,11 @@ def build(source: bytes, target: Path, flags: Sequence[str],
     if target.exists():
         return target
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, scratch = tempfile.mkstemp(prefix=target.stem + ".", suffix=".tmp",
+    fd, staging = tempfile.mkstemp(prefix=target.stem + ".", suffix=".tmp",
                                    dir=target.parent)
     os.close(fd)
     # The source goes in on stdin, so what was hashed is what is built.
-    command = [COMPILER, *flags, "-x", "c", "-o", scratch, "-"]
+    command = [COMPILER, *flags, "-x", "c", "-o", staging, "-"]
     shown = " ".join(command)
     try:
         try:
@@ -77,10 +77,10 @@ def build(source: bytes, target: Path, flags: Sequence[str],
                 f"{done.returncode}:\n"
                 + done.stderr.decode(errors="replace")
             )
-        os.replace(scratch, target)
+        os.replace(staging, target)
     finally:
-        if os.path.exists(scratch):
-            os.unlink(scratch)
+        if os.path.exists(staging):
+            os.unlink(staging)
     return target
 
 
