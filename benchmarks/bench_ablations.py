@@ -18,6 +18,7 @@ against its alternative on the same traces:
 """
 
 from repro.core.adaptive import AdaptivePropRate
+from repro.core.estimators import MaxFilterRateEstimator, ReceiveRateEstimator
 from repro.core.proprate import PropRate
 from repro.experiments.runner import (
     FlowSpec,
@@ -43,12 +44,13 @@ def test_ablation_bandwidth_filter(benchmark):
     down, up = _traces()
 
     def _run():
+        estimators = {"ewma": ReceiveRateEstimator, "max": MaxFilterRateEstimator}
         return {
             bf: run_single_flow(
-                lambda b=bf: PropRate(0.040, bandwidth_filter=b),
+                lambda e=est: PropRate(0.040, rate_estimator=e),
                 down, up, duration=DURATION, measure_start=MEASURE_START,
             )
-            for bf in ("ewma", "max")
+            for bf, est in estimators.items()
         }
 
     results = benchmark.pedantic(_run, rounds=1, iterations=1)

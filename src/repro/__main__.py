@@ -23,14 +23,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Optional, Sequence, TextIO, Tuple
 
 import repro.obs as obs
 from repro.core.adaptive import AdaptivePropRate
 from repro.core.proprate import PropRate
-from repro.experiments.algorithms import paper_algorithms, run_shootout
+from repro.experiments.algorithms import CcFactory, paper_algorithms, run_shootout
 from repro.experiments.frontier import sweep_frontier
-from repro.experiments.options import RunOptions
+from repro.experiments.options import OutcomeCallback, RunOptions
+from repro.experiments.parallel import RunOutcome
 from repro.experiments.registry import describe_all
 from repro.experiments.runner import run_single_flow
 from repro.fluid import fan_in_scenario, run_fluid
@@ -42,13 +43,17 @@ from repro.traces.presets import (
     lte_validation_trace,
     sprint_like_trace,
 )
+from repro.traces.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.env import Policy
 
 TRACE_CHOICES = [
     f"{isp}-{mode}" for isp, mode in sorted(TABLE2_TARGETS)
 ] + ["sprint", "lte-validation"]
 
 
-def _load_traces(label: str):
+def _load_traces(label: str) -> Tuple[Trace, Optional[Trace]]:
     if label == "sprint":
         return sprint_like_trace(duration=120.0), None
     if label == "lte-validation":
@@ -63,7 +68,7 @@ def _load_traces(label: str):
     )
 
 
-def _algorithm_factory(name: str, target_ms: Optional[float]):
+def _algorithm_factory(name: str, target_ms: Optional[float]) -> CcFactory:
     if name.lower() == "proprate":
         target = (target_ms or 40.0) / 1000.0
         return lambda: PropRate(target_buffer_delay=target)
@@ -79,7 +84,7 @@ def _algorithm_factory(name: str, target_ms: Optional[float]):
     )
 
 
-def _progress_printer(total: int, stream=None) -> Callable:
+def _progress_printer(total: int, stream: Optional[TextIO] = None) -> OutcomeCallback:
     """A ``done/total + ETA`` line, redrawn as each outcome lands.
 
     The returned callback plugs into the batch layer's ``on_outcome``
@@ -91,7 +96,7 @@ def _progress_printer(total: int, stream=None) -> Callable:
     start = time.monotonic()
     done = [0]
 
-    def on_outcome(outcome) -> None:
+    def on_outcome(outcome: RunOutcome) -> None:
         done[0] += 1
         elapsed = time.monotonic() - start
         eta = elapsed / done[0] * (total - done[0])
@@ -241,7 +246,7 @@ def _cmd_fluid(args: argparse.Namespace) -> None:
         print(f"\nwrote {path}")
 
 
-def _build_env_policy(spec: str):
+def _build_env_policy(spec: str) -> Policy:
     # Lazy: keep repro.env off the import path of the other commands.
     from repro.env import AdaptiveTargetPolicy, ConstantRatePolicy, NativePolicy
 
@@ -612,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> None:
+def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = build_parser()
     args = parser.parse_args(
         argv, namespace=argparse.Namespace(usage_error=parser.error))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional, Tuple
 
-from repro.util.windows import Ewma, SlidingWindowMin
+from repro.util.windows import Ewma, SlidingWindowMin, WindowedMax
 
 #: Sliding-window sizing for the rate estimator (paper §4.2, following
 #: the measurement study it cites: 50 bursts, at most 500 ms).
@@ -35,10 +35,11 @@ RATE_WINDOW_MAX_SPAN = 0.500
 RATE_WINDOW_MIN_SPAN = 0.0
 
 #: How far back the RD_min baseline looks.  The paper says "the recent
-#: past"; the Monitor state resets it explicitly when conditions change.
-#: The window must comfortably exceed buffer-full occupancy periods —
-#: with a short window the baseline absorbs the standing queue (RD_min
-#: drifts up to RD_min + D_min) and the buffer delay is systematically
+#: past"; a PropRate with another window takes
+#: ``delay_estimator=partial(BufferDelayEstimator, window=...)``.  The
+#: window must comfortably exceed buffer-full occupancy periods — with a
+#: short window the baseline absorbs the standing queue (RD_min drifts
+#: up to RD_min + D_min) and the buffer delay is systematically
 #: under-estimated, destabilising the feedback loop.
 DEFAULT_RDMIN_WINDOW = 60.0
 
@@ -56,8 +57,8 @@ class ReceiveRateEstimator:
     """
 
     #: Optional epoch callback (set by telemetry when tracing is
-    #: active): called with a label ("rate-reset" / "rate-reset-keep")
-    #: whenever the measurement window restarts.
+    #: active): called with "rate-reset" whenever the measurement
+    #: window restarts.
     on_epoch = None
 
     def __init__(
@@ -140,19 +141,14 @@ class ReceiveRateEstimator:
     def distinct_timestamps(self) -> int:
         return len(self._samples)
 
-    def reset(self, keep_rate: bool = False) -> None:
-        """Start a fresh measurement (Monitor state / Slow Start).
-
-        ``keep_rate`` preserves the EWMA so the fresh window refines it
-        rather than starting cold.
-        """
+    def reset(self) -> None:
+        """Start a fresh measurement, EWMA included (Monitor / Slow Start)."""
         self._samples.clear()
         self.instantaneous_rate = None
-        if not keep_rate:
-            self._ewma.reset()
+        self._ewma.reset()
         cb = self.on_epoch
         if cb is not None:
-            cb("rate-reset-keep" if keep_rate else "rate-reset")
+            cb("rate-reset")
 
 
 class BufferDelayEstimator:
@@ -160,9 +156,9 @@ class BufferDelayEstimator:
 
     ``RD = tr − ts`` mixes the (unknown) clock offset with propagation
     delay; both cancel in ``t_buff = RD − RD_min`` as long as the
-    baseline ``RD_min`` reflects an empty buffer sometime in the recent
-    past.  The Monitor state calls :meth:`rebase` when the underlying
-    one-way delay shifts (handover, signal change).
+    baseline ``RD_min`` reflects an empty buffer sometime in the last
+    ``window`` seconds.  Nothing resets the baseline: a one-way delay
+    shift (handover, signal change) ages out of it with the window.
 
     The receiver's 10 ms timestamp quantisation puts ±granularity noise
     on every RD sample; ``tbuff_smooth`` (a light EWMA of the raw
@@ -172,17 +168,10 @@ class BufferDelayEstimator:
 
     SMOOTH_ALPHA = 0.25
 
-    #: Optional epoch callback (set by telemetry when tracing is
-    #: active): called with "rdmin-rebase" / "rdmin-reset".
-    on_epoch = None
-
     def __init__(self, window: float = DEFAULT_RDMIN_WINDOW) -> None:
         self._min_filter = SlidingWindowMin(window)
         self._smooth = Ewma(self.SMOOTH_ALPHA)
-        self.last_rd: Optional[float] = None
-        self.last_time: Optional[float] = None
         self.tbuff: Optional[float] = None
-        self.samples = 0
 
     @property
     def tbuff_smooth(self) -> Optional[float]:
@@ -190,9 +179,6 @@ class BufferDelayEstimator:
 
     def on_ack(self, now: float, relative_one_way_delay: float) -> float:
         """Fold one RD sample; returns the updated t_buff estimate."""
-        self.samples += 1
-        self.last_rd = relative_one_way_delay
-        self.last_time = now
         rd_min = self._min_filter.update(now, relative_one_way_delay)
         self.tbuff = max(0.0, relative_one_way_delay - rd_min)
         self._smooth.update(self.tbuff)
@@ -201,31 +187,6 @@ class BufferDelayEstimator:
     @property
     def rd_min(self) -> Optional[float]:
         return self._min_filter.current()
-
-    def rebase(self) -> None:
-        """Forget the RD_min history (network conditions changed)."""
-        self._min_filter.reset()
-        self._smooth.reset()
-        if self.last_rd is not None:
-            # Seed with the latest observation so rd_min is defined
-            # immediately and the current t_buff reads 0 relative to
-            # the new baseline until better (lower-RD) data arrives.
-            self._min_filter.update(self.last_time, self.last_rd)
-            self.tbuff = 0.0
-        cb = self.on_epoch
-        if cb is not None:
-            cb("rdmin-rebase")
-
-    def reset(self) -> None:
-        self._min_filter.reset()
-        self._smooth.reset()
-        self.last_rd = None
-        self.last_time = None
-        self.tbuff = None
-        self.samples = 0
-        cb = self.on_epoch
-        if cb is not None:
-            cb("rdmin-reset")
 
 
 class MaxFilterRateEstimator(ReceiveRateEstimator):
@@ -236,7 +197,8 @@ class MaxFilterRateEstimator(ReceiveRateEstimator):
     available bandwidth because cellular networks are highly volatile",
     which is why PropRate smooths with an EWMA instead.  This estimator
     exists to ablate that design choice: drop it into PropRate via
-    ``bandwidth_filter="max"`` and compare (benchmarks/bench_ablations).
+    ``rate_estimator=MaxFilterRateEstimator`` and compare
+    (benchmarks/bench_ablations).
     """
 
     def __init__(
@@ -246,8 +208,6 @@ class MaxFilterRateEstimator(ReceiveRateEstimator):
         filter_window: float = 2.0,
     ) -> None:
         super().__init__(window_timestamps=window_timestamps, max_span=max_span)
-        from repro.util.windows import WindowedMax
-
         self._max_filter = WindowedMax(filter_window)
         self._last_ts: Optional[float] = None
 
@@ -265,11 +225,10 @@ class MaxFilterRateEstimator(ReceiveRateEstimator):
     def has_estimate(self) -> bool:
         return self.rate is not None
 
-    def reset(self, keep_rate: bool = False) -> None:
-        super().reset(keep_rate=keep_rate)
-        if not keep_rate:
-            self._max_filter.reset()
-            # The timestamp must fall with the filter: a stale _last_ts
-            # would expire fresh post-reset samples against the previous
-            # measurement epoch's clock.
-            self._last_ts = None
+    def reset(self) -> None:
+        super().reset()
+        self._max_filter.reset()
+        # The timestamp must fall with the filter: a stale _last_ts would
+        # expire fresh post-reset samples against the previous
+        # measurement epoch's clock.
+        self._last_ts = None

@@ -45,14 +45,9 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.core.estimators import (
-    BufferDelayEstimator,
-    MaxFilterRateEstimator,
-    ReceiveRateEstimator,
-    DEFAULT_RDMIN_WINDOW,
-)
+from repro.core.estimators import BufferDelayEstimator, ReceiveRateEstimator
 from repro.core.feedback import ThresholdFeedbackLoop
 from repro.core.model import (
     DEFAULT_LMAX_HEADROOM,
@@ -99,11 +94,11 @@ class PropRate(RateCongestionControl):
         reproduces the paper's regime split.
     enable_feedback:
         Run the §3.2 negative-feedback loop (Figure 9 compares on/off).
-    rdmin_window:
-        How far back the RD_min baseline looks (seconds).
-    bandwidth_filter:
-        "ewma" (the paper's choice) or "max" (BBR-style windowed max;
-        exists for the §2 design-choice ablation).
+    rate_estimator / delay_estimator:
+        Zero-argument factories of the ρ and t_buff estimators, called
+        once per controller (docs/api.md).  ``MaxFilterRateEstimator``
+        is the §2 ablation; ``partial(BufferDelayEstimator, window=W)``
+        sets how far back the RD_min baseline looks.
     probe_burst:
         Slow-Start / Monitor probe burst size (the paper picks 10,
         following the IW=10 argument; ablatable).
@@ -121,9 +116,8 @@ class PropRate(RateCongestionControl):
         target_buffer_delay: float = 0.040,
         lmax: Optional[float] = None,
         enable_feedback: bool = True,
-        rdmin_window: float = DEFAULT_RDMIN_WINDOW,
-        rate_window_timestamps: int = 50,
-        bandwidth_filter: str = "ewma",
+        rate_estimator: Callable[[], ReceiveRateEstimator] = ReceiveRateEstimator,
+        delay_estimator: Callable[[], BufferDelayEstimator] = BufferDelayEstimator,
         probe_burst: int = PROBE_BURST,
     ) -> None:
         super().__init__()
@@ -132,20 +126,11 @@ class PropRate(RateCongestionControl):
         self.target_buffer_delay = target_buffer_delay
         self.lmax = lmax
         self.state = PropRateState.SLOW_START
-        if bandwidth_filter == "ewma":
-            self.rate_estimator = ReceiveRateEstimator(
-                window_timestamps=rate_window_timestamps
-            )
-        elif bandwidth_filter == "max":
-            self.rate_estimator = MaxFilterRateEstimator(
-                window_timestamps=rate_window_timestamps
-            )
-        else:
-            raise ValueError("bandwidth_filter must be 'ewma' or 'max'")
+        self.rate_estimator = rate_estimator()
         if probe_burst < 2:
             raise ValueError("probe_burst must be at least 2")
         self.probe_burst = probe_burst
-        self.delay_estimator = BufferDelayEstimator(window=rdmin_window)
+        self.delay_estimator = delay_estimator()
         # The NFL corrects bias around the derived operating point; the
         # clamp band keeps it from replacing the model outright (and from
         # pushing T below the receiver's timestamp quantisation noise).
@@ -262,17 +247,13 @@ class PropRate(RateCongestionControl):
             self.rate_estimator.on_epoch = (
                 lambda what: tr.emit(CC_EPOCH, host.now, flow=flow,
                                      estimator="rate", what=what))
-            self.delay_estimator.on_epoch = (
-                lambda what: tr.emit(CC_EPOCH, host.now, flow=flow,
-                                     estimator="rdmin", what=what))
             self._state_entered = host.now
         self._enter_slow_start()
 
     def unbind(self) -> None:
-        # The epoch hooks set above capture the host.
+        # The epoch hook set above captures the host.
         super().unbind()
         self.rate_estimator.on_epoch = None
-        self.delay_estimator.on_epoch = None
 
     def _trace_state(self, prev: PropRateState) -> None:
         """Emit a ``cc.state`` event and record the dwell of ``prev``."""
@@ -366,9 +347,10 @@ class PropRate(RateCongestionControl):
             self.pacing_rate = 0.5 * self.params.kd * self._monitor_rho_before
         self._burst_size = self.probe_burst
         self._burst_target = self._last_delivered + self._burst_size
-        # Measure the receive rate afresh, but keep the EWMA warm so a
-        # single burst refines rather than replaces it.
-        self.rate_estimator.reset(keep_rate=False)
+        # Measure the receive rate afresh, EWMA included, so the probe
+        # burst's ρ stands alone; _monitor_rho_before keeps the old one
+        # for the comparison.
+        self.rate_estimator.reset()
         self.request_burst(self._burst_size)
         self._trace_state(prev)
 

@@ -9,9 +9,10 @@ the figures, and ``PR(A)`` — the §6 adaptive-target extension
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.experiments.options import RunOptions
+from repro.experiments.runner import FlowResult
 from repro.traces.trace import Trace
 
 from repro.core.adaptive import AdaptivePropRate
@@ -41,7 +42,7 @@ PR_TARGETS = {"PR(L)": 0.020, "PR(M)": 0.040, "PR(H)": 0.080}
 ADAPTIVE_NAME = "PR(A)"
 
 
-def proprate_factory(target: float, **kwargs) -> CcFactory:
+def proprate_factory(target: float, **kwargs: Any) -> CcFactory:
     """A factory for PropRate at a fixed t̄_buff."""
     return lambda: PropRate(target_buffer_delay=target, **kwargs)
 
@@ -78,7 +79,7 @@ def run_shootout(
     measure_start: float = 5.0,
     n_jobs: int = 1,
     run_options: Optional[RunOptions] = None,
-):
+) -> Dict[str, FlowResult]:
     """Run the Figure-7 line-up over one trace; name → :class:`FlowResult`.
 
     Each algorithm is an independent simulation, so ``n_jobs`` fans the

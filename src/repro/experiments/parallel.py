@@ -115,7 +115,9 @@ class CcSpec:
     constructor) or any entry of
     :func:`repro.experiments.algorithms.paper_algorithms` — ``"CUBIC"``,
     ``"BBR"``, ``"PR(M)"``, and so on.  ``params`` is a tuple of
-    ``(keyword, value)`` pairs so the spec stays hashable.
+    ``(keyword, value)`` pairs so the spec stays hashable; each value
+    must pickle for ``n_jobs > 1``, so an estimator factory is a class
+    or a ``functools.partial``, not a lambda.
     """
 
     name: str

@@ -310,8 +310,8 @@ class ExperimentHarness:
         measure_end: Optional[float] = None,
         ts_granularity: float = DEFAULT_TS_GRANULARITY,
         audit: Optional[bool] = None,
-        tracer=None,
-        profiler=None,
+        tracer: Optional[obs.Tracer] = None,
+        profiler: Optional[obs.PhaseProfiler] = None,
     ) -> None:
         if duration <= 0:
             raise ValueError("duration must be positive")

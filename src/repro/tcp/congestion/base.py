@@ -35,6 +35,9 @@ class AckSample:
         Cumulative ACK (next expected segment index).
     newly_acked / newly_sacked:
         Segments newly covered by the cumulative ACK / by SACK blocks.
+    newly_delivered:
+        Segments this ACK adds to ``delivered_total``: ``newly_acked +
+        newly_sacked``, or one for a bare duplicate ACK.
     delivered_total:
         Running count of segments known delivered (cumulative + SACKed;
         duplicate ACKs without SACK count one segment each, paper §4.2).
@@ -62,6 +65,7 @@ class AckSample:
     ack: int
     newly_acked: int
     newly_sacked: int
+    newly_delivered: int
     delivered_total: int
     rtt: Optional[float]
     one_way_delay: Optional[float]

@@ -49,7 +49,6 @@ class Proteus(RateCongestionControl):
         self._history: Deque[float] = deque(maxlen=HISTORY_WINDOWS)
         self._window_start: Optional[float] = None
         self._window_delivered = 0
-        self._last_delivered = 0
         self._ramping = True  # double each window until capacity is found
         self._ramp_windows = 0
         self._ramp_misses = 0
@@ -60,15 +59,13 @@ class Proteus(RateCongestionControl):
         self.request_burst(10)
 
     def on_ack(self, sample: AckSample) -> None:
-        delta = max(0, sample.delivered_total - self._last_delivered)
-        self._last_delivered = sample.delivered_total
         if self._window_start is None:
             self._window_start = sample.now
         # Close elapsed windows before attributing this ACK's segments.
         while sample.now - self._window_start >= WINDOW:
             self._close_window()
             self._window_start += WINDOW
-        self._window_delivered += delta
+        self._window_delivered += sample.newly_delivered
 
     def _close_window(self) -> None:
         host = self.host

@@ -47,14 +47,10 @@ class Sprout(WindowCongestionControl):
         super().__init__()
         self._tick_start: Optional[float] = None
         self._tick_delivered = 0
-        self._last_delivered = 0
         self._rate = Ewma(RATE_ALPHA)      # packets per second
         self._var = Ewma(VAR_ALPHA)        # (packets/second)^2
 
     def on_ack(self, sample: AckSample) -> None:
-        delta = max(0, sample.delivered_total - self._last_delivered)
-        self._last_delivered = sample.delivered_total
-
         if self._tick_start is None:
             self._tick_start = sample.now
         # Close elapsed ticks before attributing this ACK's segments:
@@ -62,7 +58,7 @@ class Sprout(WindowCongestionControl):
         while sample.now - self._tick_start >= TICK:
             self._close_tick()
             self._tick_start += TICK
-        self._tick_delivered += delta
+        self._tick_delivered += sample.newly_delivered
         self._update_window()
 
     def _close_tick(self) -> None:

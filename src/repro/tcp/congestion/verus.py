@@ -45,7 +45,6 @@ class Verus(WindowCongestionControl):
         self._owd_ewma = Ewma(0.20)
         self._rate_ewma = Ewma(0.125)     # packets per second
         self._last_ack_time: Optional[float] = None
-        self._last_delivered = 0
         self._epoch_start = 0.0
         self._epoch_owd: Optional[float] = None
         self._prev_epoch_owd: Optional[float] = None
@@ -55,8 +54,7 @@ class Verus(WindowCongestionControl):
         if sample.one_way_delay is not None:
             self._owd_base.update(now, sample.one_way_delay)
             self._owd_ewma.update(sample.one_way_delay)
-        delta = max(0, sample.delivered_total - self._last_delivered)
-        self._last_delivered = sample.delivered_total
+        delta = sample.newly_delivered
         if self._last_ack_time is not None and delta:
             dt = now - self._last_ack_time
             if dt > 0:

@@ -532,9 +532,9 @@ class TcpSender:
 
         # Positional, in AckSample's field order.
         sample = AckSample(
-            now, ack, newly_acked, newly_sacked, self.delivered_total, rtt,
-            one_way, packet.tsval, self._pipe, is_dupack,
-            self._recovery_point is not None, self.lost_total,
+            now, ack, newly_acked, newly_sacked, increment,
+            self.delivered_total, rtt, one_way, packet.tsval, self._pipe,
+            is_dupack, self._recovery_point is not None, self.lost_total,
         )
 
         tr = self._tracer

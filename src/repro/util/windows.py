@@ -43,7 +43,7 @@ class _WindowedExtremum:
     """Extremum over samples within a trailing time window."""
 
     def __init__(self, window: float, keep_smaller: bool) -> None:
-        if window <= 0:
+        if not window > 0:  # NaN too: a NaN window would never evict
             raise ValueError("window must be positive")
         self.window = window
         self._keep_smaller = keep_smaller

@@ -180,7 +180,8 @@ class AckFeeder:
         self.host.now += dt
         now = self.host.now
         self.ack_no += newly_acked
-        self.delivered += newly_acked + newly_sacked + (1 if is_dupack and not newly_sacked else 0)
+        newly_delivered = newly_acked + newly_sacked + (1 if is_dupack and not newly_sacked else 0)
+        self.delivered += newly_delivered
         self.lost += newly_lost
         if inflight is not None:
             self.host.inflight = inflight
@@ -190,6 +191,7 @@ class AckFeeder:
             ack=self.ack_no,
             newly_acked=newly_acked,
             newly_sacked=newly_sacked,
+            newly_delivered=newly_delivered,
             delivered_total=self.delivered,
             rtt=rtt if rtt is not None else (self.host.min_rtt + queue_delay),
             one_way_delay=self._receiver_ts(now) - (now - owd),

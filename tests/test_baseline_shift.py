@@ -7,6 +7,9 @@ high until the old minimum ages out of the window — the flow drains
 conservatively in the meantime but must keep working and recover.
 """
 
+from functools import partial
+
+from repro.core.estimators import BufferDelayEstimator
 from repro.core.proprate import PropRate
 from repro.experiments.runner import cellular_path_config
 from repro.sim.engine import Simulator
@@ -23,7 +26,9 @@ def _run_with_shift(shift_delta, shift_at=8.0, duration=30.0, rdmin_window=10.0)
     path = DuplexPath(sim, cellular_path_config(trace))
     collector = DeliveryCollector()
     recv = TcpReceiver(sim, 0, send_ack=path.send_reverse, on_data=collector.on_data)
-    cc = PropRate(0.040, rdmin_window=rdmin_window)
+    cc = PropRate(
+        0.040, delay_estimator=partial(BufferDelayEstimator, window=rdmin_window)
+    )
     sender = TcpSender(sim, 0, cc, send_packet=path.send_forward)
     path.attach_flow(0, recv.receive, sender.on_ack_packet)
     sender.start()

@@ -4,10 +4,13 @@ These use short constant-rate links to keep runtimes low; the full
 trace-driven versions live in benchmarks/.
 """
 
+from functools import partial
+
 import pytest
 
 import repro.experiments.scenarios as scenarios
 import repro.obs as obs
+from repro.core.estimators import BufferDelayEstimator
 from repro.core.proprate import PropRate
 from repro.experiments.contention_grid import goodput_shares
 from repro.experiments.scenarios import (
@@ -185,7 +188,9 @@ class TestThroughputShare:
 class TestBaselineShiftScenario:
     def test_positive_shift_survivable(self):
         result = baseline_shift(
-            lambda: PropRate(0.040, rdmin_window=8.0),
+            lambda: PropRate(
+                0.040, delay_estimator=partial(BufferDelayEstimator, window=8.0)
+            ),
             _trace(duration=26.0),
             shift_delta=+0.030,
             shift_at=6.0,

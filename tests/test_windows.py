@@ -85,6 +85,10 @@ class TestSlidingWindowMin:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             SlidingWindowMin(0.0)
+        # A NaN window fails every expiry comparison, so the first
+        # sample would stay the minimum forever.
+        with pytest.raises(ValueError, match="window must be positive"):
+            SlidingWindowMin(float("nan"))
 
     @given(
         st.lists(
@@ -119,6 +123,10 @@ class TestWindowedMax:
         f.update(0.0, 9.0)
         f.update(0.5, 4.0)
         assert f.update(1.2, 1.0) == 4.0
+
+    def test_rejects_nan_window(self):
+        with pytest.raises(ValueError, match="window must be positive"):
+            WindowedMax(float("nan"))
 
     def test_window_attribute_adjustable(self):
         f = WindowedMax(10.0)
