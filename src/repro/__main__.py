@@ -410,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     audited_flags.add_argument(
         "--audit", action="store_true",
         help="run the repro.debug invariant auditor alongside every "
-        "simulation (results are unchanged; violations abort with a "
-        "JSON flight-recorder trace)",
+        "simulation (results are unchanged; violations abort and dump "
+        "a flight-recorder trace that 'repro trace' reads)",
     )
 
     scheduler_flags = argparse.ArgumentParser(add_help=False)

@@ -52,8 +52,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.debug.recorder import FlightRecorder
-from repro.obs import AUDIT_VIOLATION, current_tracer
+from repro.debug.recorder import CAPACITY, FlightRecorder
+from repro.obs import AUDIT_SENDER, AUDIT_VIOLATION, current_tracer
 from repro.util.windows import WindowedMax
 
 __all__ = ["InvariantAuditor", "InvariantViolation"]
@@ -284,7 +284,7 @@ class InvariantAuditor:
     Attach to a :class:`~repro.sim.engine.Simulator` (done by the
     constructor), then register topology with :meth:`attach_path` /
     :meth:`attach_link` and endpoints with :meth:`attach_flow` before
-    running.  On a violation the flight recorder dumps a JSON trace and
+    running.  On a violation the flight recorder dumps a JSONL trace and
     :class:`InvariantViolation` is raised.  The bands are the module
     constants above.
     """
@@ -292,10 +292,11 @@ class InvariantAuditor:
     def __init__(self, sim: Any) -> None:
         self.sim = sim
         self.recorder = FlightRecorder()
+        #: The ``audit.violation`` trace records raised so far.
         self.violations: List[Dict[str, Any]] = []
         self.sweeps = 0
         self.trace_path: Optional[str] = None
-        self._ring_checked = 0  # engine events already monotone-checked
+        self._ring_checked = 0  # ring entries already monotone-checked
         self._last_t = sim.now
         self._links: List[_LinkAudit] = []
         self._flows: List[_FlowAudit] = []
@@ -306,7 +307,7 @@ class InvariantAuditor:
             rec.ring_times,
             rec.ring_details,
             rec.ring_count,
-            rec.ring_capacity - 1,
+            CAPACITY - 1,
             [DEFAULT_STRIDE],
             DEFAULT_STRIDE,
             self.sweep,
@@ -356,28 +357,26 @@ class InvariantAuditor:
     # ------------------------------------------------------------------
     # Engine hook
     # ------------------------------------------------------------------
-    @property
-    def _events_seen(self) -> int:
-        return self.recorder.ring_count[0]
-
     def _check_ring_monotone(self) -> None:
         """Verify simulated time never ran backwards since last sweep.
 
         The event loop stamps every event's time into the flight-
-        recorder ring, so the check replays the window accumulated
-        since the last sweep.  The window is extracted as list slices
-        and compared against its sorted copy — all C-level operations —
-        so the amortised per-event cost is a few nanoseconds.
+        recorder ring (the sweeps' sender snapshots share it, stamped
+        with the sweep time), so the check replays the window
+        accumulated since the last sweep.  The window is extracted as
+        list slices and compared against its sorted copy — all C-level
+        operations — so the amortised per-event cost is a few
+        nanoseconds.
         """
         rec = self.recorder
         count = rec.ring_count[0]
         start = self._ring_checked
         if count == start:
             return
-        cap = rec.ring_capacity
-        if count - start > cap:  # pragma: no cover - stride <= capacity
-            start = count - cap
-        i0, i1 = start & (cap - 1), count & (cap - 1)
+        # The window is one stride plus a sweep's sender snapshots.
+        if count - start > CAPACITY:  # pragma: no cover
+            start = count - CAPACITY
+        i0, i1 = start & (CAPACITY - 1), count & (CAPACITY - 1)
         times = rec.ring_times
         if i0 < i1:
             window = times[i0:i1]
@@ -391,7 +390,7 @@ class InvariantAuditor:
                     self._violation(
                         "time-monotone",
                         f"simulated time ran backwards: {t} after {prev} "
-                        f"(engine event #{start + offset})",
+                        f"(ring entry #{start + offset})",
                     )
                 prev = t
         self._last_t = window[-1]
@@ -557,17 +556,11 @@ class InvariantAuditor:
         if full and acks != flow.last_acks:
             flow.last_acks = acks
             flow.ack_sweeps += 1
-            self.recorder.record(
-                now,
-                "sender",
-                {
-                    "flow": sender.flow_id,
-                    "una": una,
-                    "next": sender.next_seq,
-                    "pipe": sender._pipe,
-                    "acks": acks,
-                },
-            )
+            self.recorder.record({
+                "t": now, "kind": AUDIT_SENDER, "flow": sender.flow_id,
+                "una": una, "next": sender.next_seq, "pipe": sender._pipe,
+                "acks": acks,
+            })
             if flow.ack_sweeps % DEFAULT_PIPE_CHECK_EVERY == 0:
                 expected = sender.debug_expected_pipe()
                 if sender._pipe != expected:
@@ -766,33 +759,25 @@ class InvariantAuditor:
     # Violation / exception handling
     # ------------------------------------------------------------------
     def _violation(self, check: str, message: str, **context: Any) -> None:
-        entry: Dict[str, Any] = {
-            "check": check,
-            "time": self.sim.now,
-            "message": message,
-        }
-        entry.update(context)
-        self.violations.append(entry)
+        """Record, trace, dump and raise one violation.  The one
+        ``audit.violation`` record goes to :attr:`violations`, the
+        telemetry trace and the dump alike."""
+        record = {"t": self.sim.now, "kind": AUDIT_VIOLATION,
+                  "check": check, "message": message, **context}
+        self.violations.append(record)
         tr = current_tracer()
         if tr is not None:
-            tr.emit(AUDIT_VIOLATION, self.sim.now, check=check,
-                    message=message, **context)
-        self.trace_path = self.recorder.dump(
-            violations=self.violations,
-            context={"events_seen": self._events_seen, "sweeps": self.sweeps},
-            path=self.trace_path,
-        )
+            tr.emit(**record)
+        self._dump()
         raise InvariantViolation(check, message, trace_path=self.trace_path)
 
     def record_exception(self, exc: BaseException) -> str:
         """Dump the flight recorder for an unhandled engine exception."""
+        return self._dump(exception=f"{type(exc).__name__}: {exc}")
+
+    def _dump(self, exception: Optional[str] = None) -> str:
         self.trace_path = self.recorder.dump(
-            violations=self.violations,
-            context={
-                "events_seen": self._events_seen,
-                "sweeps": self.sweeps,
-                "exception": f"{type(exc).__name__}: {exc}",
-            },
+            self.sim.now, self.violations, self.sweeps, exception,
             path=self.trace_path,
         )
         return self.trace_path

@@ -37,8 +37,9 @@ class RunOptions:
         Attach the :mod:`repro.debug` invariant auditor: on or off; its
         bands are the constants of :mod:`repro.debug.auditor`.
         Observation-only — results are bit-identical either way; a
-        violation raises after dumping a flight-recorder trace.  Worker
-        processes inherit the environment switch.
+        violation raises after dumping the flight recorder as a JSONL
+        trace (``audit-<pid>-<n>.jsonl``, readable by ``repro trace``).
+        Worker processes inherit the environment switch.
     telemetry  (``--telemetry PATH``; ``None`` → ``REPRO_TELEMETRY``)
         Trace target (:mod:`repro.obs`): a JSONL file path.  For a
         batch this is the *merged* trace:

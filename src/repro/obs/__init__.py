@@ -9,6 +9,8 @@ is loaded lazily by the CLI.
 from repro.obs.events import (
     ALL_KINDS,
     AUDIT_DUMP,
+    AUDIT_EVENT,
+    AUDIT_SENDER,
     AUDIT_VIOLATION,
     CC_EPOCH,
     CC_ESTIMATOR,
@@ -82,7 +84,8 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "ALL_KINDS", "AUDIT_DUMP", "AUDIT_VIOLATION", "CC_EPOCH",
+    "ALL_KINDS", "AUDIT_DUMP", "AUDIT_EVENT", "AUDIT_SENDER",
+    "AUDIT_VIOLATION", "CC_EPOCH",
     "CC_ESTIMATOR", "CC_LOSS", "CC_LOSS_RUNS", "CC_NFL", "CC_RECOVERY",
     "CC_RTO",
     "CC_STATE", "ENV_EPISODE", "ENV_STEP",

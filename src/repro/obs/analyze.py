@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from repro.metrics.telemetry import sawtooth_summary
+from repro.obs.events import AUDIT_VIOLATION
 from repro.obs.live import PACKET_BYTES, TraceFollower, TraceState, run_label
 
 
@@ -79,6 +80,22 @@ def _sampling_lines(state: TraceState) -> List[str]:
              for (scope, kind), value in sorted(per.items())]
     if total:
         lines.append(f"  total dropped by sampling budgets: {total:.0f}")
+    return lines
+
+
+def _audit_lines(state: TraceState) -> List[str]:
+    """Each auditor violation, and each flight-recorder dump with the
+    exception that caused it."""
+    lines = []
+    for rec in state.audit:
+        where = f"  run {run_label(rec.get('run'))} t={rec.get('t', 0.0):.3f}s"
+        if rec["kind"] == AUDIT_VIOLATION:
+            lines.append(f"{where} [{rec.get('check')}] {rec.get('message')}")
+        else:
+            lines.append(f"{where} dump {rec.get('path')}: "
+                         f"{rec.get('violations', 0)} violations")
+            if "exception" in rec:
+                lines.append(f"      exception: {rec['exception']}")
     return lines
 
 
@@ -195,6 +212,7 @@ def summarize_trace(events: List[Dict[str, Any]], label: str = "trace") -> str:
     for kind in sorted(state.kinds):
         out.append(f"  {kind:20s} {state.kinds[kind]}")
     for title, lines in (
+            ("Audit:", _audit_lines(state)),
             ("State dwell (CC state machine):", _dwell_lines(state)),
             ("NFL threshold convergence:", _nfl_lines(state)),
             ("Queue sawtooth (from queue.sample, assuming 1500 B/pkt):",

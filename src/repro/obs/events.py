@@ -54,8 +54,14 @@ QUEUE_SAMPLE = "queue.sample"
 # -- invariant auditor -------------------------------------------------
 #: Auditor invariant violation (check, message, context).
 AUDIT_VIOLATION = "audit.violation"
-#: Flight-recorder dump written to disk (path, violations).
+#: Flight-recorder dump written to disk (path, violations, recorded,
+#: sweeps, exception); the closing record of the dump itself.
 AUDIT_DUMP = "audit.dump"
+#: Flight-recorder ring entries, written only into a dump: an engine
+#: event whose callback returned (callback), and a sender snapshot taken
+#: by an audit sweep (flow, una, next, pipe, acks).
+AUDIT_EVENT = "audit.event"
+AUDIT_SENDER = "audit.sender"
 
 # -- run / batch lifecycle ---------------------------------------------
 #: Experiment run started (duration, links, flows).
@@ -102,7 +108,8 @@ ALL_KINDS = frozenset({
     META, CC_STATE, CC_NFL, CC_ESTIMATOR, CC_EPOCH, CC_LOSS, CC_LOSS_RUNS,
     CC_RTO, CC_RECOVERY, LINK_OUTAGE, LINK_RECOVER, LINK_HANDOVER,
     LINK_BATCH, QUEUE_SAMPLE,
-    AUDIT_VIOLATION, AUDIT_DUMP, RUN_START, RUN_END, METRICS, GRID_CELL,
+    AUDIT_VIOLATION, AUDIT_DUMP, AUDIT_EVENT, AUDIT_SENDER,
+    RUN_START, RUN_END, METRICS, GRID_CELL,
     FLUID_RUN, FLUID_TOWER, FLUID_HANDOVER, FLUID_LOSS, FLUID_END,
     ENV_STEP, ENV_EPISODE,
     SCHED_DISPATCH, SCHED_RETRY, SCHED_TIMEOUT, SCHED_WORKER_DEATH,

@@ -16,7 +16,8 @@ same pieces:
 * :class:`TraceState` — the fold of the record stream into everything
   either tool reads: run horizons and link rates, the queue sawtooth
   per link, the CC state curve, loss marks and NFL updates per flow,
-  the metrics snapshot, scheduler progress and fluid tower occupancy.
+  the metrics snapshot, scheduler progress, fluid tower occupancy and
+  the auditor's violations and flight-recorder dumps.
   It also draws the per-run panel (waveform canvas, state lane, loss
   lane, legend) that ``trace --plot`` prints and the watch frame shows.
 
@@ -39,6 +40,8 @@ from typing import (Any, Deque, Dict, Iterable, List, Optional, Set, TextIO,
                     Tuple)
 
 from repro.obs.events import (
+    AUDIT_DUMP,
+    AUDIT_VIOLATION,
     CC_LOSS,
     CC_LOSS_RUNS,
     CC_NFL,
@@ -264,6 +267,8 @@ class TraceState:
         self.losses: Dict[Tuple[Any, Any], Deque[float]] = defaultdict(series)
         self.nfl: Dict[Tuple[Any, Any], Deque[Dict[str, Any]]] = \
             defaultdict(series)
+        # ``audit.violation`` and ``audit.dump`` records, in trace order.
+        self.audit: Deque[Dict[str, Any]] = series()
         self._batch_metrics: Optional[Dict[str, Any]] = None
         self._run_metrics: Dict[str, Any] = {}
         self.batch_size = 0
@@ -315,6 +320,8 @@ class TraceState:
             self.losses[(run, rec.get("flow"))].append(t)
         elif kind == CC_NFL:
             self.nfl[(run, rec.get("flow"))].append(rec)
+        elif kind in (AUDIT_VIOLATION, AUDIT_DUMP):
+            self.audit.append(rec)
         elif kind == RUN_START:
             for name, meta in (rec.get("links") or {}).items():
                 rate = meta.get("rate") if isinstance(meta, dict) else None

@@ -2,11 +2,11 @@
 
 The positive direction — audited runs are clean and bit-identical to
 unaudited ones — and the negative direction: deliberately corrupted
-simulator state must trip the matching check and dump a parseable
-flight-recorder trace.
+simulator state must trip the matching check and dump a flight-recorder
+trace that ``repro trace`` reads.
 """
 
-import json
+import functools
 import os
 
 import pytest
@@ -22,7 +22,7 @@ from repro.debug import (
     audit_enabled,
 )
 from repro.debug.auditor import DEFAULT_TBUFF_TOLERANCE
-from repro.debug.recorder import TRACE_DIR_ENV
+from repro.debug.recorder import CAPACITY, TRACE_DIR_ENV
 from repro.experiments.options import RunOptions
 from repro.experiments.runner import (
     FlowSpec,
@@ -30,6 +30,7 @@ from repro.experiments.runner import (
     run_experiment,
     run_single_flow,
 )
+from repro.obs.analyze import read_trace
 from repro.sim.engine import Simulator
 from repro.sim.network import DuplexPath
 from repro.tcp.congestion.cubic import Cubic
@@ -49,55 +50,71 @@ def _trace(rate: float = 750_000.0, duration: float = DURATION + 2.0):
 # ----------------------------------------------------------------------
 # Flight recorder
 # ----------------------------------------------------------------------
+def _stamp(rec, t, callback):
+    """One engine-event store, as the event loop writes it."""
+    i = rec.ring_count[0] & (CAPACITY - 1)
+    rec.ring_times[i] = t
+    rec.ring_details[i] = callback
+    rec.ring_count[0] += 1
+
+
+def _sender(t, una):
+    return {"t": t, "kind": "audit.sender", "flow": 0, "una": una}
+
+
 class TestFlightRecorder:
     def test_ring_retains_last_n(self):
-        rec = FlightRecorder(capacity=4)
-        for i in range(10):
-            rec.record(float(i), "k", i)
-        assert len(rec) == 4
-        assert rec.recorded == 10
+        rec = FlightRecorder()
+        for i in range(CAPACITY + 6):
+            rec.record(_sender(float(i), i))
+        assert rec.ring_count[0] == CAPACITY + 6
         snap = rec.snapshot()
-        assert [e["detail"] for e in snap] == [6, 7, 8, 9]
-        assert [e["t"] for e in snap] == [6.0, 7.0, 8.0, 9.0]
+        assert len(snap) == CAPACITY
+        assert [e["una"] for e in snap] == list(range(6, CAPACITY + 6))
+        assert [e["t"] for e in snap[:2]] == [6.0, 7.0]
 
     def test_snapshot_renders_live_objects(self):
-        rec = FlightRecorder(capacity=4)
+        rec = FlightRecorder()
 
-        def some_callback():
+        def some_callback(packet, flag=None):
             pass  # pragma: no cover - never called
 
-        rec.record(1.0, "event", some_callback)
-        (entry,) = rec.snapshot()
-        assert "some_callback" in entry["detail"]
+        _stamp(rec, 1.0, some_callback)
+        _stamp(rec, 1.5, functools.partial(some_callback, "pkt", flag=2))
+        first, second = rec.snapshot()
+        assert first["kind"] == "audit.event"
+        assert first["callback"].endswith("some_callback")
+        # A partial is named by its function and arguments; its own
+        # repr would embed memory addresses.
+        assert second["callback"].endswith("some_callback('pkt', flag=2)")
+        assert " at 0x" not in second["callback"]
 
-    def test_engine_ring_merges_by_time(self):
-        rec = FlightRecorder(capacity=8)
-        # Engine entries arrive via the inline ring.
-        for i, t in enumerate([0.0, 1.0, 2.0]):
-            j = rec.ring_count[0] & (rec.ring_capacity - 1)
-            rec.ring_times[j] = t
-            rec.ring_details[j] = f"cb{i}"
-            rec.ring_count[0] += 1
-        rec.record(1.0, "sender", {"una": 3})
+    def test_sender_records_share_the_engine_ring(self):
+        rec = FlightRecorder()
+        _stamp(rec, 0.0, "cb0")
+        _stamp(rec, 1.0, "cb1")
+        rec.record(_sender(1.0, 3))  # a sweep after the t=1.0 event
+        _stamp(rec, 2.0, "cb2")
         snap = rec.snapshot()
-        assert [e["kind"] for e in snap] == ["event", "event", "sender", "event"]
-        assert rec.recorded == 4
+        assert [e["kind"] for e in snap] == [
+            "audit.event", "audit.event", "audit.sender", "audit.event"]
+        assert [e["t"] for e in snap] == [0.0, 1.0, 1.0, 2.0]
+        assert rec.ring_count[0] == 4
 
     def test_dump_writes_parseable_json(self, tmp_path, monkeypatch):
         monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
-        rec = FlightRecorder(capacity=4)
-        rec.record(0.5, "k", "detail")
-        path = rec.dump(violations=[{"check": "x", "message": "boom"}])
-        assert path.startswith(str(tmp_path))
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        assert payload["format"].startswith("repro.debug.flight-recorder")
-        assert payload["violations"][0]["check"] == "x"
-        assert payload["events"][0]["detail"] == "detail"
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
+        rec = FlightRecorder()
+        rec.record(_sender(0.5, 1))
+        violation = {"t": 0.5, "kind": "audit.violation", "check": "x",
+                     "message": "boom"}
+        path = rec.dump(0.5, violations=[violation], sweeps=3)
+        assert path.startswith(str(tmp_path)) and path.endswith(".jsonl")
+        meta, sender, logged, closing = read_trace(path)
+        assert meta["kind"] == "meta" and meta["format"] == "repro.obs/1"
+        assert sender == _sender(0.5, 1)
+        assert logged == violation
+        assert closing == {"t": 0.5, "kind": "audit.dump", "path": path,
+                           "violations": 1, "recorded": 1, "sweeps": 3}
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +196,7 @@ class TestCleanRun:
         )
         (auditor,) = attached
         assert auditor.sweeps > 0
-        assert auditor._events_seen > 0
+        assert auditor.recorder.ring_count[0] > 0
         assert auditor.violations == []
 
 
@@ -215,14 +232,18 @@ class TestInjectedViolations:
         with pytest.raises(InvariantViolation) as exc_info:
             sim.run(until=4.0)
         assert exc_info.value.check == "conservation"
-        # The dumped trace is parseable and carries context.
+        # The dumped trace reads back: the ring, then the violation
+        # record the auditor keeps, then the closing audit.dump.
         trace_path = exc_info.value.trace_path
         assert trace_path is not None and os.path.exists(trace_path)
-        with open(trace_path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        assert payload["violations"][0]["check"] == "conservation"
-        assert len(payload["events"]) > 0
-        assert payload["context"]["events_seen"] > 0
+        records = read_trace(trace_path)
+        kinds = [r["kind"] for r in records]
+        assert kinds[0] == "meta" and "audit.event" in kinds
+        assert records[-2] == auditor.violations[0]
+        assert records[-2]["check"] == "conservation"
+        assert records[-1]["kind"] == "audit.dump"
+        assert records[-1]["t"] == records[-2]["t"] == sim.now
+        assert records[-1]["recorded"] > 0
 
     def test_stalled_rto_detected(self, tmp_path, monkeypatch):
         monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
@@ -279,9 +300,81 @@ class TestInjectedViolations:
         with pytest.raises(RuntimeError):
             sim.run(until=4.0)
         trace_path = auditor.record_exception(RuntimeError("engine callback exploded"))
-        with open(trace_path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        assert "engine callback exploded" in payload["context"]["exception"]
+        closing = read_trace(trace_path)[-1]
+        assert closing["kind"] == "audit.dump"
+        assert "engine callback exploded" in closing["exception"]
+
+
+def _violation_dump():
+    """Run ``_wire`` with a conservation leak at t=2; the dump's path."""
+    sim, path, sender, auditor = _wire()
+
+    def leak():
+        path.forward_link.queue.enqueued += 1
+
+    sim.schedule_at(2.0, leak)
+    with pytest.raises(InvariantViolation) as exc_info:
+        sim.run(until=4.0)
+    return exc_info.value.trace_path
+
+
+def _exception_dump():
+    """Run ``_wire`` with a callback raising at t=2; the dump's path."""
+    sim, path, sender, auditor = _wire()
+
+    def boom():
+        raise RuntimeError("engine callback exploded")
+
+    sim.schedule_at(2.0, boom)
+    with pytest.raises(RuntimeError) as exc_info:
+        sim.run(until=4.0)
+    return auditor.record_exception(exc_info.value)
+
+
+class TestDumpIsATrace:
+    def test_exception_dump_is_stamped_at_the_failure(
+            self, tmp_path, monkeypatch):
+        from repro.obs import tracing
+
+        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path / "audit"))
+        telemetry = str(tmp_path / "telemetry.jsonl")
+        with tracing(telemetry):
+            dump = _exception_dump()
+        (cross_ref,) = [r for r in read_trace(telemetry)
+                        if r["kind"] == "audit.dump"]
+        assert cross_ref["t"] == 2.0
+        assert cross_ref == read_trace(dump)[-1]
+
+    def test_dumps_are_deterministic(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
+        first, second = (read_trace(_violation_dump()) for _ in range(2))
+        for records in (first, second):
+            records[-1].pop("path")
+        assert first[1:] == second[1:]
+        # The ring holds partial callbacks (the links' delivery hops),
+        # named without memory addresses.
+        callbacks = [r["callback"] for r in first
+                     if r["kind"] == "audit.event"]
+        assert any("(" in c for c in callbacks)
+        assert not any(" at 0x" in c for c in callbacks)
+
+    @pytest.mark.parametrize("make,expected", [
+        (_violation_dump, ["[conservation]", "packets entered the queue"]),
+        (_exception_dump, ["exception: RuntimeError: engine callback "
+                           "exploded"]),
+    ])
+    def test_repro_trace_reads_a_dump(self, tmp_path, monkeypatch, capsys,
+                                      make, expected):
+        from repro.__main__ import main
+
+        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
+        dump = make()
+        capsys.readouterr()
+        main(["trace", dump])
+        out = capsys.readouterr().out
+        assert "Audit:" in out
+        for text in expected:
+            assert text in out
 
 
 # ----------------------------------------------------------------------

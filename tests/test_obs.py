@@ -71,6 +71,17 @@ class TestJsonlSink:
         assert os.listdir(tmp_path) == []
 
 
+def test_every_kind_has_a_row_in_the_docs_kinds_table():
+    doc = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
+                       "observability.md")
+    with open(doc, encoding="utf-8") as fh:
+        first_cells = [line.split("|")[1] for line in fh
+                       if line.startswith("| `")]
+    documented = {name for cell in first_cells
+                  for name in cell.strip().strip("`").split("` / `")}
+    assert obs.ALL_KINDS <= documented, sorted(obs.ALL_KINDS - documented)
+
+
 # ----------------------------------------------------------------------
 # Metrics registry
 # ----------------------------------------------------------------------
@@ -238,7 +249,7 @@ class TestEnvFlags:
 
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("REPRO_AUDIT_DIR", "off")
-        path = FlightRecorder().dump()
+        path = FlightRecorder().dump(0.0)
         assert os.path.dirname(path) == "audit-traces"
 
 
