@@ -40,20 +40,16 @@ def _traces(mode="mobile"):
     )
 
 
-def test_ablation_bandwidth_filter(benchmark):
+def test_ablation_bandwidth_filter():
     down, up = _traces()
-
-    def _run():
-        estimators = {"ewma": ReceiveRateEstimator, "max": MaxFilterRateEstimator}
-        return {
-            bf: run_single_flow(
-                lambda e=est: PropRate(0.040, rate_estimator=e),
-                down, up, duration=DURATION, measure_start=MEASURE_START,
-            )
-            for bf, est in estimators.items()
-        }
-
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
+    estimators = {"ewma": ReceiveRateEstimator, "max": MaxFilterRateEstimator}
+    results = {
+        bf: run_single_flow(
+            lambda e=est: PropRate(0.040, rate_estimator=e),
+            down, up, duration=DURATION, measure_start=MEASURE_START,
+        )
+        for bf, est in estimators.items()
+    }
     emit(
         "abl_bandwidth_filter",
         [flow_row(bf, r) for bf, r in results.items()],
@@ -66,19 +62,15 @@ def test_ablation_bandwidth_filter(benchmark):
     assert results["max"].throughput > 0.5 * results["ewma"].throughput
 
 
-def test_ablation_probe_burst(benchmark):
+def test_ablation_probe_burst():
     down, up = _traces()
-
-    def _run():
-        return {
-            burst: run_single_flow(
-                lambda b=burst: PropRate(0.040, probe_burst=b),
-                down, up, duration=DURATION, measure_start=MEASURE_START,
-            )
-            for burst in (2, 10, 50)
-        }
-
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
+    results = {
+        burst: run_single_flow(
+            lambda b=burst: PropRate(0.040, probe_burst=b),
+            down, up, duration=DURATION, measure_start=MEASURE_START,
+        )
+        for burst in (2, 10, 50)
+    }
     emit(
         "abl_probe_burst",
         [flow_row(f"burst={b}", r) for b, r in results.items()],
@@ -91,20 +83,16 @@ def test_ablation_probe_burst(benchmark):
     assert results[10].throughput > 0.75 * best
 
 
-def test_ablation_timestamp_granularity(benchmark):
+def test_ablation_timestamp_granularity():
     down, up = _traces()
-
-    def _run():
-        return {
-            gran: run_single_flow(
-                lambda: PropRate(0.040),
-                down, up, duration=DURATION, measure_start=MEASURE_START,
-                ts_granularity=gran,
-            )
-            for gran in (0.001, 0.010, 0.100)
-        }
-
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
+    results = {
+        gran: run_single_flow(
+            lambda: PropRate(0.040),
+            down, up, duration=DURATION, measure_start=MEASURE_START,
+            ts_granularity=gran,
+        )
+        for gran in (0.001, 0.010, 0.100)
+    }
     emit(
         "abl_ts_granularity",
         [flow_row(f"ts={g * 1000:.0f}ms", r) for g, r in results.items()],
@@ -117,43 +105,33 @@ def test_ablation_timestamp_granularity(benchmark):
     assert results[0.100].throughput > 100_000.0
 
 
-def test_ablation_delayed_ack(benchmark):
+def test_ablation_delayed_ack():
     down, up = _traces()
     config = cellular_path_config(down, up)
-
-    def _run():
-        out = {}
-        for label, delack in (("per-packet", False), ("delayed", True)):
-            out[label] = run_experiment(
-                config,
-                [FlowSpec(cc_factory=lambda: PropRate(0.040), delayed_ack=delack)],
-                duration=DURATION, measure_start=MEASURE_START,
-            )[0]
-        return out
-
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
+    results = {}
+    for label, delack in (("per-packet", False), ("delayed", True)):
+        results[label] = run_experiment(
+            config,
+            [FlowSpec(cc_factory=lambda: PropRate(0.040), delayed_ack=delack)],
+            duration=DURATION, measure_start=MEASURE_START,
+        )[0]
     emit("abl_delayed_ack", [flow_row(k, r) for k, r in results.items()])
     # Sender-side estimation survives a coarser ACK stream.
     assert results["delayed"].throughput > 0.6 * results["per-packet"].throughput
 
 
-def test_ablation_adaptive_target_shallow_buffer(benchmark):
+def test_ablation_adaptive_target_shallow_buffer():
     down, _ = _traces("stationary")
     config = cellular_path_config(down, buffer_packets=40)
-
-    def _run():
-        out = {}
-        for label, factory in (
-            ("fixed PR(80ms)", lambda: PropRate(0.080)),
-            ("adaptive", lambda: AdaptivePropRate(0.080)),
-        ):
-            out[label] = run_experiment(
-                config, [FlowSpec(cc_factory=factory)],
-                duration=DURATION, measure_start=MEASURE_START,
-            )[0]
-        return out
-
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
+    results = {}
+    for label, factory in (
+        ("fixed PR(80ms)", lambda: PropRate(0.080)),
+        ("adaptive", lambda: AdaptivePropRate(0.080)),
+    ):
+        results[label] = run_experiment(
+            config, [FlowSpec(cc_factory=factory)],
+            duration=DURATION, measure_start=MEASURE_START,
+        )[0]
     emit(
         "abl_adaptive_target",
         [flow_row(k, r) for k, r in results.items()],

@@ -35,18 +35,13 @@ def _run_lineup(down, up, audit):
     return time.process_time() - start
 
 
-def _measure():
+def test_audit_overhead():
     down = isp_trace("A", "stationary", duration=60.0)
     up = isp_trace("A", "stationary", duration=60.0, direction="uplink")
     plain, audited = [], []
     for _ in range(REPEATS):
         plain.append(_run_lineup(down, up, audit=False))
         audited.append(_run_lineup(down, up, audit=True))
-    return plain, audited
-
-
-def test_audit_overhead(benchmark):
-    plain, audited = benchmark.pedantic(_measure, rounds=1, iterations=1)
     base, with_audit = min(plain), min(audited)
     ratio = with_audit / base
     lines = [

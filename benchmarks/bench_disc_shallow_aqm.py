@@ -18,7 +18,7 @@ DURATION = 20.0
 SHALLOW_PACKETS = 50  # ~65 ms of buffering at the trace's mean rate
 
 
-def _run():
+def test_discussion_shallow_buffers_and_aqm():
     down = isp_trace("A", "stationary", duration=60.0)
     rows = {}
     for label, factory, aqm, buf in (
@@ -33,11 +33,6 @@ def _run():
             factory, down, buffer_packets=buf, aqm=aqm,
             duration=DURATION, measure_start=4.0, name=label,
         )
-    return rows
-
-
-def test_discussion_shallow_buffers_and_aqm(benchmark):
-    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
     lines = [
         f"{'config':18s} {'tput KB/s':>10s} {'mean ms':>8s} {'p95 ms':>8s} "
         f"{'drops':>7s} {'rtx':>7s}"

@@ -70,9 +70,8 @@ def _measure():
     return native_times, env_times, native_sums, env_sums
 
 
-def test_env_overhead(benchmark):
-    native, env, native_sums, env_sums = benchmark.pedantic(
-        _measure, rounds=1, iterations=1)
+def test_env_overhead():
+    native, env, native_sums, env_sums = _measure()
     assert env_sums == native_sums, "env replay diverged from native run"
     base, wrapped = min(native), min(env)
     ratio = wrapped / base

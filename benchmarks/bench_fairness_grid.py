@@ -17,13 +17,9 @@ from repro.report.heatmap import render_grid_heatmaps
 from _report import JOBS, emit
 
 
-def _run():
-    return run_grid(
+def test_fairness_grid():
+    report = run_grid(
         REDUCED_GRID, n_jobs=JOBS, run_options=RunOptions(audit=True))
-
-
-def test_fairness_grid(benchmark):
-    report = benchmark.pedantic(_run, rounds=1, iterations=1)
     data = report.to_dict()
 
     lines = [

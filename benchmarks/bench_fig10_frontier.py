@@ -21,7 +21,7 @@ TARGETS = [t / 1000.0 for t in list(range(12, 31, 3)) + list(range(34, 121, 12))
 SWEEP_DURATION = 20.0
 
 
-def _run():
+def test_fig10_frontier():
     down = isp_trace("A", "mobile", duration=60.0)
     up = isp_trace("A", "mobile", duration=60.0, direction="uplink")
     points = sweep_frontier(
@@ -34,11 +34,6 @@ def _run():
         duration=SWEEP_DURATION, measure_start=MEASURE_START,
         n_jobs=JOBS,
     )
-    return points, references
-
-
-def test_fig10_frontier(benchmark):
-    points, references = benchmark.pedantic(_run, rounds=1, iterations=1)
     lines = [f"{'target ms':>9s} {'tput KB/s':>10s} {'mean ms':>8s} {'p95 ms':>8s}"]
     for p in points:
         lines.append(

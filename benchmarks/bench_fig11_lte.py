@@ -12,16 +12,12 @@ from repro.traces.presets import lte_validation_trace
 from _report import DURATION, JOBS, MEASURE_START, emit, flow_row
 
 
-def _run():
+def test_fig11_lte_validation():
     down = lte_validation_trace(duration=60.0)
     up = lte_validation_trace(duration=60.0, direction="uplink")
-    return run_shootout(
+    results = run_shootout(
         down, up, duration=DURATION, measure_start=MEASURE_START, n_jobs=JOBS,
     )
-
-
-def test_fig11_lte_validation(benchmark):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
     lines = [flow_row(name, r) for name, r in results.items()]
     emit("fig11_lte", lines)
 

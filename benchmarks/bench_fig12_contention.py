@@ -22,7 +22,7 @@ def _traces():
     )
 
 
-def _self_contention():
+def test_fig12a_self_contention():
     down, up = _traces()
     ratios = {}
     for name, factory in (
@@ -32,25 +32,6 @@ def _self_contention():
     ):
         first, second = self_contention(factory, down, up, name=name)
         ratios[name] = (first, second)
-    return ratios
-
-
-def _vs_cubic():
-    down, up = _traces()
-    out = {}
-    for name, factory in (
-        ("PR(H)", lambda: PropRate(0.080)),
-        ("PR(L)", lambda: PropRate(0.020)),
-        ("BBR", Bbr),
-    ):
-        out[name] = contention_vs_cubic(
-            factory, down, up, cubic_first=True, name=name
-        )
-    return out
-
-
-def test_fig12a_self_contention(benchmark):
-    ratios = benchmark.pedantic(_self_contention, rounds=1, iterations=1)
     lines = [f"{'Algorithm':10s} {'flow1 KB/s':>11s} {'flow2 KB/s':>11s} {'ratio':>7s}"]
     computed = {}
     for name, (first, second) in ratios.items():
@@ -69,8 +50,17 @@ def test_fig12a_self_contention(benchmark):
     assert computed["CUBIC"] < 0.7
 
 
-def test_fig12b_vs_cubic(benchmark):
-    results = benchmark.pedantic(_vs_cubic, rounds=1, iterations=1)
+def test_fig12b_vs_cubic():
+    down, up = _traces()
+    results = {}
+    for name, factory in (
+        ("PR(H)", lambda: PropRate(0.080)),
+        ("PR(L)", lambda: PropRate(0.020)),
+        ("BBR", Bbr),
+    ):
+        results[name] = contention_vs_cubic(
+            factory, down, up, cubic_first=True, name=name
+        )
     lines = [f"{'Algorithm':8s} {'algo KB/s':>10s} {'CUBIC KB/s':>11s} {'share':>7s}"]
     shares = {}
     for name, flows in results.items():

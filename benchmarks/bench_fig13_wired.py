@@ -36,7 +36,7 @@ def _algorithms(rtt):
     }
 
 
-def _run():
+def test_fig13_wired_paths():
     table = {}
     for region, (rate, rtt, _buf) in WIRED_PATHS.items():
         table[region] = {
@@ -44,11 +44,6 @@ def _run():
                              measure_start=4.0)
             for name, factory in _algorithms(rtt).items()
         }
-    return table
-
-
-def test_fig13_wired_paths(benchmark):
-    table = benchmark.pedantic(_run, rounds=1, iterations=1)
     names = ["CUBIC", "BBR", "PR(L)", "PR(H)", "PR(max)"]
     lines = ["Region " + " ".join(f"{n:>10s}" for n in names) + "   (MB/s)"]
     for region, row in table.items():

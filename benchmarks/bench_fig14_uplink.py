@@ -14,7 +14,7 @@ from repro.traces.presets import isp_trace
 from _report import DURATION, MEASURE_START, emit, flow_row
 
 
-def _run():
+def test_fig14_congested_uplink():
     down = isp_trace("A", "stationary", duration=60.0)
     up = isp_trace("A", "stationary", duration=60.0, direction="uplink")
     results = {}
@@ -24,11 +24,6 @@ def _run():
             name=name,
         )
         results[name] = flows[name]
-    return results
-
-
-def test_fig14_congested_uplink(benchmark):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
     lines = [flow_row(name, r) for name, r in results.items()]
     emit("fig14_uplink", lines)
 

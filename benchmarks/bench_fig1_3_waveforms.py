@@ -16,31 +16,21 @@ RTT = 0.040
 RHO = 1_500_000.0
 
 
-def _run_all():
-    rows = []
-
+def test_fig1_3_waveforms():
     # Figure 1: buffer-full case (PR(H)-style target).
-    params = derive_parameters(0.080, RTT)
+    params_f = derive_parameters(0.080, RTT)
     full = simulate_sawtooth(
-        RHO, RTT, params.threshold, params.kf, params.kd,
+        RHO, RTT, params_f.threshold, params_f.kf, params_f.kd,
         duration=30.0, initial_tbuff=0.04,
     )
-    rows.append(
-        ("fig1 buffer-full", params, full)
-    )
-
     # Figure 2: buffer-emptied case (PR(L)-style target).
     params_e = derive_parameters(0.020, RTT)
     emptied = simulate_sawtooth(
         RHO, RTT, params_e.threshold, params_e.kf, params_e.kd,
         duration=30.0,
     )
-    rows.append(("fig2 buffer-emptied", params_e, emptied))
-    return rows
-
-
-def test_fig1_3_waveforms(benchmark):
-    rows = benchmark.pedantic(_run_all, rounds=1, iterations=1)
+    rows = [("fig1 buffer-full", params_f, full),
+            ("fig2 buffer-emptied", params_e, emptied)]
     lines = [
         f"{'case':22s} {'regime':16s} {'Dmax ms':>8s} {'pred':>6s} "
         f"{'Dmin ms':>8s} {'pred':>6s} {'avg ms':>7s} {'tgt':>5s} {'U':>6s} {'pred':>6s}"
@@ -55,7 +45,6 @@ def test_fig1_3_waveforms(benchmark):
         )
     emit("fig1_3_waveforms", lines)
 
-    (label_f, params_f, full), (label_e, params_e, emptied) = rows
     assert params_f.regime is Regime.BUFFER_FULL
     assert full.utilization > 0.99
     assert full.dmax == pytest.approx(params_f.predicted_dmax, rel=0.05)

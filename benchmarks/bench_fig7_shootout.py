@@ -55,16 +55,16 @@ def _check_shapes(results):
     assert bbr.delay.mean < 0.5 * cubic.delay.mean
 
 
-def test_fig7a_stationary(benchmark):
-    results = benchmark.pedantic(_shootout, args=("stationary",), rounds=1, iterations=1)
+def test_fig7a_stationary():
+    results = _shootout("stationary")
     lines = [flow_row(name, r) for name, r in results.items()]
     emit("fig7a_stationary", lines)
     emit_flow_csv("fig7a_stationary", results)
     _check_shapes(results)
 
 
-def test_fig7b_mobile(benchmark):
-    results = benchmark.pedantic(_shootout, args=("mobile",), rounds=1, iterations=1)
+def test_fig7b_mobile():
+    results = _shootout("mobile")
     lines = [flow_row(name, r) for name, r in results.items()]
     emit("fig7b_mobile", lines)
     emit_flow_csv("fig7b_mobile", results)

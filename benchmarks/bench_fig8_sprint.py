@@ -14,7 +14,7 @@ from repro.traces.presets import sprint_like_trace
 from _report import DURATION, MEASURE_START, emit, flow_row
 
 
-def _run():
+def test_fig8_sprint_trace():
     trace = sprint_like_trace(duration=120.0)
     results = {}
     for name, factory in paper_algorithms().items():
@@ -22,11 +22,6 @@ def _run():
             factory, trace, None,
             duration=max(DURATION, 60.0), measure_start=MEASURE_START,
         )
-    return results
-
-
-def test_fig8_sprint_trace(benchmark):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
     lines = [flow_row(name, r) for name, r in results.items()]
     emit("fig8_sprint", lines)
 
@@ -34,7 +29,7 @@ def test_fig8_sprint_trace(benchmark):
     # carried into the measurement window: with multi-second outages the
     # queue built before measure_start drains inside the window, so
     # goodput can transiently exceed the window's own capacity.
-    capacity = sprint_like_trace(duration=120.0).mean_throughput()
+    capacity = trace.mean_throughput()
     for result in results.values():
         assert result.throughput <= capacity * 1.5
     # The aggressive loss-based algorithms pay with high delay whenever

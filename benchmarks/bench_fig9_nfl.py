@@ -15,23 +15,18 @@ from _report import DURATION, JOBS, MEASURE_START, emit
 TARGETS_MS = (20, 40, 60, 80, 100, 120)
 
 
-def _run():
-    rows = {}
+def test_fig9_nfl_convergence():
+    per_isp = {}
     for isp in ("A", "B", "C"):
         down = isp_trace(isp, "mobile", duration=60.0)
         up = isp_trace(isp, "mobile", duration=60.0, direction="uplink")
-        rows[isp] = nfl_convergence(
+        per_isp[isp] = nfl_convergence(
             down, up,
             targets=[t / 1000.0 for t in TARGETS_MS],
             duration=DURATION,
             measure_start=MEASURE_START,
             n_jobs=JOBS,
         )
-    return rows
-
-
-def test_fig9_nfl_convergence(benchmark):
-    per_isp = benchmark.pedantic(_run, rounds=1, iterations=1)
     lines = [f"{'ISP':4s} {'target ms':>9s} {'NFL ms':>8s} {'no-NFL ms':>10s}"]
     errors_nfl, errors_plain = [], []
     for isp, points in per_isp.items():

@@ -71,13 +71,11 @@ def _fluid_fan_in():
     return time.perf_counter() - t0, report
 
 
-def test_fluid_scaling(benchmark):
+def test_fluid_scaling():
     packet_wall = _packet_reference()
     packet_rate = PACKET_FLOWS * PACKET_DURATION / packet_wall
 
-    fluid_wall, report = benchmark.pedantic(
-        _fluid_fan_in, rounds=1, iterations=1
-    )
+    fluid_wall, report = _fluid_fan_in()
     fluid_rate = N_FLOWS * DURATION / fluid_wall
     speedup = fluid_rate / packet_rate
 

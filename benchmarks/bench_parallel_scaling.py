@@ -169,14 +169,10 @@ def _long_tail_times():
     )
 
 
-def _run():
-    return _engine_rates(), _frontier_times(), _long_tail_times()
-
-
-def test_parallel_scaling(benchmark):
-    rates, timings, (static_s, steal_s) = benchmark.pedantic(
-        _run, rounds=1, iterations=1
-    )
+def test_parallel_scaling():
+    rates = _engine_rates()
+    timings = _frontier_times()
+    static_s, steal_s = _long_tail_times()
 
     lines = [f"host cores: {os.cpu_count()}"]
     lines.append("-- event loop --")

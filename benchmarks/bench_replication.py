@@ -19,9 +19,8 @@ SEEDS = (11, 22, 33, 44, 55)  # 5 paired seeds: sign test p = 1/32
 DURATION = 20.0
 
 
-def _run():
-    spec = PRESET_SPECS["ISPA-mobile"]
-    return compare_algorithms(
+def test_replicated_shootout():
+    results = compare_algorithms(
         {
             "PR(L)": lambda: PropRate(0.020),
             "PR(H)": lambda: PropRate(0.080),
@@ -29,15 +28,11 @@ def _run():
             "BBR": Bbr,
             "Sprout": Sprout,
         },
-        spec,
+        PRESET_SPECS["ISPA-mobile"],
         seeds=SEEDS,
         duration=DURATION,
         measure_start=4.0,
     )
-
-
-def test_replicated_shootout(benchmark):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
     emit("replication_shootout", format_comparison(results))
 
     def delays(name):

@@ -15,12 +15,11 @@ identical across scoreboard implementations; only the CPU cost may
 differ.  Results land in ``benchmarks/results/bench_sack_scoreboard
 .json`` (machine-readable, the BENCH artifact) and ``.txt``.
 
-Reduced mode (``REPRO_BENCH_REDUCED=1``) shrinks the horizon for the
-CI loss-smoke gate in ``scripts/perf_smoke.py``.
+The CI loss-smoke gate in ``scripts/perf_smoke.py`` runs the same flow
+over a shorter horizon (``run_workload(horizon)``).
 """
 
 import json
-import os
 import random
 import time
 from time import perf_counter
@@ -32,10 +31,8 @@ from repro.tcp.sender import TcpSender
 
 from _report import RESULTS_DIR, emit
 
-REDUCED = os.environ.get("REPRO_BENCH_REDUCED", "") not in ("", "0")
-
 #: Simulated horizon (seconds).
-HORIZON = 20.0 if REDUCED else 60.0
+HORIZON = 60.0
 
 #: Congestion window: deep-buffer cellular regime — hundreds of
 #: segments outstanding when loss strikes.
@@ -165,11 +162,10 @@ def measure(horizon: float = HORIZON, rounds: int = 3):
     return best
 
 
-def test_sack_scoreboard_cost(benchmark):
-    stats = benchmark.pedantic(measure, rounds=1, iterations=1)
+def test_sack_scoreboard_cost():
+    stats = measure()
     lines = [
-        f"mode: {'reduced' if REDUCED else 'full'}   horizon: "
-        f"{stats['horizon_s']:.0f}s   cwnd: {stats['cwnd']}",
+        f"horizon: {stats['horizon_s']:.0f}s   cwnd: {stats['cwnd']}",
         f"acks: {stats['acks']:,}   ack cpu: {stats['ack_cpu_s']:.3f}s   "
         f"per ack: {stats['us_per_ack']:.2f}us",
         f"sent: {stats['segments_sent']:,}   rtx: "

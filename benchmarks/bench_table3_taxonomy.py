@@ -25,20 +25,15 @@ EXPECTED = {
 }
 
 
-def _rows():
+def test_table3_taxonomy():
+    ccs = [factory() for factory in paper_algorithms().values()]
     lines = [f"{'Algorithm':12s} {'Sending Regulation':30s} Congestion Trigger"]
-    for name, factory in paper_algorithms().items():
-        cc = factory()
+    for cc in ccs:
         lines.append(
             f"{cc.name:12s} {cc.sending_regulation:30s} {cc.congestion_trigger}"
         )
-    return lines
-
-
-def test_table3_taxonomy(benchmark):
-    lines = benchmark.pedantic(_rows, rounds=1, iterations=1)
     emit("table3_taxonomy", lines)
-    built = {cc.name: cc for cc in (f() for f in paper_algorithms().values())}
+    built = {cc.name: cc for cc in ccs}
     for name, (regulation, trigger) in EXPECTED.items():
         cc = built[name]
         assert cc.sending_regulation == regulation, name

@@ -15,15 +15,13 @@ inference, and per-callback wall time in Python mostly tracks callback
 *frequency*.  The bench reports the measured numbers without asserting
 the paper's ordering.
 
-Reduced mode: setting ``REPRO_BENCH_REDUCED=1`` shrinks the transfer
-and trims the line-up to a representative cheap/expensive subset — this
-is the workload behind the CI perf-smoke gate
-(``scripts/perf_smoke.py``), which tracks the aggregate simulator
-speed of the run against a checked-in baseline.  The gate times the
-unprofiled workload.
+A shorter transfer over a cheap/expensive subset of the line-up
+(``run_workload(duration, names)``) is the workload behind the CI
+perf-smoke gate (``scripts/perf_smoke.py``), which tracks the aggregate
+simulator speed of the run against a checked-in baseline.  The gate
+times the unprofiled workload.
 """
 
-import os
 import time
 
 import repro.obs as obs
@@ -33,29 +31,19 @@ from repro.traces.presets import isp_trace
 
 from _report import emit
 
-#: REPRO_BENCH_REDUCED=1 selects the CI smoke configuration.
-REDUCED = os.environ.get("REPRO_BENCH_REDUCED", "") not in ("", "0")
-
-DURATION = 5.0 if REDUCED else 15.0
+DURATION = 15.0
 
 #: Table 4's cheap control loops vs expensive forecast/utility loops.
 CHEAP = ("PR(M)", "CUBIC", "BBR", "RRE", "NewReno", "Vegas", "Westwood", "LEDBAT")
 EXPENSIVE = ("Sprout", "PCC", "Verus")
 
-#: The reduced line-up keeps members of both cost classes.
-REDUCED_NAMES = ("PR(M)", "CUBIC", "BBR", "Sprout", "PCC", "Verus")
 
-
-def workload_algorithms():
-    """Name → factory for the configured (full or reduced) line-up."""
-    algorithms = paper_algorithms()
-    if REDUCED:
-        return {n: algorithms[n] for n in REDUCED_NAMES}
-    return algorithms
-
-
-def run_workload(duration: float = DURATION, profiled: bool = False):
+def run_workload(duration: float = DURATION, names=None,
+                 profiled: bool = False):
     """Run the Table-4 workload; (costs, total events, wall seconds).
+
+    ``names`` picks a subset of the line-up, in that order; ``None``
+    runs every algorithm.
 
     ``costs`` maps algorithm → (control s per sim-s, calls, KB/s).  The
     control columns come from the ``cc.control`` phase when
@@ -68,7 +56,9 @@ def run_workload(duration: float = DURATION, profiled: bool = False):
     costs = {}
     total_events = 0
     wall_start = time.perf_counter()
-    for name, factory in workload_algorithms().items():
+    algorithms = paper_algorithms()
+    for name in algorithms if names is None else names:
+        factory = algorithms[name]
         prof = obs.PhaseProfiler()
         if profiled:
             obs.activate_profiler(prof)
@@ -91,7 +81,7 @@ def events_per_second(duration: float = DURATION) -> float:
     return events / wall
 
 
-def sim_seconds_per_second(duration: float = DURATION) -> float:
+def sim_seconds_per_second(duration: float = DURATION, names=None) -> float:
     """Simulated seconds per wall second over the workload.
 
     The perf-smoke gate metric: unlike events/sec it is invariant to
@@ -99,16 +89,13 @@ def sim_seconds_per_second(duration: float = DURATION) -> float:
     small events into one (the cellular link's batched serves and
     grouped deliveries) do not skew it.
     """
-    costs, _, wall = run_workload(duration)
+    costs, _, wall = run_workload(duration, names)
     return len(costs) * duration / wall
 
 
-def test_table4_control_overhead(benchmark):
-    costs, events, wall = benchmark.pedantic(
-        run_workload, kwargs={"profiled": True}, rounds=1, iterations=1
-    )
-    mode = "reduced" if REDUCED else "full"
-    lines = [f"mode: {mode}   events/sec: {events / wall:,.0f}"]
+def test_table4_control_overhead():
+    costs, events, wall = run_workload(profiled=True)
+    lines = [f"events/sec: {events / wall:,.0f}"]
     lines.append(
         f"{'Algorithm':10s} {'ctrl ms/sim-s':>14s} {'calls':>9s} {'tput KB/s':>10s}"
     )
@@ -118,8 +105,8 @@ def test_table4_control_overhead(benchmark):
         lines.append(f"{name:10s} {per_s * 1000:14.3f} {calls:9d} {tput:10.1f}")
     emit("table4_cpu", lines)
 
-    cheap_max = max(costs[name][0] for name in CHEAP if name in costs)
-    expensive = [costs[name][0] for name in EXPENSIVE if name in costs]
+    cheap_max = max(costs[name][0] for name in CHEAP)
+    expensive = [costs[name][0] for name in EXPENSIVE]
     expensive_mean = sum(expensive) / len(expensive)
     # Expensive algorithms must cost meaningfully more control time than
     # the cheapest loops, normalised per delivered byte would be starker;

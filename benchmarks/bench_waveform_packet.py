@@ -56,17 +56,14 @@ def _rows(label, summary, params):
     )
 
 
-def test_packet_level_waveforms(benchmark):
-    def _both():
-        return {
-            # The NFL is disabled so the raw regulation loop is measured
-            # against the open-loop model (the NFL deliberately moves T
-            # away from the derivation to cancel measurement bias).
-            "buffer-full t=80ms": (_run(0.080, False), derive_parameters(0.080, RTT)),
-            "buffer-emptied t=20ms": (_run(0.020, False), derive_parameters(0.020, RTT)),
-        }
-
-    results = benchmark.pedantic(_both, rounds=1, iterations=1)
+def test_packet_level_waveforms():
+    results = {
+        # The NFL is disabled so the raw regulation loop is measured
+        # against the open-loop model (the NFL deliberately moves T
+        # away from the derivation to cancel measurement bias).
+        "buffer-full t=80ms": (_run(0.080, False), derive_parameters(0.080, RTT)),
+        "buffer-emptied t=20ms": (_run(0.020, False), derive_parameters(0.020, RTT)),
+    }
     lines = [_rows(k, s, p) for k, (s, p) in results.items()]
     emit("waveform_packet", lines)
 

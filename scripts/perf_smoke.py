@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """CI perf-smoke gate: the Table-4 workload's simulation speed.
 
-Runs ``benchmarks/bench_table4_cpu.py``'s workload in reduced mode
-(``REPRO_BENCH_REDUCED=1``) and compares the simulated-seconds-per-
-wall-second rate against the checked-in baseline, failing on a >30%
-regression.  (Earlier revisions gated events/sec; batched delivery
-legitimately collapses many small events into fewer large ones, so the
-gate now uses a metric invariant to event granularity.)  The
+Runs a reduced pass of ``benchmarks/bench_table4_cpu.py``'s workload
+(``SMOKE_DURATION`` simulated seconds over ``SMOKE_NAMES``) and
+compares the simulated-seconds-per-wall-second rate against the
+checked-in baseline, failing on a >30% regression.  (Earlier
+revisions gated events/sec; batched delivery legitimately collapses
+many small events into fewer large ones, so the gate now uses a metric
+invariant to event granularity.)  The
 baseline is deliberately taken on a slow reference host so that noisy
 CI runners fail only on real regressions in the simulation hot path.
 
@@ -52,6 +53,7 @@ so the figure is host independent; the baseline entry in
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -63,11 +65,28 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "benchmarks"))  # bench modules + _report
 
+import bench_env_overhead
+import bench_sack_scoreboard
+import bench_table4_cpu
 from _report import dump_profile
 
 BASELINE = REPO / "benchmarks" / "baselines" / "perf_smoke.json"
 LOSS_BASELINE = REPO / "benchmarks" / "baselines" / "sack_scoreboard.json"
 PROFILE_OUT = REPO / "perf_profile"
+
+#: The gated Table-4 pass: a short transfer over members of both cost
+#: classes (Table 4's cheap control loops and forecast/utility loops).
+SMOKE_DURATION = 5.0
+SMOKE_NAMES = ("PR(M)", "CUBIC", "BBR", "Sprout", "PCC", "Verus")
+
+#: Simulated horizon of the gated heavy-loss scoreboard pass.
+LOSS_HORIZON = 20.0
+
+#: The two gated workloads as zero-argument calls (also what a failing
+#: gate profiles).
+run_smoke = functools.partial(
+    bench_table4_cpu.run_workload, SMOKE_DURATION, SMOKE_NAMES)
+run_loss = functools.partial(bench_sack_scoreboard.run_workload, LOSS_HORIZON)
 
 #: Allowed slowdown relative to baseline before the gate fails.
 TOLERANCE = 0.30
@@ -92,43 +111,19 @@ SAMPLED_SPEC = ("queue.sample:every=64;cc.loss-runs:every=16;"
                 "cc.estimator:every=8;*:max=100000")
 
 
-def _bench_module():
-    # Reduced mode must be set before the bench module is imported —
-    # it freezes its configuration at import time.
-    os.environ.setdefault("REPRO_BENCH_REDUCED", "1")
-    import bench_table4_cpu
-
-    return bench_table4_cpu
-
-
 def measure() -> float:
-    bench_table4_cpu = _bench_module()
     # One throwaway pass warms the trace cache and JIT-ish caches
     # (interned bytecode, numpy buffers), then the measured pass.
-    bench_table4_cpu.sim_seconds_per_second()
-    return bench_table4_cpu.sim_seconds_per_second()
-
-
-def _loss_bench_module():
-    os.environ.setdefault("REPRO_BENCH_REDUCED", "1")
-    import bench_sack_scoreboard
-
-    return bench_sack_scoreboard
+    bench_table4_cpu.sim_seconds_per_second(SMOKE_DURATION, SMOKE_NAMES)
+    return bench_table4_cpu.sim_seconds_per_second(SMOKE_DURATION, SMOKE_NAMES)
 
 
 def measure_loss() -> float:
     """Heavy-loss ACK throughput: ACKs processed per ACK-path CPU second
     on the bursty-outage scoreboard workload (min-of-N rounds)."""
-    bench = _loss_bench_module()
-    bench.run_workload()  # warm-up pass
-    stats = bench.measure(rounds=3)
+    run_loss()  # warm-up pass
+    stats = bench_sack_scoreboard.measure(LOSS_HORIZON, rounds=3)
     return stats["acks"] / stats["ack_cpu_s"]
-
-
-def _env_bench_module():
-    import bench_env_overhead
-
-    return bench_env_overhead
 
 
 def measure_env_overhead():
@@ -141,8 +136,7 @@ def measure_env_overhead():
     comparison is meaningless and ``check_determinism.py --env`` is the
     gate that should be failing.
     """
-    bench = _env_bench_module()
-    native, env, native_sums, env_sums = bench._measure()
+    native, env, native_sums, env_sums = bench_env_overhead._measure()
     if native_sums != env_sums:
         raise SystemExit(
             "env replay diverged from the native run; see "
@@ -171,8 +165,7 @@ def measure_telemetry_overhead(sampled: bool = False) -> int:
     label = "sampled telemetry" if sampled else "telemetry"
     dropped: dict = {}
 
-    bench = _bench_module()
-    bench.run_workload()  # warm-up: trace cache, imports, allocator
+    run_smoke()  # warm-up: trace cache, imports, allocator
     scratch = tempfile.mkdtemp(prefix="repro-obs-")
 
     def timed(telemetry: bool, n: int) -> float:
@@ -180,7 +173,7 @@ def measure_telemetry_overhead(sampled: bool = False) -> int:
         if telemetry:
             with obs.tracing(os.path.join(scratch, f"smoke{n}.jsonl"),
                              sampling=spec) as tracer:
-                bench.run_workload()
+                run_smoke()
                 elapsed = time.process_time() - start
                 # The runner drains the policy into run.telemetry.*
                 # counters per run (reset-on-read), so read the drop
@@ -193,7 +186,7 @@ def measure_telemetry_overhead(sampled: bool = False) -> int:
                         dropped[kind] = max(dropped.get(kind, 0), value)
                 return elapsed
         else:
-            bench.run_workload()
+            run_smoke()
         return time.process_time() - start
 
     rounds = 6 if sampled else 4  # tighter gate, more noise damping
@@ -287,8 +280,7 @@ def main() -> int:
             LOSS_BASELINE.parent.mkdir(parents=True, exist_ok=True)
             LOSS_BASELINE.write_text(json.dumps({
                 "acks_per_cpu_sec": round(rate),
-                "workload": "bench_sack_scoreboard reduced "
-                            "(REPRO_BENCH_REDUCED=1)",
+                "workload": f"bench_sack_scoreboard {LOSS_HORIZON:.0f} s",
                 "tolerance": TOLERANCE,
                 "host": platform.platform(),
                 "cpu_count": os.cpu_count(),
@@ -304,8 +296,7 @@ def main() -> int:
             f"(baseline {baseline['acks_per_cpu_sec']:,}, floor {floor:,.0f})"
         )
         if rate < floor:
-            dump_profile(_loss_bench_module().run_workload, PROFILE_OUT,
-                         "loss-recovery")
+            dump_profile(run_loss, PROFILE_OUT, "loss-recovery")
             return 1
         return 0
 
@@ -314,7 +305,8 @@ def main() -> int:
         BASELINE.parent.mkdir(parents=True, exist_ok=True)
         BASELINE.write_text(json.dumps({
             "sim_seconds_per_sec": round(rate, 2),
-            "workload": "bench_table4_cpu reduced (REPRO_BENCH_REDUCED=1)",
+            "workload": f"bench_table4_cpu {SMOKE_DURATION:.0f} s x "
+                        + "/".join(SMOKE_NAMES),
             "tolerance": TOLERANCE,
             "host": platform.platform(),
             "cpu_count": os.cpu_count(),
@@ -330,8 +322,7 @@ def main() -> int:
         f"(baseline {baseline['sim_seconds_per_sec']:,}, floor {floor:,.2f})"
     )
     if rate < floor:
-        dump_profile(_bench_module().run_workload, PROFILE_OUT,
-                     "table4-sim-rate")
+        dump_profile(run_smoke, PROFILE_OUT, "table4-sim-rate")
         return 1
     return 0
 

@@ -1,6 +1,7 @@
 """Tests for the algorithm line-up, control-cost phase and experiment
 registry."""
 
+import ast
 import pathlib
 
 import pytest
@@ -130,6 +131,19 @@ class TestRegistry:
         text = describe_all()
         for exp in EXPERIMENTS.values():
             assert exp.id in text
+
+    def test_bench_tests_need_no_fixture(self):
+        # benchmarks/ runs under bare pytest: a parameter on a test
+        # function is a fixture some plugin must supply.
+        root = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+        offenders = []
+        for path in sorted(root.glob("bench_*.py")):
+            for node in ast.parse(path.read_text()).body:
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name.startswith("test_")
+                        and (node.args.args or node.args.kwonlyargs)):
+                    offenders.append(f"{path.name}::{node.name}")
+        assert not offenders, offenders
 
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results"
