@@ -75,12 +75,6 @@ def run_workload(duration: float = DURATION, names=None,
     return costs, total_events, time.perf_counter() - wall_start
 
 
-def events_per_second(duration: float = DURATION) -> float:
-    """Aggregate simulator events/sec over the workload (smoke metric)."""
-    _, events, wall = run_workload(duration)
-    return events / wall
-
-
 def sim_seconds_per_second(duration: float = DURATION, names=None) -> float:
     """Simulated seconds per wall second over the workload.
 

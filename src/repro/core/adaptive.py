@@ -18,25 +18,21 @@ The result keeps the configured latency budget as a ceiling while
 automatically de-tuning aggressiveness to the actual buffer depth — the
 tunability-vs-BBR argument of §6 made automatic.
 
-The rule is written once, in :class:`TargetAdjuster`, as arrays over
-*n* flows (DESIGN.md §13, "One rule, three bindings").  Three bindings
-turn their own events into its calls and apply its answer:
+The rule is written once, in :class:`TargetAdjuster`, for one flow
+(DESIGN.md §13, "One rule, two bindings").  Two bindings turn their own
+events into its calls and apply its answer:
 
-* per ACK, in-path: :class:`AdaptivePropRate` (n = 1, the shootout
-  algorithm ``PR(A)`` / ``adaptive-proprate``), through :func:`retarget`;
+* per ACK, in-path: :class:`AdaptivePropRate` (the shootout algorithm
+  ``PR(A)`` / ``adaptive-proprate``), through :func:`retarget`;
 * per feedback epoch, out-of-path:
-  :class:`repro.env.policies.AdaptiveTargetPolicy` (n = 1), as
-  ``{"target": …}`` actions;
-* per fluid step: :class:`repro.fluid.controllers.AdaptivePropRateBank`
-  (n flows), by re-deriving each moved flow's fill/drain parameters.
+  :class:`repro.env.policies.AdaptiveTargetPolicy`, as ``{"target": …}``
+  actions.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any
-
-import numpy as np
-from numpy.typing import ArrayLike
 
 from repro.core.proprate import PropRate
 from repro.tcp.congestion.base import AckSample
@@ -64,82 +60,76 @@ QUIET_DUE_SLACK = 1e-6
 
 
 class TargetAdjuster:
-    """The §6 target-adjustment rule over *n* flows.
+    """The §6 target-adjustment rule for one flow.
 
-    ``target`` holds each flow's effective target; ``configured_target``
-    is its ceiling and ``min_target`` its floor.  ``on_loss``,
-    ``on_rto`` and ``on_quiet`` each take a time and a boolean flow mask
-    and return the mask of flows whose target moved; the new values are
-    in ``target``.  A move smaller than 1 ns is no move, the dead-band
-    :func:`retarget` applies on the packet tier.
+    ``target`` is the flow's effective target; ``configured_target`` is
+    its ceiling and ``min_target`` its floor.  ``on_loss``, ``on_rto``
+    and ``on_quiet`` each take a time and return whether the target
+    moved; the new value is in ``target``.  A move smaller than 1 ns is
+    no move, the dead-band :func:`retarget` applies on the packet tier.
     """
 
-    def __init__(self, configured_target: ArrayLike,
-                 min_target: ArrayLike) -> None:
-        configured = np.array(configured_target, dtype=np.float64, ndmin=1)
-        floor = np.broadcast_to(
-            np.asarray(min_target, dtype=np.float64), configured.shape
-        ).copy()
-        if bool((floor <= 0).any()) or bool((floor > configured).any()):
+    def __init__(self, configured_target: float, min_target: float) -> None:
+        if not 0 < min_target <= configured_target:
             raise ValueError("min_target must be in (0, target]")
-        n = configured.size
-        self.configured_target = configured
-        self.min_target = floor
-        self.target = configured.copy()
+        self.configured_target = configured_target
+        self.min_target = min_target
+        self.target = configured_target
         #: Episodes in the current streak.
-        self.streak = np.zeros(n, dtype=np.int64)
-        self.last_episode = np.full(n, -np.inf)
+        self.streak = 0
+        self.last_episode = -math.inf
         #: The quiet clock: recovery waits this long after the last loss.
-        self.last_loss = np.zeros(n)
-        self.last_recovery = np.full(n, -np.inf)
+        self.last_loss = 0.0
+        self.last_recovery = -math.inf
 
-    def _move(self, mask: np.ndarray, proposed: np.ndarray) -> np.ndarray:
-        clamped = np.minimum(self.configured_target,
-                             np.maximum(self.min_target, proposed))
-        moved = mask & (np.abs(clamped - self.target) >= 1e-9)
-        self.target = np.where(moved, clamped, self.target)
-        return moved
+    def _move(self, proposed: float) -> bool:
+        clamped = min(self.configured_target,
+                      max(self.min_target, proposed))
+        if abs(clamped - self.target) < 1e-9:
+            return False
+        self.target = clamped
+        return True
 
-    def on_loss(self, now: float, mask: np.ndarray) -> np.ndarray:
-        """A loss episode at ``now`` for the ``mask`` flows; an episode
-        within ``EPISODE_MEMORY`` of the previous one (inclusive)
-        extends the streak, and a full streak shrinks the target."""
-        self.last_loss = np.where(mask, now, self.last_loss)
-        linked = now - self.last_episode <= EPISODE_MEMORY
-        self.streak = np.where(
-            mask, np.where(linked, self.streak + 1, 1), self.streak
-        )
-        self.last_episode = np.where(mask, now, self.last_episode)
-        shrink = mask & (self.streak >= LOSS_EPISODES_TO_SHRINK)
-        self.streak = np.where(shrink, 0, self.streak)
-        return self._move(shrink, self.target * SHRINK_FACTOR)
+    def on_loss(self, now: float) -> bool:
+        """A loss episode at ``now``; an episode within
+        ``EPISODE_MEMORY`` of the previous one (inclusive) extends the
+        streak, and a full streak shrinks the target."""
+        self.last_loss = now
+        if now - self.last_episode <= EPISODE_MEMORY:
+            self.streak += 1
+        else:
+            self.streak = 1
+        self.last_episode = now
+        if self.streak < LOSS_EPISODES_TO_SHRINK:
+            return False
+        self.streak = 0
+        return self._move(self.target * SHRINK_FACTOR)
 
-    def on_rto(self, now: float, mask: np.ndarray) -> np.ndarray:
+    def on_rto(self, now: float) -> bool:
         """A timeout, the strongest overflow signal of all: shrink now
         and restart the quiet clock."""
-        self.last_loss = np.where(mask, now, self.last_loss)
-        return self._move(mask, self.target * SHRINK_FACTOR)
+        self.last_loss = now
+        return self._move(self.target * SHRINK_FACTOR)
 
-    def on_quiet(self, now: float, mask: np.ndarray) -> np.ndarray:
+    def on_quiet(self, now: float) -> bool:
         """Loss-free progress at ``now``: one additive step per
         ``RECOVERY_QUIET_TIME``, up to the configured target."""
-        quiet = (
-            mask
-            & (now - self.last_loss >= RECOVERY_QUIET_TIME)
-            & (now - self.last_recovery >= RECOVERY_QUIET_TIME)
-            & (self.target < self.configured_target)
-        )
-        self.last_recovery = np.where(quiet, now, self.last_recovery)
-        return self._move(quiet, self.target + RECOVERY_STEP)
+        if not (now - self.last_loss >= RECOVERY_QUIET_TIME
+                and now - self.last_recovery >= RECOVERY_QUIET_TIME
+                and self.target < self.configured_target):
+            return False
+        self.last_recovery = now
+        return self._move(self.target + RECOVERY_STEP)
 
-    def quiet_due(self) -> np.ndarray:
-        """Per flow, a time before which :meth:`on_quiet` cannot move the
-        target (``inf`` at the ceiling).  Unchanged until the next rule
-        call, so a binding that sees quiet time on every ACK enters the
-        rule only from then on."""
-        due = (np.maximum(self.last_loss, self.last_recovery)
-               + (RECOVERY_QUIET_TIME - QUIET_DUE_SLACK))
-        return np.where(self.target < self.configured_target, due, np.inf)
+    def quiet_due(self) -> float:
+        """A time before which :meth:`on_quiet` cannot move the target
+        (``inf`` at the ceiling).  Unchanged until the next rule call,
+        so a binding that sees quiet time on every ACK enters the rule
+        only from then on."""
+        if self.target < self.configured_target:
+            return (max(self.last_loss, self.last_recovery)
+                    + (RECOVERY_QUIET_TIME - QUIET_DUE_SLACK))
+        return math.inf
 
 
 def retarget(cc: PropRate, new_target: float) -> bool:
@@ -166,10 +156,6 @@ def retarget(cc: PropRate, new_target: float) -> bool:
     return True
 
 
-#: The one flow of a single-flow binding.
-_ONE = np.ones(1, dtype=bool)
-
-
 class AdaptivePropRate(PropRate):
     """PropRate with loss-driven dynamic adjustment of t̄_buff.
 
@@ -190,27 +176,27 @@ class AdaptivePropRate(PropRate):
     ) -> None:
         super().__init__(target_buffer_delay=target_buffer_delay, **kwargs)
         self._rule = TargetAdjuster(target_buffer_delay, min_target)
-        self._quiet_due = float(self._rule.quiet_due()[0])
+        self._quiet_due = self._rule.quiet_due()
         self.configured_target = target_buffer_delay
         self.min_target = min_target
         self.target_adjustments = 0
 
     # ------------------------------------------------------------------
-    def _apply(self, moved: np.ndarray) -> None:
+    def _apply(self, moved: bool) -> None:
         rule = self._rule
-        if moved[0] and retarget(self, float(rule.target[0])):
+        if moved and retarget(self, rule.target):
             self.target_adjustments += 1
-        self._quiet_due = float(rule.quiet_due()[0])
+        self._quiet_due = rule.quiet_due()
 
     def on_congestion(self, sample: AckSample) -> None:
         super().on_congestion(sample)
-        self._apply(self._rule.on_loss(sample.now, _ONE))
+        self._apply(self._rule.on_loss(sample.now))
 
     def on_rto(self) -> None:
         super().on_rto()
-        self._apply(self._rule.on_rto(self.host.now, _ONE))
+        self._apply(self._rule.on_rto(self.host.now))
 
     def on_ack(self, sample: AckSample) -> None:
         super().on_ack(sample)
         if sample.now >= self._quiet_due:
-            self._apply(self._rule.on_quiet(sample.now, _ONE))
+            self._apply(self._rule.on_quiet(sample.now))

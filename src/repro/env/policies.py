@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-import numpy as np
-
 from repro.core.adaptive import TargetAdjuster
 from repro.env.core import CcEnv, Observation
 
@@ -32,9 +30,6 @@ __all__ = [
     "ConstantRatePolicy",
     "AdaptiveTargetPolicy",
 ]
-
-#: The one flow the rule steers.
-_ONE = np.ones(1, dtype=bool)
 
 
 class Policy:
@@ -103,14 +98,14 @@ class AdaptiveTargetPolicy(Policy):
         self._seen_episodes = obs.loss_episodes
         self._seen_rtos = obs.rtos
         # Out of path, the observation is the sender's target.
-        rule.target[0] = obs.target
+        rule.target = obs.target
         for _ in range(episodes):
-            rule.on_loss(obs.t, _ONE)
+            rule.on_loss(obs.t)
         for _ in range(rtos):
-            rule.on_rto(obs.t, _ONE)
+            rule.on_rto(obs.t)
         if not (episodes or rtos):
-            rule.on_quiet(obs.t, _ONE)
-        new = float(rule.target[0])
+            rule.on_quiet(obs.t)
+        new = rule.target
         if abs(new - obs.target) < 1e-9:
             return None
         return {"target": new}

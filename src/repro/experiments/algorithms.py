@@ -38,7 +38,7 @@ CcFactory = Callable[[], CongestionControl]
 PR_TARGETS = {"PR(L)": 0.020, "PR(M)": 0.040, "PR(H)": 0.080}
 
 #: Line-up name of the adaptive-target PropRate (§6); accepts CcSpec
-#: params (``target_buffer_delay``, ``min_target``).
+#: params (AdaptivePropRate's target and its shrink floor).
 ADAPTIVE_NAME = "PR(A)"
 
 

@@ -91,7 +91,6 @@ MIXES: Dict[str, Tuple[Tuple[str, CcSpec], ...]] = {
         ("pr", proprate_spec(0.040)),
         ("cubic", CcSpec("CUBIC")),
     ),
-    "pr-adaptive": (("pra", CcSpec("PR(A)")), ("cubic", CcSpec("CUBIC"))),
 }
 
 #: Start patterns.  "simultaneous" launches every flow at t=0 (the
@@ -178,7 +177,7 @@ FULL_GRID = GridConfig(
 #: small enough for a smoke job, still multi-flow enough to exercise
 #: the scheduler, the auditor's flow-scaled bands, and batched delivery.
 REDUCED_GRID = GridConfig(
-    mixes=("pr-self", "pr-vs-cubic", "pr-adaptive"),
+    mixes=("pr-self", "pr-vs-cubic"),
     flow_counts=(2, 4),
     patterns=("staggered",),
     traces=("wired:4mbps",),

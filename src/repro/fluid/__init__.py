@@ -7,7 +7,6 @@ validated against the packet engine by scripts/check_fluid_xval.py.
 """
 
 from repro.fluid.controllers import (
-    AdaptivePropRateBank,
     ControllerBank,
     CubicBank,
     PolicyBank,
@@ -25,7 +24,6 @@ from repro.fluid.engine import (
 from repro.fluid.scenarios import fan_in_scenario, tower_for_label
 
 __all__ = [
-    "AdaptivePropRateBank",
     "ControllerBank",
     "CubicBank",
     "PolicyBank",

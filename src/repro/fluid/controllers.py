@@ -13,7 +13,7 @@ answers two questions per step:
 The PropRate and CUBIC rate laws and the per-RTT overflow hold-off are
 C (``step.c``, loaded by :mod:`repro.fluid.kernel`): the engine's step
 kernel runs them on the banks' arrays in place, and the two methods
-above run them for one bank.  Loss reactions and the §6 rule stay here.
+above run them for one bank.  Loss reactions stay here.
 
 Two families are modelled:
 
@@ -35,13 +35,8 @@ Two families are modelled:
   loss as synchronized — see docs/fluid.md for why that is a known,
   tolerated divergence from the packet tier).
 
-Two control-plane extensions ride on those families:
+A control-plane extension rides on those families:
 
-* :class:`AdaptivePropRateBank` — the fluid binding of the §6
-  adaptive-target rule (:class:`repro.core.adaptive.TargetAdjuster`,
-  DESIGN.md §13): tower overflows are the rule's loss episodes, every
-  step is a quiet-time probe, and the fill/drain parameters are
-  re-derived whenever a flow's target moves.
 * :class:`PolicyBank` — externally driven rates, the fluid face of the
   :mod:`repro.env` control-plane split: a callable policy receives the
   fleet's observation arrays once per step and returns the per-flow
@@ -55,7 +50,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.adaptive import TargetAdjuster
 from repro.core.model import derive_parameters
 from repro.core.proprate import RHO_HOLD_TAU
 from repro.fluid import kernel
@@ -64,7 +58,6 @@ from repro.tcp.congestion.cubic import Cubic
 __all__ = [
     "ControllerBank",
     "PropRateBank",
-    "AdaptivePropRateBank",
     "CubicBank",
     "PolicyBank",
     "MSS",
@@ -205,10 +198,20 @@ class PropRateBank(ControllerBank):
                  targets: Sequence[float]) -> None:
         super().__init__(index, rtts, starts, dt)
         self.target = np.array(targets, dtype=np.float64)
-        self.threshold = np.empty(self.n)
-        self.kf = np.empty(self.n)
-        self.kd = np.empty(self.n)
-        self._derive(np.arange(self.n))
+        # The operating point: one derive_parameters call per distinct
+        # (target, rtt).
+        pairs, inverse = np.unique(
+            np.stack([self.target, self.rtt], axis=1),
+            axis=0, return_inverse=True,
+        )
+        derived = np.array([
+            (params.threshold, params.kf, params.kd)
+            for params in (derive_parameters(float(target), float(rtt))
+                           for target, rtt in pairs)
+        ])
+        self.threshold, self.kf, self.kd = (
+            derived[inverse.reshape(-1)].T.copy()
+        )
         #: Fill/drain oscillator state: a flow is in Startup until its
         #: first threshold crossing, then in Drain or Fill.
         self.startup = np.ones(self.n, dtype=bool)
@@ -233,60 +236,6 @@ class PropRateBank(ControllerBank):
             startup=ptr(self.startup), drain=ptr(self.drain),
             alpha_hold=self.alpha_hold,
         )
-
-    def _derive(self, which: np.ndarray) -> None:
-        """(Re-)derive threshold/k_f/k_d for the flows at ``which``:
-        one :func:`derive_parameters` call per distinct (target, rtt)."""
-        pairs, inverse = np.unique(
-            np.stack([self.target[which], self.rtt[which]], axis=1),
-            axis=0, return_inverse=True,
-        )
-        derived = np.array([
-            (params.threshold, params.kf, params.kd)
-            for params in (derive_parameters(float(target), float(rtt))
-                           for target, rtt in pairs)
-        ])
-        self.threshold[which], self.kf[which], self.kd[which] = (
-            derived[inverse.reshape(-1)].T
-        )
-
-
-class AdaptivePropRateBank(PropRateBank):
-    """Fluid PR(A): PropRate steered by the §6 rule over the fleet.
-
-    A loss epoch (after the per-RTT hold-off) is the rule's
-    ``on_loss``, every step its ``on_quiet`` for the active flows, and
-    every target move re-derives the flow's threshold/k_f/k_d from
-    :func:`repro.core.model.derive_parameters`, as the packet tier's
-    ``retarget`` re-centres the feedback band.  The rule runs in Python,
-    then the kernel's PropRate law on the bank's arrays.
-    """
-
-    kind = "adaptive-proprate"
-    loss_based = True
-    python_rates = True
-
-    def __init__(self, index: Sequence[int], rtts: Sequence[float],
-                 starts: Sequence[float], dt: float,
-                 targets: Sequence[float],
-                 min_targets: Sequence[float]) -> None:
-        super().__init__(index, rtts, starts, dt, targets)
-        self.rule = TargetAdjuster(self.target, min_targets)
-        self.target_adjustments = np.zeros(self.n, dtype=np.int64)
-
-    def _retarget(self, moved: np.ndarray) -> None:
-        if bool(moved.any()):
-            self.target = self.rule.target
-            self._derive(np.nonzero(moved)[0])
-            self.target_adjustments += moved
-
-    def rates(self, t: float, observed: np.ndarray, tbuff_now: np.ndarray,
-              delivered: np.ndarray, active: np.ndarray) -> np.ndarray:
-        self._retarget(self.rule.on_quiet(t, active))
-        return super().rates(t, observed, tbuff_now, delivered, active)
-
-    def react_to_loss(self, t: float, react: np.ndarray) -> None:
-        self._retarget(self.rule.on_loss(t, react))
 
 
 class CubicBank(ControllerBank):
@@ -392,7 +341,6 @@ def build_banks(specs: Sequence, dt: float) -> List[ControllerBank]:
     :class:`PolicyBank`.
     """
     pr_idx, pr_rtt, pr_start, pr_target = [], [], [], []
-    ad_idx, ad_rtt, ad_start, ad_target, ad_floor = [], [], [], [], []
     cu_idx, cu_rtt, cu_start = [], [], []
     po_groups: Dict[int, list] = {}
     for i, spec in enumerate(specs):
@@ -401,12 +349,6 @@ def build_banks(specs: Sequence, dt: float) -> List[ControllerBank]:
             pr_rtt.append(spec.rtt)
             pr_start.append(spec.start)
             pr_target.append(spec.target_tbuff)
-        elif spec.controller == "adaptive-proprate":
-            ad_idx.append(i)
-            ad_rtt.append(spec.rtt)
-            ad_start.append(spec.start)
-            ad_target.append(spec.target_tbuff)
-            ad_floor.append(spec.min_target)
         elif spec.controller == "cubic":
             cu_idx.append(i)
             cu_rtt.append(spec.rtt)
@@ -424,17 +366,11 @@ def build_banks(specs: Sequence, dt: float) -> List[ControllerBank]:
         else:
             raise ValueError(
                 f"unknown fluid controller {spec.controller!r}; "
-                "have 'proprate', 'adaptive-proprate', 'cubic', and "
-                "'policy'"
+                "have 'proprate', 'cubic', and 'policy'"
             )
     banks: List[ControllerBank] = []
     if pr_idx:
         banks.append(PropRateBank(pr_idx, pr_rtt, pr_start, dt, pr_target))
-    if ad_idx:
-        banks.append(
-            AdaptivePropRateBank(ad_idx, ad_rtt, ad_start, dt,
-                                 ad_target, ad_floor)
-        )
     if cu_idx:
         banks.append(CubicBank(cu_idx, cu_rtt, cu_start, dt))
     for policy, idx, rtts, starts in po_groups.values():

@@ -121,8 +121,7 @@ class FluidFlowSpec:
     """One flow in a fluid run.
 
     ``controller`` is ``"proprate"`` (with ``target_tbuff``),
-    ``"adaptive-proprate"`` (additionally ``min_target``, the §6
-    shrink floor), ``"cubic"``, or ``"policy"`` (externally driven
+    ``"cubic"``, or ``"policy"`` (externally driven
     rates; ``policy`` is the per-step callable all flows sharing it are
     banked under — see
     :class:`~repro.fluid.controllers.PolicyBank`); ``rtt`` is the
@@ -137,8 +136,6 @@ class FluidFlowSpec:
     rtt: float = 0.040
     tower: int = 0
     start: float = 0.0
-    #: §6 shrink floor ("adaptive-proprate" only).
-    min_target: float = 0.005
     #: Per-step action callable ("policy" only); flows sharing the same
     #: callable are banked together.
     policy: Optional[Any] = None
@@ -148,13 +145,8 @@ class FluidFlowSpec:
             raise ValueError("rtt must be positive")
         if self.start < 0:
             raise ValueError("start must be non-negative")
-        if self.controller in ("proprate", "adaptive-proprate") \
-                and self.target_tbuff <= 0:
+        if self.controller == "proprate" and self.target_tbuff <= 0:
             raise ValueError("target_tbuff must be positive")
-        if self.controller == "adaptive-proprate" and not (
-            0 < self.min_target <= self.target_tbuff
-        ):
-            raise ValueError("min_target must be in (0, target_tbuff]")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ FAN_IN_MIXES = {
     "cubic-self": ("cubic",),
     "pr-vs-cubic": ("proprate", "cubic"),
     "pr-heavy": ("proprate", "proprate", "proprate", "cubic"),
-    "pr-adaptive": ("adaptive-proprate", "cubic"),
 }
 
 #: Target buffer delays cycled across PropRate flows (PR(L)/PR(M)/PR(H)

@@ -12,10 +12,10 @@ to it bit for bit:
   opportunity per event (tests/test_fastpath.py);
 * :mod:`~tests.reference.fluid` — ``reference_integrate`` and its
   banks, the fluid step loop before its cost was halved, with the
-  per-bank loss hold-off and the array-written §6 rule
-  (tests/test_fluid_diff.py);
+  per-bank loss hold-off (tests/test_fluid_diff.py);
 * :mod:`~tests.reference.adaptive` — ``ScalarTargetAdjuster``, the §6
-  rule as one scalar object per flow (tests/test_adaptive.py);
+  rule as it was first written, event in and proposed target out
+  (tests/test_adaptive.py);
 * :mod:`~tests.reference.scoreboard` — ``ReferenceBoard``, the
   per-segment SACK state machine (tests/test_scoreboard_diff.py);
 * :mod:`~tests.reference.application` — the ``Fraction`` form of the

@@ -1,14 +1,13 @@
-"""The §6 adaptive-target rule as one scalar object per flow.
+"""The §6 adaptive-target rule as it was first written.
 
 :class:`ScalarTargetAdjuster` is ``repro.core.adaptive.TargetAdjuster``
-as it stood before the rule became arrays over *n* flows: feed it one
-flow's loss / timeout / quiet events and its current target, and it
-answers with the target to apply or ``None``.  The constants are copied
-rather than imported so the reference cannot drift with the shipped
-rule.  tests/test_adaptive.py runs random schedules through *n* of
-these and through one vectorised rule and compares the targets after
-every event; tests/reference/fluid.py builds its frozen adaptive bank
-on the same constants.
+as it stood before the rule was rewritten around explicit state
+(``streak``, ``last_loss``, ``quiet_due``): feed it one flow's loss /
+timeout / quiet events and its current target, and it answers with the
+target to apply or ``None``.  The constants are copied rather than
+imported so the reference cannot drift with the shipped rule.
+tests/test_adaptive.py runs random schedules through it and through the
+shipped rule and compares the targets after every event.
 """
 
 from __future__ import annotations

@@ -6,14 +6,12 @@ every step, CUBIC cubed with ``** 3``); tests/test_fluid_diff.py holds
 :func:`repro.fluid.run_fluid` to it.
 
 The loss side is frozen too: every loss-based bank below carries its
-own copy of the per-RTT overflow hold-off and of its reaction, and the
-adaptive bank its own copy of the §6 rule, as they stood before the
-hold-off moved into ``ControllerBank.on_overflow`` and the rule into
-``repro.core.adaptive.TargetAdjuster`` — so the differential compares
-the shipped code with the code it replaced, not with itself.  For the
-same reason the PropRate and CUBIC banks are whole numpy copies — state
-layout and ``rates()`` — sharing nothing with ``repro.fluid.controllers``
-but its constants.
+own copy of the per-RTT overflow hold-off and of its reaction, as they
+stood before the hold-off moved into ``ControllerBank.on_overflow`` —
+so the differential compares the shipped code with the code it
+replaced, not with itself.  For the same reason the PropRate and CUBIC
+banks are whole numpy copies — state layout and ``rates()`` — sharing
+nothing with ``repro.fluid.controllers`` but its constants.
 """
 
 from __future__ import annotations
@@ -38,13 +36,6 @@ from repro.fluid.engine import (
 from repro.fluid.controllers import INITIAL_WINDOW, MSS, RHO_FLOOR_SEGMENTS
 from repro.metrics.stats import jain_fairness
 from repro.tcp.congestion.cubic import Cubic
-from tests.reference.adaptive import (
-    EPISODE_MEMORY,
-    LOSS_EPISODES_TO_SHRINK,
-    RECOVERY_QUIET_TIME,
-    RECOVERY_STEP,
-    SHRINK_FACTOR,
-)
 
 
 #: PropRate fill/drain modes (int8 state array values).
@@ -115,70 +106,6 @@ class ReferencePropRateBank(_ReferenceBank):
         gain = np.where(self.ref_mode == STARTUP, 2.0,
                         np.where(self.ref_mode == FILL, self.kf, self.kd))
         return np.where(active, gain * self.rho, 0.0)
-
-
-class ReferenceAdaptivePropRateBank(ReferencePropRateBank):
-    """The §6 rule written out over five state arrays, on
-    :class:`ReferencePropRateBank`."""
-
-    kind = "adaptive-proprate"
-    loss_based = True
-
-    def __init__(self, index, rtts, starts, dt, targets, min_targets):
-        super().__init__(index, rtts, starts, dt, targets)
-        self.configured_target = self.target.copy()
-        self.min_target = np.asarray(min_targets, dtype=np.float64)
-        if bool((self.min_target <= 0).any()) or bool(
-            (self.min_target > self.configured_target).any()
-        ):
-            raise ValueError("min_target must be in (0, target]")
-        self.consecutive = np.zeros(self.n, dtype=np.int64)
-        self.last_episode_at = np.full(self.n, -np.inf)
-        self.last_loss_at = np.zeros(self.n)
-        self.last_recovery_at = np.full(self.n, -np.inf)
-        self.last_loss = np.full(self.n, -np.inf)
-        self.target_adjustments = np.zeros(self.n, dtype=np.int64)
-
-    def _apply_targets(self, mask, proposed):
-        clamped = np.minimum(self.configured_target,
-                             np.maximum(self.min_target, proposed))
-        changed = mask & (np.abs(clamped - self.target) >= 1e-9)
-        if not bool(changed.any()):
-            return
-        self.target = np.where(changed, clamped, self.target)
-        self._derive(np.nonzero(changed)[0])
-        self.target_adjustments += changed
-
-    def rates(self, t, observed, tbuff_now, delivered, active):
-        quiet = (
-            active
-            & (t - self.last_loss_at >= RECOVERY_QUIET_TIME)
-            & (t - self.last_recovery_at >= RECOVERY_QUIET_TIME)
-            & (self.target < self.configured_target)
-        )
-        if bool(quiet.any()):
-            self.last_recovery_at = np.where(quiet, t, self.last_recovery_at)
-            self._apply_targets(quiet, self.target + RECOVERY_STEP)
-        return super().rates(t, observed, tbuff_now, delivered, active)
-
-    def on_overflow(self, t, hit):
-        react = hit & (t - self.last_loss > self.rtt)
-        if not bool(react.any()):
-            return 0
-        self.last_loss = np.where(react, t, self.last_loss)
-        self.last_loss_at = np.where(react, t, self.last_loss_at)
-        linked = react & (t - self.last_episode_at <= EPISODE_MEMORY)
-        self.consecutive = np.where(
-            react, np.where(linked, self.consecutive + 1, 1),
-            self.consecutive,
-        )
-        self.last_episode_at = np.where(react, t, self.last_episode_at)
-        shrink = react & (self.consecutive >= LOSS_EPISODES_TO_SHRINK)
-        if bool(shrink.any()):
-            self.consecutive = np.where(shrink, 0, self.consecutive)
-            self._apply_targets(shrink, self.target * SHRINK_FACTOR)
-        self.loss_epochs += react
-        return int(react.sum())
 
 
 class ReferenceLossCubicBank(_ReferenceBank):
@@ -292,7 +219,6 @@ def reference_integrate(flows, towers, duration, dt=DEFAULT_DT,
     mstart = np.maximum(measure_start, start)
     reference_banks = dict(
         PropRateBank=ReferencePropRateBank,
-        AdaptivePropRateBank=ReferenceAdaptivePropRateBank,
         CubicBank=(ReferenceCubicBank if cube_by_pow
                    else ReferenceLossCubicBank),
         PolicyBank=ReferencePolicyBank,

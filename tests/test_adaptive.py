@@ -1,19 +1,19 @@
 """Tests for the adaptive-target extension (paper §6 future work).
 
 The rule is written once, in :class:`TargetAdjuster`, and driven by
-three bindings (DESIGN.md §13).  The edge cases run against the rule
-and, as one matrix, against every binding; a hypothesis differential
-holds the vectorised rule to frozen scalar references; two AST guards
-keep the rule and the fluid loss hold-off from being written twice.
+two bindings (DESIGN.md §13).  The edge cases run against the rule
+and, as one matrix, against both bindings; a hypothesis differential
+holds the rule to its frozen reference; two AST guards keep the rule
+and the fluid loss hold-off from being written twice.
 """
 
 import ast
 import dataclasses
+import math
 import pathlib
 import re
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +32,6 @@ from repro.core.adaptive import (
 from repro.core.proprate import PropRate
 from repro.env.policies import AdaptiveTargetPolicy
 from repro.experiments.runner import FlowSpec, cellular_path_config, run_experiment
-from repro.fluid.controllers import AdaptivePropRateBank
 from repro.traces.generator import constant_rate_trace
 
 from tests.helpers import AckFeeder, FakeHost
@@ -103,95 +102,79 @@ class TestTargetRecovery:
         assert cc.target_buffer_delay <= cc.configured_target + 1e-12
 
 
-ONE = np.ones(1, dtype=bool)
-
-
 class TestTargetAdjusterEdges:
-    """Boundary semantics of the rule itself, over arrays of flows;
-    :class:`TestBindingMatrix` holds every binding to the same edges."""
+    """Boundary semantics of the rule itself; :class:`TestBindingMatrix`
+    holds both bindings to the same edges."""
 
     def test_episodes_exactly_memory_apart_are_consecutive(self):
         # The memory boundary is inclusive: a second episode exactly
         # EPISODE_MEMORY after the first still extends the streak.
         rule = TargetAdjuster(0.080, 0.005)
-        assert not rule.on_loss(1.0, ONE).any()
-        assert rule.on_loss(1.0 + EPISODE_MEMORY, ONE).all()
-        assert rule.target[0] == pytest.approx(0.080 * SHRINK_FACTOR)
+        assert not rule.on_loss(1.0)
+        assert rule.on_loss(1.0 + EPISODE_MEMORY)
+        assert rule.target == pytest.approx(0.080 * SHRINK_FACTOR)
 
     def test_episodes_just_past_memory_restart_streak(self):
         rule = TargetAdjuster(0.080, 0.005)
-        rule.on_loss(1.0, ONE)
-        assert not rule.on_loss(1.0 + EPISODE_MEMORY + 1e-9, ONE).any()
+        rule.on_loss(1.0)
+        assert not rule.on_loss(1.0 + EPISODE_MEMORY + 1e-9)
 
     def test_shrink_resets_streak(self):
         rule = TargetAdjuster(0.080, 0.005)
-        rule.on_loss(1.0, ONE)
-        assert rule.on_loss(2.0, ONE).all()
+        rule.on_loss(1.0)
+        assert rule.on_loss(2.0)
         # The trigger consumed the streak: the next episode starts a new
         # count of one, not an immediate second shrink.
-        assert not rule.on_loss(3.0, ONE).any()
+        assert not rule.on_loss(3.0)
 
     def test_recovery_ceiling_is_configured_target(self):
         rule = TargetAdjuster(0.080, 0.005)
-        rule.on_loss(1.0, ONE)
-        rule.on_loss(2.0, ONE)
+        rule.on_loss(1.0)
+        rule.on_loss(2.0)
         now = 2.0
         for _ in range(50):
             now += RECOVERY_QUIET_TIME
-            rule.on_quiet(now, ONE)
-        assert rule.target[0] == pytest.approx(0.080)
+            rule.on_quiet(now)
+        assert rule.target == pytest.approx(0.080)
         # At the ceiling, quiet time moves nothing and is never due.
-        assert not rule.on_quiet(now + RECOVERY_QUIET_TIME, ONE).any()
-        assert rule.quiet_due()[0] == np.inf
+        assert not rule.on_quiet(now + RECOVERY_QUIET_TIME)
+        assert rule.quiet_due() == math.inf
 
     def test_recovery_rate_limited_per_quiet_interval(self):
         rule = TargetAdjuster(0.080, 0.005)
-        rule.on_loss(1.0, ONE)
-        rule.on_loss(2.0, ONE)
-        shrunk = rule.target[0]
+        rule.on_loss(1.0)
+        rule.on_loss(2.0)
+        shrunk = rule.target
         now = 2.0 + RECOVERY_QUIET_TIME
-        assert rule.on_quiet(now, ONE).all()
-        assert rule.target[0] == pytest.approx(shrunk + RECOVERY_STEP)
+        assert rule.on_quiet(now)
+        assert rule.target == pytest.approx(shrunk + RECOVERY_STEP)
         # A beat later (same quiet interval) → no second step.
-        assert not rule.on_quiet(now + 0.1, ONE).any()
+        assert not rule.on_quiet(now + 0.1)
 
     def test_min_target_floor_on_loss_and_rto(self):
         rule = TargetAdjuster(0.080, 0.050)
         for k in range(10):
-            rule.on_loss(1.0 + k, ONE)
-        assert rule.target[0] == pytest.approx(0.050)
-        assert not rule.on_rto(11.0, ONE).any()
-        assert rule.target[0] == pytest.approx(0.050)
+            rule.on_loss(1.0 + k)
+        assert rule.target == pytest.approx(0.050)
+        assert not rule.on_rto(11.0)
+        assert rule.target == pytest.approx(0.050)
 
     def test_ctor_validation(self):
         with pytest.raises(ValueError, match="min_target"):
             TargetAdjuster(0.040, 0.0)
         with pytest.raises(ValueError, match="min_target"):
             TargetAdjuster(0.040, 0.080)
-        with pytest.raises(ValueError, match="min_target"):
-            TargetAdjuster([0.040, 0.080], [0.005, 0.100])
-
-    def test_masked_out_flows_keep_their_state(self):
-        rule = TargetAdjuster([0.080, 0.080, 0.040], 0.005)
-        hit = np.array([False, True, False])
-        rule.on_loss(1.0, hit)
-        moved = rule.on_loss(2.0, hit)
-        assert moved.tolist() == [False, True, False]
-        assert rule.target.tolist() == pytest.approx(
-            [0.080, 0.080 * SHRINK_FACTOR, 0.040])
-        # Flow 0 never saw an episode: its first one starts a streak.
-        assert not rule.on_loss(2.5, ~hit).any()
 
     def test_quiet_due_is_never_late(self):
         # A binding that enters on_quiet only from quiet_due() on must
         # not miss a step the rule would take.
         rule = TargetAdjuster(0.080, 0.005)
-        rule.on_loss(1.1, ONE)
-        rule.on_loss(2.3, ONE)
-        due = rule.quiet_due()[0]
+        rule.on_loss(1.1)
+        rule.on_loss(2.3)
+        due = rule.quiet_due()
         assert due <= 2.3 + RECOVERY_QUIET_TIME
-        assert not rule.on_quiet(np.nextafter(due, -np.inf), ONE).any()
-        assert rule.on_quiet(2.3 + RECOVERY_QUIET_TIME, ONE).all()
+        assert not rule.on_quiet(math.nextafter(due, -math.inf))
+        assert rule.on_quiet(2.3 + RECOVERY_QUIET_TIME)
 
 
 class _PacketBinding:
@@ -250,30 +233,7 @@ class _PolicyBinding:
     quiet = _epoch
 
 
-class _FluidBinding:
-    """AdaptivePropRateBank: a tower overflow past the per-RTT hold-off
-    is a loss, a step is quiet time; the fluid tier has no timeouts."""
-
-    rto = None
-
-    def __init__(self, configured, floor):
-        self.bank = AdaptivePropRateBank([0], [0.010], [0.0], 0.005,
-                                         [configured], [floor])
-
-    @property
-    def target(self):
-        return float(self.bank.target[0])
-
-    def loss(self, t):
-        assert self.bank.on_overflow(t, ONE) == 1
-
-    def quiet(self, t):
-        zero = np.zeros(1)
-        self.bank.rates(t, zero, zero, zero, ONE)
-
-
-BINDINGS = {"packet": _PacketBinding, "policy": _PolicyBinding,
-            "fluid": _FluidBinding}
+BINDINGS = {"packet": _PacketBinding, "policy": _PolicyBinding}
 
 
 @pytest.fixture(params=sorted(BINDINGS))
@@ -282,7 +242,7 @@ def binding(request):
 
 
 class TestBindingMatrix:
-    """The rule's edges, seen through each of its three bindings."""
+    """The rule's edges, seen through each of its two bindings."""
 
     def test_inclusive_memory_boundary(self, binding):
         linked = binding(0.080, 0.005)
@@ -326,15 +286,13 @@ class TestBindingMatrix:
         for k in range(10):
             b.loss(1.0 + k)
         assert b.target == pytest.approx(0.050)
-        if b.rto is not None:
-            b.rto(11.0)
-            assert b.target == pytest.approx(0.050)
+        b.rto(11.0)
+        assert b.target == pytest.approx(0.050)
 
-    @pytest.mark.parametrize("name", ["packet", "policy"])
-    def test_timeout_restarts_quiet_clock(self, name):
+    def test_timeout_restarts_quiet_clock(self, binding):
         # An RTO is a loss: quiet time counts from it, not from the last
-        # fast-retransmit episode (the fluid tier has no timeouts).
-        b = BINDINGS[name](0.080, 0.005)
+        # fast-retransmit episode.
+        b = binding(0.080, 0.005)
         b.loss(1.0)
         b.loss(2.0)
         stall_end = 2.0 + RECOVERY_QUIET_TIME + 1.0
@@ -358,40 +316,33 @@ _GAPS = st.one_of(
 )
 
 
-@given(data=st.data(), n=st.integers(min_value=1, max_value=4))
+@given(data=st.data())
 @settings(max_examples=80, deadline=None, derandomize=True)
-def test_vectorised_rule_matches_scalar_references(data, n):
-    """Random loss / timeout / quiet schedules for *n* flows, through the
-    rule and through *n* frozen scalar rules: every target equal after
-    every event."""
-    configured = data.draw(st.lists(
-        st.sampled_from([0.020, 0.040, 0.080, 0.150]), min_size=n, max_size=n))
-    floors = [c * data.draw(st.sampled_from([0.1, 0.5, 1.0]))
-              for c in configured]
-    rule = TargetAdjuster(configured, floors)
-    refs = [ScalarTargetAdjuster(c, f) for c, f in zip(configured, floors)]
-    targets = list(configured)
+def test_rule_matches_scalar_reference(data):
+    """Random loss / timeout / quiet schedules through the rule and
+    through the frozen reference: equal targets after every event."""
+    configured = data.draw(st.sampled_from([0.020, 0.040, 0.080, 0.150]))
+    floor = configured * data.draw(st.sampled_from([0.1, 0.5, 1.0]))
+    rule = TargetAdjuster(configured, floor)
+    ref = ScalarTargetAdjuster(configured, floor)
+    target = configured
     now = 0.0
     for _ in range(data.draw(st.integers(min_value=1, max_value=40))):
         kind = data.draw(st.sampled_from(["loss", "rto", "quiet"]))
         now += data.draw(_GAPS)
-        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n,
-                                           max_size=n)))
-        before = list(targets)
-        for i in np.nonzero(mask)[0]:
-            ref, target = refs[i], targets[i]
-            if kind == "loss":
-                targets[i] = apply(target, ref.on_loss(now, target))
-            elif kind == "rto":
-                targets[i] = apply(target, ref.on_rto(target))
-                # The one change since the reference: a timeout
-                # restarts the quiet clock, as a loss episode does.
-                ref._last_loss_at = now
-            else:
-                targets[i] = apply(target, ref.on_quiet(now, target))
-        moved = getattr(rule, "on_" + kind)(now, mask)
-        assert rule.target.tolist() == targets
-        assert moved.tolist() == [a != b for a, b in zip(targets, before)]
+        before = target
+        if kind == "loss":
+            target = apply(target, ref.on_loss(now, target))
+        elif kind == "rto":
+            target = apply(target, ref.on_rto(target))
+            # The one change since the reference: a timeout restarts
+            # the quiet clock, as a loss episode does.
+            ref._last_loss_at = now
+        else:
+            target = apply(target, ref.on_quiet(now, target))
+        moved = getattr(rule, "on_" + kind)(now)
+        assert rule.target == target
+        assert moved == (target != before)
 
 
 SECTION_6 = {"LOSS_EPISODES_TO_SHRINK", "EPISODE_MEMORY", "SHRINK_FACTOR",

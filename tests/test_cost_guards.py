@@ -12,8 +12,6 @@ import fractions
 import sys
 from unittest import mock
 
-import numpy as np
-
 import repro.core.proprate as proprate_module
 from repro.core.adaptive import TargetAdjuster
 from repro.core.proprate import PropRate
@@ -162,7 +160,7 @@ def test_no_op_packet_sent_hook_is_not_called():
 def test_adaptive_rule_is_not_entered_per_ack():
     """PR(A) hands its ACKs to the §6 rule only once the rule's
     ``quiet_due`` time has come; on a loss-free run the target stays
-    at its ceiling and the rule is never due."""
+    at its ceiling, the rule is never due, and PR(A) is PR(M)."""
     entries = [0]
     down, up = isp_traces("A", "stationary", 5.0)
     with mock.patch.multiple(
@@ -170,7 +168,7 @@ def test_adaptive_rule_is_not_entered_per_ack():
             on_loss=_counting(entries)(TargetAdjuster.on_loss),
             on_rto=_counting(entries)(TargetAdjuster.on_rto),
             on_quiet=_counting(entries)(TargetAdjuster.on_quiet)):
-        TargetAdjuster(0.040, 0.005).on_quiet(0.0, np.ones(1, dtype=bool))
+        TargetAdjuster(0.040, 0.005).on_quiet(0.0)
         assert entries[0] == 1, "the counter is not armed"
         entries[0] = 0
         result = run_single_flow(paper_algorithms()["PR(A)"], down, up,
@@ -179,6 +177,9 @@ def test_adaptive_rule_is_not_entered_per_ack():
     assert acks > 3000
     assert result.retransmissions == 0 and result.rto_count == 0
     assert entries[0] < 0.01 * acks, (entries[0], acks)
+    prm = run_single_flow(paper_algorithms()["PR(M)"], down, up,
+                          duration=5.0, measure_start=1.0)
+    assert result.summary()[1:] == prm.summary()[1:]
 
 
 #: Python calls into ``repro`` code per delivered data packet on the

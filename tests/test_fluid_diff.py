@@ -47,10 +47,6 @@ def _cubic(name, **kw):
     return FluidFlowSpec(name=name, controller="cubic", **kw)
 
 
-def _adaptive(name, **kw):
-    return FluidFlowSpec(name=name, controller="adaptive-proprate", **kw)
-
-
 def _outage_trace() -> Trace:
     """2 s schedule at ~1 MB/s with a 300 ms outage, looped by the tower."""
     times = np.arange(0.0, 2.0, 0.0015)
@@ -132,16 +128,8 @@ SCENARIOS = {
             HandoverSpec(3.25, 4, 1),
         ]),
     ),
-    "adaptive-retargets": (
-        [_adaptive("a0", target_tbuff=0.150),
-         _adaptive("a1", target_tbuff=0.150, min_target=0.020, start=0.3,
-                   rtt=0.060),
-         _pr("p0", target_tbuff=0.150, start=0.6)],
-        [TowerSpec(rate=RATE, buffer_packets=40)], 12.0,
-        dict(dt=0.002, measure_start=2.0),
-    ),
-    "adaptive-vs-cubic": (
-        [_adaptive("a0", target_tbuff=0.150), _cubic("c0", start=0.2),
+    "shallow-vs-cubic": (
+        [_pr("p0", target_tbuff=0.150), _cubic("c0", start=0.2),
          _cubic("c1", start=1.0, rtt=0.080)],
         [TowerSpec(rate=RATE, buffer_packets=60)], 10.0,
         dict(dt=0.002, measure_start=2.0),

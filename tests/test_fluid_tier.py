@@ -178,9 +178,20 @@ class TestObserverOnly:
     """Telemetry, sampling and the profiler watch the run; they must not
     change a bit of what it reports."""
 
+    @staticmethod
+    def _paced(t, view):
+        """A fixed rate per flow, backing off with the lagged delay."""
+        return 5e4 / (1.0 + 10.0 * view["observed_tbuff"])
+
     def _scenario(self):
         flows, towers, handovers = fan_in_scenario(
-            24, 3, 4.0, mix="pr-adaptive", handover_count=6, seed=2)
+            24, 3, 4.0, mix="pr-vs-cubic", handover_count=6, seed=2)
+        # One PropRate per tower becomes a policy flow, so the engine's
+        # Python-rates branch runs under the observers too.
+        flows = [FluidFlowSpec(name=f"po-{i}", controller="policy",
+                               policy=self._paced, tower=f.tower,
+                               start=f.start) if i in (0, 2, 4) else f
+                 for i, f in enumerate(flows)]
         towers = [TowerSpec(name=t.name, rate=t.rate / 20, buffer_packets=60)
                   for t in towers]
         return flows, towers, dict(dt=0.005, measure_start=1.0,
@@ -331,113 +342,6 @@ class TestFanInScenario:
     def test_unknown_mix_rejected(self):
         with pytest.raises(ValueError, match="unknown mix"):
             fan_in_scenario(4, 2, 10.0, mix="bbr-self")
-
-
-class TestAdaptiveBank:
-    """The §6 adaptive-target rule vectorized over the fleet."""
-
-    def _bank(self, target=0.080, min_target=0.005, rtt=0.040):
-        from repro.fluid.controllers import AdaptivePropRateBank
-
-        return AdaptivePropRateBank([0], [rtt], [0.0], 0.005,
-                                    [target], [min_target])
-
-    def test_two_consecutive_episodes_shrink(self):
-        bank = self._bank(target=0.080)
-        threshold0 = float(bank.threshold[0])
-        hit = np.array([True])
-        assert bank.on_overflow(1.0, hit) == 1
-        assert bank.target[0] == pytest.approx(0.080)  # first: no shrink
-        assert bank.on_overflow(2.0, hit) == 1
-        assert bank.target[0] == pytest.approx(0.080 * 0.7)
-        # The shrink re-derives the fill/drain operating point.
-        assert bank.threshold[0] != pytest.approx(threshold0)
-        assert bank.target_adjustments[0] == 1
-
-    def test_episode_memory_boundary_inclusive(self):
-        from repro.core.adaptive import EPISODE_MEMORY
-
-        bank = self._bank(target=0.080)
-        hit = np.array([True])
-        bank.on_overflow(1.0, hit)
-        # Exactly EPISODE_MEMORY apart still counts as consecutive.
-        bank.on_overflow(1.0 + EPISODE_MEMORY, hit)
-        assert bank.target[0] == pytest.approx(0.080 * 0.7)
-
-    def test_per_rtt_holdoff_coalesces_burst(self):
-        bank = self._bank(target=0.080, rtt=0.040)
-        hit = np.array([True])
-        assert bank.on_overflow(1.0, hit) == 1
-        assert bank.on_overflow(1.01, hit) == 0  # same burst, one epoch
-        assert bank.target[0] == pytest.approx(0.080)
-
-    def test_quiet_recovery_capped_at_configured(self):
-        from repro.core.adaptive import RECOVERY_QUIET_TIME, RECOVERY_STEP
-
-        bank = self._bank(target=0.080)
-        hit = np.array([True])
-        bank.on_overflow(1.0, hit)
-        bank.on_overflow(2.0, hit)
-        shrunk = float(bank.target[0])
-        obs = np.zeros(1)
-        active = np.ones(1, dtype=bool)
-        # Not yet quiet long enough → no move.
-        bank.rates(2.0 + RECOVERY_QUIET_TIME - 0.1, obs, obs, obs, active)
-        assert bank.target[0] == pytest.approx(shrunk)
-        bank.rates(2.0 + RECOVERY_QUIET_TIME, obs, obs, obs, active)
-        assert bank.target[0] == pytest.approx(shrunk + RECOVERY_STEP)
-        # Recovery never exceeds the configured ceiling.
-        for k in range(20):
-            bank.rates(10.0 + (k + 1) * RECOVERY_QUIET_TIME,
-                       obs, obs, obs, active)
-        assert bank.target[0] == pytest.approx(0.080)
-
-    def test_min_target_floor(self):
-        bank = self._bank(target=0.080, min_target=0.050)
-        hit = np.array([True])
-        for k in range(8):
-            bank.on_overflow(1.0 + 0.5 * k, hit)
-        assert bank.target[0] == pytest.approx(0.050)
-
-    def test_min_target_validated(self):
-        with pytest.raises(ValueError, match="min_target"):
-            self._bank(target=0.040, min_target=0.080)
-        with pytest.raises(ValueError, match="min_target"):
-            FluidFlowSpec(name="x", controller="adaptive-proprate",
-                          target_tbuff=0.040, min_target=0.080)
-
-    def test_adaptive_detunes_on_shallow_buffer(self):
-        # 40-packet buffer ≈ 60 ms at 1 MB/s; a 150 ms target overflows
-        # persistently.  PR(A) must register losses, shrink, and end up
-        # with fewer loss epochs than fixed-target PropRate.
-        shallow = TowerSpec(rate=RATE, buffer_packets=40)
-        adaptive = run_fluid(
-            [FluidFlowSpec(name="pra", controller="adaptive-proprate",
-                           target_tbuff=0.150)],
-            [shallow], 30.0, dt=0.002,
-        )
-        fixed = run_fluid(
-            [_pr(target=0.150)], [shallow], 30.0, dt=0.002,
-        )
-        assert adaptive.flows[0].controller == "adaptive-proprate"
-        assert adaptive.flows[0].loss_epochs >= 1
-        # The shrink pulls the flow off the buffer ceiling: an order of
-        # magnitude fewer dropped bytes, far lower standing delay, and
-        # near-full utilization kept.
-        assert adaptive.towers[0].dropped_bytes < \
-            0.1 * fixed.towers[0].dropped_bytes
-        assert adaptive.flows[0].avg_tbuff < fixed.flows[0].avg_tbuff
-        assert adaptive.flows[0].utilization > 0.9
-
-    def test_pr_adaptive_mix_in_scenario(self):
-        flows, towers, handovers = fan_in_scenario(
-            8, 2, 6.0, mix="pr-adaptive",
-        )
-        assert {f.controller for f in flows} == {
-            "adaptive-proprate", "cubic",
-        }
-        report = run_fluid(flows, towers, 6.0, measure_start=2.0)
-        assert 0.0 <= report.jfi <= 1.0 + 1e-9
 
 
 class TestPolicyBank:
