@@ -14,15 +14,7 @@ Sprout/PCC/Verus are simplified models that omit the authors' heavy
 inference, and per-callback wall time in Python mostly tracks callback
 *frequency*.  The bench reports the measured numbers without asserting
 the paper's ordering.
-
-A shorter transfer over a cheap/expensive subset of the line-up
-(``run_workload(duration, names)``) is the workload behind the CI
-perf-smoke gate (``scripts/perf_smoke.py``), which tracks the aggregate
-simulator speed of the run against a checked-in baseline.  The gate
-times the unprofiled workload.
 """
-
-import time
 
 import repro.obs as obs
 from repro.experiments.algorithms import paper_algorithms
@@ -38,61 +30,31 @@ CHEAP = ("PR(M)", "CUBIC", "BBR", "RRE", "NewReno", "Vegas", "Westwood", "LEDBAT
 EXPENSIVE = ("Sprout", "PCC", "Verus")
 
 
-def run_workload(duration: float = DURATION, names=None,
-                 profiled: bool = False):
-    """Run the Table-4 workload; (costs, total events, wall seconds).
-
-    ``names`` picks a subset of the line-up, in that order; ``None``
-    runs every algorithm.
-
-    ``costs`` maps algorithm → (control s per sim-s, calls, KB/s).  The
-    control columns come from the ``cc.control`` phase when
-    ``profiled``, and are zero otherwise: the unprofiled pass is the
-    plain simulator whose events and wall clock feed the perf-smoke
-    gate.
-    """
+def run_workload(duration: float = DURATION):
+    """Run the Table-4 workload over the whole line-up under the
+    profiler; algorithm → (control s per sim-s, calls, KB/s)."""
     down = isp_trace("A", "stationary", duration=60.0)
     up = isp_trace("A", "stationary", duration=60.0, direction="uplink")
     costs = {}
-    total_events = 0
-    wall_start = time.perf_counter()
-    algorithms = paper_algorithms()
-    for name in algorithms if names is None else names:
-        factory = algorithms[name]
+    for name, factory in paper_algorithms().items():
         prof = obs.PhaseProfiler()
-        if profiled:
-            obs.activate_profiler(prof)
+        obs.activate_profiler(prof)
         try:
             result = run_single_flow(
                 factory, down, up, duration=duration, measure_start=2.0,
             )
         finally:
-            if profiled:
-                obs.deactivate_profiler()
+            obs.deactivate_profiler()
         calls, wall, _cpu = prof.phases.get("cc.control", (0, 0.0, 0.0))
-        total_events += result.sender.sim.events_processed
         costs[name] = (wall / duration, calls, result.throughput_kbps)
-    return costs, total_events, time.perf_counter() - wall_start
-
-
-def sim_seconds_per_second(duration: float = DURATION, names=None) -> float:
-    """Simulated seconds per wall second over the workload.
-
-    The perf-smoke gate metric: unlike events/sec it is invariant to
-    event *granularity*, so changes that legitimately collapse many
-    small events into one (the cellular link's batched serves and
-    grouped deliveries) do not skew it.
-    """
-    costs, _, wall = run_workload(duration, names)
-    return len(costs) * duration / wall
+    return costs
 
 
 def test_table4_control_overhead():
-    costs, events, wall = run_workload(profiled=True)
-    lines = [f"events/sec: {events / wall:,.0f}"]
-    lines.append(
+    costs = run_workload()
+    lines = [
         f"{'Algorithm':10s} {'ctrl ms/sim-s':>14s} {'calls':>9s} {'tput KB/s':>10s}"
-    )
+    ]
     for name, (per_s, calls, tput) in sorted(
         costs.items(), key=lambda kv: kv[1][0]
     ):

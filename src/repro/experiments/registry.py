@@ -176,29 +176,6 @@ _EXPERIMENTS = [
         modules=("repro.sim.queues", "repro.experiments.scenarios"),
         bench="benchmarks/bench_disc_shallow_aqm.py",
     ),
-    Experiment(
-        id="ENV",
-        artifact="§6 control-plane environment",
-        description="step/observe/act policy interface over the packet "
-        "engine: native replay through CcEnv is bit-identical "
-        "(scripts/check_determinism.py --env) and PR(A) runs as an "
-        "epoch-granular target policy",
-        modules=(
-            "repro.env",
-            "repro.tcp.congestion.policy",
-            "repro.core.adaptive",
-        ),
-        bench="benchmarks/bench_env_overhead.py",
-    ),
-    Experiment(
-        id="PERF",
-        artifact="Execution harness",
-        description="Parallel batch execution over worker processes: "
-        "engine events/sec and frontier wall-clock scaling at "
-        "n_jobs ∈ {1, 2, 4}",
-        modules=("repro.experiments.parallel", "repro.traces.cache"),
-        bench="benchmarks/bench_parallel_scaling.py",
-    ),
 ]
 
 EXPERIMENTS: Dict[str, Experiment] = {e.id: e for e in _EXPERIMENTS}

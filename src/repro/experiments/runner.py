@@ -515,6 +515,7 @@ class ExperimentHarness:
                 prefix = f"flow{flow_id}."
                 metrics.counter(prefix + "retransmits").add(sender.retransmissions)
                 metrics.counter(prefix + "spurious_rtx").add(sender.spurious_marks)
+                metrics.counter(prefix + "duplicate_data").add(collector.duplicates)
                 metrics.counter(prefix + "rtos").add(sender.rto_count)
                 metrics.counter(prefix + "acks").add(sender.acks_received)
                 metrics.counter(prefix + "segments_sent").add(sender.segments_sent)

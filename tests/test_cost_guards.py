@@ -12,12 +12,16 @@ import fractions
 import sys
 from unittest import mock
 
+import pytest
+
 import repro.core.proprate as proprate_module
 from repro.core.adaptive import TargetAdjuster
 from repro.core.proprate import PropRate
+from repro.env import CcEnv, rollout
 from repro.experiments.algorithms import paper_algorithms
 from repro.experiments.runner import (
     FlowSpec,
+    canonical_summary,
     cellular_path_config,
     run_experiment,
     run_single_flow,
@@ -182,6 +186,27 @@ def test_adaptive_rule_is_not_entered_per_ack():
     assert result.summary()[1:] == prm.summary()[1:]
 
 
+def _frames_entered(run, packages=("repro.",)):
+    """Call ``run()`` under a profile hook that counts the Python frames
+    entered in modules under each of ``packages``; (its value, counts)."""
+    counts = [0] * len(packages)
+
+    def profile(frame, event, arg):
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+            for i, package in enumerate(packages):
+                if module.startswith(package):
+                    counts[i] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        value = run()
+    finally:
+        sys.setprofile(previous)
+    return value, counts
+
+
 #: Python calls into ``repro`` code per delivered data packet on the
 #: fixed PR(M) + CUBIC pair below.  Measured on CPython 3.11: 74.2
 #: before the per-packet path was flattened (DESIGN.md §12), 60.1 after.
@@ -191,26 +216,76 @@ CALLS_PER_PACKET_BOUND = 66.0
 def test_python_calls_per_delivered_packet():
     """Counts every Python frame entered in ``repro`` modules over two
     fixed 5 s runs: the frames a data packet and its ACK cross."""
-    calls = [0]
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_globals.get(
-                "__name__", "").startswith("repro."):
-            calls[0] += 1
-
+    assert _frames_entered(lambda: canonical_summary(0.0))[1] == [1], (
+        "the counter is not armed")
     down, up = isp_traces("A", "stationary", 5.0)
     down.compiled(), up.compiled()  # memoised per trace: keep them out
-    delivered = 0
+    calls = delivered = 0
     for name in ("PR(M)", "CUBIC"):
         factory = paper_algorithms()[name]
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            result = run_single_flow(factory, down, up, duration=5.0,
-                                     measure_start=1.0)
-        finally:
-            sys.setprofile(previous)
+        result, [entered] = _frames_entered(lambda: run_single_flow(
+            factory, down, up, duration=5.0, measure_start=1.0))
+        calls += entered
         delivered += len(result.collector)
     assert delivered > 6000
-    per_packet = calls[0] / delivered
+    per_packet = calls / delivered
     assert per_packet < CALLS_PER_PACKET_BOUND, per_packet
+
+
+#: Telemetry budget of the ``sampled`` arm: decimate the hot kinds, cap
+#: the rest (the ``bulk_observed`` bench workload's sampled arm).
+SAMPLED_SPEC = ("queue.sample:every=64;cc.loss-runs:every=16;"
+                "cc.estimator:every=8;*:max=100000")
+
+#: Observer arms: the package the observer's own frames live in, and
+#: the bound on ``repro`` frames entered relative to the plain run.
+#: Measured on CPython 3.11 (PR(M) / CUBIC): full 1.02 / 1.04, sampled
+#: 1.03 / 1.05, audit 1.08 / 1.11, env 1.21 / 1.20.
+OBSERVER_ARMS = {
+    "full": ("repro.obs.", 1.10),
+    "sampled": ("repro.obs.", 1.10),
+    "audit": ("repro.debug.", 1.25),
+    "env": ("repro.env.", 1.35),
+}
+
+
+def _observed_run(arm, factory, down, up, trace_path):
+    """One 5 s run of ``factory`` under the observer ``arm`` (``None``:
+    the plain run)."""
+    if arm == "env":
+        env = CcEnv(down, up, inner_cc=factory, duration=5.0,
+                    measure_start=1.0)
+        return rollout(env).result
+    options = {
+        None: {},
+        "full": {"telemetry": trace_path},
+        "sampled": {"telemetry": trace_path, "sampling": SAMPLED_SPEC},
+        "audit": {"audit": True},
+    }[arm]
+    return run_single_flow(factory, down, up, duration=5.0,
+                           measure_start=1.0, **options)
+
+
+@pytest.mark.parametrize("arm", sorted(OBSERVER_ARMS))
+def test_observer_frames_per_plain_frame(arm, tmp_path):
+    """Tracing, sampling, auditing or stepping a run through ``CcEnv``
+    watches the simulation without redoing it: the ``repro`` frames the
+    observed run enters stay within a fixed ratio of the plain run's,
+    and the run reads the same."""
+    package, bound = OBSERVER_ARMS[arm]
+    packages = ("repro.", package)
+    assert _frames_entered(lambda: canonical_summary(0.0),
+                           packages)[1] == [1, 0], "the counter is not armed"
+    down, up = isp_traces("A", "stationary", 5.0)
+    down.compiled(), up.compiled()  # memoised per trace: keep them out
+    for name in ("PR(M)", "CUBIC"):
+        factory = paper_algorithms()[name]
+        plain, [plain_calls, _] = _frames_entered(
+            lambda: _observed_run(None, factory, down, up, None), packages)
+        observed, [calls, observer_calls] = _frames_entered(
+            lambda: _observed_run(arm, factory, down, up,
+                                  tmp_path / f"{name}.jsonl"), packages)
+        assert observer_calls > 0, f"no {package} frame: {arm} is off"
+        assert observed.summary()[:11] == plain.summary()[:11], (name, arm)
+        ratio = calls / plain_calls
+        assert ratio < bound, (name, arm, ratio)

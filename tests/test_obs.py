@@ -8,6 +8,7 @@ CLI).
 
 import json
 import os
+from unittest import mock
 
 import pytest
 
@@ -22,6 +23,8 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import run_single_flow
 from repro.core.proprate import PropRate
+from repro.tcp.congestion.cubic import Cubic
+from repro.tcp.receiver import TcpReceiver
 from repro.traces.cache import as_ref
 from repro.traces.presets import isp_trace
 from repro.util.env import env_flag
@@ -344,6 +347,29 @@ class TestRunnerTelemetry:
         assert result.metrics["segments_sent"] > 0
         assert "run.engine.events" in result.metrics
         assert "cc.dwell.fill" in result.metrics
+
+    def test_spurious_timeouts_read_as_duplicate_data(self, tmp_path):
+        # B-mobile's outages hold data in a deep queue past CUBIC's
+        # RTO: nothing is dropped, so every resend is a duplicate at
+        # the receiver, and a SACK never cancelled a mark.
+        receivers = []
+        real = TcpReceiver.__init__
+
+        def capture(self, *args, **kwargs):
+            receivers.append(self)
+            real(self, *args, **kwargs)
+
+        down = isp_trace("B", "mobile", duration=3.0)
+        up = isp_trace("B", "mobile", duration=3.0, direction="uplink")
+        with mock.patch.object(TcpReceiver, "__init__", capture):
+            result = run_single_flow(
+                Cubic, down, up, duration=3.0, measure_start=1.0,
+                telemetry=str(tmp_path / "t.jsonl"))
+        assert result.rto_count >= 1 and result.bottleneck_drops == 0
+        assert result.metrics["spurious_rtx"] == 0
+        [receiver] = receivers
+        assert result.metrics["duplicate_data"] == receiver.duplicate_packets
+        assert result.metrics["duplicate_data"] > 0
 
     def test_run_twice_with_same_ambient_tracer(self, tmp_path):
         # Nested runs share an ambient tracer without double-activation.
