@@ -126,7 +126,6 @@ class _LinkAudit:
         "sojourn_max",
         "drain_max",
         "_arrived_cell",
-        "_sojourn_cell",
         "_last_rate_t",
         "_last_rate_bytes",
     )
@@ -137,10 +136,13 @@ class _LinkAudit:
         self.name = getattr(link, "name", "link")
         self.is_wired = hasattr(link, "_busy")
         # Hot-path accumulators, folded into the windowed trackers at
-        # sweep time: the taps below run once per packet, so they do a
-        # list-cell update and nothing else.
+        # sweep time.  Arrivals are counted by a tap on the link's
+        # delivery callback (a list-cell update and nothing else); the
+        # true sojourn of every dequeued packet is kept by the queue
+        # itself as a running maximum (``queue.sojourn_max``), which
+        # each fold reads and resets.
         self._arrived_cell = [0]
-        self._sojourn_cell = [-1.0]
+        self.queue.sojourn_max = -1.0
         self.sojourn_max = WindowedMax(SOJOURN_WINDOW)
         self.drain_max = WindowedMax(DRAIN_WINDOW)
         self._last_rate_t: Optional[float] = None
@@ -153,10 +155,9 @@ class _LinkAudit:
         return self._arrived_cell[0]
 
     def _wrap(self) -> None:
-        link, queue = self.link, self.queue
-
-        # Tap deliveries to the far endpoint: counts packets that
-        # completed propagation (never more than exited the link).
+        """Tap deliveries to the far endpoint: counts packets that
+        completed propagation (never more than exited the link)."""
+        link = self.link
         original_deliver = link.on_deliver
         if original_deliver is not None:
             def _tap_deliver(
@@ -169,69 +170,19 @@ class _LinkAudit:
 
             link.on_deliver = _tap_deliver
 
-        # Tap queue exits to measure the true sojourn of every packet
-        # the link serves; ``pop`` receives the current time, so the
-        # measurement needs no clock of its own.  Only the running max
-        # is kept here — the windowed tracker is fed at sweep cadence.
-        original_pop = queue.pop
-
-        def _tap_pop(
-            now: float,
-            _orig: Any = original_pop,
-            _cell: List[float] = self._sojourn_cell,
-        ) -> Any:
-            packet = _orig(now)
-            if packet is not None:
-                enq = packet.enqueue_time
-                if enq is not None:
-                    sojourn = now - enq
-                    if sojourn > _cell[0]:
-                        _cell[0] = sojourn
-            return packet
-
-        queue.pop = _tap_pop
-
-        # Sliced queue drains must hit the same sojourn accumulator as
-        # ``pop``, or the batched link's dequeues would go unmeasured.
-        original_drain = getattr(queue, "drain_opportunity", None)
-        if original_drain is not None:
-            def _tap_drain(
-                now: float,
-                budget: int,
-                _orig: Any = original_drain,
-                _cell: List[float] = self._sojourn_cell,
-            ) -> Any:
-                packets = _orig(now, budget)
-                best = _cell[0]
-                for packet in packets:
-                    enq = packet.enqueue_time
-                    if enq is not None:
-                        sojourn = now - enq
-                        if sojourn > best:
-                            best = sojourn
-                _cell[0] = best
-                return packets
-
-            queue.drain_opportunity = _tap_drain
-
-    def close(self) -> None:
-        """Remove the queue taps (run end): each wraps a bound method
-        of the queue it is stored on, a loop through the queue."""
-        vars(self.queue).pop("pop", None)
-        vars(self.queue).pop("drain_opportunity", None)
-
     def fold(self, now: float) -> None:
         """Fold the per-packet accumulators into the windowed trackers.
 
         Called at sweep cadence.  Stamping the bucket maximum with the
-        sweep time (slightly after the pops it covers) only makes the
+        sweep time (slightly after the dequeues it covers) only makes the
         ground-truth window retain it marginally longer — conservative
         for the one-sided estimator checks.
         """
-        cell = self._sojourn_cell
-        if cell[0] >= 0.0:
-            self.sojourn_max.update(now, cell[0])
-            cell[0] = -1.0
+        queue = self.queue
+        sojourn = queue.sojourn_max
+        if sojourn >= 0.0:
+            self.sojourn_max.update(now, sojourn)
+            queue.sojourn_max = -1.0
         last_t = self._last_rate_t
         if last_t is None:
             self._last_rate_t = now
@@ -347,12 +298,6 @@ class InvariantAuditor:
         audit = _FlowAudit(sender, receiver, data_link)
         self._flows.append(audit)
         return audit
-
-    def close(self) -> None:
-        """Detach from the finished run: remove every link's taps.  The
-        violations, sweep count and flight-recorder ring stay readable."""
-        for link in self._links:
-            link.close()
 
     # ------------------------------------------------------------------
     # Engine hook

@@ -459,8 +459,8 @@ class ExperimentHarness:
         Each cut lives in the class that made the reference: the
         simulator drops its pending events and audit ring, the path its
         links' callbacks into it, each link its bound methods of itself,
-        each sender its controller's back-reference, the auditor its
-        queue taps, and each telemetry sampler its timer.  No event runs
+        each sender its controller's back-reference, and each telemetry
+        sampler its timer.  No event runs
         afterwards; counters, collectors and senders stay readable.
         """
         if self._closed:
@@ -472,8 +472,6 @@ class ExperimentHarness:
         self.path.close()
         for _spec, _name, _collector, sender in self._harnessed:
             sender.close()
-        if self.auditor is not None:
-            self.auditor.close()
 
     def finalize(self) -> List[FlowResult]:
         """Run any remaining events, close out telemetry, and reduce

@@ -1,15 +1,25 @@
-/* The packet tier's event loop and the cellular link's service loop.
+/* The packet tier's per-packet path: the event loop, the cellular link's
+ * service loop, the drop-tail queue, the receiver's ACK path, the packet
+ * and the flow demultiplexer.
  *
  * ``Engine`` is the base type of ``repro.sim.engine.Simulator``: the
  * scheduling entry points, ``run`` and the quiescence probe.  ``Cellular``
  * is the base type of ``repro.sim.link.CellularLink``: ``enqueue``, the
  * batched ``_serve`` with its delivery-group push, and the delivery pump
- * ``_pump_fire``.  Construction, the once-per-busy-period re-arm, the
- * telemetry formatting and ``close`` stay in Python on the subclasses.
+ * ``_pump_fire``.  ``DropTail`` is the base type of
+ * ``repro.sim.queues.DropTailQueue`` (and through it of ``CoDelQueue``):
+ * ``push``, ``pop``, ``drain_opportunity``, ``peek``, ``len`` and the
+ * byte, drop and sojourn counters.  ``Receiver`` is the base type of
+ * ``repro.tcp.receiver.TcpReceiver``: ``receive``, ``_emit_ack``,
+ * ``receiver_timestamp`` and ``_sack_blocks``.  ``Packet`` is
+ * ``repro.sim.packet.Packet`` itself, and ``Demux`` is the callable a
+ * ``DuplexPath`` hands each link as ``on_deliver``.  Construction, the
+ * once-per-busy-period re-arm, the telemetry formatting, the delayed-ACK
+ * timer, the receiver's reorder store and ``close`` stay in Python.
  *
  * Everything here reproduces the Python it replaced bit for bit (the
- * frozen copies are ``tests/reference/engine.py`` and
- * ``tests/reference/link.py``; DESIGN.md, "The packet core in C"):
+ * frozen copies are in ``tests/reference/``; DESIGN.md, "The packet core
+ * in C"):
  *
  *  - the same IEEE double operations in the same order, built with
  *    -ffp-contract=off so no multiply-add is fused;
@@ -18,11 +28,11 @@
  *    and with it every tie and ``horizon_excluding``'s bound, is the
  *    same;
  *  - the queue is reached through its attributes on every call, and the
- *    pump callback is looked up as ``self._pump_fire``, so taps and
- *    profiler wrappers installed on instances keep working.
+ *    pump callback is looked up as ``self._pump_fire``, so subclasses
+ *    (CoDel), span wrappers and profiler wrappers keep working.
  *
  * The module is built by ``repro.util.cbuild`` on first import of
- * ``repro.sim.engine``.
+ * ``repro.sim``.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -51,8 +61,10 @@ static PyObject *opportunity_bytes;
 static double outage_gap = 0.1;
 static long long batch_event_min = 8;
 
-static PyObject *s_push, *s_drain, *s_queue, *s_size, *s_pump_fire,
-    *s_arm_service, *s_emit_recover, *s_emit_outage, *s_cancel;
+static PyObject *s_push, *s_drain, *s_pump_fire, *s_arm_service,
+    *s_emit_recover, *s_emit_outage, *s_cancel, *s_now, *s_arm_delack,
+    *s_sack_blocks, *s_first_gap, *s_remove_below, *s_add,
+    *s_interval_containing, *s_tail_intervals;
 
 /* ------------------------------------------------------------------ */
 /* helpers                                                             */
@@ -111,6 +123,265 @@ check_entry(PyObject *entry)
     }
     return 0;
 }
+
+/* ------------------------------------------------------------------ */
+/* Packet                                                              */
+/* ------------------------------------------------------------------ */
+
+/* The fields in constructor order. */
+enum {
+    P_FLOW, P_SEQ, P_ACK, P_IS_ACK, P_TSVAL, P_TSECR, P_SACKS, P_SIZE,
+    P_SENT, P_RTX, P_UID, P_ENQ, P_NFIELDS
+};
+
+static const char *const packet_names[P_NFIELDS] = {
+    "flow_id", "seq", "ack", "is_ack", "tsval", "tsecr", "sacks", "size",
+    "sent_time", "retransmit", "uid", "enqueue_time",
+};
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *f[P_NFIELDS];
+} Packet;
+
+static PyTypeObject PacketType;
+static PyObject *s_pkt[P_NFIELDS];
+/* Defaults; the two sizes are bound from repro.sim.packet by configure(). */
+static PyObject *zero_int, *zero_float, *minus_one, *data_bytes, *ack_bytes;
+static long long next_uid;
+
+/* A packet built from one value per field; NULL takes the default. */
+static PyObject *
+packet_build(PyObject *const *a)
+{
+    Packet *p = PyObject_GC_New(Packet, &PacketType);
+    int i;
+    if (p == NULL)
+        return NULL;
+    for (i = 0; i < P_NFIELDS; i++)
+        p->f[i] = a[i] ? Py_NewRef(a[i]) : NULL;
+#define DEFAULT(i, value) if (p->f[i] == NULL) p->f[i] = Py_NewRef(value)
+    DEFAULT(P_SEQ, zero_int);
+    DEFAULT(P_ACK, zero_int);
+    DEFAULT(P_IS_ACK, Py_False);
+    DEFAULT(P_TSVAL, zero_float);
+    DEFAULT(P_TSECR, minus_one);
+    DEFAULT(P_SIZE, data_bytes);
+    DEFAULT(P_SENT, zero_float);
+    DEFAULT(P_RTX, Py_False);
+    DEFAULT(P_ENQ, Py_None);
+#undef DEFAULT
+    if ((p->f[P_SACKS] == NULL && (p->f[P_SACKS] = PyList_New(0)) == NULL)
+            || (p->f[P_UID] == NULL
+                && (p->f[P_UID] = PyLong_FromLongLong(next_uid++)) == NULL)) {
+        Py_DECREF(p);
+        return NULL;
+    }
+    PyObject_GC_Track(p);
+    return (PyObject *)p;
+}
+
+static PyObject *
+Packet_vectorcall(PyObject *Py_UNUSED(type), PyObject *const *args,
+                  size_t nargsf, PyObject *kwnames)
+{
+    PyObject *a[P_NFIELDS];
+    if (parse_args("Packet", args, PyVectorcall_NARGS(nargsf), kwnames,
+                   packet_names, 1, P_NFIELDS, a) < 0)
+        return NULL;
+    return packet_build(a);
+}
+
+static PyObject *
+Packet_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    return PyVectorcall_Call((PyObject *)type, args, kwds);
+}
+
+/* Field ``i`` of any packet-like object (new reference). */
+static PyObject *
+pkt_get(PyObject *p, int i)
+{
+    if (Py_IS_TYPE(p, &PacketType) && ((Packet *)p)->f[i] != NULL)
+        return Py_NewRef(((Packet *)p)->f[i]);
+    return PyObject_GetAttr(p, s_pkt[i]);
+}
+
+static int
+pkt_set(PyObject *p, int i, PyObject *value)
+{
+    if (Py_IS_TYPE(p, &PacketType)) {
+        Py_XSETREF(((Packet *)p)->f[i], Py_NewRef(value));
+        return 0;
+    }
+    return PyObject_SetAttr(p, s_pkt[i], value);
+}
+
+/* ``p.size`` as a C integer; -1 with an exception set on error. */
+static long long
+pkt_size(PyObject *p)
+{
+    PyObject *o = pkt_get(p, P_SIZE);
+    long long v;
+    if (o == NULL)
+        return -1;
+    v = PyLong_AsLongLong(o);
+    Py_DECREF(o);
+    return v;
+}
+
+static int
+Packet_traverse(Packet *self, visitproc visit, void *arg)
+{
+    int i;
+    for (i = 0; i < P_NFIELDS; i++)
+        Py_VISIT(self->f[i]);
+    return 0;
+}
+
+static int
+Packet_clear(Packet *self)
+{
+    int i;
+    for (i = 0; i < P_NFIELDS; i++)
+        Py_CLEAR(self->f[i]);
+    return 0;
+}
+
+static void
+Packet_dealloc(Packet *self)
+{
+    PyObject_GC_UnTrack(self);
+    Packet_clear(self);
+    PyObject_GC_Del(self);
+}
+
+static PyObject *
+packet_fields(Packet *self)
+{
+    PyObject *t = PyTuple_New(P_NFIELDS);
+    int i;
+    if (t == NULL)
+        return NULL;
+    for (i = 0; i < P_NFIELDS; i++) {
+        PyObject *v = self->f[i];
+        if (v == NULL) {
+            Py_DECREF(t);
+            return PyObject_GetAttr((PyObject *)self, s_pkt[i]);
+        }
+        PyTuple_SET_ITEM(t, i, Py_NewRef(v));
+    }
+    return t;
+}
+
+/* The dataclass's ``__eq__``: field tuples of two packets. */
+static PyObject *
+Packet_richcompare(PyObject *a, PyObject *b, int op)
+{
+    PyObject *ta, *tb, *r;
+    if ((op != Py_EQ && op != Py_NE) || !Py_IS_TYPE(b, &PacketType))
+        Py_RETURN_NOTIMPLEMENTED;
+    if ((ta = packet_fields((Packet *)a)) == NULL)
+        return NULL;
+    if ((tb = packet_fields((Packet *)b)) == NULL) {
+        Py_DECREF(ta);
+        return NULL;
+    }
+    r = PyObject_RichCompare(ta, tb, op);
+    Py_DECREF(ta);
+    Py_DECREF(tb);
+    return r;
+}
+
+static PyObject *
+Packet_repr(Packet *self)
+{
+    PyObject *flow, *value, *ts = NULL, *r = NULL;
+    int ack = PyObject_IsTrue(self->f[P_IS_ACK] ? self->f[P_IS_ACK]
+                              : Py_False);
+    if (ack < 0)
+        return NULL;
+    if ((flow = PyObject_Format(self->f[P_FLOW] ? self->f[P_FLOW] : Py_None,
+                                NULL)) == NULL)
+        return NULL;
+    value = self->f[ack ? P_ACK : P_SEQ];
+    if ((value = PyObject_Format(value ? value : Py_None, NULL)) == NULL)
+        goto done;
+    if (ack) {
+        PyObject *spec = PyUnicode_FromString(".3f");
+        if (spec == NULL)
+            goto done;
+        ts = PyObject_Format(self->f[P_TSVAL] ? self->f[P_TSVAL] : Py_None,
+                             spec);
+        Py_DECREF(spec);
+        if (ts != NULL)
+            r = PyUnicode_FromFormat("<ACK flow=%U ack=%U ts=%U>", flow,
+                                     value, ts);
+    }
+    else {
+        int rtx = PyObject_IsTrue(self->f[P_RTX] ? self->f[P_RTX]
+                                  : Py_False);
+        if (rtx >= 0)
+            r = PyUnicode_FromFormat("<%s flow=%U seq=%U>",
+                                     rtx ? "RTX" : "DATA", flow, value);
+    }
+done:
+    Py_DECREF(flow);
+    Py_XDECREF(value);
+    Py_XDECREF(ts);
+    return r;
+}
+
+static PyObject *
+Packet_reduce(Packet *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *fields = packet_fields(self);
+    if (fields == NULL)
+        return NULL;
+    return Py_BuildValue("(ON)", (PyObject *)Py_TYPE(self), fields);
+}
+
+static PyMethodDef Packet_methods[] = {
+    {"__reduce__", (PyCFunction)Packet_reduce, METH_NOARGS, NULL},
+    {NULL, NULL, 0, NULL}
+};
+
+#define PF(name, i) \
+    {name, T_OBJECT_EX, offsetof(Packet, f) + (i) * sizeof(PyObject *), 0, \
+     NULL}
+
+static PyMemberDef Packet_members[] = {
+    PF("flow_id", P_FLOW), PF("seq", P_SEQ), PF("ack", P_ACK),
+    PF("is_ack", P_IS_ACK), PF("tsval", P_TSVAL), PF("tsecr", P_TSECR),
+    PF("sacks", P_SACKS), PF("size", P_SIZE), PF("sent_time", P_SENT),
+    PF("retransmit", P_RTX), PF("uid", P_UID),
+    PF("enqueue_time", P_ENQ),
+    {NULL, 0, 0, 0, NULL}
+};
+
+#undef PF
+
+static PyTypeObject PacketType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim.packet.Packet",
+    .tp_doc = "Packet(flow_id, seq=0, ack=0, is_ack=False, tsval=0.0, "
+              "tsecr=-1.0, sacks=[], size=DATA_PACKET_BYTES, sent_time=0.0, "
+              "retransmit=False, uid=<next>, enqueue_time=None)\n\n"
+              "A simulated TCP packet (data segment or ACK); the fields are "
+              "documented in repro.sim.packet.",
+    .tp_basicsize = sizeof(Packet),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_new = Packet_new,
+    .tp_vectorcall = Packet_vectorcall,
+    .tp_dealloc = (destructor)Packet_dealloc,
+    .tp_traverse = (traverseproc)Packet_traverse,
+    .tp_clear = (inquiry)Packet_clear,
+    .tp_repr = (reprfunc)Packet_repr,
+    .tp_richcompare = Packet_richcompare,
+    .tp_hash = PyObject_HashNotImplemented,
+    .tp_methods = Packet_methods,
+    .tp_members = Packet_members,
+};
 
 /* ------------------------------------------------------------------ */
 /* Engine                                                              */
@@ -622,7 +893,8 @@ done:
 }
 
 static PyObject *
-Engine_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+Engine_new(PyTypeObject *type, PyObject *Py_UNUSED(args),
+           PyObject *Py_UNUSED(kwds))
 {
     Engine *self = (Engine *)type->tp_alloc(type, 0);
     if (self == NULL)
@@ -640,7 +912,7 @@ Engine_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 }
 
 static int
-Engine_init(PyObject *self, PyObject *args, PyObject *kwds)
+Engine_init(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
     if (PyTuple_GET_SIZE(args) || (kwds && PyDict_GET_SIZE(kwds))) {
         PyErr_SetString(PyExc_TypeError, "Simulator() takes no arguments");
@@ -682,13 +954,13 @@ Engine_dealloc(Engine *self)
 }
 
 static PyObject *
-Engine_get_now(Engine *self, void *closure)
+Engine_get_now(Engine *self, void *Py_UNUSED(closure))
 {
     return Py_NewRef(self->now);
 }
 
 static int
-Engine_set_now(Engine *self, PyObject *value, void *closure)
+Engine_set_now(Engine *self, PyObject *value, void *Py_UNUSED(closure))
 {
     double t;
     if (value == NULL) {
@@ -703,7 +975,7 @@ Engine_set_now(Engine *self, PyObject *value, void *closure)
 }
 
 static PyObject *
-Engine_get_run_until(Engine *self, void *closure)
+Engine_get_run_until(Engine *self, void *Py_UNUSED(closure))
 {
     return Py_NewRef(self->run_until);
 }
@@ -1067,7 +1339,7 @@ static PyObject *
 Cellular_serve(Cellular *self, PyObject *Py_UNUSED(ignored))
 {
     Engine *sim = link_engine(self);
-    PyObject *fired, *tracer, *drain = NULL, *q_deque = NULL, *t_obj = NULL;
+    PyObject *fired, *tracer, *drain = NULL, *t_obj = NULL;
     PyObject *group = NULL, *r;
     const double *times;
     Py_ssize_t size, index, cycle;
@@ -1103,8 +1375,7 @@ Cellular_serve(Cellular *self, PyObject *Py_UNUSED(ignored))
     limit = sim->until_d;
     t_obj = Py_NewRef(sim->now);
     t = sim->now_d;
-    if ((drain = PyObject_GetAttr(self->queue, s_drain)) == NULL
-            || (q_deque = PyObject_GetAttr(self->queue, s_queue)) == NULL)
+    if ((drain = PyObject_GetAttr(self->queue, s_drain)) == NULL)
         goto fail;
     times = (const double *)self->tbuf.buf;
     size = self->tsize;
@@ -1135,15 +1406,7 @@ Cellular_serve(Cellular *self, PyObject *Py_UNUSED(ignored))
             Py_ssize_t i, n = PyList_GET_SIZE(pkts);
             long long nbytes = 0;
             for (i = 0; i < n; i++) {
-                PyObject *sz = PyObject_GetAttr(PyList_GET_ITEM(pkts, i),
-                                                s_size);
-                long long v;
-                if (sz == NULL) {
-                    Py_DECREF(pkts);
-                    goto fail;
-                }
-                v = PyLong_AsLongLong(sz);
-                Py_DECREF(sz);
+                long long v = pkt_size(PyList_GET_ITEM(pkts, i));
                 if (v == -1 && PyErr_Occurred()) {
                     Py_DECREF(pkts);
                     goto fail;
@@ -1185,7 +1448,7 @@ Cellular_serve(Cellular *self, PyObject *Py_UNUSED(ignored))
         else
             wasted++;
         Py_DECREF(pkts);
-        if ((more = PyObject_IsTrue(q_deque)) < 0)
+        if ((more = PyObject_IsTrue(self->queue)) < 0)
             goto fail;
         if (!more)
             /* Idle: leave the service disarmed; the next enqueue re-arms
@@ -1270,7 +1533,6 @@ finish:
     Py_DECREF(fired);
     Py_DECREF(tracer);
     Py_DECREF(drain);
-    Py_DECREF(q_deque);
     Py_DECREF(t_obj);
     Py_XDECREF(group);
     Py_RETURN_NONE;
@@ -1278,14 +1540,14 @@ fail:
     Py_DECREF(fired);
     Py_DECREF(tracer);
     Py_XDECREF(drain);
-    Py_XDECREF(q_deque);
     Py_XDECREF(t_obj);
     Py_XDECREF(group);
     return NULL;
 }
 
 static PyObject *
-Cellular_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+Cellular_new(PyTypeObject *type, PyObject *Py_UNUSED(args),
+             PyObject *Py_UNUSED(kwds))
 {
     Cellular *self = (Cellular *)type->tp_alloc(type, 0);
     if (self == NULL)
@@ -1359,13 +1621,14 @@ Cellular_dealloc(Cellular *self)
 }
 
 static PyObject *
-Cellular_get_times(Cellular *self, void *closure)
+Cellular_get_times(Cellular *self, void *Py_UNUSED(closure))
 {
     return Py_NewRef(self->times);
 }
 
 static int
-Cellular_set_times(Cellular *self, PyObject *value, void *closure)
+Cellular_set_times(Cellular *self, PyObject *value,
+                   void *Py_UNUSED(closure))
 {
     Py_buffer view;
     if (value == NULL) {
@@ -1460,6 +1723,849 @@ static PyTypeObject CellularType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* Drop-tail queue                                                     */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject **ring;        /* ``len`` packets from ``head``, mod ``size`` */
+    Py_ssize_t size, head, len;
+    Py_ssize_t capacity;
+    PyObject *on_drop;
+    long long drops, enqueued, bytes, enqueued_bytes;
+    double sojourn_max;     /* largest now - enqueue_time dequeued, or -1 */
+} DropTail;
+
+static PyObject *
+DropTail_new(PyTypeObject *type, PyObject *Py_UNUSED(args),
+             PyObject *Py_UNUSED(kwds))
+{
+    DropTail *self = (DropTail *)type->tp_alloc(type, 0);
+    if (self == NULL)
+        return NULL;
+    self->on_drop = Py_NewRef(Py_None);
+    self->sojourn_max = -1.0;
+    return (PyObject *)self;
+}
+
+/* The head packet off the ring (reference moves to the caller). */
+static PyObject *
+queue_take(DropTail *self)
+{
+    PyObject *p = self->ring[self->head];
+    self->ring[self->head] = NULL;
+    self->head = (self->head + 1) & (self->size - 1);
+    self->len--;
+    return p;
+}
+
+/* Fold one dequeue at ``now`` into the running sojourn maximum. */
+static int
+queue_sojourn(DropTail *self, PyObject *packet, PyObject *now)
+{
+    PyObject *enq = pkt_get(packet, P_ENQ);
+    double t, e;
+    if (enq == NULL)
+        return -1;
+    if (enq != Py_None) {
+        t = as_double(now);
+        e = as_double(enq);
+        if ((t == -1.0 || e == -1.0) && PyErr_Occurred()) {
+            Py_DECREF(enq);
+            return -1;
+        }
+        if (t - e > self->sojourn_max)
+            self->sojourn_max = t - e;
+    }
+    Py_DECREF(enq);
+    return 0;
+}
+
+static PyObject *
+DropTail_push(DropTail *self, PyObject *const *args, Py_ssize_t nargs,
+              PyObject *kwnames)
+{
+    static const char *const names[] = {"packet", "now"};
+    PyObject *a[2];
+    long long size;
+    if (parse_args("push", args, nargs, kwnames, names, 2, 2, a) < 0)
+        return NULL;
+    if (self->len >= self->capacity) {
+        self->drops++;
+        if (self->on_drop != NULL && self->on_drop != Py_None) {
+            PyObject *r = PyObject_CallOneArg(self->on_drop, a[0]);
+            if (r == NULL)
+                return NULL;
+            Py_DECREF(r);
+        }
+        Py_RETURN_FALSE;
+    }
+    if (pkt_set(a[0], P_ENQ, a[1]) < 0)
+        return NULL;
+    if (self->len == self->size) {
+        /* Grow the ring to twice its size, unrolled from ``head``. */
+        Py_ssize_t n = self->size ? 2 * self->size : 16, i;
+        PyObject **ring = PyMem_New(PyObject *, n);
+        if (ring == NULL)
+            return PyErr_NoMemory();
+        for (i = 0; i < self->len; i++)
+            ring[i] = self->ring[(self->head + i) & (self->size - 1)];
+        PyMem_Free(self->ring);
+        self->ring = ring;
+        self->size = n;
+        self->head = 0;
+    }
+    self->ring[(self->head + self->len) & (self->size - 1)] =
+        Py_NewRef(a[0]);
+    self->len++;
+    self->enqueued++;
+    if ((size = pkt_size(a[0])) == -1 && PyErr_Occurred())
+        return NULL;
+    self->bytes += size;
+    self->enqueued_bytes += size;
+    Py_RETURN_TRUE;
+}
+
+static PyObject *
+DropTail_pop(DropTail *self, PyObject *const *args, Py_ssize_t nargs,
+             PyObject *kwnames)
+{
+    static const char *const names[] = {"now"};
+    PyObject *now, *packet;
+    long long size;
+    if (parse_args("pop", args, nargs, kwnames, names, 1, 1, &now) < 0)
+        return NULL;
+    if (self->len == 0)
+        Py_RETURN_NONE;
+    packet = queue_take(self);
+    if (((size = pkt_size(packet)) == -1 && PyErr_Occurred())
+            || queue_sojourn(self, packet, now) < 0) {
+        Py_DECREF(packet);
+        return NULL;
+    }
+    self->bytes -= size;
+    return packet;
+}
+
+static PyObject *
+DropTail_drain(DropTail *self, PyObject *const *args, Py_ssize_t nargs,
+               PyObject *kwnames)
+{
+    static const char *const names[] = {"now", "budget"};
+    PyObject *a[2], *out;
+    long long budget;
+    if (parse_args("drain_opportunity", args, nargs, kwnames, names, 2, 2, a)
+            < 0)
+        return NULL;
+    if ((budget = PyLong_AsLongLong(a[1])) == -1 && PyErr_Occurred())
+        return NULL;
+    if ((out = PyList_New(0)) == NULL)
+        return NULL;
+    while (self->len > 0) {
+        PyObject *head = self->ring[self->head];
+        long long size = pkt_size(head);
+        int rc;
+        if (size == -1 && PyErr_Occurred())
+            goto fail;
+        if (size > budget)
+            break;
+        head = queue_take(self);
+        self->bytes -= size;
+        budget -= size;
+        rc = PyList_Append(out, head);
+        if (rc == 0)
+            rc = queue_sojourn(self, head, a[0]);
+        Py_DECREF(head);
+        if (rc < 0)
+            goto fail;
+    }
+    return out;
+fail:
+    Py_DECREF(out);
+    return NULL;
+}
+
+static PyObject *
+DropTail_peek(DropTail *self, PyObject *Py_UNUSED(ignored))
+{
+    if (self->len == 0)
+        Py_RETURN_NONE;
+    return Py_NewRef(self->ring[self->head]);
+}
+
+static Py_ssize_t
+DropTail_length(DropTail *self)
+{
+    return self->len;
+}
+
+static int
+DropTail_traverse(DropTail *self, visitproc visit, void *arg)
+{
+    Py_ssize_t i;
+    Py_VISIT(self->on_drop);
+    for (i = 0; i < self->len; i++)
+        Py_VISIT(self->ring[(self->head + i) & (self->size - 1)]);
+    return 0;
+}
+
+static int
+DropTail_clear(DropTail *self)
+{
+    Py_CLEAR(self->on_drop);
+    while (self->len > 0) {
+        PyObject *p = queue_take(self);
+        Py_DECREF(p);
+    }
+    return 0;
+}
+
+static void
+DropTail_dealloc(DropTail *self)
+{
+    PyObject_GC_UnTrack(self);
+    DropTail_clear(self);
+    PyMem_Free(self->ring);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMethodDef DropTail_methods[] = {
+    {"push", (PyCFunction)(void (*)(void))DropTail_push,
+     METH_FASTCALL | METH_KEYWORDS,
+     "push(packet, now) -> bool\n\nEnqueue ``packet`` stamped with "
+     "``enqueue_time = now``; False (counted in ``drops`` and passed to "
+     "``on_drop``) if the queue is full."},
+    {"pop", (PyCFunction)(void (*)(void))DropTail_pop,
+     METH_FASTCALL | METH_KEYWORDS,
+     "pop(now) -> Packet | None\n\nDequeue the head packet, or None if "
+     "empty."},
+    {"drain_opportunity", (PyCFunction)(void (*)(void))DropTail_drain,
+     METH_FASTCALL | METH_KEYWORDS,
+     "drain_opportunity(now, budget) -> list\n\nDequeue the head packets "
+     "that fit one delivery opportunity of ``budget`` bytes, in one call "
+     "so the link pays a single dispatch per opportunity."},
+    {"peek", (PyCFunction)DropTail_peek, METH_NOARGS,
+     "peek() -> Packet | None\n\nThe head packet, left queued."},
+    {NULL, NULL, 0, NULL}
+};
+
+static PyMemberDef DropTail_members[] = {
+    {"capacity", T_PYSSIZET, offsetof(DropTail, capacity), 0,
+     "Buffer size in packets."},
+    {"on_drop", T_OBJECT, offsetof(DropTail, on_drop), 0,
+     "Called with each packet the queue drops, or None."},
+    {"drops", T_LONGLONG, offsetof(DropTail, drops), 0, NULL},
+    {"enqueued", T_LONGLONG, offsetof(DropTail, enqueued), 0, NULL},
+    {"bytes", T_LONGLONG, offsetof(DropTail, bytes), 0,
+     "Bytes queued now."},
+    {"enqueued_bytes", T_LONGLONG, offsetof(DropTail, enqueued_bytes), 0,
+     "Bytes ever accepted."},
+    {"sojourn_max", T_DOUBLE, offsetof(DropTail, sojourn_max), 0,
+     "The largest ``now - enqueue_time`` of a packet dequeued since it "
+     "was last reset (-1.0: none); the auditor reads and resets it."},
+    {NULL, 0, 0, 0, NULL}
+};
+
+static PySequenceMethods DropTail_as_sequence = {
+    .sq_length = (lenfunc)DropTail_length,
+};
+
+static PyTypeObject DropTailType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._core.DropTail",
+    .tp_doc = "The drop-tail FIFO (base of repro.sim.queues.DropTailQueue).",
+    .tp_basicsize = sizeof(DropTail),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_new = DropTail_new,
+    .tp_dealloc = (destructor)DropTail_dealloc,
+    .tp_traverse = (traverseproc)DropTail_traverse,
+    .tp_clear = (inquiry)DropTail_clear,
+    .tp_methods = DropTail_methods,
+    .tp_members = DropTail_members,
+    .tp_as_sequence = &DropTail_as_sequence,
+};
+
+/* ------------------------------------------------------------------ */
+/* Receiver                                                            */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *sim, *flow_id, *send_ack, *on_data, *sack_enabled,
+        *delayed_ack, *delack_event, *ooo, *ts_recent, *last_ooo_seq;
+    double ts_granularity;
+    long long rcv_nxt, unacked_segments, data_packets_received,
+        duplicate_packets, unique_segments;
+    /* Whether ``ooo`` holds out-of-order data: read from the store when
+     * it is set and after each advance through it, so the in-order path
+     * with an empty store enters no Python frame of its own. */
+    int ooo_held;
+} Receiver;
+
+static PyObject *sack_block_type;
+static Py_ssize_t max_sack_blocks = 3;
+
+/* ``sim.now``, straight from the C loop when ``sim`` is one. */
+static PyObject *
+clock_now(PyObject *sim)
+{
+    if (PyObject_TypeCheck(sim, &EngineType))
+        return Py_NewRef(((Engine *)sim)->now);
+    return PyObject_GetAttr(sim, s_now);
+}
+
+static int
+is_set(PyObject *o)
+{
+    return o == NULL || o == Py_None ? 0 : PyObject_IsTrue(o);
+}
+
+static PyObject *
+Receiver_new(PyTypeObject *type, PyObject *Py_UNUSED(args),
+             PyObject *Py_UNUSED(kwds))
+{
+    Receiver *self = (Receiver *)type->tp_alloc(type, 0);
+    if (self == NULL)
+        return NULL;
+    self->sim = Py_NewRef(Py_None);
+    self->flow_id = Py_NewRef(Py_None);
+    self->send_ack = Py_NewRef(Py_None);
+    self->on_data = Py_NewRef(Py_None);
+    self->sack_enabled = Py_NewRef(Py_True);
+    self->delayed_ack = Py_NewRef(Py_False);
+    self->delack_event = Py_NewRef(Py_None);
+    self->ooo = Py_NewRef(Py_None);
+    self->ts_recent = PyFloat_FromDouble(-1.0);
+    self->last_ooo_seq = Py_NewRef(Py_None);
+    if (self->ts_recent == NULL) {
+        Py_DECREF(self);
+        return NULL;
+    }
+    return (PyObject *)self;
+}
+
+/* The receiver's clock quantised to ``ts_granularity``:
+ * ``int(now / g) * g``, an int that is then multiplied as a float. */
+static PyObject *
+receiver_timestamp(Receiver *self)
+{
+    double g = self->ts_granularity, q, k;
+    PyObject *now = clock_now(self->sim);
+    if (now == NULL || g <= 0)
+        return now;
+    q = as_double(now);
+    Py_DECREF(now);
+    if (q == -1.0 && PyErr_Occurred())
+        return NULL;
+    q = q / g;
+    if (!isfinite(q)) {
+        /* int() raises for these; let it say so. */
+        PyObject *f = PyFloat_FromDouble(q), *i;
+        if (f == NULL)
+            return NULL;
+        i = PyNumber_Long(f);
+        Py_DECREF(f);
+        Py_XDECREF(i);
+        return NULL;
+    }
+    k = trunc(q);
+    if (k == 0.0)
+        k = 0.0;    /* int(-0.5) is 0, whose product is +0.0 */
+    return PyFloat_FromDouble(k * g);
+}
+
+static PyObject *
+Receiver_receiver_timestamp(Receiver *self, PyObject *Py_UNUSED(ignored))
+{
+    return receiver_timestamp(self);
+}
+
+/* Up to ``max_sack_blocks`` blocks, the run holding the newest
+ * out-of-order arrival first, then the highest runs. */
+static PyObject *
+Receiver_sack_blocks(Receiver *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *blocks, *first = NULL, *first_start = NULL, *tail = NULL,
+        *it = NULL, *item, *k;
+    int on = is_set(self->sack_enabled);
+    if (on < 0)
+        return NULL;
+    if (!on || !self->ooo_held)
+        return PyList_New(0);
+    if ((blocks = PyList_New(0)) == NULL)
+        return NULL;
+    if (self->last_ooo_seq != Py_None) {
+        first = PyObject_CallMethodOneArg(self->ooo, s_interval_containing,
+                                          self->last_ooo_seq);
+        if (first == NULL)
+            goto fail;
+        if (first == Py_None)
+            Py_CLEAR(first);
+        else {
+            PyObject *args = PySequence_Tuple(first), *block;
+            if (args == NULL)
+                goto fail;
+            block = PyObject_Call(sack_block_type, args, NULL);
+            if (PyTuple_GET_SIZE(args) > 0)
+                first_start = Py_NewRef(PyTuple_GET_ITEM(args, 0));
+            Py_DECREF(args);
+            if (block == NULL || PyList_Append(blocks, block) < 0) {
+                Py_XDECREF(block);
+                goto fail;
+            }
+            Py_DECREF(block);
+        }
+    }
+    if ((k = PyLong_FromSsize_t(max_sack_blocks + 1)) == NULL)
+        goto fail;
+    tail = PyObject_CallMethodOneArg(self->ooo, s_tail_intervals, k);
+    Py_DECREF(k);
+    if (tail == NULL || (it = PyObject_GetIter(tail)) == NULL)
+        goto fail;
+    while ((item = PyIter_Next(it)) != NULL) {
+        PyObject *pair = PySequence_Tuple(item), *block;
+        int same = 0;
+        Py_DECREF(item);
+        if (pair == NULL)
+            goto fail;
+        if (PyTuple_GET_SIZE(pair) != 2) {
+            PyErr_SetString(PyExc_ValueError,
+                            "tail_intervals() items must be (start, end)");
+            Py_DECREF(pair);
+            goto fail;
+        }
+        if (PyList_GET_SIZE(blocks) >= max_sack_blocks) {
+            Py_DECREF(pair);
+            break;
+        }
+        if (first != NULL && first_start != NULL)
+            same = PyObject_RichCompareBool(PyTuple_GET_ITEM(pair, 0),
+                                            first_start, Py_EQ);
+        if (same) {
+            Py_DECREF(pair);
+            if (same < 0)
+                goto fail;
+            continue;
+        }
+        block = PyObject_Call(sack_block_type, pair, NULL);
+        Py_DECREF(pair);
+        if (block == NULL || PyList_Append(blocks, block) < 0) {
+            Py_XDECREF(block);
+            goto fail;
+        }
+        Py_DECREF(block);
+    }
+    if (PyErr_Occurred())
+        goto fail;
+    Py_XDECREF(first);
+    Py_XDECREF(first_start);
+    Py_DECREF(tail);
+    Py_DECREF(it);
+    return blocks;
+fail:
+    Py_DECREF(blocks);
+    Py_XDECREF(first);
+    Py_XDECREF(first_start);
+    Py_XDECREF(tail);
+    Py_XDECREF(it);
+    return NULL;
+}
+
+/* One cumulative ACK with the receiver's timestamp, echoing ``echo``. */
+static PyObject *
+receiver_emit_ack(Receiver *self, PyObject *echo)
+{
+    PyObject *a[P_NFIELDS] = {NULL}, *ack, *r = NULL;
+    if (self->delack_event != Py_None) {
+        r = PyObject_CallMethodNoArgs(self->delack_event, s_cancel);
+        if (r == NULL)
+            return NULL;
+        Py_DECREF(r);
+        Py_SETREF(self->delack_event, Py_NewRef(Py_None));
+    }
+    self->unacked_segments = 0;
+    a[P_FLOW] = self->flow_id;
+    a[P_SEQ] = zero_int;
+    a[P_IS_ACK] = Py_True;
+    a[P_TSECR] = echo;
+    a[P_SIZE] = ack_bytes;
+    if ((a[P_ACK] = PyLong_FromLongLong(self->rcv_nxt)) == NULL
+            || (a[P_TSVAL] = receiver_timestamp(self)) == NULL
+            || (a[P_SACKS] = self->ooo_held
+                ? PyObject_CallMethodNoArgs((PyObject *)self, s_sack_blocks)
+                : PyList_New(0)) == NULL
+            || (a[P_SENT] = clock_now(self->sim)) == NULL)
+        goto done;
+    if ((ack = packet_build(a)) == NULL)
+        goto done;
+    r = PyObject_CallOneArg(self->send_ack, ack);
+    Py_DECREF(ack);
+    if (r != NULL)
+        Py_SETREF(r, Py_NewRef(Py_None));
+done:
+    Py_XDECREF(a[P_ACK]);
+    Py_XDECREF(a[P_TSVAL]);
+    Py_XDECREF(a[P_SACKS]);
+    Py_XDECREF(a[P_SENT]);
+    return r;
+}
+
+static PyObject *
+Receiver_emit_ack(Receiver *self, PyObject *echo)
+{
+    return receiver_emit_ack(self, echo);
+}
+
+/* Call ``self.ooo.<name>(value)`` and read the result as a C integer. */
+static int
+ooo_call_ll(Receiver *self, PyObject *name, long long value,
+            long long *out)
+{
+    PyObject *arg = PyLong_FromLongLong(value), *r;
+    if (arg == NULL)
+        return -1;
+    r = PyObject_CallMethodOneArg(self->ooo, name, arg);
+    Py_DECREF(arg);
+    if (r == NULL)
+        return -1;
+    if (out != NULL && (*out = PyLong_AsLongLong(r)) == -1
+            && PyErr_Occurred()) {
+        Py_DECREF(r);
+        return -1;
+    }
+    Py_DECREF(r);
+    return 0;
+}
+
+static PyObject *
+Receiver_receive(Receiver *self, PyObject *packet)
+{
+    PyObject *v, *now, *seq_obj, *echo = NULL, *r = NULL;
+    long long seq;
+    int ack, in_order = 0;
+
+    if (!self->sim || !self->ooo || !self->send_ack || !self->on_data
+            || !self->delack_event || !self->ts_recent) {
+        PyErr_SetString(PyExc_AttributeError,
+                        "TcpReceiver is missing an attribute receive needs");
+        return NULL;
+    }
+    if ((v = pkt_get(packet, P_IS_ACK)) == NULL)
+        return NULL;
+    ack = PyObject_IsTrue(v);
+    Py_DECREF(v);
+    if (ack < 0)
+        return NULL;
+    if (ack) {
+        PyErr_SetString(PyExc_ValueError, "receiver got an ACK packet");
+        return NULL;
+    }
+    self->data_packets_received++;
+    if ((now = clock_now(self->sim)) == NULL)
+        return NULL;
+    if (self->on_data != Py_None) {
+        PyObject *args[2] = {packet, now};
+        r = PyObject_Vectorcall(self->on_data, args, 2, NULL);
+        Py_DECREF(now);
+        if (r == NULL)
+            return NULL;
+        Py_DECREF(r);
+    }
+    else
+        Py_DECREF(now);
+
+    if ((seq_obj = pkt_get(packet, P_SEQ)) == NULL)
+        return NULL;
+    if ((seq = PyLong_AsLongLong(seq_obj)) == -1 && PyErr_Occurred())
+        goto done;
+    if (seq == self->rcv_nxt) {
+        /* In-order (possibly filling a hole): advance through the
+         * out-of-order store and echo this segment's timestamp. */
+        long long nxt = seq + 1;
+        self->unique_segments++;
+        if (self->ooo_held) {
+            if (ooo_call_ll(self, s_first_gap, nxt, &nxt) < 0
+                    || ooo_call_ll(self, s_remove_below, nxt, NULL) < 0
+                    || (self->ooo_held = PyObject_IsTrue(self->ooo)) < 0)
+                goto done;
+        }
+        self->rcv_nxt = nxt;
+        if ((echo = pkt_get(packet, P_TSVAL)) == NULL)
+            goto done;
+        Py_SETREF(self->ts_recent, Py_NewRef(echo));
+        /* Filling a hole is acknowledged at once (RFC 5681 §4.2). */
+        in_order = nxt == seq + 1;
+    }
+    else if (seq > self->rcv_nxt) {
+        int added;
+        if ((v = PyObject_CallMethodOneArg(self->ooo, s_add, seq_obj))
+                == NULL)
+            goto done;
+        added = PyObject_IsTrue(v);
+        Py_DECREF(v);
+        if (added < 0)
+            goto done;
+        if (added)
+            self->unique_segments++;
+        else
+            self->duplicate_packets++;
+        self->ooo_held = 1;
+        Py_SETREF(self->last_ooo_seq, Py_NewRef(seq_obj));
+        echo = Py_NewRef(self->ts_recent);
+    }
+    else {
+        /* Below rcv_nxt: a duplicate (e.g. spurious retransmission),
+         * answered with an immediate duplicate ACK. */
+        self->duplicate_packets++;
+        echo = Py_NewRef(self->ts_recent);
+    }
+
+    if (in_order && !self->ooo_held) {
+        int delayed = is_set(self->delayed_ack);
+        if (delayed < 0)
+            goto done;
+        if (delayed && ++self->unacked_segments < 2) {
+            if ((r = PyObject_CallMethodOneArg((PyObject *)self, s_arm_delack,
+                                               echo)) != NULL)
+                Py_SETREF(r, Py_NewRef(Py_None));
+            goto done;
+        }
+    }
+    r = receiver_emit_ack(self, echo);
+done:
+    Py_DECREF(seq_obj);
+    Py_XDECREF(echo);
+    return r;
+}
+
+static int
+Receiver_traverse(Receiver *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->sim);
+    Py_VISIT(self->flow_id);
+    Py_VISIT(self->send_ack);
+    Py_VISIT(self->on_data);
+    Py_VISIT(self->sack_enabled);
+    Py_VISIT(self->delayed_ack);
+    Py_VISIT(self->delack_event);
+    Py_VISIT(self->ooo);
+    Py_VISIT(self->ts_recent);
+    Py_VISIT(self->last_ooo_seq);
+    return 0;
+}
+
+static int
+Receiver_clear(Receiver *self)
+{
+    Py_CLEAR(self->sim);
+    Py_CLEAR(self->flow_id);
+    Py_CLEAR(self->send_ack);
+    Py_CLEAR(self->on_data);
+    Py_CLEAR(self->sack_enabled);
+    Py_CLEAR(self->delayed_ack);
+    Py_CLEAR(self->delack_event);
+    Py_CLEAR(self->ooo);
+    Py_CLEAR(self->ts_recent);
+    Py_CLEAR(self->last_ooo_seq);
+    return 0;
+}
+
+static void
+Receiver_dealloc(Receiver *self)
+{
+    PyObject_GC_UnTrack(self);
+    Receiver_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *
+Receiver_get_ooo(Receiver *self, void *Py_UNUSED(closure))
+{
+    return Py_NewRef(self->ooo ? self->ooo : Py_None);
+}
+
+static int
+Receiver_set_ooo(Receiver *self, PyObject *value, void *Py_UNUSED(closure))
+{
+    int held;
+    if (value == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete _ooo");
+        return -1;
+    }
+    if ((held = is_set(value)) < 0)
+        return -1;
+    Py_XSETREF(self->ooo, Py_NewRef(value));
+    self->ooo_held = held;
+    return 0;
+}
+
+static PyMethodDef Receiver_methods[] = {
+    {"receive", (PyCFunction)Receiver_receive, METH_O,
+     "receive(packet)\n\nProcess an arriving data segment and emit (or, "
+     "with delayed ACKs, arm) its ACK."},
+    {"_emit_ack", (PyCFunction)Receiver_emit_ack, METH_O,
+     "_emit_ack(echo)\n\nSend one cumulative ACK echoing ``echo``, with "
+     "SACK blocks while out-of-order data is held."},
+    {"receiver_timestamp", (PyCFunction)Receiver_receiver_timestamp,
+     METH_NOARGS,
+     "receiver_timestamp() -> float\n\nThe receiver's clock, quantised to "
+     "its timestamp granularity."},
+    {"_sack_blocks", (PyCFunction)Receiver_sack_blocks, METH_NOARGS,
+     "_sack_blocks() -> list\n\nUp to three SACK blocks, the one with the "
+     "latest arrival first.  Only the run holding the newest arrival plus "
+     "the highest few runs can appear, so the store is never fully "
+     "materialised."},
+    {NULL, NULL, 0, NULL}
+};
+
+#define ROBJ(name, field) \
+    {name, T_OBJECT, offsetof(Receiver, field), 0, NULL}
+#define RLL(name, field) \
+    {name, T_LONGLONG, offsetof(Receiver, field), 0, NULL}
+
+static PyMemberDef Receiver_members[] = {
+    ROBJ("sim", sim),
+    ROBJ("flow_id", flow_id),
+    ROBJ("send_ack", send_ack),
+    ROBJ("on_data", on_data),
+    ROBJ("sack_enabled", sack_enabled),
+    ROBJ("delayed_ack", delayed_ack),
+    ROBJ("_delack_event", delack_event),
+    ROBJ("_ts_recent", ts_recent),
+    ROBJ("_last_ooo_seq", last_ooo_seq),
+    {"ts_granularity", T_DOUBLE, offsetof(Receiver, ts_granularity), 0,
+     NULL},
+    RLL("rcv_nxt", rcv_nxt),
+    RLL("_unacked_segments", unacked_segments),
+    RLL("data_packets_received", data_packets_received),
+    RLL("duplicate_packets", duplicate_packets),
+    RLL("unique_segments", unique_segments),
+    {NULL, 0, 0, 0, NULL}
+};
+
+#undef ROBJ
+#undef RLL
+
+static PyGetSetDef Receiver_getset[] = {
+    {"_ooo", (getter)Receiver_get_ooo, (setter)Receiver_set_ooo,
+     "The out-of-order store (a ReceiverScoreboard).", NULL},
+    {NULL, NULL, NULL, NULL, NULL}
+};
+
+static PyTypeObject ReceiverType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._core.Receiver",
+    .tp_doc = "The receiver's data and ACK path (base of "
+              "repro.tcp.receiver.TcpReceiver).",
+    .tp_basicsize = sizeof(Receiver),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_new = Receiver_new,
+    .tp_dealloc = (destructor)Receiver_dealloc,
+    .tp_traverse = (traverseproc)Receiver_traverse,
+    .tp_clear = (inquiry)Receiver_clear,
+    .tp_methods = Receiver_methods,
+    .tp_members = Receiver_members,
+    .tp_getset = Receiver_getset,
+};
+
+/* ------------------------------------------------------------------ */
+/* Flow demultiplexer                                                  */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *sinks;
+    vectorcallfunc vectorcall;
+} Demux;
+
+static PyObject *
+Demux_vectorcall(PyObject *self, PyObject *const *args, size_t nargsf,
+                 PyObject *kwnames)
+{
+    PyObject *flow, *sink, *r;
+    if (PyVectorcall_NARGS(nargsf) != 1
+            || (kwnames != NULL && PyTuple_GET_SIZE(kwnames))) {
+        PyErr_SetString(PyExc_TypeError, "Demux takes one packet");
+        return NULL;
+    }
+    if ((flow = pkt_get(args[0], P_FLOW)) == NULL)
+        return NULL;
+    sink = PyDict_GetItemWithError(((Demux *)self)->sinks, flow);
+    Py_DECREF(flow);
+    if (sink == NULL)
+        return PyErr_Occurred() ? NULL : Py_NewRef(Py_None);
+    Py_INCREF(sink);
+    r = PyObject_CallOneArg(sink, args[0]);
+    Py_DECREF(sink);
+    if (r == NULL)
+        return NULL;
+    Py_DECREF(r);
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Demux_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *names[] = {"sinks", NULL};
+    PyObject *sinks;
+    Demux *self;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!", names, &PyDict_Type,
+                                     &sinks))
+        return NULL;
+    if ((self = (Demux *)type->tp_alloc(type, 0)) == NULL)
+        return NULL;
+    self->sinks = Py_NewRef(sinks);
+    self->vectorcall = Demux_vectorcall;
+    return (PyObject *)self;
+}
+
+static int
+Demux_traverse(Demux *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->sinks);
+    return 0;
+}
+
+static int
+Demux_clear(Demux *self)
+{
+    Py_CLEAR(self->sinks);
+    return 0;
+}
+
+static void
+Demux_dealloc(Demux *self)
+{
+    PyObject_GC_UnTrack(self);
+    Demux_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMemberDef Demux_members[] = {
+    {"sinks", T_OBJECT, offsetof(Demux, sinks), READONLY,
+     "flow_id -> the callable a packet of that flow is handed to."},
+    {NULL, 0, 0, 0, NULL}
+};
+
+static PyTypeObject DemuxType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._core.Demux",
+    .tp_doc = "Demux(sinks)\n\nCalled with a packet: hands it to "
+              "``sinks[packet.flow_id]``; a packet of an unknown flow is "
+              "dropped silently.",
+    .tp_basicsize = sizeof(Demux),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC
+        | Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_new = Demux_new,
+    .tp_call = PyVectorcall_Call,
+    .tp_vectorcall_offset = offsetof(Demux, vectorcall),
+    .tp_dealloc = (destructor)Demux_dealloc,
+    .tp_traverse = (traverseproc)Demux_traverse,
+    .tp_clear = (inquiry)Demux_clear,
+    .tp_members = Demux_members,
+};
+
+/* ------------------------------------------------------------------ */
 /* module                                                              */
 /* ------------------------------------------------------------------ */
 
@@ -1472,17 +2578,22 @@ bind(PyObject **slot, PyObject *value)
 }
 
 static PyObject *
-configure(PyObject *module, PyObject *args, PyObject *kwds)
+configure(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwds)
 {
     static char *names[] = {"event", "deadline_cell", "deadline_error",
                             "opportunity_bytes", "outage_gap",
-                            "batch_event_min", NULL};
-    PyObject *event = NULL, *cell = NULL, *error = NULL, *opp = NULL;
+                            "batch_event_min", "data_packet_bytes",
+                            "ack_packet_bytes", "sack_block",
+                            "max_sack_blocks", NULL};
+    PyObject *event = NULL, *cell = NULL, *error = NULL, *opp = NULL,
+        *data = NULL, *ackb = NULL, *sack = NULL;
     double gap = outage_gap;
     long long batch_min = batch_event_min;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|O!O!OOdL", names,
+    Py_ssize_t max_sacks = max_sack_blocks;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|O!O!OOdLOOOn", names,
                                      &PyType_Type, &event, &PyList_Type,
-                                     &cell, &error, &opp, &gap, &batch_min))
+                                     &cell, &error, &opp, &gap, &batch_min,
+                                     &data, &ackb, &sack, &max_sacks))
         return NULL;
     if (event != NULL) {
         if (!PyType_IsSubtype((PyTypeObject *)event, &PyList_Type)) {
@@ -1497,8 +2608,15 @@ configure(PyObject *module, PyObject *args, PyObject *kwds)
         bind(&deadline_error, error);
     if (opp != NULL)
         bind(&opportunity_bytes, opp);
+    if (data != NULL)
+        bind(&data_bytes, data);
+    if (ackb != NULL)
+        bind(&ack_bytes, ackb);
+    if (sack != NULL)
+        bind(&sack_block_type, sack);
     outage_gap = gap;
     batch_event_min = batch_min;
+    max_sack_blocks = max_sacks;
     Py_RETURN_NONE;
 }
 
@@ -1506,22 +2624,28 @@ static PyMethodDef module_methods[] = {
     {"configure", (PyCFunction)(void (*)(void))configure,
      METH_VARARGS | METH_KEYWORDS,
      "configure(*, event, deadline_cell, deadline_error, opportunity_bytes, "
-     "outage_gap, batch_event_min)\n\nBind the Python-side objects and "
-     "constants the core shares with repro.sim.engine and repro.sim.link."},
-    {NULL}
+     "outage_gap, batch_event_min, data_packet_bytes, ack_packet_bytes, "
+     "sack_block, max_sack_blocks)\n\nBind the Python-side objects and "
+     "constants the core shares with repro.sim.engine, repro.sim.link, "
+     "repro.sim.packet and repro.tcp.receiver."},
+    {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT, "_core",
-    "The packet tier's event loop and cellular service loop.", -1,
-    module_methods,
+    "The packet tier's per-packet path: event loop, cellular service loop, "
+    "drop-tail queue, receiver, packet and flow demux.", -1,
+    module_methods, NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC
 PyInit__core(void)
 {
     PyObject *m, *heapq, *time;
-    if (PyType_Ready(&EngineType) < 0 || PyType_Ready(&CellularType) < 0)
+    int i;
+    if (PyType_Ready(&EngineType) < 0 || PyType_Ready(&CellularType) < 0
+            || PyType_Ready(&PacketType) < 0 || PyType_Ready(&DropTailType) < 0
+            || PyType_Ready(&ReceiverType) < 0 || PyType_Ready(&DemuxType) < 0)
         return NULL;
     if ((heapq = PyImport_ImportModule("_heapq")) == NULL)
         return NULL;
@@ -1537,25 +2661,43 @@ PyInit__core(void)
         return NULL;
     deadline_error = Py_NewRef(PyExc_RuntimeError);
     opportunity_bytes = PyLong_FromLong(1500);
+    data_bytes = PyLong_FromLong(1500);
+    ack_bytes = PyLong_FromLong(60);
+    zero_int = PyLong_FromLong(0);
+    zero_float = PyFloat_FromDouble(0.0);
+    minus_one = PyFloat_FromDouble(-1.0);
+    if (!opportunity_bytes || !data_bytes || !ack_bytes || !zero_int
+            || !zero_float || !minus_one)
+        return NULL;
+    for (i = 0; i < P_NFIELDS; i++)
+        if ((s_pkt[i] = PyUnicode_InternFromString(packet_names[i])) == NULL)
+            return NULL;
 #define INTERN(var, text) \
     if ((var = PyUnicode_InternFromString(text)) == NULL) return NULL;
     INTERN(s_push, "push");
     INTERN(s_drain, "drain_opportunity");
-    INTERN(s_queue, "_queue");
-    INTERN(s_size, "size");
     INTERN(s_pump_fire, "_pump_fire");
     INTERN(s_arm_service, "_arm_service");
     INTERN(s_emit_recover, "_emit_recover");
     INTERN(s_emit_outage, "_emit_outage");
     INTERN(s_cancel, "cancel");
+    INTERN(s_now, "now");
+    INTERN(s_arm_delack, "_arm_delack");
+    INTERN(s_sack_blocks, "_sack_blocks");
+    INTERN(s_first_gap, "first_gap_at_or_after");
+    INTERN(s_remove_below, "remove_below");
+    INTERN(s_add, "add");
+    INTERN(s_interval_containing, "interval_containing");
+    INTERN(s_tail_intervals, "tail_intervals");
 #undef INTERN
     if ((m = PyModule_Create(&core_module)) == NULL)
         return NULL;
-    Py_INCREF(&EngineType);
-    Py_INCREF(&CellularType);
-    if (PyModule_AddObject(m, "Engine", (PyObject *)&EngineType) < 0
-            || PyModule_AddObject(m, "Cellular", (PyObject *)&CellularType)
-            < 0) {
+    if (PyModule_AddType(m, &EngineType) < 0
+            || PyModule_AddType(m, &CellularType) < 0
+            || PyModule_AddType(m, &PacketType) < 0
+            || PyModule_AddType(m, &DropTailType) < 0
+            || PyModule_AddType(m, &ReceiverType) < 0
+            || PyModule_AddType(m, &DemuxType) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -12,8 +12,9 @@ Hot-path notes
 --------------
 The scheduling entry points and the loop itself are C: :class:`Simulator`
 is a Python class over ``repro.sim._core.Engine``, built from
-``_core.c`` on first import (DESIGN.md, "The packet core in C"; the
-frozen Python engine it must equal is ``tests/reference/engine.py``).
+``_core.c`` on first import of :mod:`repro.sim` (DESIGN.md, "The packet
+core in C"; the frozen Python engine it must equal is
+``tests/reference/engine.py``).
 :class:`Event` is its own heap entry: a 3-slot list ``[time, seq,
 callback]``, which ``heapq`` orders by list comparison (time, then the
 unique seq — the callback element is never reached).  Cancellation is
@@ -27,13 +28,9 @@ queue.  Periodic timers re-arm by reusing their just-popped entry
 from __future__ import annotations
 
 from heapq import heappop
-from pathlib import Path
 from typing import Callable, List, Optional
 
-from repro.util.cbuild import load_extension
-
-load_extension("repro.sim._core", Path(__file__).with_name("_core.c"))
-from repro.sim import _core  # registered by the build above
+from repro.sim import _core  # built and registered by repro.sim
 
 
 class RunDeadlineExceeded(RuntimeError):

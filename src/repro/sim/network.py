@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
+from repro.sim import _core
 from repro.sim.engine import Simulator
 from repro.sim.link import CellularLink, Link, WiredLink
 from repro.sim.packet import Packet
@@ -65,6 +66,9 @@ class DuplexPath:
     Hosts register per-flow sinks with :meth:`attach_flow`, then inject
     packets with :meth:`send_forward` (data direction) and
     :meth:`send_reverse` (ACK direction).  Drops are counted per flow.
+    Each link's ``on_deliver`` is a ``_core.Demux`` over that direction's
+    sinks: a C callable that hands a packet to the sink of its
+    ``flow_id`` and drops a packet of an unknown flow.
     """
 
     def __init__(self, sim: Simulator, config: PathConfig) -> None:
@@ -77,10 +81,10 @@ class DuplexPath:
         self.forward_drops: Dict[int, int] = {}
         self.reverse_drops: Dict[int, int] = {}
         self.forward_link = self._build_link(
-            config.downlink, self._deliver_forward, "downlink"
+            config.downlink, _core.Demux(self._forward_sinks), "downlink"
         )
         self.reverse_link = self._build_link(
-            config.uplink, self._deliver_reverse, "uplink"
+            config.uplink, _core.Demux(self._reverse_sinks), "uplink"
         )
 
     # ------------------------------------------------------------------
@@ -148,24 +152,14 @@ class DuplexPath:
         """Inject a packet in the ACK direction; False if dropped."""
         return self.reverse_link.enqueue(packet)
 
-    def _deliver_forward(self, packet: Packet) -> None:
-        sink = self._forward_sinks.get(packet.flow_id)
-        if sink is not None:
-            sink(packet)
-
-    def _deliver_reverse(self, packet: Packet) -> None:
-        sink = self._reverse_sinks.get(packet.flow_id)
-        if sink is not None:
-            sink(packet)
-
     def close(self) -> None:
         """Cut the path's loops through its links (run end).
 
-        Each link's ``on_deliver`` is a bound method of this path, and
-        each queue's ``on_drop`` closure captures it, while the path
-        holds both links.  Dropping the two back-references (and each
-        link's own, :meth:`Link.close`) leaves the graph acyclic.  The
-        drop counts stay readable.
+        Each link's ``on_deliver`` reaches the endpoints, which inject
+        into the links, and each queue's ``on_drop`` closure captures
+        this path, while the path holds both links.  Dropping the two
+        back-references (and each link's own, :meth:`Link.close`) leaves
+        the graph acyclic.  The drop counts stay readable.
         """
         for link in (self.forward_link, self.reverse_link):
             link.on_deliver = None

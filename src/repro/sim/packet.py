@@ -10,9 +10,10 @@ cumulative ACK numbers, SACK blocks, and the TCP timestamp option
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
+
+from repro.sim import _core
 
 #: Maximum segment size: payload bytes carried by one data packet.
 MSS = 1448
@@ -22,8 +23,6 @@ DATA_PACKET_BYTES = 1500
 
 #: Wire size of a pure ACK (40 bytes of headers + options).
 ACK_PACKET_BYTES = 60
-
-_packet_ids = itertools.count()
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,56 +44,45 @@ class SackBlock:
         return self.end - self.start
 
 
-@dataclass(slots=True)
-class Packet:
-    """A simulated TCP packet (data segment or ACK).
+#: A simulated TCP packet (data segment or ACK), a C type
+#: (``repro/sim/_core.c``; the dataclass it replaced is frozen in
+#: ``tests/reference/packet.py``).  It is built as
+#: ``Packet(flow_id, seq=0, ack=0, is_ack=False, tsval=0.0, tsecr=-1.0,
+#: sacks=[], size=DATA_PACKET_BYTES, sent_time=0.0, retransmit=False,
+#: uid=<next>, enqueue_time=None)``, positionally or by keyword, and
+#: compares like the dataclass: equal when every field is.  Its fields:
+#:
+#: ``flow_id``
+#:     Identifies the flow the packet belongs to; used to demultiplex
+#:     when several flows share a bottleneck.
+#: ``seq``
+#:     Segment index for data packets; meaningless for pure ACKs.
+#: ``ack``
+#:     Cumulative ACK: the next segment index expected by the receiver.
+#: ``is_ack``
+#:     True for pure ACK packets travelling on the return path.
+#: ``tsval`` / ``tsecr``
+#:     TCP timestamp option.  On data packets ``tsval`` is the sender's
+#:     clock when the packet was queued for delivery; on ACKs ``tsval`` is
+#:     the *receiver's* clock (quantised to its timestamp granularity) and
+#:     ``tsecr`` echoes the data packet's ``tsval`` per RFC 7323.
+#: ``sacks``
+#:     SACK blocks (on ACKs); a fresh list by default.
+#: ``size``
+#:     Wire size in bytes, used by links for byte accounting.
+#: ``sent_time``
+#:     Simulation time the packet was handed to the network by its origin
+#:     host (set by the sender; used by metrics).
+#: ``retransmit``
+#:     True if this data packet is a retransmission.
+#: ``uid``
+#:     Unique, increasing in construction order.
+#: ``enqueue_time``
+#:     Time the packet entered the bottleneck queue (set by the queue).
+Packet = _core.Packet
 
-    Attributes
-    ----------
-    flow_id:
-        Identifies the flow the packet belongs to; used to demultiplex
-        when several flows share a bottleneck.
-    seq:
-        Segment index for data packets; meaningless for pure ACKs.
-    ack:
-        Cumulative ACK: the next segment index expected by the receiver.
-    is_ack:
-        True for pure ACK packets travelling on the return path.
-    tsval / tsecr:
-        TCP timestamp option.  On data packets ``tsval`` is the sender's
-        clock when the packet was queued for delivery; on ACKs ``tsval``
-        is the *receiver's* clock (quantised to its timestamp granularity)
-        and ``tsecr`` echoes the data packet's ``tsval`` per RFC 7323.
-    sacks:
-        SACK blocks (on ACKs).
-    size:
-        Wire size in bytes, used by links for byte accounting.
-    sent_time:
-        Simulation time the packet was handed to the network by its
-        origin host (set by the sender; used by metrics).
-    retransmit:
-        True if this data packet is a retransmission.
-    """
-
-    flow_id: int
-    seq: int = 0
-    ack: int = 0
-    is_ack: bool = False
-    tsval: float = 0.0
-    tsecr: float = -1.0
-    sacks: List[SackBlock] = field(default_factory=list)
-    size: int = DATA_PACKET_BYTES
-    sent_time: float = 0.0
-    retransmit: bool = False
-    uid: int = field(default_factory=_packet_ids.__next__)
-    #: Time the packet entered the bottleneck queue (set by the queue).
-    enqueue_time: Optional[float] = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.is_ack:
-            return f"<ACK flow={self.flow_id} ack={self.ack} ts={self.tsval:.3f}>"
-        kind = "RTX" if self.retransmit else "DATA"
-        return f"<{kind} flow={self.flow_id} seq={self.seq}>"
+_core.configure(data_packet_bytes=DATA_PACKET_BYTES,
+                ack_packet_bytes=ACK_PACKET_BYTES, sack_block=SackBlock)
 
 
 def make_data_packet(

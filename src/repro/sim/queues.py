@@ -4,13 +4,19 @@ The paper's evaluation uses a 2,000-packet drop-tail buffer (the authors'
 enhancement of Cellsim, sized per the base-station measurement study the
 paper cites).  The CoDel queue implements the §6 discussion experiment on
 shallow buffers and active queue management.
+
+The FIFO itself is C, ``repro.sim._core.DropTail`` (DESIGN.md, "The packet
+core in C"; the Python it replaced is frozen in
+``tests/reference/queues.py``): ``push``, ``pop``, ``drain_opportunity``,
+``peek``, ``len`` and the counters.  :class:`CoDelQueue` overrides ``pop``
+and ``drain_opportunity`` in Python on the same base.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, List, Optional
 
+from repro.sim import _core
 from repro.sim.packet import Packet
 
 #: Default bottleneck buffer size used throughout the evaluation (packets).
@@ -19,12 +25,19 @@ DEFAULT_BUFFER_PACKETS = 2000
 DropCallback = Callable[[Packet], None]
 
 
-class DropTailQueue:
+class DropTailQueue(_core.DropTail):
     """A FIFO queue that drops arriving packets when full.
 
     ``capacity`` is in packets, matching how Cellsim and base-station
     buffers are sized in the paper.  A drop callback can be registered to
     feed loss metrics.
+
+    Counters, all exact (the auditor's conservation invariants read
+    them): ``drops`` and ``enqueued`` packets, ``bytes`` queued now and
+    ``enqueued_bytes`` ever accepted.  ``sojourn_max`` is the largest
+    ``now - enqueue_time`` of any packet dequeued (by ``pop`` or
+    ``drain_opportunity``) since it was last set to -1.0; the auditor
+    reads and resets it at each fold (DESIGN.md §7).
     """
 
     def __init__(
@@ -36,64 +49,6 @@ class DropTailQueue:
             raise ValueError("queue capacity must be >= 1")
         self.capacity = capacity
         self.on_drop = on_drop
-        self._queue: Deque[Packet] = deque()
-        self.drops = 0
-        self.enqueued = 0
-        #: Incremental byte accounting (kept exact for the auditor's
-        #: byte-conservation invariant): bytes currently queued and
-        #: total bytes ever accepted.
-        self.bytes = 0
-        self.enqueued_bytes = 0
-
-    def push(self, packet: Packet, now: float) -> bool:
-        """Enqueue ``packet``; returns False (and drops) if the queue is full."""
-        if len(self._queue) >= self.capacity:
-            self.drops += 1
-            if self.on_drop is not None:
-                self.on_drop(packet)
-            return False
-        packet.enqueue_time = now
-        self._queue.append(packet)
-        self.enqueued += 1
-        self.bytes += packet.size
-        self.enqueued_bytes += packet.size
-        return True
-
-    def pop(self, now: float) -> Optional[Packet]:
-        """Dequeue the head packet, or None if empty."""
-        if not self._queue:
-            return None
-        packet = self._queue.popleft()
-        self.bytes -= packet.size
-        return packet
-
-    def drain_opportunity(self, now: float, budget: int) -> List[Packet]:
-        """Dequeue the head packets fitting one delivery opportunity.
-
-        Pop while the head fits the remaining byte ``budget``, in one
-        call so the link pays a single method dispatch per opportunity.
-        For a plain drop-tail queue this bypasses :meth:`peek`/:meth:`pop`
-        entirely (the auditor taps this method too, so accounting still
-        sees every dequeue).
-        """
-        q = self._queue
-        out: List[Packet] = []
-        while q:
-            head = q[0]
-            size = head.size
-            if size > budget:
-                break
-            q.popleft()
-            self.bytes -= size
-            budget -= size
-            out.append(head)
-        return out
-
-    def peek(self) -> Optional[Packet]:
-        return self._queue[0] if self._queue else None
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
     @property
     def byte_length(self) -> int:
@@ -137,7 +92,7 @@ class CoDelQueue(DropTailQueue):
     def _should_drop(self, packet: Packet, now: float) -> bool:
         """Update the 'sojourn above target' tracking for one dequeue."""
         sojourn = now - (packet.enqueue_time or now)
-        if sojourn < self.target or len(self._queue) == 0:
+        if sojourn < self.target or len(self) == 0:
             self._first_above_time = 0.0
             return False
         if self._first_above_time == 0.0:

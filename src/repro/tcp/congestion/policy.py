@@ -105,8 +105,13 @@ class _Forwarding(CongestionControl):
         self._sync()
 
     def on_packet_sent(self, seq: int, now: float, retransmit: bool) -> None:
-        if self.inner is not None:
-            self.inner.on_packet_sent(seq, now, retransmit)
+        # An inner that keeps the base no-op changes nothing here, so
+        # neither it nor the mirroring after it is called (the sender
+        # skips the no-op the same way for an unwrapped algorithm).
+        inner = self.inner
+        if inner is not None and (type(inner).on_packet_sent
+                                  is not CongestionControl.on_packet_sent):
+            inner.on_packet_sent(seq, now, retransmit)
             self._sync()
 
     def telemetry_close(self, now: float) -> None:

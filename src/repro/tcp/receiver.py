@@ -11,14 +11,23 @@ Echo rules follow RFC 7323: an in-order segment (including one that fills
 a hole) has its own TSval echoed; an out-of-order segment elicits a
 duplicate ACK echoing the TSval of the last in-sequence segment — the
 behaviour the paper's §4.1 loss handling describes.
+
+The per-packet methods — ``receive``, ``_emit_ack``,
+``receiver_timestamp`` and ``_sack_blocks`` — are C, on
+``repro.sim._core.Receiver`` (DESIGN.md, "The packet core in C"); the
+Python they replaced is frozen in ``tests/reference/receiver.py``.  The
+out-of-order store stays the shared :class:`ReceiverScoreboard`, which
+the C calls only while it holds data, and the delayed-ACK timer stays
+here.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
+from repro.sim import _core
 from repro.sim.engine import Simulator
-from repro.sim.packet import ACK_PACKET_BYTES, Packet, SackBlock
+from repro.sim.packet import Packet
 from repro.tcp.scoreboard import ReceiverScoreboard
 
 #: Default receiver timestamp granularity (10 ms, paper §4.2).
@@ -33,8 +42,10 @@ DELAYED_ACK_TIMEOUT = 0.040
 DataCallback = Callable[[Packet, float], None]
 AckSender = Callable[[Packet], None]
 
+_core.configure(max_sack_blocks=MAX_SACK_BLOCKS)
 
-class TcpReceiver:
+
+class TcpReceiver(_core.Receiver):
     """One flow's receiving endpoint.
 
     Parameters
@@ -59,6 +70,14 @@ class TcpReceiver:
         ACK per packet during bulk transfers — but exercised by the
         robustness ablation, since sender-side rate estimation must
         survive coarser ACK streams.
+
+    ``receive(packet)`` processes an arriving data segment and emits
+    (or arms) its ACK; ``receiver_timestamp()`` is the receiver's clock
+    quantised to its granularity, ``int(now / g) * g``; ``_sack_blocks()``
+    lists up to :data:`MAX_SACK_BLOCKS` blocks, the run holding the
+    newest out-of-order arrival first.  ``_sack_blocks`` and
+    ``_arm_delack`` are looked up on the instance; the store is mutated
+    only through ``receive`` (assigning ``_ooo`` re-reads it).
     """
 
     def __init__(
@@ -88,64 +107,10 @@ class TcpReceiver:
         # comparable (and the auditor cross-checks them).
         self._ooo = ReceiverScoreboard()
         self._ts_recent = -1.0  # TSval of the last in-sequence segment (-1: none)
-        self._last_ooo_seq: Optional[int] = None
+        self._last_ooo_seq = None
         self.data_packets_received = 0
         self.duplicate_packets = 0
         self.unique_segments = 0
-
-    # ------------------------------------------------------------------
-    def receiver_timestamp(self) -> float:
-        """The receiver's clock, quantised to its timestamp granularity."""
-        g = self.ts_granularity
-        if g <= 0:
-            return self.sim.now
-        return int(self.sim.now / g) * g
-
-    # ------------------------------------------------------------------
-    def receive(self, packet: Packet) -> None:
-        """Process an arriving data segment and emit an ACK."""
-        if packet.is_ack:
-            raise ValueError("receiver got an ACK packet")
-        self.data_packets_received += 1
-        now = self.sim.now
-        if self.on_data is not None:
-            self.on_data(packet, now)
-
-        seq = packet.seq
-        if seq == self.rcv_nxt:
-            # In-order (possibly filling a hole): advance through the
-            # out-of-order store and echo this segment's timestamp.
-            self.unique_segments += 1
-            nxt = seq + 1
-            if self._ooo:
-                nxt = self._ooo.first_gap_at_or_after(nxt)
-                self._ooo.remove_below(nxt)
-            self.rcv_nxt = nxt
-            self._ts_recent = packet.tsval
-            echo = packet.tsval
-            # Filling a hole is acknowledged at once (RFC 5681 §4.2).
-            in_order = nxt == seq + 1
-        elif seq > self.rcv_nxt:
-            if self._ooo.add(seq):
-                self.unique_segments += 1
-            else:
-                self.duplicate_packets += 1
-            self._last_ooo_seq = seq
-            echo = self._ts_recent
-            in_order = False
-        else:
-            # Below rcv_nxt: a duplicate (e.g. spurious retransmission),
-            # answered with an immediate duplicate ACK.
-            self.duplicate_packets += 1
-            echo = self._ts_recent
-            in_order = False
-
-        if self.delayed_ack and in_order and not self._ooo:
-            self._unacked_segments += 1
-            if self._unacked_segments < 2:
-                self._arm_delack(echo)
-                return
-        self._emit_ack(echo)
 
     def _arm_delack(self, echo: float) -> None:
         if self._delack_event is not None:
@@ -153,38 +118,3 @@ class TcpReceiver:
         self._delack_event = self.sim.schedule(
             DELAYED_ACK_TIMEOUT, lambda e=echo: self._emit_ack(e)
         )
-
-    def _emit_ack(self, echo: float) -> None:
-        if self._delack_event is not None:
-            self._delack_event.cancel()
-            self._delack_event = None
-        self._unacked_segments = 0
-        # make_ack_packet's fields plus the send time, positionally.
-        self.send_ack(Packet(
-            self.flow_id, 0, self.rcv_nxt, True, self.receiver_timestamp(),
-            echo, self._sack_blocks() if self._ooo else [], ACK_PACKET_BYTES,
-            self.sim.now,
-        ))
-
-    # ------------------------------------------------------------------
-    def _sack_blocks(self) -> List[SackBlock]:
-        """Up to 3 SACK blocks, the one with the latest arrival first.
-
-        Only the run holding the newest arrival plus the highest few
-        runs can appear, so the store is never fully materialised.
-        """
-        if not self.sack_enabled or not self._ooo:
-            return []
-        blocks: List[SackBlock] = []
-        first: Optional[tuple] = None
-        if self._last_ooo_seq is not None:
-            first = self._ooo.interval_containing(self._last_ooo_seq)
-            if first is not None:
-                blocks.append(SackBlock(*first))
-        for s, e in self._ooo.tail_intervals(MAX_SACK_BLOCKS + 1):
-            if len(blocks) >= MAX_SACK_BLOCKS:
-                break
-            if first is not None and s == first[0]:
-                continue
-            blocks.append(SackBlock(s, e))
-        return blocks

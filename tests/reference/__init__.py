@@ -4,10 +4,14 @@ Each module here is the slow, obvious form of something ``src/repro``
 computes a faster way, and a differential test holds the shipped code
 to it bit for bit:
 
-* :mod:`~tests.reference.engine` — the pure-Python event loop, and
+* :mod:`~tests.reference.engine` — the pure-Python event loop;
   :mod:`~tests.reference.link`'s ``ReferenceCellularLink``, the batched
-  link's per-packet methods in Python: the packet core before it moved
-  to C (tests/test_core_diff.py);
+  link's per-packet methods in Python; :mod:`~tests.reference.queues`,
+  the drop-tail FIFO and CoDel over it; :mod:`~tests.reference.receiver`,
+  the receiver's data and ACK path; :mod:`~tests.reference.packet`, the
+  ``Packet`` dataclass; and :mod:`~tests.reference.network`, the
+  per-flow demux: together the packet core before it moved to C
+  (tests/test_core_diff.py);
 * :mod:`~tests.reference.link` — ``ScalarCellularLink``, one
   opportunity per event (tests/test_fastpath.py);
 * :mod:`~tests.reference.fluid` — ``reference_integrate`` and its

@@ -4,9 +4,11 @@
 the Python it was before it moved to C (``repro.sim._core.Cellular``),
 kept verbatim: ``enqueue``, ``_serve``, ``_finish_batch``,
 ``_push_group`` and ``_pump_fire``.  With the reference event loop
-(:mod:`tests.reference.engine`) it is the pure-Python packet core that
-tests/test_core_diff.py holds the C core to, installed with
-:func:`python_core`.
+(:mod:`tests.reference.engine`), queues (:mod:`tests.reference.queues`),
+receiver (:mod:`tests.reference.receiver`), packet
+(:mod:`tests.reference.packet`) and demux (:mod:`tests.reference.network`)
+it is the pure-Python packet core that tests/test_core_diff.py holds the
+C core to, installed with :func:`python_core`.
 
 :class:`ScalarCellularLink` is the one-opportunity-per-event,
 one-event-per-delivered-packet link the batched
@@ -24,11 +26,17 @@ from unittest import mock
 
 import repro.experiments.runner
 import repro.sim.network
+import repro.tcp.sender
 from repro.obs import LINK_BATCH, LINK_OUTAGE, LINK_RECOVER, Tracer
 from repro.sim.link import _INF, LINK_BATCH_EVENT_MIN, OUTAGE_GAP, CellularLink
 from repro.sim.packet import Packet
 from repro.traces.trace import OPPORTUNITY_BYTES
 from tests.reference.engine import Simulator as ReferenceSimulator
+from tests.reference.network import ReferenceDuplexPath
+from tests.reference.packet import Packet as ReferencePacket
+from tests.reference.queues import CoDelQueue as ReferenceCoDelQueue
+from tests.reference.queues import DropTailQueue as ReferenceDropTailQueue
+from tests.reference.receiver import TcpReceiver as ReferenceTcpReceiver
 
 
 class ReferenceCellularLink(CellularLink):
@@ -294,11 +302,19 @@ def scalar_links():
 @contextlib.contextmanager
 def python_core() -> Iterator[None]:
     """Context manager: every experiment harness built inside the block
-    runs on the reference event loop, and every
-    :class:`~repro.sim.network.DuplexPath` gets
-    :class:`ReferenceCellularLink` for its trace-driven links."""
-    with mock.patch.object(repro.experiments.runner, "Simulator",
-                           ReferenceSimulator), \
-            mock.patch.object(repro.sim.network, "CellularLink",
-                              ReferenceCellularLink):
+    runs the pure-Python packet core.  It runs on the reference event
+    loop, its path demultiplexes in Python
+    (:class:`~tests.reference.network.ReferenceDuplexPath`) over
+    :class:`ReferenceCellularLink` trace-driven links and the reference
+    queues, its receivers are the reference receiver, and its senders
+    build reference packets."""
+    with mock.patch.multiple(repro.experiments.runner,
+                             Simulator=ReferenceSimulator,
+                             DuplexPath=ReferenceDuplexPath,
+                             TcpReceiver=ReferenceTcpReceiver), \
+            mock.patch.multiple(repro.sim.network,
+                                CellularLink=ReferenceCellularLink,
+                                DropTailQueue=ReferenceDropTailQueue,
+                                CoDelQueue=ReferenceCoDelQueue), \
+            mock.patch.object(repro.tcp.sender, "Packet", ReferencePacket):
         yield

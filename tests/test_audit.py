@@ -8,11 +8,13 @@ trace that ``repro trace`` reads.
 
 import functools
 import os
+from unittest import mock
 
 import pytest
 
 import repro.debug.auditor as auditor_module
 import repro.experiments.runner as runner_module
+import repro.sim.network
 from repro.core.proprate import PropRate
 from repro.debug import (
     AUDIT_ENV,
@@ -25,10 +27,12 @@ from repro.debug.auditor import DEFAULT_TBUFF_TOLERANCE
 from repro.debug.recorder import CAPACITY, TRACE_DIR_ENV
 from repro.experiments.options import RunOptions
 from repro.experiments.runner import (
+    ExperimentHarness,
     FlowSpec,
     cellular_path_config,
     run_experiment,
     run_single_flow,
+    wired_path_config,
 )
 from repro.obs.analyze import read_trace
 from repro.sim.engine import Simulator
@@ -38,6 +42,8 @@ from repro.tcp.receiver import TcpReceiver
 from repro.tcp.sender import TcpSender
 from repro.traces.generator import constant_rate_trace
 from tests.helpers import drive_bursts
+from tests.reference.link import python_core
+from tests.reference.queues import DropTailQueue as ReferenceDropTailQueue
 
 DURATION = 6.0
 WARMUP = 1.0
@@ -198,6 +204,63 @@ class TestCleanRun:
         assert auditor.sweeps > 0
         assert auditor.recorder.ring_count[0] > 0
         assert auditor.violations == []
+
+
+# ----------------------------------------------------------------------
+# The queue's sojourn counter is the auditor's ground truth
+# ----------------------------------------------------------------------
+class _Recomputing(ReferenceDropTailQueue):
+    """The reference queue, also keeping ``now - enqueue_time`` of every
+    packet it hands out, by its own arithmetic."""
+
+    built: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.worst = None
+        self.built.append(self)
+
+    def _dequeued(self, packets, now):
+        for packet in packets:
+            sojourn = now - packet.enqueue_time
+            if self.worst is None or sojourn > self.worst:
+                self.worst = sojourn
+        return packets
+
+    def pop(self, now):
+        packet = super().pop(now)
+        if packet is not None:
+            self._dequeued([packet], now)
+        return packet
+
+    def drain_opportunity(self, now, budget):
+        return self._dequeued(super().drain_opportunity(now, budget), now)
+
+
+class TestSojournCounter:
+    # The cellular path's downlink drains by opportunity and its uplink,
+    # a wired link, by ``pop``; the wired path pops both ways.
+    @pytest.mark.parametrize("shape", ["cellular", "wired"])
+    def test_auditor_maximum_is_the_true_sojourn_maximum(self, shape):
+        """After a 2 s deep-buffer audited run, the windowed maximum the
+        auditor folded from ``queue.sojourn_max`` is the largest
+        ``dequeue time - enqueue_time`` the reference queue sees."""
+        config = (cellular_path_config(_trace()) if shape == "cellular"
+                  else wired_path_config(750_000.0, 0.06, 2000))
+        flows = [FlowSpec(cc_factory=Cubic)]
+        harness = ExperimentHarness(config, flows, 2.0, measure_start=0.5,
+                                    audit=True)
+        harness.finalize()
+        now = harness.sim.now
+        audited = [link.sojourn_max.current(now)
+                   for link in harness.auditor._links]
+
+        _Recomputing.built = []
+        with python_core(), mock.patch.object(
+                repro.sim.network, "DropTailQueue", _Recomputing):
+            ExperimentHarness(config, flows, 2.0, measure_start=0.5).finalize()
+        assert audited == [queue.worst for queue in _Recomputing.built]
+        assert audited[0] > 0.1  # the deep buffer did fill
 
 
 # ----------------------------------------------------------------------

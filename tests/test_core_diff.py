@@ -1,22 +1,28 @@
 """The C packet core against the pure-Python one it replaced.
 
-``repro.sim.engine.Simulator`` and ``repro.sim.link.CellularLink`` run
-their scheduling, event loop and per-packet link work in C
-(``repro/sim/_core.c``).  That must be bit-identical to the frozen
-Python engine and link in :mod:`tests.reference` (DESIGN.md, "The packet
-core in C").  Each run shape below runs once on each core and must give
-the same event sequence — every callback the loop ran, as ``(time, seq,
-callback)`` — the same ``events_processed``, the same link counters and
-the same ``FlowResult`` summaries, and under telemetry the same trace
-records.
+``repro.sim.engine.Simulator``, ``repro.sim.link.CellularLink``,
+``repro.sim.queues.DropTailQueue``, ``repro.tcp.receiver.TcpReceiver``,
+``repro.sim.packet.Packet`` and ``DuplexPath``'s demux run their
+per-packet work in C (``repro/sim/_core.c``).  That must be
+bit-identical to the frozen Python in :mod:`tests.reference` (DESIGN.md,
+"The packet core in C").  Each run shape below runs once on each core and
+must give the same event sequence — every callback the loop ran, as
+``(time, seq, callback)`` — the same ``events_processed``, the same link
+and queue counters, the same per-flow drops and the same ``FlowResult``
+summaries, and under telemetry the same trace records.  The packet and
+the queue are also held to their references call by call.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import random
+from unittest import mock
 
 import pytest
+
+import repro.experiments.runner
 
 from repro import obs
 from repro.experiments.algorithms import paper_algorithms
@@ -28,17 +34,24 @@ from repro.experiments.runner import (
     cellular_path_config,
     wired_path_config,
 )
+from repro.sim._core import Demux
 from repro.sim.engine import Simulator
 from repro.sim.link import CellularLink
-from repro.sim.packet import make_data_packet
+from repro.sim.packet import Packet, SackBlock, make_data_packet
 from repro.sim.queues import DropTailQueue
 from repro.tcp.application import OnOffApplication
 from repro.traces.presets import isp_trace
 from tests.helpers import quantized_outage_trace
 from tests.reference.engine import Simulator as ReferenceSimulator
 from tests.reference.link import ReferenceCellularLink, python_core
+from tests.reference.packet import Packet as ReferencePacket
+from tests.reference.queues import DropTailQueue as ReferenceDropTailQueue
 
 RUN = 2.0
+
+#: The reference path's demux methods and the sinks each one reads.
+REFERENCE_DEMUX = {"_deliver_forward": "_forward_sinks",
+                   "_deliver_reverse": "_reverse_sinks"}
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +69,10 @@ class EventTap:
     runs), and forwards the store to the ring already attached (the
     auditor's), exactly as the loop would have.  Callbacks are named by
     method and by the first-seen order of the object they are bound to,
-    so the two cores' runs compare.
+    so the two cores' runs compare.  A path's demux (a wired link
+    schedules each delivery to it) is named by its sinks: the C
+    ``Demux`` holds them, the reference path's ``_deliver_forward`` and
+    ``_deliver_reverse`` read them.
     """
 
     def __init__(self, sim):
@@ -94,8 +110,13 @@ class EventTap:
                 cb = cb.__wrapped__
             else:
                 break
-        return (getattr(cb, "__name__", "?"),
-                self._ident(getattr(cb, "__self__", None)), bound)
+        if isinstance(cb, Demux):
+            return ("demux", self._ident(cb.sinks), bound)
+        name = getattr(cb, "__name__", "?")
+        if name in REFERENCE_DEMUX:
+            sinks = getattr(cb.__self__, REFERENCE_DEMUX[name])
+            return ("demux", self._ident(sinks), bound)
+        return name, self._ident(getattr(cb, "__self__", None)), bound
 
     def _sweep(self):
         now, cb = self._t[0], self._cb[0]
@@ -123,8 +144,17 @@ def _link_counters(link):
     return {name: getattr(link, name) for name in names if hasattr(link, name)}
 
 
+def _queue_counters(queue):
+    names = ("drops", "enqueued", "bytes", "enqueued_bytes", "sojourn_max",
+             "codel_drops", "codel_dropped_bytes")
+    counters = {name: getattr(queue, name) for name in names
+                if hasattr(queue, name)}
+    counters["len"] = len(queue)
+    return counters
+
+
 def _run(path_config, flows, *, slices=(), shifts=(), telemetry=None,
-         sampling=None, profile=None, audit=None):
+         sampling=None, profile=None, audit=None, watch=None):
     with obs.observing(telemetry, sampling, profile) as (tracer, profiler):
         harness = ExperimentHarness(
             path_config, flows, RUN, measure_start=0.5, audit=audit,
@@ -135,17 +165,23 @@ def _run(path_config, flows, *, slices=(), shifts=(), telemetry=None,
                 link.prop_delay += delta
             harness.sim.schedule_at(at, shift)
         tap = EventTap(harness.sim)
+        watched = watch(harness) if watch is not None else dict
         for until in slices:
             harness.advance(until)
         results = harness.finalize()
     sim = harness.sim
+    path = harness.path
     return {
         "core": (type(sim).__module__, type(link).__name__),
         "events": tap.log,
         "events_processed": sim.events_processed,
         "compactions": sim.compactions,
-        "links": [_link_counters(harness.path.forward_link),
-                  _link_counters(harness.path.reverse_link)],
+        "links": [_link_counters(path.forward_link),
+                  _link_counters(path.reverse_link)],
+        "queues": [_queue_counters(path.forward_link.queue),
+                   _queue_counters(path.reverse_link.queue)],
+        "drops": [dict(path.forward_drops), dict(path.reverse_drops)],
+        "watched": watched(),
         "summaries": [canonical_summary(r.summary()) for r in results],
     }
 
@@ -234,9 +270,97 @@ def test_profile(traces, tmp_path):
 
 
 def test_codel(traces):
-    _both(lambda: _run(cellular_path_config(*traces, aqm="codel",
-                                            buffer_packets=40),
-                       [FlowSpec(cc_factory=paper_algorithms()["CUBIC"])]))
+    result = _both(lambda: _run(
+        cellular_path_config(*traces, aqm="codel", buffer_packets=40),
+        [FlowSpec(cc_factory=paper_algorithms()["CUBIC"])]))
+    assert result["queues"][0]["codel_drops"] > 0
+
+
+def _watch_receivers(harness):
+    """Count, per run, what each receiver met: its data arrivals, the
+    ones below ``rcv_nxt``, the in-order arrivals that filled a hole, the
+    most runs its reorder store held at an ACK, and the ACKs it sent and
+    the most SACK blocks one carried."""
+    stats = dict.fromkeys(("data", "below", "hole_fills", "max_runs",
+                           "acks", "sacked_acks", "max_sacks"), 0)
+    sinks = harness.path._forward_sinks
+    for flow_id, sink in list(sinks.items()):
+        receiver = sink.__self__
+
+        def receive(packet, sink=sink, receiver=receiver):
+            before = receiver.rcv_nxt
+            stats["data"] += 1
+            stats["below"] += packet.seq < before
+            sink(packet)
+            stats["hole_fills"] += (packet.seq == before
+                                    and receiver.rcv_nxt > before + 1)
+
+        def send_ack(ack, send=receiver.send_ack, receiver=receiver):
+            stats["acks"] += 1
+            stats["sacked_acks"] += bool(ack.sacks)
+            stats["max_sacks"] = max(stats["max_sacks"], len(ack.sacks))
+            stats["max_runs"] = max(stats["max_runs"], len(receiver._ooo))
+            return send(ack)
+
+        sinks[flow_id] = receive
+        receiver.send_ack = send_ack
+    return lambda: dict(stats)
+
+
+def test_shallow_buffer_drops(traces):
+    # Two flows over a 40-packet buffer: the C queue's drops reach each
+    # flow's on_drop count as the reference queue's do.
+    flows = [FlowSpec(cc_factory=paper_algorithms()["CUBIC"]),
+             FlowSpec(cc_factory=paper_algorithms()["PR(M)"], start=0.2)]
+    result = _both(lambda: _run(
+        cellular_path_config(*traces, buffer_packets=40), flows,
+        watch=_watch_receivers))
+    drops = result["drops"][0]
+    assert sorted(drops) == [0, 1] and min(drops.values()) > 0
+    assert sum(drops.values()) == result["queues"][0]["drops"]
+    assert result["watched"]["hole_fills"] > 0
+
+
+def _without_sack(leg):
+    """``leg`` with every receiver built with SACK off, on either core."""
+    def run():
+        receiver = repro.experiments.runner.TcpReceiver
+        with mock.patch.object(repro.experiments.runner, "TcpReceiver",
+                               functools.partial(receiver,
+                                                 sack_enabled=False)):
+            return leg()
+    return run
+
+
+@pytest.mark.parametrize("variant", ["delayed_ack", "no_sack"])
+def test_receiver_variants(traces, variant):
+    spec = FlowSpec(cc_factory=paper_algorithms()["CUBIC"],
+                    delayed_ack=variant == "delayed_ack")
+    leg = functools.partial(_run, cellular_path_config(*traces,
+                                                       buffer_packets=40),
+                            [spec], watch=_watch_receivers)
+    watched = _both(_without_sack(leg) if variant == "no_sack"
+                    else leg)["watched"]
+    assert watched["max_runs"] > 0  # out-of-order data was held
+    if variant == "delayed_ack":
+        assert watched["acks"] < 0.75 * watched["data"]
+    else:
+        assert watched["sacked_acks"] == 0
+
+
+def test_handover_reordering(traces):
+    # A handover that shrinks the delay while a 40-packet buffer drops:
+    # later segments overtake earlier ones, holes are filled, the store
+    # holds more runs than an ACK has SACK blocks for, and segments below
+    # rcv_nxt arrive again.
+    watched = _both(lambda: _run(
+        cellular_path_config(*traces, buffer_packets=40),
+        [FlowSpec(cc_factory=paper_algorithms()["CUBIC"])],
+        shifts=((0.8, 0.03), (1.3, -0.045)),
+        watch=_watch_receivers))["watched"]
+    assert watched["hole_fills"] > 0
+    assert watched["max_runs"] > 3 and watched["max_sacks"] == 3
+    assert watched["below"] > 0
 
 
 def test_wired():
@@ -267,12 +391,12 @@ def test_run_until_in_slices(traces):
     assert sliced["summaries"] == _single(traces, "PR(M)")()["summaries"]
 
 
-def _non_looping(sim_cls, link_cls, deliver):
+def _non_looping(sim_cls, link_cls, queue_cls, deliver):
     """Bursts into a link whose trace ends mid-run and does not loop;
     without a receiver, only the first_t + prop cap bounds a batch."""
     sim = sim_cls()
     arrivals = []
-    link = link_cls(sim, quantized_outage_trace(), DropTailQueue(400),
+    link = link_cls(sim, quantized_outage_trace(), queue_cls(400),
                     loop=False,
                     on_deliver=(lambda p: arrivals.append((sim.now, p.seq)))
                     if deliver else None)
@@ -294,7 +418,79 @@ def _non_looping(sim_cls, link_cls, deliver):
 @pytest.mark.parametrize("deliver", [True, False],
                          ids=["receiver", "no-receiver"])
 def test_non_looping_trace(deliver):
-    fast = _non_looping(Simulator, CellularLink, deliver)
+    fast = _non_looping(Simulator, CellularLink, DropTailQueue, deliver)
     assert fast == _non_looping(ReferenceSimulator, ReferenceCellularLink,
-                                deliver)
+                                ReferenceDropTailQueue, deliver)
     assert fast[-1] > 0  # packets left queued once the trace ran out
+
+
+PACKET_FIELDS = ("flow_id", "seq", "ack", "is_ack", "tsval", "tsecr",
+                 "sacks", "size", "sent_time", "retransmit", "uid",
+                 "enqueue_time")
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((3,), {}),
+    ((1, 2, 3, True, 0.5, 0.25, [SackBlock(4, 6)], 60, 0.5, True), {}),
+    ((7,), {"seq": 9, "retransmit": True, "size": 100}),
+    ((), {"flow_id": 2, "is_ack": True, "ack": 11, "tsval": 1.23456}),
+    ((4, 5), {"uid": 99, "enqueue_time": 2.0}),
+], ids=["defaults", "positional", "keywords", "ack", "uid"])
+def test_packet_matches_reference(args, kwargs):
+    fast, ref = Packet(*args, **kwargs), ReferencePacket(*args, **kwargs)
+    for name in PACKET_FIELDS:
+        if name == "uid" and "uid" not in kwargs:
+            continue
+        assert getattr(fast, name) == getattr(ref, name), name
+        assert type(getattr(fast, name)) is type(getattr(ref, name)), name
+    assert repr(fast) == repr(ref)
+    fast.enqueue_time = ref.enqueue_time = 1.5
+    assert fast.enqueue_time == 1.5
+
+
+def test_packet_identity_matches_reference():
+    for cls in (Packet, ReferencePacket):
+        a, b = cls(0), cls(0)
+        assert b.uid == a.uid + 1
+        assert a.sacks == [] and a.sacks is not b.sacks
+        assert a != b and cls(1, uid=5) == cls(1, uid=5)
+        with pytest.raises(TypeError):
+            hash(a)
+        with pytest.raises(TypeError):
+            cls()
+    assert repr(Packet(1, 7, retransmit=True)) == "<RTX flow=1 seq=7>"
+
+
+def _queue_script(queue_cls, packet_cls, seed):
+    """A seeded mix of every queue operation on a 6-packet queue; the
+    record of everything each call returned and every counter after."""
+    rng = random.Random(seed)
+    dropped = []
+    queue = queue_cls(capacity=6, on_drop=lambda p: dropped.append(p.seq))
+    log, now = [], 0.0
+    for seq in range(400):
+        now += rng.choice((0.0, 0.001, 0.0125))
+        op = rng.random()
+        if op < 0.5:
+            size = rng.choice((60, 1500, 1500, 700))
+            got = queue.push(packet_cls(0, seq, size=size), now)
+        elif op < 0.7:
+            got = queue.pop(now)
+            got = None if got is None else got.seq
+        elif op < 0.9:
+            got = [p.seq for p in queue.drain_opportunity(
+                now, rng.choice((60, 1500, 3000)))]
+        else:
+            head = queue.peek()
+            got = None if head is None else head.seq
+        log.append((got, len(queue), queue.drops, queue.enqueued,
+                    queue.bytes, queue.enqueued_bytes, queue.sojourn_max))
+    return log, dropped
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_queue_matches_reference(seed):
+    fast = _queue_script(DropTailQueue, Packet, seed)
+    assert fast == _queue_script(ReferenceDropTailQueue, ReferencePacket,
+                                 seed)
+    assert fast[1] and fast[0][-1][-1] > 0  # drops and a sojourn were seen

@@ -209,8 +209,11 @@ def _frames_entered(run, packages=("repro.",)):
 
 #: Python calls into ``repro`` code per delivered data packet on the
 #: fixed PR(M) + CUBIC pair below.  Measured on CPython 3.11: 74.2
-#: before the per-packet path was flattened (DESIGN.md §12), 60.1 after.
-CALLS_PER_PACKET_BOUND = 66.0
+#: before the per-packet path was flattened (DESIGN.md §12), 60.1 after;
+#: 47.1 (PR(M) 58.9, CUBIC 36.9) before the queue, receiver, packet and
+#: demux moved to C (DESIGN.md §18), 31.9 (PR(M) 44.6, CUBIC 20.8) after.
+#: The bound is that plus 5 %.
+CALLS_PER_PACKET_BOUND = 33.5
 
 
 def test_python_calls_per_delivered_packet():
@@ -239,8 +242,11 @@ SAMPLED_SPEC = ("queue.sample:every=64;cc.loss-runs:every=16;"
 
 #: Observer arms: the package the observer's own frames live in, and
 #: the bound on ``repro`` frames entered relative to the plain run.
-#: Measured on CPython 3.11 (PR(M) / CUBIC): full 1.02 / 1.04, sampled
-#: 1.03 / 1.05, audit 1.08 / 1.11, env 1.21 / 1.20.
+#: Measured on CPython 3.11 (PR(M) / CUBIC): full 1.02 / 1.07, sampled
+#: 1.03 / 1.09, audit 1.07 / 1.13, env 1.27 / 1.19.  The plain run got
+#: cheaper when the receive path moved to C (DESIGN.md §18), which
+#: raised every ratio; the env arm also stopped forwarding the base
+#: ``on_packet_sent`` no-op through its adapter.
 OBSERVER_ARMS = {
     "full": ("repro.obs.", 1.10),
     "sampled": ("repro.obs.", 1.10),
