@@ -162,7 +162,7 @@ class CcEnv:
         loss_weight: float = LOSS_WEIGHT,
         audit: Any = None,
         telemetry: Optional[Any] = None,
-        sampling: Optional[Any] = None,
+        sampling: Optional[str] = None,
         profile: Optional[Any] = None,
         name: str = "",
     ) -> None:

@@ -13,9 +13,7 @@ driver above them — ``run_shootout``, the frontier sweeps, ``run_grid``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Union
-
-from repro.obs import SamplingPolicy, sampling_spec
+from typing import Any, Callable, Optional
 
 __all__ = ["OutcomeCallback", "RunOptions"]
 
@@ -48,10 +46,10 @@ class RunOptions:
         in, tagged ``"run": <index>``, under one ``scope="batch"``
         metrics record.  Observer-only, like ``audit``.
     sampling  (``--sample SPEC``; ``None`` → ``REPRO_TELEMETRY_SAMPLE``)
-        Per-event-kind trace budgets — a
-        :class:`~repro.obs.SamplingPolicy` or its spec string
-        (``"queue.sample:every=10;*:max=100000"``); drops are counted
-        into ``run.telemetry.dropped.*``.  Needs a tracer.
+        Per-event-kind trace budgets as a spec string
+        (``"queue.sample:every=10;*:max=100000"``, grammar in
+        :meth:`repro.obs.SamplingPolicy.parse`); drops are counted into
+        ``run.telemetry.dropped.*``.  Needs a tracer.
     profile  (``--profile``; ``None`` → ``REPRO_PROFILE``)
         Phase timers (``run.timing.prof.*``; a batch adds
         ``batch.timing.prof.sched.dispatch``).  Needs a tracer.
@@ -75,7 +73,7 @@ class RunOptions:
 
     audit: Optional[bool] = None
     telemetry: Optional[str] = None
-    sampling: Union[str, SamplingPolicy, None] = None
+    sampling: Optional[str] = None
     profile: Optional[bool] = None
     timeout: Optional[float] = None
     retries: int = 0
@@ -85,13 +83,12 @@ class RunOptions:
         """The part one run consumes, writing its trace to ``telemetry``.
 
         Always picklable, whatever ``on_outcome`` is: the scheduler
-        fields are left behind and ``sampling`` travels as its spec
-        string.
+        fields are left behind.
         """
         return RunOptions(
             audit=self.audit,
             telemetry=telemetry,
-            sampling=sampling_spec(self.sampling),
+            sampling=self.sampling,
             profile=self.profile,
         )
 

@@ -380,13 +380,10 @@ class _BatchTelemetry:
     """
 
     def __init__(self, base: Union[str, os.PathLike],
-                 sampling: Any = None,
+                 sampling: Optional[str] = None,
                  profile: Optional[bool] = None) -> None:
         self.base = str(base)
-        self.tracer = obs.Tracer(
-            obs.JsonlSink(self.base),
-            sampling=obs.resolve_sampling(sampling),
-        )
+        self.tracer = obs.Tracer(obs.JsonlSink(self.base), sampling=sampling)
         if profile is None:  # the rule every run resolves by
             profile = obs.env_profile()
         self.prof = obs.PhaseProfiler() if profile else None

@@ -239,7 +239,7 @@ def run_experiment(
     ts_granularity: float = DEFAULT_TS_GRANULARITY,
     audit: Optional[bool] = None,
     telemetry: Optional[Any] = None,
-    sampling: Optional[Any] = None,
+    sampling: Optional[str] = None,
     profile: Optional[Any] = None,
 ) -> List[FlowResult]:
     """Run ``flows`` over one shared path and reduce the results.
@@ -250,8 +250,7 @@ def run_experiment(
     ``audit``, ``telemetry``, ``sampling`` and ``profile`` are the
     per-run observers, documented once on
     :class:`repro.experiments.options.RunOptions` (``telemetry`` here
-    also accepts a live :class:`~repro.obs.Tracer`, ``sampling`` a
-    :class:`~repro.obs.SamplingPolicy` and ``profile`` a
+    also accepts a live :class:`~repro.obs.Tracer` and ``profile`` a
     :class:`~repro.obs.PhaseProfiler`).  All are observation-only: with
     them off, results are bit-identical to builds without them; with
     telemetry on, each :class:`FlowResult` additionally carries a
@@ -590,7 +589,7 @@ def run_single_flow(
     ts_granularity: float = DEFAULT_TS_GRANULARITY,
     audit: Optional[bool] = None,
     telemetry: Optional[Any] = None,
-    sampling: Optional[Any] = None,
+    sampling: Optional[str] = None,
     profile: Optional[Any] = None,
 ) -> FlowResult:
     """Convenience wrapper: one downlink flow over a cellular path."""

@@ -292,7 +292,7 @@ def run_fluid(
     handovers: Sequence[HandoverSpec] = (),
     capacity_window: float = DEFAULT_CAPACITY_WINDOW,
     telemetry: Optional[Any] = None,
-    sampling: Optional[Any] = None,
+    sampling: Optional[str] = None,
     profile: Optional[Any] = None,
 ) -> FluidReport:
     """Integrate a multi-flow, multi-tower fluid scenario.
@@ -464,18 +464,27 @@ def _integrate(
     plan = sorted(handovers, key=lambda h: (h.time, h.flow))
     plan_i = 0
     handovers_applied = 0
-    sample_every = max(1, int(round(TOWER_SAMPLE_INTERVAL / dt)))
+    # Each tower is a periodic source: a sampled tracer thins it to
+    # every ``stride``-th tick of its 100 ms clock, so the kernel also
+    # stops only at the ticks that are written.
+    tick_steps = max(1, int(round(TOWER_SAMPLE_INTERVAL / dt)))
+    budget = tracer.budget(obs.FLUID_TOWER) if tracer is not None else None
+    sample_every = tick_steps * (
+        budget.stride(tick_steps * dt) if budget is not None else 1)
 
     def sample_towers(step: int) -> None:
         t = step * dt
         tbuff, arrival = arrays["tbuff"], arrays["arrival"]
         for j in range(n_towers):
-            tracer.emit(
-                obs.FLUID_TOWER, t, tower=j,
-                tbuff=float(tbuff[j]), capacity=float(cap[j, step]),
-                arrival=float(arrival[j]),
-                flows=int(np.count_nonzero(tower_id == j)),
-            )
+            if budget is not None and not budget.keep():
+                continue
+            tracer.sink.write({
+                "t": t, "kind": obs.FLUID_TOWER, "tower": j,
+                "tbuff": float(tbuff[j]), "capacity": float(cap[j, step]),
+                "arrival": float(arrival[j]),
+                "flows": int(np.count_nonzero(tower_id == j)),
+            })
+            tracer.events += 1
 
     prof_token = (profiler.begin("fluid.integrate")
                   if profiler is not None else None)
@@ -542,6 +551,9 @@ def _integrate(
 
     if prof_token is not None:
         profiler.end(prof_token)
+    if budget is not None:  # the ticks the stride skipped, per tower
+        budget.dropped += n_towers * (len(range(0, n_steps, tick_steps))
+                                      - len(range(0, n_steps, sample_every)))
 
     # -- reduction -----------------------------------------------------
     (delivered_bytes, tb_sum, tb_time, tb_max, cap_sum, served_sum,

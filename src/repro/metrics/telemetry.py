@@ -30,8 +30,11 @@ class QueueSampler:
     buffer delay seconds when summarising.
 
     When telemetry is active (an explicit ``tracer`` or the ambient one)
-    every sample is also emitted as a ``queue.sample`` event tagged with
-    ``name``, feeding the ``repro trace`` sawtooth reconstruction.
+    samples are also written as ``queue.sample`` events tagged with
+    ``name``, feeding the ``repro trace`` sawtooth reconstruction.  A
+    sampled tracer thins them at this source: every ``stride``-th tick
+    of this queue is written (``KindBudget.stride``), the others count
+    as dropped.  ``times``/``lengths`` keep every tick either way.
     """
 
     def __init__(
@@ -53,6 +56,11 @@ class QueueSampler:
         self._sim = sim
         self._timer: Optional[PeriodicTimer] = None
         self._tracer = tracer if tracer is not None else current_tracer()
+        self._budget = (self._tracer.budget(QUEUE_SAMPLE)
+                        if self._tracer is not None else None)
+        self._stride = (self._budget.stride(interval)
+                        if self._budget is not None else 1)
+        self._skip = 0  # ticks to drop before the next written one
         # Samples dominate a trace's record count (one every 10 ms per
         # link vs a handful of CC events per RTT), so they bypass the
         # generic emit path: the invariant parts of the line are
@@ -74,14 +82,19 @@ class QueueSampler:
         self.times.append(now)
         self.lengths.append(n)
         tr = self._tracer
-        if tr is not None:
-            # This pre-encoded line bypasses Tracer.emit, so the
-            # sampling budget has to be consulted here too.
-            pol = tr.sampling
-            if pol is not None and not pol.admit(QUEUE_SAMPLE, now):
+        if tr is None:
+            return
+        budget = self._budget
+        if budget is not None:
+            if self._skip:
+                self._skip -= 1
+                budget.dropped += 1
                 return
-            tr.sink.write_line(self._fmt % (now, n))
-            tr.events += 1
+            self._skip = self._stride - 1
+            if not budget.keep():
+                return
+        tr.sink.write_line(self._fmt % (now, n))
+        tr.events += 1
 
     def stop(self) -> None:
         # The timer's callback is a bound method of this sampler; drop

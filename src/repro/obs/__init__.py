@@ -59,13 +59,7 @@ from repro.obs.registry import (
     merge_snapshots,
     merge_value,
 )
-from repro.obs.sampling import (
-    PROTECTED_KINDS,
-    KindBudget,
-    SamplingPolicy,
-    resolve_sampling,
-    sampling_spec,
-)
+from repro.obs.sampling import PROTECTED_KINDS, KindBudget, SamplingPolicy
 from repro.obs.sink import JsonlSink, encode
 from repro.obs.tracer import (
     QUEUE_SAMPLE_INTERVAL,
@@ -101,7 +95,6 @@ __all__ = [
     "current_tracer", "deactivate", "env_trace_path", "observing",
     "require_tracer", "resolve_tracer", "tracing",
     "PROTECTED_KINDS", "KindBudget", "SamplingPolicy",
-    "resolve_sampling", "sampling_spec",
     "PROFILE_ENV", "PhaseProfiler", "activate_profiler",
     "current_profiler", "deactivate_profiler", "env_profile",
 ]

@@ -2,27 +2,37 @@
 
 A full trace of a long grid sweep or a 1000-flow fluid run is dominated
 by periodic records (``queue.sample`` every 10 ms per link,
-``fluid.tower`` every 100 ms per tower).  A :class:`SamplingPolicy`
-bounds that volume *visibly*: each event kind can be decimated
-(every-Nth), time-decimated (at most one record per interval of
-simulated time), and hard-capped per run — and every record the policy
-rejects is counted per kind, so :func:`repro.obs.tracer.close_scope`
-can fold ``run.telemetry.dropped.<kind>`` counters into the metrics
-snapshot and truncation is never silent.
+``fluid.tower`` every 100 ms per tower).  A :class:`SamplingPolicy`,
+parsed from a spec string, bounds that volume *visibly*: each event
+kind can be decimated (every-Nth), time-decimated (at most one record
+per interval of simulated time), and hard-capped per run — and every
+record a budget rejects is counted per kind, so
+:func:`repro.obs.tracer.close_scope` can fold
+``run.telemetry.dropped.<kind>`` counters into the metrics snapshot and
+truncation is never silent.
 
-Determinism: a policy's decisions depend only on the event stream
+An event kind's records are decided in ``Tracer.emit`` by
+:meth:`KindBudget.admit`, which counts the kind's whole stream.  A
+periodic source (each link's queue sampler, each fluid tower) reads its
+kind's budget once and thins itself: it writes every
+:meth:`KindBudget.stride`-th tick of its own clock, so both links stay
+in a sampled trace.
+
+Determinism: a budget's decisions depend only on the event stream
 itself (arrival order and the simulated ``t`` field), never on wall
 clock, so a sampled run is exactly as reproducible as an unsampled one
 and the dropped counters are part of the deterministic summary.
 
 Lifecycle kinds (run/batch headers and footers, metrics snapshots,
-auditor records) are never sampled — a decimated trace must still be
-self-describing for ``repro trace`` and ``repro watch``.
+auditor records) are never sampled by the ``*`` default — a decimated
+trace must still be self-describing for ``repro trace`` and
+``repro watch``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+import math
+from typing import Dict, Optional, Union
 
 from repro.obs.events import (
     AUDIT_DUMP,
@@ -36,12 +46,11 @@ from repro.obs.events import (
     RUN_START,
 )
 
-__all__ = ["KindBudget", "SamplingPolicy", "PROTECTED_KINDS",
-           "resolve_sampling", "sampling_spec"]
+__all__ = ["KindBudget", "SamplingPolicy", "PROTECTED_KINDS"]
 
-#: Kinds a policy never drops: without them a trace loses its run
-#: boundaries, link metadata, and the metrics (including the dropped
-#: counters themselves).
+#: Kinds the ``*`` default never drops: without them a trace loses its
+#: run boundaries, link metadata, and the metrics (including the
+#: dropped counters themselves).
 PROTECTED_KINDS = frozenset({
     META, RUN_START, RUN_END, METRICS, GRID_CELL,
     FLUID_RUN, FLUID_END, AUDIT_VIOLATION, AUDIT_DUMP,
@@ -53,16 +62,18 @@ _RULE_KEYWORDS = {"every": "every", "interval": "interval", "max": "max_events"}
 
 
 class KindBudget:
-    """The sampling rules for one event kind (or the default).
+    """The sampling rules for one event kind, and its live counts.
 
     ``every=N`` keeps the 1st of every N records; ``interval=X`` keeps
     at most one record per ``X`` seconds of the event clock (the first
     record of a burst is always kept); ``max=N`` is a hard per-run cap
     on *kept* records.  Rules compose: a record must pass all three.
+    ``kept`` and ``dropped`` count the kind's records; ``dropped`` is
+    drained by :meth:`SamplingPolicy.drain_dropped`.
     """
 
-    __slots__ = ("every", "interval", "max_events", "_seen", "_kept",
-                 "_next_t")
+    __slots__ = ("every", "interval", "max_events", "kept", "dropped",
+                 "_seen", "_next_t")
 
     def __init__(self, every: int = 1, interval: float = 0.0,
                  max_events: Optional[int] = None) -> None:
@@ -75,104 +86,85 @@ class KindBudget:
         self.every = every
         self.interval = interval
         self.max_events = max_events
+        self.kept = 0
+        self.dropped = 0
         self._seen = 0
-        self._kept = 0
         self._next_t = float("-inf")
 
     def admit(self, t: float) -> bool:
-        self._seen += 1
-        if (self._seen - 1) % self.every != 0:
-            return False
-        if self.interval > 0.0 and t < self._next_t:
-            return False
-        if self.max_events is not None and self._kept >= self.max_events:
-            return False
-        self._kept += 1
+        """Decide one event-kind record at time ``t``, counting a drop."""
+        seen = self._seen
+        self._seen = seen + 1
+        if (seen % self.every == 0
+                and (self.interval <= 0.0 or t >= self._next_t)
+                and (self.max_events is None
+                     or self.kept < self.max_events)):
+            self.kept += 1
+            if self.interval > 0.0:
+                self._next_t = t + self.interval
+            return True
+        self.dropped += 1
+        return False
+
+    def stride(self, period: float) -> int:
+        """Ticks between the records a periodic source writes.
+
+        The smallest multiple of ``every`` whose span, at one tick per
+        ``period`` seconds, is at least ``interval`` (the tolerance
+        absorbs the rounding of e.g. ``0.05 / 0.01``).
+        """
+        spans = 1
         if self.interval > 0.0:
-            self._next_t = t + self.interval
+            spans = max(1, math.ceil(
+                self.interval / (self.every * period) - 1e-9))
+        return self.every * spans
+
+    def keep(self) -> bool:
+        """A periodic source's stride tick: kept unless ``max`` is
+        reached, in which case it counts as dropped."""
+        if self.max_events is not None and self.kept >= self.max_events:
+            self.dropped += 1
+            return False
+        self.kept += 1
         return True
 
-    def spawn(self) -> "KindBudget":
-        """A fresh-state copy with the same rules (per-kind instances)."""
-        return KindBudget(self.every, self.interval, self.max_events)
 
-    def describe(self) -> str:
-        parts = []
-        if self.every > 1:
-            parts.append(f"every={self.every}")
-        if self.interval > 0.0:
-            parts.append(f"interval={self.interval:g}")
-        if self.max_events is not None:
-            parts.append(f"max={self.max_events}")
-        return ",".join(parts) or "all"
+class SamplingPolicy(Dict[str, Optional[KindBudget]]):
+    """Event kind -> its live :class:`KindBudget` (``None``: unsampled).
 
-
-class SamplingPolicy:
-    """Per-kind admission control with exact dropped-record accounting.
-
-    ``rules`` maps an event kind to its :class:`KindBudget`; the ``"*"``
-    key (or ``default=``) budgets every non-protected kind without an
-    explicit rule.  Kinds in :data:`PROTECTED_KINDS` are always
-    admitted.
-
-    ``admit(kind, t)`` is the hot-path call: it returns whether the
-    record should be written and counts the drop otherwise.
-    ``drain_dropped()`` returns and resets the per-kind drop counts, so
-    a policy reused across runs still yields per-run deltas.
+    The explicit rules of a spec are the live budgets of their kinds.
+    A kind without one is looked up once: it gets a fresh copy of the
+    ``*`` default, or ``None`` when there is no default or the kind is
+    in :data:`PROTECTED_KINDS`.  ``drain_dropped()`` returns and resets
+    the per-kind drop counts, so a policy reused across runs still
+    yields per-run deltas.
     """
 
-    def __init__(self, rules: Optional[Dict[str, KindBudget]] = None,
-                 default: Optional[KindBudget] = None,
-                 spec: str = "") -> None:
-        rules = dict(rules or {})
-        star = rules.pop("*", None)
-        self._default = default if default is not None else star
-        self._rules: Dict[str, KindBudget] = rules
-        self._budgets: Dict[str, KindBudget] = {}
-        self.dropped: Dict[str, int] = {}
-        #: The spec string this policy was parsed from ("" if built
-        #: programmatically); lets batch layers ship the policy to
-        #: workers as a plain string.
-        self.spec = spec
+    def __init__(self, rules: Dict[str, KindBudget],
+                 default: Optional[KindBudget] = None) -> None:
+        super().__init__(rules)
+        self.default = default
 
-    def _budget_for(self, kind: str) -> Optional[KindBudget]:
-        budget = self._budgets.get(kind)
-        if budget is None:
-            template = self._rules.get(kind)
-            if template is None:
-                if kind in PROTECTED_KINDS or self._default is None:
-                    return None
-                template = self._default
-            budget = template.spawn()
-            self._budgets[kind] = budget
+    def __missing__(self, kind: str) -> Optional[KindBudget]:
+        default = self.default
+        budget = (None if kind in PROTECTED_KINDS or default is None else
+                  KindBudget(default.every, default.interval,
+                             default.max_events))
+        self[kind] = budget
         return budget
-
-    def admit(self, kind: str, t: float) -> bool:
-        budget = self._budget_for(kind)
-        if budget is None:
-            return True
-        if budget.admit(t):
-            return True
-        self.dropped[kind] = self.dropped.get(kind, 0) + 1
-        return False
 
     def drain_dropped(self) -> Dict[str, int]:
         """Per-kind drop counts since the last drain (reset on read)."""
-        out = self.dropped
-        self.dropped = {}
+        out = {}
+        for kind, budget in self.items():
+            if budget is not None and budget.dropped:
+                out[kind] = budget.dropped
+                budget.dropped = 0
         return out
-
-    def describe(self) -> str:
-        items: List[str] = []
-        for kind in sorted(self._rules):
-            items.append(f"{kind}:{self._rules[kind].describe()}")
-        if self._default is not None:
-            items.append(f"*:{self._default.describe()}")
-        return ";".join(items)
 
     @classmethod
     def parse(cls, spec: str) -> "SamplingPolicy":
-        """Build a policy from a CLI spec string.
+        """Build a policy from a spec string.
 
         Grammar: items separated by ``;``, each ``<kind>:<rule>[,<rule>…]``
         with rules ``every=N``, ``interval=SECONDS``, ``max=N``.  The
@@ -215,24 +207,5 @@ class SamplingPolicy:
                 rules[kind] = KindBudget(**kwargs)
             except ValueError as err:
                 raise ValueError(f"bad sampling item {item!r}: {err}") from None
-        return cls(rules, spec=spec)
-
-
-def resolve_sampling(
-    sampling: Union[str, SamplingPolicy, None],
-) -> Optional[SamplingPolicy]:
-    """A :class:`SamplingPolicy` from a policy, spec string, or None."""
-    if sampling is None or sampling == "":
-        return None
-    if isinstance(sampling, SamplingPolicy):
-        return sampling
-    return SamplingPolicy.parse(str(sampling))
-
-
-def sampling_spec(sampling: Union[str, SamplingPolicy, None]) -> Optional[str]:
-    """The portable string form of a sampling argument (for specs)."""
-    if sampling is None or sampling == "":
-        return None
-    if isinstance(sampling, SamplingPolicy):
-        return sampling.spec or sampling.describe()
-    return str(sampling)
+        default = rules.pop("*", None)
+        return cls(rules, default)

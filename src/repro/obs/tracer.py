@@ -19,10 +19,12 @@ Resolution order for a run (``resolve_tracer``):
    ``telemetry/trace-<pid>-<n>.jsonl`` under the working directory, any
    other non-empty value is used as a path prefix.
 
-A tracer may carry a :class:`~repro.obs.sampling.SamplingPolicy`
-(``sampling=`` on the entry points, ``REPRO_TELEMETRY_SAMPLE`` from the
-environment): ``emit`` consults it per event kind and the policy counts
-every record it rejects, which :func:`close_scope` folds into
+A tracer may be thinned by a sampling spec string (``sampling=`` on the
+entry points, ``REPRO_TELEMETRY_SAMPLE`` from the environment), which it
+parses into its own :class:`~repro.obs.sampling.SamplingPolicy`:
+``emit`` decides each event-kind record by its kind's budget, periodic
+sources thin themselves by :meth:`Tracer.budget`, and every rejected
+record is counted, which :func:`close_scope` folds into
 ``run.telemetry.dropped.*`` (``batch.*`` for a batch) at the end.
 """
 
@@ -42,7 +44,7 @@ from repro.obs.prof import (
     env_profile,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.obs.sampling import SamplingPolicy, resolve_sampling
+from repro.obs.sampling import KindBudget, SamplingPolicy
 from repro.obs.sink import JsonlSink
 from repro.util.env import SAMPLE_ENV, TELEMETRY_ENV, env_flag
 
@@ -57,22 +59,29 @@ class Tracer:
 
     def __init__(self, sink: JsonlSink,
                  metrics: Optional[MetricsRegistry] = None,
-                 sampling: Optional[SamplingPolicy] = None) -> None:
+                 sampling: Optional[str] = None) -> None:
         self.sink = sink
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.sampling = sampling
+        self.sampling = SamplingPolicy.parse(sampling) if sampling else None
         self.events = 0
 
     def emit(self, kind: str, t: float, flow: Optional[int] = None,
              **fields: Any) -> None:
-        if self.sampling is not None and not self.sampling.admit(kind, t):
-            return
+        if self.sampling is not None:
+            budget = self.sampling[kind]
+            if budget is not None and not budget.admit(t):
+                return
         record = {"t": t, "kind": kind}
         if flow is not None:
             record["flow"] = flow
         record.update(fields)
         self.sink.write(record)
         self.events += 1
+
+    def budget(self, kind: str) -> Optional[KindBudget]:
+        """The live budget a periodic source of ``kind`` thins itself by
+        (``None``: write every tick)."""
+        return None if self.sampling is None else self.sampling[kind]
 
     def close(self) -> None:
         self.sink.close()
@@ -124,38 +133,24 @@ def deactivate() -> None:
     _active = None
 
 
-def env_sampling() -> Optional[SamplingPolicy]:
-    """Policy mandated by ``REPRO_TELEMETRY_SAMPLE``, or ``None``."""
-    value = env_flag(SAMPLE_ENV)
-    return None if value is None else SamplingPolicy.parse(value)
-
-
-def _effective_sampling(
-    sampling: Union[str, SamplingPolicy, None],
-) -> Optional[SamplingPolicy]:
-    policy = resolve_sampling(sampling)
-    if policy is None:
-        policy = env_sampling()
-    return policy
+def _owned_tracer(path: Union[str, Path], sampling: Optional[str]) -> Tracer:
+    """A tracer writing ``path``, thinned by ``sampling`` or else by
+    ``REPRO_TELEMETRY_SAMPLE``."""
+    return Tracer(JsonlSink(path), sampling=sampling or env_flag(SAMPLE_ENV))
 
 
 @contextmanager
 def tracing(target: Union[str, Path, Tracer],
-            sampling: Union[str, SamplingPolicy, None] = None,
-            ) -> Iterator[Tracer]:
+            sampling: Optional[str] = None) -> Iterator[Tracer]:
     """Activate a tracer for the duration of the block.
 
     A path target creates (and on exit closes) a :class:`JsonlSink`
     tracer; an existing :class:`Tracer` is activated without taking
-    ownership (and keeps its own sampling policy — ``sampling=`` only
-    applies to path targets).
+    ownership (and keeps its own sampling — ``sampling=`` only applies
+    to path targets).
     """
     owned = not isinstance(target, Tracer)
-    if owned:
-        tracer = Tracer(JsonlSink(target),
-                        sampling=_effective_sampling(sampling))
-    else:
-        tracer = target
+    tracer = _owned_tracer(target, sampling) if owned else target
     activate(tracer)
     try:
         yield tracer
@@ -177,28 +172,26 @@ def env_trace_path() -> Optional[str]:
 
 
 def resolve_tracer(telemetry: Union[str, Path, Tracer, None],
-                   sampling: Union[str, SamplingPolicy, None] = None,
+                   sampling: Optional[str] = None,
                    ) -> Tuple[Optional[Tracer], bool]:
     """Resolve a run's telemetry target to ``(tracer, owned)``.
 
     ``owned`` tells the caller it must deactivate and close the tracer
     when the run finishes; an ambient or caller-provided tracer is
-    never owned.  ``sampling`` (a spec string or policy; falls back to
+    never owned.  ``sampling`` (a spec string; falls back to
     ``REPRO_TELEMETRY_SAMPLE``) applies only when a tracer is
     constructed here — a pre-built or ambient tracer keeps its own.
     """
     if telemetry is not None:
         if isinstance(telemetry, Tracer):
             return telemetry, False
-        return Tracer(JsonlSink(telemetry),
-                      sampling=_effective_sampling(sampling)), True
+        return _owned_tracer(telemetry, sampling), True
     ambient = current_tracer()
     if ambient is not None:
         return ambient, False
     path = env_trace_path()
     if path is not None:
-        return Tracer(JsonlSink(path),
-                      sampling=_effective_sampling(sampling)), True
+        return _owned_tracer(path, sampling), True
     return None, False
 
 
@@ -226,7 +219,7 @@ def require_tracer(telemetry: Any, sampling: Any, profile: Any) -> None:
 @contextmanager
 def observing(
     telemetry: Union[str, Path, Tracer, None] = None,
-    sampling: Union[str, SamplingPolicy, None] = None,
+    sampling: Optional[str] = None,
     profile: Union[bool, PhaseProfiler, None] = None,
 ) -> Iterator[Tuple[Optional[Tracer], Optional[PhaseProfiler]]]:
     """A run's observers, ambient for the duration of the block.

@@ -30,6 +30,13 @@ from repro.traces.presets import isp_trace
 from repro.traces.trace import Trace
 
 
+#: Telemetry budget of a ``sampled`` observer arm: decimate the hot
+#: kinds, cap the rest (the ``bulk_observed`` bench workload's sampled
+#: arm).
+SAMPLED_SPEC = ("queue.sample:every=64;cc.loss-runs:every=16;"
+                "cc.estimator:every=8;*:max=100000")
+
+
 def isp_traces(isp: str, mode: str, duration: float):
     """The (downlink, uplink) pair of a Table-2 preset."""
     return (isp_trace(isp, mode, duration=duration),

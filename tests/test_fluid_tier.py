@@ -227,7 +227,12 @@ class TestObserverOnly:
         ]
         thin_events = read_trace(thin_path)
         thin_towers = [e for e in thin_events if e["kind"] == "fluid.tower"]
-        assert 0 < len(thin_towers) < len(tower_events) / 3
+        for j in range(len(towers)):
+            assert [e for e in thin_towers if e["tower"] == j] == \
+                [e for e in tower_events if e["tower"] == j][::5]
+        (thin_metrics,) = [e for e in thin_events if e["kind"] == "metrics"]
+        assert thin_metrics["metrics"]["run.telemetry.dropped.fluid.tower"] \
+            == len(tower_events) - len(thin_towers)
         for trace in (events, thin_events):
             kinds = {e["kind"] for e in trace}
             assert {"fluid.run", "fluid.handover", "fluid.loss",

@@ -26,6 +26,7 @@ from repro.experiments.runner import run_single_flow
 from repro.core.proprate import PropRate
 from repro.traces.cache import as_ref
 from repro.traces.presets import isp_trace
+from tests.helpers import SAMPLED_SPEC, isp_traces
 
 
 def _down(duration=30.0):
@@ -47,6 +48,7 @@ class TestSamplingPolicy:
         budget = obs.KindBudget(every=3)
         admitted = [budget.admit(float(i)) for i in range(9)]
         assert admitted == [True, False, False] * 3
+        assert (budget.kept, budget.dropped) == (3, 6)
 
     def test_interval_keeps_first_of_burst(self):
         budget = obs.KindBudget(interval=1.0)
@@ -59,16 +61,39 @@ class TestSamplingPolicy:
         budget = obs.KindBudget(max_events=2)
         assert [budget.admit(float(i)) for i in range(4)] == \
             [True, True, False, False]
+        # A periodic source's written ticks share the same cap.
+        capped = obs.KindBudget(max_events=1)
+        assert [capped.keep() for _ in range(3)] == [True, False, False]
+        assert capped.dropped == 2
+
+    def test_stride_is_the_smallest_every_multiple_spanning_interval(self):
+        tick = 0.010
+        assert obs.KindBudget().stride(tick) == 1
+        assert obs.KindBudget(every=64).stride(tick) == 64
+        # 0.05 / 0.01 rounds to 5.000000000000001: still 5 ticks.
+        assert obs.KindBudget(interval=0.05).stride(tick) == 5
+        assert obs.KindBudget(every=4, interval=0.05).stride(tick) == 8
+        assert obs.KindBudget(every=8, interval=0.05).stride(tick) == 8
 
     def test_parse_grammar(self):
         policy = obs.SamplingPolicy.parse(
             "queue.sample:every=10,max=100;cc.nfl:interval=0.5;*:every=2"
         )
-        assert policy.admit("queue.sample", 0.0)
-        assert not policy.admit("queue.sample", 0.1)
+        queue = policy["queue.sample"]
+        assert (queue.every, queue.interval, queue.max_events) == \
+            (10, 0.0, 100)
+        assert queue.admit(0.0)
+        assert not queue.admit(0.1)
+        nfl = policy["cc.nfl"]
+        assert (nfl.every, nfl.interval, nfl.max_events) == (1, 0.5, None)
+        # Explicit rules are the live budgets; ``*`` spawns one per kind.
+        assert policy["queue.sample"] is queue
+        other = policy["cc.state"]
+        assert other is not policy["cc.rto"] and other.every == 2
+        assert policy["cc.state"] is other
         # bare-int shorthand == every=N
-        short = obs.SamplingPolicy.parse("queue.sample:4")
-        assert [short.admit("queue.sample", float(i)) for i in range(4)] == \
+        short = obs.SamplingPolicy.parse("queue.sample:4")["queue.sample"]
+        assert [short.admit(float(i)) for i in range(4)] == \
             [True, False, False, False]
         with pytest.raises(ValueError):
             obs.SamplingPolicy.parse("queue.sample:bogus=1")
@@ -85,14 +110,13 @@ class TestSamplingPolicy:
     def test_protected_kinds_always_pass(self):
         policy = obs.SamplingPolicy.parse("*:every=1000")
         for kind in obs.PROTECTED_KINDS:
-            for i in range(5):
-                assert policy.admit(kind, float(i))
+            assert policy[kind] is None
         assert policy.drain_dropped() == {}
 
     def test_drain_dropped_resets(self):
         policy = obs.SamplingPolicy.parse("x:every=2")
         for i in range(4):
-            policy.admit("x", float(i))
+            policy["x"].admit(float(i))
         assert policy.drain_dropped() == {"x": 2}
         assert policy.drain_dropped() == {}
 
@@ -133,6 +157,37 @@ class TestSamplingPolicy:
                    and k != "run.telemetry.dropped_events"}
         assert sum(by_kind.values()) == dropped_total
         assert by_kind["queue.sample"] > 0
+
+    @staticmethod
+    def _queue_samples(tmp_path, sampling):
+        path = str(tmp_path / "t.jsonl")
+        run_single_flow(PropRate, *isp_traces("A", "stationary", 4.0),
+                        duration=4.0, measure_start=1.0, telemetry=path,
+                        sampling=sampling)
+        records = _read_jsonl(path)
+        (metrics_rec,) = [r for r in records if r["kind"] == "metrics"]
+        by_link = {}
+        for r in records:
+            if r["kind"] == "queue.sample":
+                by_link.setdefault(r["link"], []).append(r["t"])
+        return by_link, metrics_rec["metrics"]
+
+    @pytest.mark.parametrize("sampling, stride", [
+        (SAMPLED_SPEC, 64), ("queue.sample:interval=0.05", 5),
+    ], ids=["bench-spec", "interval"])
+    def test_periodic_sources_keep_their_own_cadence(self, tmp_path,
+                                                     sampling, stride):
+        # Each link's sampler is its own source: it keeps every
+        # stride-th tick of its own 10 ms clock, whatever the other
+        # link wrote, and the drops are exactly the ticks it skipped.
+        full, _ = self._queue_samples(tmp_path, None)
+        thin, metrics = self._queue_samples(tmp_path, sampling)
+        assert set(full) == set(thin) == {"downlink", "uplink"}
+        for link, times in full.items():
+            assert thin[link] == times[::stride], link
+        kept = sum(map(len, thin.values()))
+        ticks = sum(map(len, full.values()))
+        assert metrics["run.telemetry.dropped.queue.sample"] == ticks - kept
 
     def test_sampling_without_telemetry_rejected_by_batch(self):
         with pytest.raises(ValueError):
