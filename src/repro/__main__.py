@@ -7,8 +7,9 @@ Commands
 ``frontier``   sweep PropRate's target buffer delay (Figure 10)
 ``grid``       the N×M contention/fairness grid (Figure 12
                generalized; see docs/contention_grid.md)
-``traces``     print Table-2 statistics for the synthetic traces
-``experiments`` list the paper-artifact → benchmark registry
+``reproduce``  regenerate paper artifacts and check their claims
+               (all of them, or the ids given; see DESIGN.md §5)
+``experiments`` list the artifact catalogue ``reproduce`` runs
 ``trace``      summarize (or diff) telemetry traces written with
                ``--telemetry`` (see docs/observability.md)
 ``watch``      auto-refreshing ASCII dashboard following a live
@@ -32,7 +33,6 @@ from repro.experiments.algorithms import CcFactory, paper_algorithms, run_shooto
 from repro.experiments.frontier import sweep_frontier
 from repro.experiments.options import OutcomeCallback, RunOptions
 from repro.experiments.parallel import RunOutcome
-from repro.experiments.registry import describe_all
 from repro.experiments.runner import run_single_flow
 from repro.fluid import fan_in_scenario, run_fluid
 from repro.fluid.scenarios import FAN_IN_MIXES
@@ -117,8 +117,9 @@ def _run_options(args: argparse.Namespace, total: int = 0) -> RunOptions:
 
     A flag the subcommand lacks stays at its ``RunOptions`` default, and
     an on/off flag left off is ``None`` — "defer to ``REPRO_*``".
-    ``--sample``/``--profile`` with no tracer to serve them, or a
-    ``--telemetry`` target that is not a file path, is a usage error
+    ``--sample``/``--profile`` with no tracer to serve them, a
+    malformed ``--sample`` spec, or a ``--telemetry`` target that is not
+    a file path, is a usage error
     here, before any trace is loaded; ``total`` sizes the
     progress line of a batch command.
     """
@@ -136,6 +137,8 @@ def _run_options(args: argparse.Namespace, total: int = 0) -> RunOptions:
     )
     try:
         obs.require_tracer(options.telemetry, options.sampling, options.profile)
+        if options.sampling:
+            obs.SamplingPolicy.parse(options.sampling)
         if options.telemetry is not None:
             trace_path(options.telemetry)
     except ValueError as err:
@@ -301,22 +304,28 @@ def _cmd_env_rollout(args: argparse.Namespace) -> None:
     )
 
 
-def _cmd_traces(args: argparse.Namespace) -> None:
-    print(f"{'Trace':22s} {'mean KB/s':>10s} {'target':>8s} {'std KB/s':>9s} {'target':>8s}")
-    for (isp, mode), (mean_t, std_t) in sorted(TABLE2_TARGETS.items()):
-        stats = isp_trace(isp, mode, duration=120.0).stats()
-        print(
-            f"ISP {isp}-{mode:11s} {stats.mean_kbps:10.1f} {mean_t:8.1f} "
-            f"{stats.std_kbps:9.1f} {std_t:8.1f}"
-        )
-    sprint = sprint_like_trace(duration=120.0).stats()
-    print(
-        f"{'Sprint-like':22s} {sprint.mean_kbps:10.1f} {'—':>8s} "
-        f"{sprint.std_kbps:9.1f} {'—':>8s}  (outage {sprint.outage_fraction:.0%})"
-    )
+def _cmd_reproduce(args: argparse.Namespace) -> None:
+    # Lazy: the catalogue imports every artifact's dependencies.
+    from repro.reproduce import EXPERIMENTS, reproduce
+
+    unknown = [i for i in args.ids if i not in EXPERIMENTS]
+    if unknown:
+        args.usage_error(
+            f"unknown experiment id(s) {', '.join(unknown)}; choose from "
+            f"{', '.join(EXPERIMENTS)}")
+    claims = reproduce(args.ids, jobs=args.jobs)
+    failed = [c for c in claims if not c.passed]
+    print(f"\n{len(claims) - len(failed)}/{len(claims)} claims hold "
+          "(benchmarks/results/claims.json)")
+    if failed:
+        for claim in failed:
+            print(f"FAILED {claim}", file=sys.stderr)
+        raise SystemExit(1)
 
 
 def _cmd_experiments(args: argparse.Namespace) -> None:
+    from repro.reproduce import describe_all
+
     print(describe_all())
 
 
@@ -553,10 +562,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_roll.set_defaults(func=_cmd_env_rollout)
 
-    p_traces = sub.add_parser("traces", help="Table-2 trace statistics")
-    p_traces.set_defaults(func=_cmd_traces)
+    p_repro = sub.add_parser(
+        "reproduce",
+        help="regenerate paper artifacts into benchmarks/results/ and "
+        "check their claims; exits 1 naming each failed claim",
+    )
+    p_repro.add_argument(
+        "ids", nargs="*", metavar="ID",
+        help="artifact ids (see 'repro experiments'; default: all)",
+    )
+    p_repro.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes for the batch-capable artifacts (1 = "
+        "serial, 0 = all cores); results are identical at any job count",
+    )
+    p_repro.set_defaults(func=_cmd_reproduce)
 
-    p_exp = sub.add_parser("experiments", help="paper-artifact registry")
+    p_exp = sub.add_parser("experiments", help="the paper-artifact catalogue")
     p_exp.set_defaults(func=_cmd_experiments)
 
     p_trace = sub.add_parser(

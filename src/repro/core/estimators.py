@@ -198,7 +198,7 @@ class MaxFilterRateEstimator(ReceiveRateEstimator):
     which is why PropRate smooths with an EWMA instead.  This estimator
     exists to ablate that design choice: drop it into PropRate via
     ``rate_estimator=MaxFilterRateEstimator`` and compare
-    (benchmarks/bench_ablations).
+    (``repro reproduce A1``).
     """
 
     def __init__(

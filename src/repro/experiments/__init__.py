@@ -9,8 +9,8 @@
 * :mod:`repro.experiments.algorithms` — the Table-3 algorithm line-up.
 * :mod:`repro.experiments.options` — :class:`RunOptions`, the one value
   every batch driver takes for auditing, telemetry and scheduling.
-* :mod:`repro.experiments.registry` — experiment id → runner index
-  (the per-figure map of DESIGN.md §5).
+
+The paper-artifact catalogue that drives these is :mod:`repro.reproduce`.
 """
 
 from repro.experiments.algorithms import (
@@ -37,7 +37,6 @@ from repro.experiments.frontier import (
     paper_frontier_targets,
     sweep_frontier,
 )
-from repro.experiments.registry import EXPERIMENTS, Experiment, describe_all
 from repro.experiments.runner import (
     FlowResult,
     FlowSpec,
@@ -56,10 +55,8 @@ from repro.experiments.scenarios import (
 )
 
 __all__ = [
-    "EXPERIMENTS",
     "CcSpec",
     "ConvergencePoint",
-    "Experiment",
     "FlowResult",
     "FlowSpec",
     "FrontierPoint",
@@ -71,7 +68,6 @@ __all__ = [
     "cellular_path_config",
     "collect",
     "contention_vs_cubic",
-    "describe_all",
     "iter_batch",
     "iter_frontier",
     "nfl_convergence",

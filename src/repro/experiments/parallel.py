@@ -383,6 +383,8 @@ class _BatchTelemetry:
                  sampling: Optional[str] = None,
                  profile: Optional[bool] = None) -> None:
         self.base = str(base)
+        if sampling:  # a malformed spec raises before the file is created
+            obs.SamplingPolicy.parse(sampling)
         self.tracer = obs.Tracer(obs.JsonlSink(self.base), sampling=sampling)
         if profile is None:  # the rule every run resolves by
             profile = obs.env_profile()

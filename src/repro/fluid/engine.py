@@ -27,8 +27,8 @@ The step itself is one small C kernel (``step.c``, built on first use
 by :mod:`repro.fluid.kernel`) that reproduces the numpy loop it
 replaced byte for byte; this module keeps the scenario set-up,
 handovers, masks, telemetry and the reduction.  Thousands of flows run
-in well under a second of wall time (see
-benchmarks/bench_fluid_scaling.py), which is what the ROADMAP's
+in well under a second of wall time (see ``repro reproduce FL1``),
+which is what the ROADMAP's
 "millions of users" tier needs.  Correctness is
 anchored by scripts/check_fluid_xval.py: overlapping scenarios run
 through both tiers must agree within checked-in tolerance bands.

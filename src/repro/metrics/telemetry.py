@@ -4,7 +4,7 @@ The fluid model predicts the buffer-delay sawtooth analytically; the
 packet-level simulator should reproduce it.  :class:`QueueSampler`
 records a bottleneck queue's occupancy over time so the waveform can be
 extracted from a real run and compared against the Figure-1/2 geometry
-(see ``benchmarks/bench_waveform_packet.py``).
+(see ``repro reproduce W1``, :mod:`repro.reproduce.paper`).
 
 :func:`sawtooth_summary` reduces a sampled waveform to the quantities
 the model predicts: peak, trough, average and period.

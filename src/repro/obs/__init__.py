@@ -51,6 +51,7 @@ from repro.obs.prof import (
     current_profiler,
     deactivate_profiler,
     env_profile,
+    profiling,
 )
 from repro.obs.registry import (
     MetricsRegistry,
@@ -96,5 +97,5 @@ __all__ = [
     "require_tracer", "resolve_tracer", "tracing",
     "PROTECTED_KINDS", "KindBudget", "SamplingPolicy",
     "PROFILE_ENV", "PhaseProfiler", "activate_profiler",
-    "current_profiler", "deactivate_profiler", "env_profile",
+    "current_profiler", "deactivate_profiler", "env_profile", "profiling",
 ]

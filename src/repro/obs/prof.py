@@ -21,7 +21,7 @@ Profiling follows the tracer's ambient-activation pattern
 (``current_profiler()`` captured at construction).  The entry points
 *require* an active tracer — the measurements have nowhere to go
 otherwise; a caller that reads :attr:`PhaseProfiler.phases` itself can
-activate a bare one (:func:`activate_profiler`).  Enable with
+activate a bare one (:func:`profiling`).  Enable with
 ``profile=True`` on the entry points, ``--profile`` on the CLI, or
 ``REPRO_PROFILE=1`` in the environment (the env form is silently
 ignored when telemetry is off so it can sit in CI without forcing
@@ -148,6 +148,21 @@ def activate_profiler(profiler: PhaseProfiler) -> PhaseProfiler:
 def deactivate_profiler() -> None:
     global _active
     _active = None
+
+
+@contextmanager
+def profiling() -> Iterator[PhaseProfiler]:
+    """A fresh bare profiler, ambient for the block.
+
+    No tracer receives its timings: the caller reads
+    :attr:`PhaseProfiler.phases` itself.  That is how Table 4 reads
+    ``cc.control`` with no telemetry cost inside the control time.
+    """
+    profiler = activate_profiler(PhaseProfiler())
+    try:
+        yield profiler
+    finally:
+        deactivate_profiler()
 
 
 def env_profile() -> bool:

@@ -135,8 +135,12 @@ def deactivate() -> None:
 
 def _owned_tracer(path: Union[str, Path], sampling: Optional[str]) -> Tracer:
     """A tracer writing ``path``, thinned by ``sampling`` or else by
-    ``REPRO_TELEMETRY_SAMPLE``."""
-    return Tracer(JsonlSink(path), sampling=sampling or env_flag(SAMPLE_ENV))
+    ``REPRO_TELEMETRY_SAMPLE``.  A malformed spec raises ``ValueError``
+    before the file is created."""
+    spec = sampling or env_flag(SAMPLE_ENV)
+    if spec:
+        SamplingPolicy.parse(spec)
+    return Tracer(JsonlSink(path), sampling=spec)
 
 
 @contextmanager

@@ -81,6 +81,16 @@ class Link:
         """Drop the references the link holds to itself (run end)."""
 
 
+def _checked_prop_delay(link: str, value: float) -> float:
+    """``value`` if it is a usable propagation delay, else ``ValueError``
+    naming the link: a negative delay would schedule deliveries in the
+    past."""
+    if not value >= 0:
+        raise ValueError(
+            f"link {link!r}: prop_delay must be >= 0 seconds, got {value!r}")
+    return value
+
+
 class CellularLink(_core.Cellular, Link):
     """A trace-driven bottleneck: finite queue drained by trace opportunities.
 
@@ -114,7 +124,7 @@ class CellularLink(_core.Cellular, Link):
         self.sim = sim
         self.trace = trace
         self.queue = queue
-        self._prop_delay = prop_delay
+        self._prop_delay = _checked_prop_delay(name, prop_delay)
         self.on_deliver = on_deliver
         self.loop = loop
         self.name = name
@@ -164,7 +174,7 @@ class CellularLink(_core.Cellular, Link):
     def prop_delay(self, value: float) -> None:
         """Mid-run changes model a handover / signal-path shift; traced."""
         old = self._prop_delay
-        self._prop_delay = value
+        self._prop_delay = _checked_prop_delay(self.name, value)
         tr = self._tracer
         if tr is not None and value != old:
             tr.emit(LINK_HANDOVER, self.sim.now, link=self.name,
@@ -269,7 +279,7 @@ class WiredLink(Link):
         self.sim = sim
         self.rate = rate
         self.queue = queue
-        self.prop_delay = prop_delay
+        self.prop_delay = _checked_prop_delay(name, prop_delay)
         self.on_deliver = on_deliver
         self.name = name
         self._busy = False

@@ -9,6 +9,8 @@ conservatively in the meantime but must keep working and recover.
 
 from functools import partial
 
+import pytest
+
 from repro.core.estimators import BufferDelayEstimator
 from repro.core.proprate import PropRate
 from repro.experiments.runner import cellular_path_config
@@ -79,3 +81,25 @@ class TestBaselineDrop:
         after = collector.delays(20.0, 30.0)
         assert after.size
         assert after.mean() < 0.010 + 0.040 * 2 + 0.020
+
+
+class TestShiftBelowZero:
+    """A shift that would make the propagation delay negative is rejected
+    where it is applied, naming the link, not later in the event loop."""
+
+    def _shift(self, delta):
+        from repro.experiments.algorithms import paper_algorithms
+        from repro.experiments.scenarios import baseline_shift
+        from repro.traces.presets import isp_trace
+
+        return baseline_shift(
+            paper_algorithms()["PR(M)"], isp_trace("A", "stationary", duration=8.0),
+            delta, shift_at=2.0, duration=5.0, measure_start=1.0)
+
+    def test_negative_delay_fails_at_the_shift(self):
+        with pytest.raises(ValueError, match=r"prop_delay must be >= 0") as info:
+            self._shift(-0.05)
+        assert "-0.03" in str(info.value) and "cannot schedule" not in str(info.value)
+
+    def test_shift_that_stays_non_negative_runs(self):
+        assert self._shift(-0.01).throughput > 0

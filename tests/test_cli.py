@@ -69,7 +69,10 @@ CLI_SURFACE = {
     "": set(),
     "env": set(),
     "experiments": set(),
-    "traces": set(),
+    "reproduce": {
+        (("ids",), "_StoreAction", None),
+        (("--jobs",), "int", 1),
+    },
     "run": _PATH | _OBSERVERS | _AUDIT | {
         (("algorithm",), "_StoreAction", None),
         (("--target",), "float", None),
@@ -178,13 +181,28 @@ class TestObserverValidation:
         assert [p for p in tmp_path.iterdir() if p.name.startswith("env.")]
 
 
-class TestCommands:
-    def test_traces_command(self, capsys):
-        main(["traces"])
-        out = capsys.readouterr().out
-        assert "ISP A-stationary" in out
-        assert "Sprint-like" in out
+class TestSampleSpec:
+    """A malformed --sample spec is a usage error before any file opens."""
 
+    @pytest.mark.parametrize("command", [
+        ["run", "PropRate", "--duration", "2", "--warmup", "1"],
+        ["frontier", "--jobs", "2", "--low", "20", "--high", "40",
+         "--step", "20", "--duration", "2", "--warmup", "1"],
+    ], ids=lambda c: c[0])
+    def test_exits_2_and_leaves_no_file(self, command, tmp_path, capsys,
+                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc_info:
+            main(command + ["--telemetry", "bad/t.jsonl",
+                            "--sample", "queue.sample:bogus=1"])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        (message,) = [ln for ln in err.splitlines() if "error:" in ln]
+        assert "bogus" in message and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestCommands:
     def test_experiments_command(self, capsys):
         main(["experiments"])
         out = capsys.readouterr().out

@@ -1,8 +1,11 @@
-"""Tests for the algorithm line-up, control-cost phase and experiment
-registry."""
+"""Tests for the algorithm line-up, control-cost phase and the claim
+catalogue."""
 
-import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -14,8 +17,10 @@ from repro.experiments.algorithms import (
     paper_algorithms,
     proprate_factory,
 )
-from repro.experiments.registry import EXPERIMENTS, describe_all
 from repro.experiments.runner import canonical_summary, run_single_flow
+from repro.__main__ import main
+from repro.reproduce import EXPERIMENTS, Experiment, describe_all
+from repro.reproduce.paper import TABLE3
 from repro.tcp.congestion import Cubic
 from repro.tcp.congestion.base import CongestionControl
 from repro.traces.presets import isp_trace
@@ -109,44 +114,86 @@ class TestCpuInstrumentation:
         assert "on_tick" not in vars(window.cc)
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
 class TestRegistry:
+    """The claim catalogue (repro.reproduce) is the one artifact index."""
+
     def test_every_paper_artifact_present(self):
-        for exp_id in ("T2", "T3", "T4", "F1-3", "F7", "F8", "F9", "F10",
-                       "F11", "F12", "F13", "F14", "D1"):
+        for exp_id in ("T2", "T3", "T4", "F1-3", "F7a", "F7b", "F8", "F9",
+                       "F10", "F11", "F12a", "F12b", "F13", "F14", "D1"):
             assert exp_id in EXPERIMENTS
-
-    def test_bench_files_exist(self):
-        root = pathlib.Path(__file__).resolve().parent.parent
-        for exp in EXPERIMENTS.values():
-            assert (root / exp.bench).exists(), exp.bench
-
-    def test_modules_importable(self):
-        import importlib
-
-        for exp in EXPERIMENTS.values():
-            for module in exp.modules:
-                importlib.import_module(module)
 
     def test_describe_all_lists_everything(self):
         text = describe_all()
         for exp in EXPERIMENTS.values():
             assert exp.id in text
+            assert exp.description and exp.description in text
 
-    def test_bench_tests_need_no_fixture(self):
-        # benchmarks/ runs under bare pytest: a parameter on a test
-        # function is a fixture some plugin must supply.
-        root = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
-        offenders = []
-        for path in sorted(root.glob("bench_*.py")):
-            for node in ast.parse(path.read_text()).body:
-                if (isinstance(node, ast.FunctionDef)
-                        and node.name.startswith("test_")
-                        and (node.args.args or node.args.kwonlyargs)):
-                    offenders.append(f"{path.name}::{node.name}")
-        assert not offenders, offenders
+    def test_design_index_matches_catalogue(self):
+        design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+        section = design.split("\n## 5.", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1].strip() for line in section.splitlines()
+                if line.startswith("| ") and not line.startswith("| Id ")]
+        assert sorted(rows) == sorted(EXPERIMENTS)
+
+    def test_reproduce_writes_the_tracked_table(self, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.chdir(tmp_path)
+        main(["reproduce", "T3"])
+        out = tmp_path / "benchmarks" / "results"
+        assert ((out / "table3_taxonomy.txt").read_bytes()
+                == (RESULTS / "table3_taxonomy.txt").read_bytes())
+        claims = json.loads((out / "claims.json").read_text())
+        assert len(claims) == 3 * len(TABLE3)
+        assert all(c["id"].startswith("T3.") and c["pass"] for c in claims)
+        assert "33/33 claims hold" in capsys.readouterr().out
+
+    def test_a_failed_claim_exits_1_and_is_named(self, tmp_path, monkeypatch,
+                                                 capsys):
+        def run(r):
+            """A stand-in artifact with one claim that holds, one that does not."""
+            r.claim("holds", 1.0, "<", 2.0)
+            r.claim("fails", 3.0, "<", 2.0)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(EXPERIMENTS, "X1", Experiment("X1", "stand-in", run))
+        with pytest.raises(SystemExit) as exc_info:
+            main(["reproduce", "X1"])
+        assert exc_info.value.code == 1
+        err = capsys.readouterr().err
+        assert "X1.fails: 3.0 < 2.0" in err and "X1.holds" not in err
+        claims = json.loads(
+            (tmp_path / "benchmarks" / "results" / "claims.json").read_text())
+        assert [(c["id"], c["pass"]) for c in claims] == [
+            ("X1.holds", True), ("X1.fails", False)]
+
+    def test_an_unknown_id_exits_2_and_writes_nothing(self, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["reproduce", "T3", "F99"])
+        assert exc_info.value.code == 2
+        (message,) = [ln for ln in capsys.readouterr().err.splitlines()
+                      if "error:" in ln]
+        assert "F99" in message
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_harness_does_not_import_the_catalogue(self):
+        # Every bench workload imports repro.experiments; the catalogue
+        # and the layers only it needs must stay off that import path.
+        heavy = ("repro.fluid", "repro.report", "repro.reproduce",
+                 "repro.experiments.contention_grid", "repro.metrics.compare")
+        code = ("import sys, repro.experiments; "
+                f"print([m for m in {heavy!r} if m in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+RESULTS = ROOT / "benchmarks" / "results"
 
 #: Committed results tables whose rows are the full ``paper_algorithms()``
 #: line-up, one row per name in table order.

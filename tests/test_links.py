@@ -122,6 +122,30 @@ class TestCellularLink:
         assert rate == pytest.approx(1000.0, rel=0.02)
 
 
+class TestPropDelayValidation:
+    """A negative propagation delay is a ValueError naming the link and
+    the value, in both link constructors and the handover setter."""
+
+    def test_cellular_constructor(self):
+        with pytest.raises(ValueError, match=r"link 'down'.*-0\.01"):
+            CellularLink(Simulator(), Trace([0.1], 0.5), DropTailQueue(10),
+                         prop_delay=-0.01, name="down")
+
+    def test_wired_constructor(self):
+        with pytest.raises(ValueError, match=r"link 'wan'.*-0\.01"):
+            WiredLink(Simulator(), rate=1e6, queue=DropTailQueue(10),
+                      prop_delay=-0.01, name="wan")
+
+    def test_cellular_setter_keeps_the_old_delay(self):
+        link = CellularLink(Simulator(), Trace([0.1], 0.5), DropTailQueue(10),
+                            prop_delay=0.02)
+        with pytest.raises(ValueError, match=r"link 'cell'.*-0\.5"):
+            link.prop_delay = -0.5
+        assert link.prop_delay == 0.02
+        link.prop_delay = 0.0
+        assert link.prop_delay == 0.0
+
+
 class TestWiredLink:
     def test_service_time_is_size_over_rate(self):
         sim = Simulator()

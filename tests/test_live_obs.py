@@ -195,6 +195,18 @@ class TestSamplingPolicy:
                                downlink=as_ref(_down()), duration=2.0)],
                       run_options=RunOptions(sampling="*:every=2"))
 
+    def test_bad_spec_raises_before_the_trace_opens(self, tmp_path):
+        bad = "queue.sample:bogus=1"
+        with pytest.raises(ValueError, match="bogus"):
+            run_single_flow(lambda: PropRate(0.040), _down(), duration=1.0,
+                            telemetry=str(tmp_path / "leaf.jsonl"), sampling=bad)
+        with pytest.raises(ValueError, match="bogus"):
+            run_batch([RunSpec(cc=proprate_spec(0.040),
+                               downlink=as_ref(_down()), duration=1.0)],
+                      run_options=RunOptions(telemetry=str(tmp_path / "b.jsonl"),
+                                             sampling=bad))
+        assert list(tmp_path.iterdir()) == []
+
     def test_env_sampling_applies_to_env_tracer(self, tmp_path, monkeypatch):
         monkeypatch.setenv(obs.SAMPLE_ENV, "queue.sample:every=5")
         monkeypatch.setenv(obs.TELEMETRY_ENV,

@@ -1,7 +1,7 @@
 """Integration tests for the paper's multi-flow scenarios.
 
 These use short constant-rate links to keep runtimes low; the full
-trace-driven versions live in benchmarks/.
+trace-driven versions are the artifacts of ``repro reproduce``.
 """
 
 from functools import partial
