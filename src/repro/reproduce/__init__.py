@@ -44,6 +44,10 @@ class Experiment:
         return " ".join(doc.split("\n\n")[0].split())
 
 
+#: Where the result tables and ``claims.json`` go, relative to the
+#: current directory.
+RESULTS_DIR = Path("benchmarks", "results")
+
 EXPERIMENTS: Dict[str, Experiment] = {e.id: e for e in (
     Experiment("T2", "Table 2", paper.table2_traces),
     Experiment("T3", "Table 3", paper.table3_taxonomy),
@@ -81,26 +85,29 @@ def describe_all() -> str:
     return "\n".join(lines)
 
 
-def reproduce(ids: Sequence[str] = (), jobs: int = 1,
-              root: Path = Path(".")) -> List[Claim]:
+def reproduce(ids: Sequence[str] = (), jobs: int = 1) -> List[Claim]:
     """Run the artifacts ``ids`` (all of them when empty), in order.
 
-    Result files go to ``<root>/benchmarks/results/``, and so does
-    ``claims.json``: one ``{id, value, op, bound, pass}`` record per
-    claim of this run.  An unknown id raises ``ValueError`` before
-    anything runs or is written.  Returns every claim; a failed one is
-    reported, not raised.
+    Result files go to ``benchmarks/results/`` under the current
+    directory, and so does ``claims.json``: one ``{id, value, op, bound,
+    pass}`` record per claim of this run.  An unknown id raises
+    ``ValueError`` before anything runs or is written.  Returns every
+    claim; a failed one is reported, not raised.  If a run function
+    raises, ``claims.json`` still holds the claims gathered before it,
+    and the exception propagates.
     """
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
         raise ValueError(f"unknown experiment id(s): {', '.join(unknown)}")
-    results_dir = root / "benchmarks" / "results"
-    claims: List[Claim] = []
-    for exp_id in dict.fromkeys(ids or EXPERIMENTS):
-        report = Report(exp_id, results_dir, jobs=jobs)
-        EXPERIMENTS[exp_id].run(report)
-        claims.extend(report.claims)
-    results_dir.mkdir(parents=True, exist_ok=True)
-    rows = ",\n".join(json.dumps(c.to_dict()) for c in claims)
-    (results_dir / "claims.json").write_text(f"[\n{rows}\n]\n", encoding="utf-8")
+    reports: List[Report] = []
+    try:
+        for exp_id in dict.fromkeys(ids or EXPERIMENTS):
+            reports.append(Report(exp_id, RESULTS_DIR, jobs=jobs))
+            EXPERIMENTS[exp_id].run(reports[-1])
+    finally:
+        claims = [c for report in reports for c in report.claims]
+        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+        rows = ",\n".join(json.dumps(c.to_dict()) for c in claims)
+        (RESULTS_DIR / "claims.json").write_text(f"[\n{rows}\n]\n",
+                                                 encoding="utf-8")
     return claims

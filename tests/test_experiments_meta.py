@@ -169,6 +169,27 @@ class TestRegistry:
         assert [(c["id"], c["pass"]) for c in claims] == [
             ("X1.holds", True), ("X1.fails", False)]
 
+    def test_a_crashing_artifact_keeps_the_claims_before_it(self, tmp_path,
+                                                           monkeypatch):
+        def first(r):
+            """A stand-in artifact that finishes."""
+            r.claim("done", 1.0, "<", 2.0)
+
+        def second(r):
+            """A stand-in artifact that raises after one claim."""
+            r.claim("before_crash", 1.0, "<", 2.0)
+            raise RuntimeError("stand-in crash")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(EXPERIMENTS, "X1", Experiment("X1", "stand-in", first))
+        monkeypatch.setitem(EXPERIMENTS, "X2", Experiment("X2", "stand-in", second))
+        with pytest.raises(RuntimeError, match="stand-in crash"):
+            main(["reproduce", "X1", "X2"])
+        claims = json.loads(
+            (tmp_path / "benchmarks" / "results" / "claims.json").read_text())
+        assert [(c["id"], c["pass"]) for c in claims] == [
+            ("X1.done", True), ("X2.before_crash", True)]
+
     def test_an_unknown_id_exits_2_and_writes_nothing(self, tmp_path,
                                                       monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
